@@ -51,23 +51,42 @@ def fock_lowering(nmax: int) -> np.ndarray:
     return a
 
 
-def _lift_field(layout: HilbertLayout, field_matrix: np.ndarray) -> np.ndarray:
-    """Extend a field-sector matrix over the atom factor (identity there)."""
-    if layout.has_atom:
-        return np.kron(np.eye(2, dtype=complex), field_matrix)
-    return field_matrix
+def lift_over_atom(layout, field_part: np.ndarray) -> np.ndarray:
+    """Extend a field-sector matrix or diagonal over the atom factor.
+
+    With an atom the atom level is the slowest axis, so a matrix m becomes
+    kron(1_2, m) and a diagonal d becomes (d, d); without one it is
+    returned as is.  Works for any layout with a ``has_atom`` flag.
+    """
+    if not layout.has_atom:
+        return field_part
+    if field_part.ndim == 1:
+        return np.tile(field_part, 2)
+    f = field_part.shape[0]
+    out = np.zeros((2 * f, 2 * f), dtype=complex)
+    out[:f, :f] = out[f:, f:] = field_part
+    return out
 
 
-def _lift_diag(layout: HilbertLayout, field_diag: np.ndarray) -> np.ndarray:
-    if layout.has_atom:
-        return np.tile(field_diag, 2)
-    return field_diag
+def sector_sum(layout: HilbertLayout, blocks: np.ndarray) -> np.ndarray:
+    """Field-space matrix with blocks[k] on mode k's (nmax+1)-square diagonal block.
+
+    This is a mode sum sum_k |k><k| (x) blocks[k], written in one strided
+    update instead of M dense field_dim-square additions.  The blocks
+    are added onto zeros, so every entry is what a running sum over the
+    modes gives, down to the sign of zeros.
+    """
+    m, b = layout.n_modes, layout.fock_dim
+    out = np.zeros((layout.field_dim,) * 2, dtype=complex)
+    idx = np.arange(m)
+    out.reshape(m, b, m, b)[idx, :, idx, :] += blocks
+    return out
 
 
 def ladder(layout: HilbertLayout) -> Operator:
     """Lowering operator on the shared Fock factor (identity on mode labels)."""
     a = np.kron(np.eye(layout.n_modes, dtype=complex), fock_lowering(layout.nmax))
-    return Operator(layout, _lift_field(layout, a))
+    return Operator(layout, lift_over_atom(layout, a))
 
 
 def mode_projector(layout: HilbertLayout, k: int) -> Operator:
@@ -76,7 +95,7 @@ def mode_projector(layout: HilbertLayout, k: int) -> Operator:
         raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
     d = np.zeros(layout.field_dim)
     d[k * layout.fock_dim:(k + 1) * layout.fock_dim] = 1.0
-    return Operator.from_diagonal(layout, _lift_diag(layout, d))
+    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
 
 
 def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
@@ -86,7 +105,7 @@ def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
     sector = np.zeros((layout.n_modes, layout.n_modes), dtype=complex)
     sector[k, k] = 1.0
     a = np.kron(sector, fock_lowering(layout.nmax))
-    return Operator(layout, _lift_field(layout, a))
+    return Operator(layout, lift_over_atom(layout, a))
 
 
 def number_operator(layout: HilbertLayout, k: int) -> Operator:
@@ -95,13 +114,13 @@ def number_operator(layout: HilbertLayout, k: int) -> Operator:
         raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
     d = np.zeros(layout.field_dim)
     d[k * layout.fock_dim:(k + 1) * layout.fock_dim] = np.arange(layout.fock_dim)
-    return Operator.from_diagonal(layout, _lift_diag(layout, d))
+    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
 
 
 def frequency_operator(layout: HilbertLayout) -> Operator:
     """Diagonal operator with eigenvalue omega_k on every |k, n> ket."""
     d = np.repeat(layout.omegas, layout.fock_dim)
-    return Operator.from_diagonal(layout, _lift_diag(layout, d))
+    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
 
 
 def _spectral_field_diag(layout: HilbertLayout) -> np.ndarray:
@@ -138,18 +157,27 @@ def hamiltonian_from_frequency_operator(layout: HilbertLayout,
     return Operator(layout, h, diagonal=True)
 
 
+def _ladder_symmetric_sum(nmax: int) -> np.ndarray:
+    """a^dag a + a a^dag on one truncated ladder (top rung keeps only a^dag a)."""
+    a = fock_lowering(nmax)
+    ad = a.conj().T
+    return ad @ a + a @ ad
+
+
 def hamiltonian_from_mode_ladders(layout: HilbertLayout,
                                   config: FieldConfig | None = None) -> Operator:
-    """Sum form (1/2) sum_k hbar*omega_k (a_k^dag a_k + a_k a_k^dag), truncated products."""
+    """Sum form (1/2) sum_k hbar*omega_k (a_k^dag a_k + a_k a_k^dag), truncated products.
+
+    Assembled per sector: mode k's block is (hbar*omega_k/2) times the
+    symmetrized product on one ladder, the same value a sum over the
+    dense mode annihilators gives.
+    """
     if layout.has_atom:
         raise ValueError("free-field hamiltonian requires a layout without atom factor")
     hbar = (config or FieldConfig()).hbar
-    total = np.zeros((layout.dimension,) * 2, dtype=complex)
-    for k, m in enumerate(layout.modes):
-        ak = mode_annihilator(layout, k).data
-        adk = ak.conj().T
-        total += 0.5 * hbar * m.omega * (adk @ ak + ak @ adk)
-    return Operator(layout, total, diagonal=True)
+    scale = 0.5 * hbar * layout.omegas
+    blocks = scale[:, None, None] * _ladder_symmetric_sum(layout.nmax)
+    return Operator(layout, sector_sum(layout, blocks), diagonal=True)
 
 
 def _require_field_modes(layout: HilbertLayout, what: str):
@@ -167,23 +195,27 @@ def momentum(layout: HilbertLayout,
     comps = []
     for i in range(3):
         d = np.outer(layout.kappas[:, i], halves).ravel()
-        comps.append(Operator.from_diagonal(layout, hbar * _lift_diag(layout, d)))
+        comps.append(Operator.from_diagonal(layout, hbar * lift_over_atom(layout, d)))
     return tuple(comps)
 
 
 def momentum_from_mode_ladders(layout: HilbertLayout,
                                config: FieldConfig | None = None
                                ) -> tuple[Operator, Operator, Operator]:
-    """Momentum from the ladder products, the form the field integrals reproduce."""
+    """Momentum from the ladder products, the form the field integrals reproduce.
+
+    Assembled per sector like :func:`hamiltonian_from_mode_ladders`, with
+    block hbar*kappa_ki * (a^dag a + a a^dag)/2 for component i.
+    """
     _require_field_modes(layout, "momentum")
     hbar = (config or FieldConfig()).hbar
-    mats = [np.zeros((layout.dimension,) * 2, dtype=complex) for _ in range(3)]
-    for k, m in enumerate(layout.modes):
-        ak = mode_annihilator(layout, k).data
-        sym = 0.5 * (ak.conj().T @ ak + ak @ ak.conj().T)
-        for i in range(3):
-            mats[i] += hbar * m.kappa[i] * sym
-    return tuple(Operator(layout, mat, diagonal=True) for mat in mats)
+    sym = 0.5 * _ladder_symmetric_sum(layout.nmax)
+    comps = []
+    for i in range(3):
+        blocks = (hbar * layout.kappas[:, i])[:, None, None] * sym
+        comps.append(Operator(layout, lift_over_atom(layout, sector_sum(layout, blocks)),
+                              diagonal=True))
+    return tuple(comps)
 
 
 def interior_indices(layout: HilbertLayout) -> np.ndarray:
@@ -199,7 +231,7 @@ def full_commutator_reference(layout: HilbertLayout, k: int) -> Operator:
     d[lo:lo + layout.fock_dim] = 1.0
     d[lo + layout.nmax] = -layout.nmax
     # diagonal is (1, ..., 1, -N) on the sector: identity minus (N+1) at n = N
-    return Operator.from_diagonal(layout, _lift_diag(layout, d))
+    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
 
 
 @dataclass(frozen=True)

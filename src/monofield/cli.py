@@ -109,6 +109,23 @@ def _parse_complex(value, where: str) -> complex:
     raise ConfigError(f"{where}: expected number or [re, im] pair, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true/false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value, where: str) -> float:
+    """A finite JSON number (not a bool or a string)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def _box_modes(box: dict, c: float) -> tuple[ModeLabel, ...]:
     _require_keys(box, {"edge", "max_index"}, "box")
     try:
@@ -137,11 +154,18 @@ TOP_LEVEL_KEYS = {
 }
 
 
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list, got {value!r}")
+    return value
+
+
 def load_config(path) -> tuple[RunConfig, dict]:
     """Parse and validate a JSON run config; returns (config, raw document)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
@@ -177,7 +201,7 @@ def load_config(path) -> tuple[RunConfig, dict]:
     if "nmax" not in doc:
         raise ConfigError("config needs 'nmax'")
     nmax = doc["nmax"]
-    if not isinstance(nmax, int) or nmax < 1:
+    if not _is_int(nmax) or nmax < 1:
         raise ConfigError(f"nmax must be an integer >= 1, got {nmax!r}")
 
     atom = None
@@ -221,23 +245,20 @@ def load_config(path) -> tuple[RunConfig, dict]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad time_grid: {exc}")
     else:
-        try:
-            times = tuple(float(t) for t in doc.get("times", []))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad times list: {exc}")
+        times = tuple(_finite(t, f"times[{i}]") for i, t in enumerate(_list(doc, "times")))
 
     points = []
-    for i, p in enumerate(doc.get("points", [])):
+    for i, p in enumerate(_list(doc, "points")):
         if not (isinstance(p, list) and len(p) == 3):
             raise ConfigError(f"points[{i}] must be [x, y, z]")
-        points.append(tuple(float(v) for v in p))
+        points.append(tuple(_finite(v, f"points[{i}]") for v in p))
 
-    try:
-        couplings = tuple(float(v) for v in doc.get("couplings", []))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad couplings list: {exc}")
+    couplings = tuple(_finite(v, f"couplings[{i}]")
+                      for i, v in enumerate(_list(doc, "couplings")))
     if any(v <= 0 for v in couplings):
         raise ConfigError("couplings must be positive")
+    if couplings and len(set(couplings)) < 2:
+        raise ConfigError("couplings need at least two distinct values to fit a slope")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in doc:
@@ -246,7 +267,7 @@ def load_config(path) -> tuple[RunConfig, dict]:
             tolerances[key] = float(value)
 
     standard_nmax = doc.get("standard_nmax", min(nmax, MAX_NMAX))
-    if not isinstance(standard_nmax, int) or not 1 <= standard_nmax <= MAX_NMAX:
+    if not _is_int(standard_nmax) or not 1 <= standard_nmax <= MAX_NMAX:
         raise ConfigError(f"standard_nmax must be an integer in [1, {MAX_NMAX}]")
 
     cfg = RunConfig(modes=modes, nmax=nmax, field=field, atom=atom,
@@ -302,15 +323,19 @@ def _emission_initial(cfg: RunConfig, layout: HilbertLayout, raw: dict) -> State
         for k in range(layout.n_modes):
             amps[layout.flatten(k, 0, EXCITED)] = 1.0
     else:
+        if not isinstance(entries, list):
+            raise ConfigError(f"emission_initial must be a list of objects, got {entries!r}")
         for i, entry in enumerate(entries):
-            _require_keys(entry, {"mode", "n", "amp"}, f"emission_initial[{i}]")
+            where = f"emission_initial[{i}]"
+            _require_keys(entry, {"mode", "n", "amp"}, where)
+            k, n = entry.get("mode"), entry.get("n", 0)
+            if not (_is_int(k) and _is_int(n)):
+                raise ConfigError(f"{where}: 'mode' and 'n' must be integers")
+            amp = _parse_complex(entry.get("amp", 1.0), f"{where}.amp")
             try:
-                k = int(entry["mode"])
-                n = int(entry.get("n", 0))
-                amp = _parse_complex(entry.get("amp", 1.0), f"emission_initial[{i}].amp")
                 amps[layout.flatten(k, n, EXCITED)] += amp
             except IndexError as exc:
-                raise ConfigError(f"emission_initial[{i}]: {exc}")
+                raise ConfigError(f"{where}: {exc}")
     if not np.any(amps):
         raise ConfigError("emission initial state is identically zero")
     return StateVector(layout, amps).normalize()

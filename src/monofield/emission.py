@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import hamiltonian, mode_annihilator
+from .algebra import fock_lowering, hamiltonian, lift_over_atom, sector_sum
 from .dynamics import resonance_kernel
 from .fields import polarization
 from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector
@@ -114,7 +114,7 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
     """Uncoupled part: atom splitting plus the spectral field Hamiltonian."""
     _require_atom(layout)
     field_diag = hamiltonian(layout.without_atom(), config).diag().real
-    d = np.tile(field_diag, 2)
+    d = lift_over_atom(layout, field_diag)
     d[:layout.field_dim] -= 0.5 * config.hbar * atom.omega0
     d[layout.field_dim:] += 0.5 * config.hbar * atom.omega0
     return Operator.from_diagonal(layout, d)
@@ -122,16 +122,23 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
 
 def _coupling_matrix(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
                      phases: np.ndarray | None = None) -> np.ndarray:
-    """hbar*omega0*d * sum_k (g_k [phase_k] a_k sigma+ + h.c.)."""
-    sp_mat = sigma_plus(layout).data
-    total = np.zeros((layout.dimension,) * 2, dtype=complex)
+    """hbar*omega0*d * sum_k (g_k [phase_k] a_k sigma+ + h.c.), assembled per sector.
+
+    a_k sigma+ maps ground to excited, so mode k's block g_k a sits in the
+    excited-row/ground-column quadrant and its adjoint in the other one;
+    both quadrants are sector sums, with no dense products.
+    """
+    gs = []
     for k, m in enumerate(layout.modes):
         g = coupling(m, atom, config)
         if phases is not None:
             g = g * phases[k]
-        ak = mode_annihilator(layout, k).data
-        term = g * (ak @ sp_mat)
-        total += term + term.conj().T
+        gs.append(g)
+    blocks = np.array(gs)[:, None, None] * fock_lowering(layout.nmax)
+    f = layout.field_dim
+    total = np.zeros((layout.dimension,) * 2, dtype=complex)
+    total[f:, :f] = sector_sum(layout, blocks)
+    total[:f, f:] = sector_sum(layout, blocks.conj().transpose(0, 2, 1))
     return config.hbar * atom.omega0 * atom.d * total
 
 
@@ -246,16 +253,11 @@ def vacuum_subspace_check(state: StateVector, config: FieldConfig | None = None,
     """
     cfg = config or FieldConfig()
     layout = state.layout
-    worst = 0.0
-    energy = 0.0
-    for i, amp in enumerate(state.amplitudes):
-        k, n, _atom = layout.unflatten(i)
-        if n > 0:
-            worst = max(worst, abs(amp))
-        else:
-            energy += 0.5 * cfg.hbar * layout.modes[k].omega * abs(amp) ** 2
+    amps = state.amplitudes.reshape(-1, layout.n_modes, layout.fock_dim)
+    worst = float(np.max(np.abs(amps[:, :, 1:])))
+    energy = np.sum(0.5 * cfg.hbar * layout.omegas * np.abs(amps[:, :, 0]) ** 2)
     return VacuumCheck(is_vacuum=bool(worst < tol), field_energy=float(energy),
-                       max_excited_component=float(worst))
+                       max_excited_component=worst)
 
 
 def emission_csv(amplitudes: EmissionAmplitudes, path) -> None:

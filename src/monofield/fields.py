@@ -18,9 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
+    fock_lowering,
     hamiltonian_from_mode_ladders,
-    mode_annihilator,
+    lift_over_atom,
     momentum_from_mode_ladders,
+    sector_sum,
 )
 from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, expect
 
@@ -116,14 +118,19 @@ def _mode_weights(layout: HilbertLayout, config: FieldConfig, t: float,
 
 
 def _assemble(layout: HilbertLayout, weights: np.ndarray) -> tuple[Operator, Operator, Operator]:
+    """Components F_i = sum_k (w_ki a_k + conj(w_ki) a_k^dag), assembled per sector.
+
+    Each mode contributes only its own diagonal block, w_ki a + conj(w_ki)
+    a^dag on one truncated ladder, so the blocks are written in place
+    instead of summing M dense mode annihilators.
+    """
+    a = fock_lowering(layout.nmax)
+    ad = a.conj().T
     comps = []
     for i in range(3):
-        total = np.zeros((layout.dimension,) * 2, dtype=complex)
-        for k in range(layout.n_modes):
-            ak = mode_annihilator(layout, k).data
-            w = weights[k, i]
-            total += w * ak + np.conj(w) * ak.conj().T
-        comps.append(Operator(layout, total))
+        w = weights[:, i, None, None]
+        blocks = w * a + np.conj(w) * ad
+        comps.append(Operator(layout, lift_over_atom(layout, sector_sum(layout, blocks))))
     return tuple(comps)
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import fock_lowering
+from .algebra import fock_lowering, lift_over_atom
 from .dynamics import resonance_kernel
 from .emission import AtomParams, coupling
 from .hilbert import FieldConfig, ModeLabel
@@ -116,12 +116,6 @@ def _kron_chain(mats: list[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _lift_atom(layout: StandardLayout, field_matrix: np.ndarray) -> np.ndarray:
-    if layout.has_atom:
-        return np.kron(np.eye(2, dtype=complex), field_matrix)
-    return field_matrix
-
-
 def standard_mode_annihilator(layout: StandardLayout, k: int) -> np.ndarray:
     """1 x ... x a x ... x 1 with the lowering matrix in slot k."""
     if not 0 <= k < layout.n_modes:
@@ -129,7 +123,7 @@ def standard_mode_annihilator(layout: StandardLayout, k: int) -> np.ndarray:
     eye = np.eye(layout.fock_dim, dtype=complex)
     mats = [eye] * layout.n_modes
     mats[k] = fock_lowering(layout.nmax)
-    return _lift_atom(layout, _kron_chain(mats))
+    return lift_over_atom(layout, _kron_chain(mats))
 
 
 def standard_hamiltonian(layout: StandardLayout,
@@ -141,9 +135,7 @@ def standard_hamiltonian(layout: StandardLayout,
         eye_diag = [np.ones(layout.fock_dim)] * layout.n_modes
         eye_diag[k] = np.arange(layout.fock_dim) + 0.5
         diag += hbar * m.omega * reduce(np.kron, eye_diag)
-    if layout.has_atom:
-        diag = np.tile(diag, 2)
-    return np.diag(diag.astype(complex))
+    return np.diag(lift_over_atom(layout, diag).astype(complex))
 
 
 def standard_vacuum_energy(layout: StandardLayout,

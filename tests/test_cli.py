@@ -59,12 +59,36 @@ class TestConfigParsing:
     def test_missing_file_maps_to_exit_2(self, tmp_path):
         assert run("verify-algebra", tmp_path / "nope.json", tmp_path) == 2
 
+    @pytest.mark.parametrize("command, base, change", [
+        ("emission", "config_emission.json", {"emission_initial": 5}),
+        ("field-sweep", "config_field.json", {"points": [[0.0, "a", 0.0]]}),
+        ("field-sweep", "config_field.json", {"times": [float("nan")]}),
+        ("compare-standard", "config_compare.json", {"nmax": True}),
+        ("emission", "config_emission.json", {"couplings": [0.01]}),
+    ], ids=["emission_initial_not_list", "points_not_numeric", "times_nan",
+            "nmax_bool", "single_coupling"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, base, change):
+        doc = json.loads((DATA / base).read_text())
+        doc.update(change)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))  # NaN is written as the bare constant NaN
+        assert run(command, p, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("config error:") for line in err.splitlines())
+        assert "Traceback" not in err
+
     def test_usage_error_exits_2(self):
+        import os
         import subprocess
         import sys
 
+        import monofield
+
+        # the child imports the same monofield as this process, installed or not
+        src = str(Path(monofield.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "monofield.cli"],
-                              capture_output=True)
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 2
 
 

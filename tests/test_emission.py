@@ -301,6 +301,31 @@ class TestVacuumSubspace:
         check = mf.vacuum_subspace_check(psi, natural)
         assert check and check.field_energy == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("with_atom", [False, True])
+    @pytest.mark.parametrize("photons", [0.0, 1e-15, 0.3])
+    def test_matches_amplitude_loop(self, rng, with_atom, photons):
+        config = mf.FieldConfig(hbar=0.7)
+        layout = mf.build_layout([mf.abstract_mode(w) for w in (0.5, 1.3, 2.0, 3.1)], 3,
+                                 with_atom=with_atom)
+        amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        for i in range(layout.dimension):
+            if layout.unflatten(i)[1] > 0:
+                amps[i] *= photons
+        psi = mf.StateVector(layout, amps)
+        # reference: the flat-index loop over (k, n, atom)
+        worst, energy = 0.0, 0.0
+        for i, amp in enumerate(psi.amplitudes):
+            k, n, _atom = layout.unflatten(i)
+            if n > 0:
+                worst = max(worst, abs(amp))
+            else:
+                energy += 0.5 * config.hbar * layout.modes[k].omega * abs(amp) ** 2
+        check = mf.vacuum_subspace_check(psi, config)
+        assert check.is_vacuum == (worst < 1e-14)
+        assert check.max_excited_component == worst
+        # only the summation order changed
+        assert check.field_energy == pytest.approx(energy, rel=1e-14)
+
 
 class TestSingleModeEquivalence:
     def test_matches_jc_oracle_over_ten_rabi_periods(self, natural):

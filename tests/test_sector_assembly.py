@@ -1,0 +1,154 @@
+"""Sector-by-sector assembly of mode sums against the dense per-mode sums.
+
+Every mode sum (field components, ladder-form Hamiltonian and momentum,
+RWA coupling) is assembled from one (nmax+1)-square block per mode.  The
+oracles below are the plain sums over dense single-mode annihilators
+``mode_annihilator(layout, k)``; the assembled matrices must equal them
+entry for entry, down to the sign of zeros, because the byte-identical
+CLI outputs rest on it.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import monofield as mf
+from monofield.algebra import lift_over_atom, sector_sum
+from monofield.cli import load_config
+from monofield.emission import sigma_plus
+from monofield.fields import _mode_weights
+
+
+def assert_same_entries(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def annihilators(layout):
+    return [mf.mode_annihilator(layout, k).toarray() for k in range(layout.n_modes)]
+
+
+def field_oracle(layout, kind, config, t, x):
+    """F_i = sum_k (w_ki a_k + h.c.) over dense single-mode annihilators."""
+    weights = _mode_weights(layout, config, t, x, kind)
+    dense = annihilators(layout)
+    out = []
+    for i in range(3):
+        total = np.zeros((layout.dimension,) * 2, dtype=complex)
+        for k, ak in enumerate(dense):
+            w = weights[k, i]
+            total += w * ak + np.conj(w) * ak.conj().T
+        out.append(total)
+    return out
+
+
+def coupling_oracle(layout, atom, config, phases=None):
+    sp_mat = sigma_plus(layout).toarray()
+    total = np.zeros((layout.dimension,) * 2, dtype=complex)
+    for k, (m, ak) in enumerate(zip(layout.modes, annihilators(layout))):
+        g = mf.coupling(m, atom, config)
+        if phases is not None:
+            g = g * phases[k]
+        term = g * (ak @ sp_mat)
+        total += term + term.conj().T
+    return config.hbar * atom.omega0 * atom.d * total
+
+
+@pytest.fixture(scope="module")
+def box(tmp_path_factory):
+    """The 52-mode box (max_index 1) with non-natural constants."""
+    path = tmp_path_factory.mktemp("box") / "box.json"
+    path.write_text(json.dumps({"box": {"edge": 2.5, "max_index": 1}, "nmax": 3,
+                                "field": {"hbar": 0.7, "c": 1.3}}))
+    cfg, _ = load_config(path)
+    assert len(cfg.modes) == 52
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def atom():
+    return mf.AtomParams.make(1.1, 0.03, [1.0, 0.3j, -0.2])
+
+
+class TestFieldOperators:
+    @pytest.mark.parametrize("kind, builder", [("A", mf.vector_potential),
+                                               ("E", mf.electric_field),
+                                               ("B", mf.magnetic_field)])
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_matches_per_mode_sum(self, box, kind, builder, with_atom):
+        layout = mf.build_layout(box.modes, box.nmax, with_atom=with_atom)
+        t, x = 0.37, (0.1, -0.25, 0.4)
+        got = builder(layout, box.field, t, x)
+        want = field_oracle(layout, kind, box.field, t, x)
+        for op, ref in zip(got, want):
+            assert_same_entries(op.toarray(), ref)
+
+
+class TestLadderForms:
+    # the dense oracle costs 2M products of size D^3, so take a slice of the box
+    def test_hamiltonian_matches_per_mode_sum(self, box):
+        layout = mf.build_layout(box.modes[:16], box.nmax)
+        want = np.zeros((layout.dimension,) * 2, dtype=complex)
+        for m, ak in zip(layout.modes, annihilators(layout)):
+            adk = ak.conj().T
+            want += 0.5 * box.field.hbar * m.omega * (adk @ ak + ak @ adk)
+        assert_same_entries(mf.hamiltonian_from_mode_ladders(layout, box.field).toarray(),
+                            want)
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_momentum_matches_per_mode_sum(self, box, with_atom):
+        layout = mf.build_layout(box.modes[:16], box.nmax, with_atom=with_atom)
+        want = [np.zeros((layout.dimension,) * 2, dtype=complex) for _ in range(3)]
+        for m, ak in zip(layout.modes, annihilators(layout)):
+            sym = 0.5 * (ak.conj().T @ ak + ak @ ak.conj().T)
+            for i in range(3):
+                want[i] += box.field.hbar * m.kappa[i] * sym
+        got = mf.momentum_from_mode_ladders(layout, box.field)
+        for op, ref in zip(got, want):
+            assert_same_entries(op.toarray(), ref)
+
+
+class TestRwaCoupling:
+    @pytest.fixture
+    def layout(self, box):
+        # the dense oracle costs M products of size D^3, so take a slice of the box
+        return mf.build_layout(box.modes[:10], box.nmax, with_atom=True)
+
+    def test_atom_field_hamiltonian(self, layout, box, atom):
+        h0 = mf.free_hamiltonian_with_atom(layout, atom, box.field).toarray()
+        want = h0 + coupling_oracle(layout, atom, box.field)
+        got = mf.atom_field_hamiltonian(layout, atom, box.field).toarray()
+        assert_same_entries(got, want)
+
+    @pytest.mark.parametrize("t", [0.0, 0.8, 3.7])
+    def test_interaction_hamiltonian(self, layout, box, atom, t):
+        phases = np.exp(1j * (atom.omega0 - layout.omegas) * t)
+        want = coupling_oracle(layout, atom, box.field, phases)
+        got = mf.interaction_hamiltonian(layout, atom, box.field, t).toarray()
+        assert_same_entries(got, want)
+
+
+class TestHelpers:
+    def test_lift_over_atom_is_kron(self, rng):
+        layout = mf.build_layout([mf.abstract_mode(1.0), mf.abstract_mode(2.0)], 2,
+                                 with_atom=True)
+        f = layout.field_dim
+        m = rng.normal(size=(f, f)) + 1j * rng.normal(size=(f, f))
+        d = rng.normal(size=f)
+        assert np.array_equal(lift_over_atom(layout, m),
+                              np.kron(np.eye(2), m))
+        assert np.array_equal(lift_over_atom(layout, d), np.tile(d, 2))
+        bare = layout.without_atom()
+        assert lift_over_atom(bare, m) is m
+
+    def test_sector_sum_places_blocks(self, rng):
+        layout = mf.build_layout([mf.abstract_mode(w) for w in (1.0, 2.0, 3.0)], 2)
+        b = layout.fock_dim
+        blocks = rng.normal(size=(3, b, b)) + 1j * rng.normal(size=(3, b, b))
+        want = np.zeros((layout.field_dim,) * 2, dtype=complex)
+        for k in range(3):
+            want[k * b:(k + 1) * b, k * b:(k + 1) * b] = blocks[k]
+        assert np.array_equal(sector_sum(layout, blocks), want)
