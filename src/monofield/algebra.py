@@ -89,13 +89,18 @@ def ladder(layout: HilbertLayout) -> Operator:
     return Operator(layout, lift_over_atom(layout, a))
 
 
-def mode_projector(layout: HilbertLayout, k: int) -> Operator:
-    """Projector onto the frequency sector of mode k, identity on the Fock factor."""
+def _sector_diagonal(layout: HilbertLayout, k: int, values) -> Operator:
+    """Diagonal operator with ``values`` on mode k's sector (per n), zero elsewhere."""
     if not 0 <= k < layout.n_modes:
         raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
     d = np.zeros(layout.field_dim)
-    d[k * layout.fock_dim:(k + 1) * layout.fock_dim] = 1.0
+    d[k * layout.fock_dim:(k + 1) * layout.fock_dim] = values
     return Operator.from_diagonal(layout, lift_over_atom(layout, d))
+
+
+def mode_projector(layout: HilbertLayout, k: int) -> Operator:
+    """Projector onto the frequency sector of mode k, identity on the Fock factor."""
+    return _sector_diagonal(layout, k, 1.0)
 
 
 def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
@@ -110,11 +115,7 @@ def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
 
 def number_operator(layout: HilbertLayout, k: int) -> Operator:
     """a_k^dag a_k: photon number on mode k's sector, zero elsewhere."""
-    if not 0 <= k < layout.n_modes:
-        raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
-    d = np.zeros(layout.field_dim)
-    d[k * layout.fock_dim:(k + 1) * layout.fock_dim] = np.arange(layout.fock_dim)
-    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
+    return _sector_diagonal(layout, k, np.arange(layout.fock_dim))
 
 
 def frequency_operator(layout: HilbertLayout) -> Operator:
@@ -226,12 +227,8 @@ def interior_indices(layout: HilbertLayout) -> np.ndarray:
 
 def full_commutator_reference(layout: HilbertLayout, k: int) -> Operator:
     """Exact full-space [a_k, a_k^dag]: the sector projector minus (N+1)|N><N|."""
-    d = np.zeros(layout.field_dim)
-    lo = k * layout.fock_dim
-    d[lo:lo + layout.fock_dim] = 1.0
-    d[lo + layout.nmax] = -layout.nmax
     # diagonal is (1, ..., 1, -N) on the sector: identity minus (N+1) at n = N
-    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
+    return _sector_diagonal(layout, k, np.r_[np.ones(layout.nmax), -layout.nmax])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import (
+    _require_field_modes,
     algebra_reports_csv,
     hamiltonian,
     mode_annihilator,
@@ -46,10 +47,13 @@ from .hilbert import (
     HilbertLayout,
     ModeLabel,
     StateVector,
+    basis_state,
     build_layout,
     expect,
     load_mode_set,
     mode,
+    parse_complex,
+    read_json,
 )
 from .standard import (
     MAX_NMAX,
@@ -101,12 +105,10 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
 
 
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 \
-            and all(isinstance(v, (int, float)) for v in value):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected number or [re, im] pair, got {value!r}")
+    try:
+        return parse_complex(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _is_int(value) -> bool:
@@ -120,10 +122,6 @@ def _finite(value, where: str) -> float:
             and math.isfinite(value):
         return float(value)
     raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-
-
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite number {name} is not allowed")
 
 
 def _box_modes(box: dict, c: float) -> tuple[ModeLabel, ...]:
@@ -164,11 +162,10 @@ def _list(doc: dict, key: str) -> list:
 def load_config(path) -> tuple[RunConfig, dict]:
     """Parse and validate a JSON run config; returns (config, raw document)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+        doc = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _require_keys(doc, TOP_LEVEL_KEYS, "config")
 
@@ -216,18 +213,15 @@ def load_config(path) -> tuple[RunConfig, dict]:
 
     def _spec_from(obj: dict, where: str) -> CoherentSpec:
         _require_keys(obj, {"weights", "alphas"}, where)
-        weights = [_parse_complex(v, f"{where}.weights") for v in obj.get("weights", [])]
-        alphas = [_parse_complex(v, f"{where}.alphas")
-                  for v in obj.get("alphas", [0.0] * len(weights))]
         try:
-            return CoherentSpec.make(modes, weights, alphas)
+            return CoherentSpec.parse(modes, obj)
         except ValueError as exc:
             raise ConfigError(f"bad {where}: {exc}")
 
     coherent = _spec_from(doc["coherent"], "coherent") if "coherent" in doc else None
 
     states = []
-    for i, entry in enumerate(doc.get("states", [])):
+    for i, entry in enumerate(_list(doc, "states")):
         _require_keys(entry, {"label", "weights", "alphas"}, f"states[{i}]")
         label = str(entry.get("label", f"state{i}"))
         states.append((label, _spec_from(
@@ -264,7 +258,7 @@ def load_config(path) -> tuple[RunConfig, dict]:
     if "tolerances" in doc:
         _require_keys(doc["tolerances"], set(DEFAULT_TOLERANCES), "tolerances")
         for key, value in doc["tolerances"].items():
-            tolerances[key] = float(value)
+            tolerances[key] = _finite(value, f"tolerances.{key}")
 
     standard_nmax = doc.get("standard_nmax", min(nmax, MAX_NMAX))
     if not _is_int(standard_nmax) or not 1 <= standard_nmax <= MAX_NMAX:
@@ -344,6 +338,13 @@ def _emission_initial(cfg: RunConfig, layout: HilbertLayout, raw: dict) -> State
 # -- commands -------------------------------------------------------------
 
 
+def _propagating(layout: HilbertLayout, command: str) -> None:
+    try:
+        _require_field_modes(layout, command)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def cmd_verify_algebra(cfg: RunConfig, raw: dict, outdir: Path,
                        tol: float | None, seed: int,
                        inject_fault: bool = False) -> int:
@@ -401,6 +402,7 @@ def cmd_field_sweep(cfg: RunConfig, raw: dict, outdir: Path,
     if cfg.coherent is None:
         raise ConfigError("field-sweep needs a 'coherent' section")
     layout = build_layout(cfg.modes, cfg.nmax)
+    _propagating(layout, "field-sweep")
     try:
         state = coherent_state(layout, cfg.coherent)
     except ValueError as exc:
@@ -425,6 +427,7 @@ def cmd_emission(cfg: RunConfig, raw: dict, outdir: Path,
         raise ConfigError("emission needs an 'atom' section")
     tolerance = cfg.tolerance("emission", tol)
     layout = build_layout(cfg.modes, cfg.nmax, with_atom=True)
+    _propagating(layout, "emission")
     initial = _emission_initial(cfg, layout, raw)
     rows = []
     for t in cfg.times:
@@ -502,8 +505,7 @@ def cmd_compare_standard(cfg: RunConfig, raw: dict, outdir: Path,
         detuning = cfg.atom.omega0 - cfg.modes[0].omega
         layout = build_layout(cfg.modes, cfg.nmax, with_atom=True)
         h = atom_field_hamiltonian(layout, cfg.atom, cfg.field)
-        psi0 = StateVector(layout, _one_hot(layout.dimension,
-                                            layout.flatten(0, 0, EXCITED)))
+        psi0 = basis_state(layout, 0, 0, EXCITED)
         horizon = 10.0 / lam
         dev = 0.0
         for t in np.linspace(0.0, horizon, 101):
@@ -535,12 +537,6 @@ def cmd_compare_standard(cfg: RunConfig, raw: dict, outdir: Path,
     print(f"compare-standard: dimensions {report['dimensions']['single_oscillator']} "
           f"vs {report['dimensions']['standard']}")
     return 0 if ok else 1
-
-
-def _one_hot(dim: int, idx: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[idx] = 1.0
-    return v
 
 
 COMMANDS = {

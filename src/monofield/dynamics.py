@@ -11,7 +11,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.integrate import quad_vec
 
 from .hilbert import Operator, StateVector
@@ -45,7 +44,7 @@ def resonance_kernel(delta: float, t: float) -> complex:
 
 def matrix_exp(a: Operator) -> Operator:
     """Elementwise-exact exponential for diagonal operators, Pade otherwise."""
-    if not np.all(np.isfinite(a.toarray() if not a.is_sparse else a.data.data)):
+    if not np.all(np.isfinite(a.data)):
         raise ValueError("matrix exponential of non-finite input")
     if a.diagonal:
         return Operator.from_diagonal(a.layout, np.exp(a.diag()))
@@ -53,7 +52,7 @@ def matrix_exp(a: Operator) -> Operator:
         # overflow is detected on the result and rejected below
         result = scipy.linalg.expm(a.toarray())
     if not np.all(np.isfinite(result)):
-        scale = float(np.max(np.abs(a.toarray())))
+        scale = a.max_abs()
         raise ValueError(
             f"matrix exponential overflowed (max input magnitude {scale:.3e}; "
             "rescale the generator)"
@@ -104,11 +103,7 @@ def heisenberg(h: Operator, a: Operator, t: float, hbar: float = 1.0) -> Operato
     _check_hermitian(h)
     if h.diagonal:
         phases = np.exp(1j * h.diag().real * t / hbar)
-        if a.is_sparse:
-            d = sp.diags(phases)
-            return Operator(a.layout, d @ a.data @ sp.diags(phases.conj()),
-                            diagonal=a.diagonal)
-        return Operator(a.layout, phases[:, None] * a.toarray() * phases.conj()[None, :],
+        return Operator(a.layout, phases[:, None] * a.data * phases.conj()[None, :],
                         diagonal=a.diagonal)
     u = matrix_exp((1j * t / hbar) * h)
     return u @ a @ u.dag()

@@ -35,7 +35,6 @@ __all__ = [
     "first_order_state",
     "VacuumCheck",
     "vacuum_subspace_check",
-    "emission_csv",
 ]
 
 GROUND, EXCITED = 0, 1
@@ -259,16 +258,3 @@ def vacuum_subspace_check(state: StateVector, config: FieldConfig | None = None,
     return VacuumCheck(is_vacuum=bool(worst < tol), field_energy=float(energy),
                        max_excited_component=worst)
 
-
-def emission_csv(amplitudes: EmissionAmplitudes, path) -> None:
-    """Write amplitude rows: s, kx, ky, kz, omega, n_initial, re, im, channel, |amp|^2."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("s,kx,ky,kz,omega,n_initial,amp_re,amp_im,channel,prob\n")
-        for r in amplitudes.records:
-            m = r.mode
-            prob = abs(r.amplitude) ** 2
-            fh.write(
-                f"{m.s},{m.kappa[0]!r},{m.kappa[1]!r},{m.kappa[2]!r},{m.omega!r},"
-                f"{r.n_initial},{r.amplitude.real!r},{r.amplitude.imag!r},"
-                f"{r.channel},{prob!r}\n"
-            )

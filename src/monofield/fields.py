@@ -10,7 +10,6 @@ the fixed fallback theta_hat = x_hat, phi_hat = +-y_hat applies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,7 +23,8 @@ from .algebra import (
     momentum_from_mode_ladders,
     sector_sum,
 )
-from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, expect
+from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, expect,
+                      load_mode_set, parse_complex, read_json)
 
 __all__ = [
     "PolarizationBasis",
@@ -176,6 +176,13 @@ class CoherentSpec:
         return cls(modes, tuple(w / total), tuple(complex(a) for a in alphas))
 
     @classmethod
+    def parse(cls, modes: Sequence[ModeLabel], doc) -> "CoherentSpec":
+        """Spec from a document's "weights" and optional "alphas" (default 0) lists."""
+        weights = _complex_list(doc, "weights", [])
+        alphas = _complex_list(doc, "alphas", [0.0] * len(weights))
+        return cls.make(modes, weights, alphas)
+
+    @classmethod
     def vacuum(cls, modes: Sequence[ModeLabel],
                weights: Sequence[complex] | None = None) -> "CoherentSpec":
         modes = tuple(modes)
@@ -184,36 +191,21 @@ class CoherentSpec:
         return cls.make(modes, weights, [0.0] * len(modes))
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"expected number or [re, im] pair, got {value!r}")
+def _complex_list(doc, key: str, default: list) -> list[complex]:
+    values = doc.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key}: expected a list, got {values!r}")
+    return [parse_complex(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
 def load_coherent_spec(source, config: FieldConfig | None = None) -> CoherentSpec:
-    """Read a coherent spec from JSON: modes plus weight/alpha lists.
-
-    Complex entries are written as [re, im] pairs; bare numbers are real.
-    """
-    from .hilbert import load_mode_set
-
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source, encoding="utf-8") as fh:
-                doc = json.load(fh)
-    else:
-        doc = source
+    """Read a coherent spec from JSON (any :func:`read_json` source): modes
+    plus weight/alpha lists, complex entries as [re, im] pairs or bare reals."""
+    doc = read_json(source)
     unknown = set(doc) - {"modes", "weights", "alphas"}
     if unknown:
         raise ValueError(f"unknown keys in coherent spec: {sorted(unknown)}")
-    modes = load_mode_set(doc["modes"], config)
-    weights = [_parse_complex(v) for v in doc["weights"]]
-    alphas = [_parse_complex(v) for v in doc.get("alphas", [0.0] * len(modes))]
-    return CoherentSpec.make(modes, weights, alphas)
+    return CoherentSpec.parse(load_mode_set(doc["modes"], config), doc)
 
 
 def _truncated_coherent_column(alpha: complex, nmax: int) -> np.ndarray:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "FieldConfig",
@@ -36,6 +36,8 @@ __all__ = [
     "inner",
     "apply",
     "expect",
+    "read_json",
+    "parse_complex",
     "load_mode_set",
     "save_state",
     "load_state",
@@ -242,22 +244,18 @@ class StateVector:
 
 
 class Operator:
-    """Square complex matrix tied to a layout.
+    """Square complex matrix tied to a layout, stored as a read-only ndarray.
 
-    Storage is dense (ndarray) or sparse (CSR); every operation behaves
-    identically for both.  ``diagonal`` is a structural flag set by
-    constructors that build diagonal matrices; it gates exact fast paths
-    and is never inferred by sniffing entries.
+    ``diagonal`` is a structural flag set by constructors that build
+    diagonal matrices; it gates exact fast paths and is never inferred by
+    sniffing entries.
     """
 
     __slots__ = ("layout", "data", "diagonal")
 
     def __init__(self, layout: HilbertLayout, data, diagonal: bool = False):
-        if sp.issparse(data):
-            data = data.tocsr().astype(complex)
-        else:
-            data = np.asarray(data, dtype=complex)
-            data.setflags(write=False)
+        data = np.asarray(data, dtype=complex)
+        data.setflags(write=False)
         if data.shape != (layout.dimension, layout.dimension):
             raise ValueError(
                 f"matrix shape {data.shape} does not match layout dimension "
@@ -286,28 +284,10 @@ class Operator:
 
     # -- storage ------------------------------------------------------
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.data)
-
     def toarray(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.data.toarray()
         return np.array(self.data)
 
-    def as_sparse(self) -> "Operator":
-        if self.is_sparse:
-            return self
-        return Operator(self.layout, sp.csr_matrix(self.data), diagonal=self.diagonal)
-
-    def as_dense(self) -> "Operator":
-        if self.is_sparse:
-            return Operator(self.layout, self.data.toarray(), diagonal=self.diagonal)
-        return self
-
     def diag(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.data.diagonal())
         return np.diagonal(self.data).copy()
 
     # -- algebra ------------------------------------------------------
@@ -348,8 +328,6 @@ class Operator:
     # -- predicates ---------------------------------------------------
 
     def max_abs(self) -> float:
-        if self.is_sparse:
-            return 0.0 if self.data.nnz == 0 else float(abs(self.data).max())
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
     def hermitian_deviation(self) -> float:
@@ -359,8 +337,7 @@ class Operator:
         return self.hermitian_deviation() < tol
 
     def __repr__(self) -> str:
-        kind = "sparse" if self.is_sparse else "dense"
-        return f"Operator(dim={self.layout.dimension}, {kind}, diagonal={self.diagonal})"
+        return f"Operator(dim={self.layout.dimension}, diagonal={self.diagonal})"
 
 
 # -- state construction and brackets -----------------------------------
@@ -411,21 +388,41 @@ def expect(a: Operator, x: StateVector) -> complex:
 # -- serialization ------------------------------------------------------
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def read_json(source):
+    """A JSON document (no NaN/Infinity) from a path or an open file; any
+    other value is taken as an already-parsed document and returned as is."""
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, encoding="utf-8") as fh:
+            return read_json(fh)
+    if hasattr(source, "read"):
+        return json.load(source, parse_constant=_reject_constant)
+    return source
+
+
+def parse_complex(value, where: str = "value") -> complex:
+    """A finite JSON number, or an [re, im] pair of them, as a complex.
+
+    Bools and strings are refused; ``where`` names the entry in the error.
+    """
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+           for v in parts):
+        return complex(*parts)
+    raise ValueError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
+
+
 def load_mode_set(source, config: FieldConfig | None = None) -> tuple[ModeLabel, ...]:
-    """Read a mode list from JSON (path, file object, or parsed list).
+    """Read a mode list from JSON (see :func:`read_json` for the sources).
 
     Each entry is {"s": +-1, "kappa": [x, y, z], "j": tag}; omega is
     computed as c*|kappa|.  Entries with "omega" instead of "kappa"
     produce abstract modes.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            entries = json.load(source)
-        else:
-            with open(source, encoding="utf-8") as fh:
-                entries = json.load(fh)
-    else:
-        entries = source
+    entries = read_json(source)
     if not isinstance(entries, list):
         raise ValueError("mode set file must hold a JSON list")
     c = (config or FieldConfig()).c

@@ -112,10 +112,6 @@ def build_standard_layout(modes: Sequence[ModeLabel], nmax: int,
     return StandardLayout(modes, int(nmax), 2 if with_atom else 0)
 
 
-def _kron_chain(mats: list[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, mats)
-
-
 def standard_mode_annihilator(layout: StandardLayout, k: int) -> np.ndarray:
     """1 x ... x a x ... x 1 with the lowering matrix in slot k."""
     if not 0 <= k < layout.n_modes:
@@ -123,7 +119,7 @@ def standard_mode_annihilator(layout: StandardLayout, k: int) -> np.ndarray:
     eye = np.eye(layout.fock_dim, dtype=complex)
     mats = [eye] * layout.n_modes
     mats[k] = fock_lowering(layout.nmax)
-    return lift_over_atom(layout, _kron_chain(mats))
+    return lift_over_atom(layout, reduce(np.kron, mats))
 
 
 def standard_hamiltonian(layout: StandardLayout,
@@ -212,7 +208,7 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
     """Summary of the single-oscillator scheme for the comparison report."""
     from .algebra import mode_annihilator
     from .emission import EXCITED, first_order_emission
-    from .hilbert import StateVector, build_layout
+    from .hilbert import build_layout, superposition
 
     layout = build_layout(modes, nmax)
     hbar = config.hbar
@@ -241,10 +237,8 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
         emit_layout = build_layout(modes, nmax, with_atom=True)
         if weights is None:
             weights = [1.0 / math.sqrt(len(modes))] * len(modes)
-        amps = np.zeros(emit_layout.dimension, dtype=complex)
-        for k, w in enumerate(weights):
-            amps[emit_layout.flatten(k, 0, EXCITED)] = w
-        initial = StateVector(emit_layout, amps).normalize()
+        initial = superposition(emit_layout,
+                                {(k, 0, EXCITED): w for k, w in enumerate(weights)})
         result = first_order_emission(initial, atom, config, t)
         run["emission"] = [
             {"mode_index": r.mode_index, "omega": r.mode.omega,

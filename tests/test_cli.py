@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from monofield.cli import load_config, main, ConfigError
+from monofield.fields import CoherentSpec, load_coherent_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,9 +53,10 @@ class TestConfigParsing:
 
     def test_bad_json_maps_to_exit_2(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
-        p.write_text('{"nmax": ')
-        assert run("verify-algebra", p, tmp_path) == 2
-        assert "config error" in capsys.readouterr().err
+        for content in (b'{"nmax": ', b'\xff\xfe{}'):  # truncated, not UTF-8
+            p.write_bytes(content)
+            assert run("verify-algebra", p, tmp_path) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_missing_file_maps_to_exit_2(self, tmp_path):
         assert run("verify-algebra", tmp_path / "nope.json", tmp_path) == 2
@@ -65,8 +67,16 @@ class TestConfigParsing:
         ("field-sweep", "config_field.json", {"times": [float("nan")]}),
         ("compare-standard", "config_compare.json", {"nmax": True}),
         ("emission", "config_emission.json", {"couplings": [0.01]}),
+        ("emission", "config_emission.json", {"modes": [{"omega": 1.0}]}),
+        ("field-sweep", "config_field.json", {"modes": [{"omega": 1.0}, {"omega": 2.0}]}),
+        ("vacuum-energy", "config_vac.json", {"tolerances": {"algebra": "x"}}),
+        ("vacuum-energy", "config_vac.json", {"tolerances": {"algebra": None}}),
+        ("vacuum-energy", "config_vac.json", {"states": 5}),
+        ("field-sweep", "config_field.json", {"coherent": {"weights": 5}}),
     ], ids=["emission_initial_not_list", "points_not_numeric", "times_nan",
-            "nmax_bool", "single_coupling"])
+            "nmax_bool", "single_coupling", "emission_abstract_modes",
+            "field_sweep_abstract_modes", "tolerance_string", "tolerance_null",
+            "states_not_list", "weights_not_list"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, base, change):
         doc = json.loads((DATA / base).read_text())
         doc.update(change)
@@ -76,6 +86,38 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert any(line.startswith("config error:") for line in err.splitlines())
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("form, value, named", [
+        (1, 1.0, None),
+        (0.5, 0.5, None),
+        ([0, 1], 1j, None),
+        (True, None, "states[0]"),
+        ("1.5", None, "states[0]"),
+        ([1, 2, 3], None, "states[0]"),
+        (["1", "0"], None, "states[0]"),
+        (float("nan"), None, "NaN"),
+    ], ids=["int", "float", "pair", "bool", "string", "triple", "string_pair", "nan"])
+    def test_one_complex_parser(self, tmp_path, capsys, form, value, named):
+        # the library and the CLI read weights with the same parser
+        modes = [{"s": 1, "kappa": [0.0, 0.0, 1.0]}, {"s": -1, "kappa": [0.0, 2.0, 0.0]}]
+        spec_doc = {"modes": modes, "weights": [1.0, form]}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"modes": modes, "nmax": 2,
+                                 "states": [{"weights": [1.0, form]}]}))
+        if value is None:
+            with pytest.raises(ValueError, match=r"weights\[1\]"):
+                load_coherent_spec(spec_doc)
+            assert run("vacuum-energy", p, tmp_path) == 2
+            err = capsys.readouterr().err
+            assert any(line.startswith("config error:") and named in line
+                       for line in err.splitlines())
+            assert "Traceback" not in err
+        else:
+            spec = load_coherent_spec(spec_doc)
+            cfg, _ = load_config(p)
+            assert cfg.states[0][1].weights == spec.weights
+            assert spec.weights == CoherentSpec.make(spec.modes, [1.0, value],
+                                                     [0.0, 0.0]).weights
 
     def test_usage_error_exits_2(self):
         import os

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import monofield as mf
 from monofield.dynamics import resonance_kernel
-from monofield.emission import EXCITED, GROUND, emission_csv, sigma3, sigma_plus
+from monofield.emission import EXCITED, GROUND, sigma3, sigma_plus
 
 
 def z_mode(omega=2.0, s=+1):
@@ -353,17 +353,3 @@ class TestSigmaConventions:
         assert raised.amplitude(0, 0, EXCITED) == 1.0
         assert mf.expect(sigma3(layout), raised).real == 1.0
 
-
-class TestEmissionCsv:
-    def test_rows_and_header(self, natural, tmp_path):
-        modes = [z_mode(0.9), z_mode(1.1)]
-        layout = mf.build_layout(modes, 2, with_atom=True)
-        atom = mf.AtomParams.make(1.0, 0.05, (1.0, 0.0, 0.0))
-        initial = excited_state(layout, {(0, 0): 1.0})
-        result = mf.first_order_emission(initial, atom, natural, 1.0)
-        path = tmp_path / "emission.csv"
-        emission_csv(result, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "s,kx,ky,kz,omega,n_initial,amp_re,amp_im,channel,prob"
-        assert len(lines) == 1 + len(result.records)
-        assert any(",spontaneous," in line for line in lines[1:])

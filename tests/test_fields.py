@@ -161,9 +161,10 @@ class TestCoherentState:
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
-        spec = mf.load_coherent_spec(str(path))
-        assert spec.alphas == (0.3 + 0j, 0.4j)
-        assert abs(spec.weights[1] / spec.weights[0] - 1j) < 1e-14
+        for source in (str(path), path):
+            spec = mf.load_coherent_spec(source)
+            assert spec.alphas == (0.3 + 0j, 0.4j)
+            assert abs(spec.weights[1] / spec.weights[0] - 1j) < 1e-14
         with pytest.raises(ValueError, match="unknown"):
             mf.load_coherent_spec({"modes": doc["modes"], "weights": [1, 1],
                                    "phases": [0, 0]})

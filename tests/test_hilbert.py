@@ -176,21 +176,6 @@ class TestBrackets:
 
 
 class TestOperatorStorage:
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_dense_and_sparse_apply_agree(self, seed):
-        rng = np.random.default_rng(seed)
-        layout = abstract_layout(2, 3)
-        a = random_hermitian(layout, rng)
-        psi = random_state(layout, rng)
-        dense = mf.apply(a, psi).amplitudes
-        sparse = mf.apply(a.as_sparse(), psi).amplitudes
-        assert np.max(np.abs(dense - sparse)) < 1e-13
-
-    def test_sparse_roundtrip_preserves_matrix(self, two_tone_layout, rng):
-        a = random_hermitian(two_tone_layout, rng)
-        assert np.array_equal(a.as_sparse().as_dense().toarray(), a.toarray())
-
     def test_hermitian_predicate(self, two_tone_layout, rng):
         a = random_hermitian(two_tone_layout, rng)
         assert a.is_hermitian()
@@ -225,10 +210,11 @@ class TestSerialization:
         ]
         path = tmp_path / "modes.json"
         path.write_text(json.dumps(doc))
-        modes = mf.load_mode_set(str(path))
-        assert len(modes) == 3
-        assert modes[0].omega == 1.0
-        assert modes[2].abstract and modes[2].omega == 2.5
+        for source in (str(path), path):
+            modes = mf.load_mode_set(source)
+            assert len(modes) == 3
+            assert modes[0].omega == 1.0
+            assert modes[2].abstract and modes[2].omega == 2.5
 
     def test_mode_set_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
