@@ -173,6 +173,8 @@ class CoherentSpec:
         total = np.linalg.norm(w)
         if total == 0.0:
             raise ValueError("all sector weights are zero")
+        if not np.isfinite(total):
+            raise ValueError("the norm of the sector weights overflows")
         return cls(modes, tuple(w / total), tuple(complex(a) for a in alphas))
 
     @classmethod
@@ -247,7 +249,11 @@ def coherent_state(layout: HilbertLayout, spec: CoherentSpec,
     if spec.modes != layout.modes:
         raise ValueError("coherent spec modes do not match the layout")
     for k, alpha in enumerate(spec.alphas):
-        tail = _poisson_tail(abs(alpha) ** 2, layout.nmax)
+        try:
+            tail = _poisson_tail(abs(alpha) ** 2, layout.nmax)
+        except OverflowError:
+            raise ValueError(f"|alpha|={abs(alpha):.4g} on mode {k} is too large: "
+                             "its mean photon number overflows") from None
         if tail > tail_tol:
             need = required_truncation(alpha, tail_tol)
             raise ValueError(

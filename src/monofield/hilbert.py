@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -37,6 +38,8 @@ __all__ = [
     "apply",
     "expect",
     "read_json",
+    "read_real",
+    "read_int",
     "parse_complex",
     "load_mode_set",
     "save_state",
@@ -92,10 +95,6 @@ class ModeLabel:
     @property
     def abstract(self) -> bool:
         return self.kappa == (0.0, 0.0, 0.0)
-
-    @property
-    def kappa_norm(self) -> float:
-        return math.sqrt(sum(x * x for x in self.kappa))
 
 
 def mode(s: int, kappa: Sequence[float], j: int = 0, *, c: float = 1.0,
@@ -235,8 +234,8 @@ class StateVector:
 
     def normalize(self) -> "StateVector":
         n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {n}")
         return StateVector(self.layout, self.amplitudes / n)
 
     def amplitude(self, k: int, n: int, atom: int = 0) -> complex:
@@ -403,16 +402,33 @@ def read_json(source):
     return source
 
 
+def read_real(value, where: str = "value") -> float:
+    """A finite JSON number as a float; bools and strings are refused and
+    ``where`` names the entry in the error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{where}: expected a finite number, got {value!r}")
+
+
+def read_int(value, where: str = "value") -> int:
+    """A JSON integer; bools, floats and strings are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{where}: expected an integer, got {value!r}")
+
+
 def parse_complex(value, where: str = "value") -> complex:
     """A finite JSON number, or an [re, im] pair of them, as a complex.
 
     Bools and strings are refused; ``where`` names the entry in the error.
     """
-    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-           for v in parts):
-        return complex(*parts)
-    raise ValueError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
+    re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    try:
+        return complex(read_real(re), read_real(im))
+    except ValueError:
+        raise ValueError(f"{where}: expected a finite number or [re, im] pair, "
+                         f"got {value!r}") from None
 
 
 def load_mode_set(source, config: FieldConfig | None = None) -> tuple[ModeLabel, ...]:
@@ -427,20 +443,25 @@ def load_mode_set(source, config: FieldConfig | None = None) -> tuple[ModeLabel,
         raise ValueError("mode set file must hold a JSON list")
     c = (config or FieldConfig()).c
     out = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        where = f"modes[{i}]"
         if not isinstance(entry, dict):
-            raise ValueError(f"mode entry must be an object, got {entry!r}")
+            raise ValueError(f"{where}: expected an object, got {entry!r}")
         unknown = set(entry) - {"s", "kappa", "omega", "j"}
         if unknown:
-            raise ValueError(f"unknown keys in mode entry: {sorted(unknown)}")
-        j = int(entry.get("j", 0))
-        s = int(entry.get("s", +1))
+            raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        j = read_int(entry.get("j", 0), f"{where}.j")
+        s = read_int(entry.get("s", +1), f"{where}.s")
         if "kappa" in entry:
-            out.append(mode(s, entry["kappa"], j=j, c=c))
+            kappa = entry["kappa"]
+            if not (isinstance(kappa, list) and len(kappa) == 3):
+                raise ValueError(f"{where}.kappa: expected [x, y, z], got {kappa!r}")
+            out.append(mode(s, [read_real(v, f"{where}.kappa[{n}]")
+                                for n, v in enumerate(kappa)], j=j, c=c))
         elif "omega" in entry:
-            out.append(abstract_mode(float(entry["omega"]), j=j, s=s))
+            out.append(abstract_mode(read_real(entry["omega"], f"{where}.omega"), j=j, s=s))
         else:
-            raise ValueError(f"mode entry needs 'kappa' or 'omega': {entry!r}")
+            raise ValueError(f"{where} needs 'kappa' or 'omega': {entry!r}")
     return tuple(out)
 
 

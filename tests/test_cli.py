@@ -3,14 +3,26 @@ from pathlib import Path
 
 import pytest
 
+from monofield import algebra
 from monofield.cli import load_config, main, ConfigError
 from monofield.fields import CoherentSpec, load_coherent_spec
+from monofield.hilbert import Operator
 
 DATA = Path(__file__).parent / "data"
 
 
 def run(command, config, out, *extra):
     return main([command, "--config", str(config), "--out", str(out), *extra])
+
+
+def replaced(base, path, value):
+    """The top-level section of a tests/data config with one entry replaced."""
+    doc = json.loads((DATA / base).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return {path[0]: doc[path[0]]}
 
 
 class TestConfigParsing:
@@ -73,10 +85,32 @@ class TestConfigParsing:
         ("vacuum-energy", "config_vac.json", {"tolerances": {"algebra": None}}),
         ("vacuum-energy", "config_vac.json", {"states": 5}),
         ("field-sweep", "config_field.json", {"coherent": {"weights": 5}}),
+        ("verify-algebra", "config_algebra.json",
+         replaced("config_algebra.json", ["modes", 1], {"omega": 1.0})),
+        ("verify-algebra", "config_algebra.json", {"modes": "x"}),
+        ("verify-algebra", "config_algebra.json", {"modes": []}),
+        ("emission", "config_emission.json", {"emission_initial": [{"mode": 0, "n": 3}]}),
+        ("emission", "config_emission.json", {"couplings": [0.001, 0.002, 1e300]}),
+        ("emission", "config_emission.json", {"field": {"hbar": 1e-300}}),
+        ("emission", "config_emission.json", {"times": [1e300]}),
+        ("vacuum-energy", "config_vac.json",
+         replaced("config_vac.json", ["states", 2, "alphas"], [1e300, 0])),
+        ("vacuum-energy", "config_vac.json",
+         replaced("config_vac.json", ["states", 0, "weights"], [1e300, 1.0])),
+        ("compare-standard", "config_jc.json",
+         replaced("config_jc.json", ["atom", "omega0"], 1e300)),
+        ("compare-standard", "config_jc.json",
+         replaced("config_jc.json", ["atom", "dipole"], 1e-300)),
+        ("emission", "config_emission.json", {"times": [0.0]}),
+        ("verify-algebra", "config_algebra.json", {"tolerances": {"algebra": 0.0}}),
+        ("emission", "config_emission.json", {"tolerances": {"emission": -1e-10}}),
     ], ids=["emission_initial_not_list", "points_not_numeric", "times_nan",
             "nmax_bool", "single_coupling", "emission_abstract_modes",
             "field_sweep_abstract_modes", "tolerance_string", "tolerance_null",
-            "states_not_list", "weights_not_list"])
+            "states_not_list", "weights_not_list", "duplicate_mode", "modes_string",
+            "modes_empty", "initial_top_rung", "coupling_huge", "hbar_tiny", "time_huge",
+            "alpha_huge", "weight_huge", "jc_omega0_huge", "jc_dipole_tiny",
+            "emission_time_zero", "tolerance_zero", "tolerance_negative"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, base, change):
         doc = json.loads((DATA / base).read_text())
         doc.update(change)
@@ -86,6 +120,45 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert any(line.startswith("config error:") for line in err.splitlines())
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, named", [
+        (replaced("config_compare.json", ["field"], {"hbar": "1.0"}), "field.hbar"),
+        (replaced("config_compare.json", ["field"], {"hbar": True}), "field.hbar"),
+        (replaced("config_emission.json", ["atom", "dipole"], True), "atom.dipole"),
+        (replaced("config_emission.json", ["atom", "omega0"], "1.0"), "atom.omega0"),
+        (replaced("config_emission.json", ["modes", 0, "kappa"], ["0", "0", "0.8"]),
+         "modes[0].kappa[0]"),
+        (replaced("config_emission.json", ["modes", 2, "s"], 1.7), "modes[2].s"),
+        (replaced("config_algebra.json", ["modes", 0, "j"], True), "modes[0].j"),
+        (replaced("config_algebra.json", ["modes", 0, "omega"], 10 ** 400), "modes[0].omega"),
+        ({"box": {"edge": True, "max_index": 1}}, "box.edge"),
+        ({"box": {"edge": 1.0, "max_index": 1.9}}, "box.max_index"),
+        ({"modes": [{"omega": 1.0}], "time_grid": {"start": 0, "stop": 1, "num": 2.7}},
+         "time_grid.num"),
+        ({"modes": [{"omega": 1.0}], "time_grid": {"start": 0, "stop": 1, "num": True}},
+         "time_grid.num"),
+        ({"modes": [{"omega": 1.0}], "emission_initial": [{"mode": 0, "n": 2.0}]},
+         "emission_initial[0].n"),
+        ({"modes": [{"omega": 1.0}], "standard_nmax": 2.0}, "standard_nmax"),
+    ], ids=["hbar_string", "hbar_bool", "dipole_bool", "omega0_string", "kappa_strings",
+            "s_float", "j_bool", "omega_beyond_float", "edge_bool", "max_index_float",
+            "grid_num_float", "grid_num_bool", "initial_n_float", "standard_nmax_float"])
+    def test_loose_number_names_the_entry(self, tmp_path, capsys, doc, named):
+        doc = {"nmax": 3, **doc}
+        if "box" not in doc:
+            doc.setdefault("modes", [{"omega": 1.0}])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run("verify-algebra", p, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("config error:") and named in line
+                   for line in err.splitlines())
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_tolerance_flag_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        assert run("verify-algebra", DATA / "config_algebra.json", tmp_path,
+                   "--tolerance", value) == 2
+        assert "config error: --tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("form, value, named", [
         (1, 1.0, None),
@@ -142,9 +215,19 @@ class TestVerifyAlgebraCommand:
         lines = got.decode().splitlines()
         assert len(lines) == 1 + 3 * 16
 
-    def test_injected_fault_exits_1(self, tmp_path):
-        assert run("verify-algebra", DATA / "config_algebra.json", tmp_path,
-                   "--inject-fault") == 1
+    def test_injected_fault_exits_1(self, tmp_path, monkeypatch):
+        build = algebra.mode_annihilator
+
+        def corrupted(layout, k):
+            op = build(layout, k)
+            if k != 0:
+                return op
+            bad = op.toarray()
+            bad[0, -1] += 1e-3
+            return Operator(layout, bad)
+
+        monkeypatch.setattr(algebra, "mode_annihilator", corrupted)
+        assert run("verify-algebra", DATA / "config_algebra.json", tmp_path) == 1
 
     def test_tolerance_override(self, tmp_path):
         # an absurdly tight tolerance turns sqrt-rounding noise into failures
@@ -207,6 +290,17 @@ class TestEmissionCommand:
     def test_requires_atom(self, tmp_path):
         assert run("emission", DATA / "config_field.json", tmp_path) == 2
 
+    def test_initial_state_partly_at_top_rung_runs(self, tmp_path):
+        doc = json.loads((DATA / "config_emission.json").read_text())
+        doc["emission_initial"] = [{"mode": 0, "n": 3}, {"mode": 1, "n": 0}]
+        p = tmp_path / "mixed.json"
+        p.write_text(json.dumps(doc))
+        assert run("emission", p, tmp_path) == 0
+
+    def test_default_initial_state_is_excited_atom_over_every_vacuum(self, tmp_path):
+        cfg, _ = load_config(DATA / "config_emission.json")
+        assert cfg.emission_initial == {(k, 0, 1): 1.0 for k in range(3)}
+
 
 class TestCompareStandardCommand:
     def test_dimension_contrast_in_report(self, tmp_path):
@@ -216,6 +310,16 @@ class TestCompareStandardCommand:
         assert report["algebra"]["cross_mode_double_creation_single_oscillator"] == 0.0
         assert report["algebra"]["cross_mode_double_creation_standard"] == 1.0
         assert (tmp_path / "comparison_emission.csv").exists()
+
+    def test_uncoupled_single_mode_skips_jc_check(self, tmp_path):
+        # kappa along -z: the s = +1 polarization is orthogonal to the dipole
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**json.loads((DATA / "config_jc.json").read_text()),
+                                 **replaced("config_jc.json", ["modes", 0, "kappa"],
+                                            [0, 0, -1])}))
+        assert run("compare-standard", p, tmp_path) == 0
+        report = json.loads((tmp_path / "comparison.json").read_text())
+        assert "jaynes_cummings_check" not in report
 
     def test_single_mode_jc_check_passes(self, tmp_path):
         assert run("compare-standard", DATA / "config_jc.json", tmp_path) == 0

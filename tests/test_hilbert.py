@@ -224,3 +224,31 @@ class TestSerialization:
         modes = mf.load_mode_set([{"s": 1, "kappa": [0, 0, 1]}],
                                  mf.FieldConfig(c=3.0))
         assert modes[0].omega == 3.0
+
+    @pytest.mark.parametrize("entry, named", [
+        ({"s": 1.0, "kappa": [0, 0, 1]}, r"modes\[0\]\.s"),
+        ({"s": 1, "kappa": [0, 0, True]}, r"modes\[0\]\.kappa\[2\]"),
+        ({"s": 1, "kappa": 5}, r"modes\[0\]\.kappa"),
+        ({"omega": "2.5"}, r"modes\[0\]\.omega"),
+    ], ids=["s_float", "kappa_bool", "kappa_not_list", "omega_string"])
+    def test_mode_set_refuses_loose_numbers(self, entry, named):
+        with pytest.raises(ValueError, match=named):
+            mf.load_mode_set([entry])
+
+
+class TestTypedReaders:
+    @pytest.mark.parametrize("value", [True, "1", None, [1.0], float("inf"),
+                                       float("nan"), 10 ** 400])
+    def test_read_real_refuses(self, value):
+        with pytest.raises(ValueError, match="x.y: expected a finite number"):
+            mf.hilbert.read_real(value, "x.y")
+
+    @pytest.mark.parametrize("value", [True, "1", None, 2.0, 1.7])
+    def test_read_int_refuses(self, value):
+        with pytest.raises(ValueError, match="x.y: expected an integer"):
+            mf.hilbert.read_int(value, "x.y")
+
+    def test_readers_accept_json_numbers(self):
+        assert mf.hilbert.read_real(3) == 3.0 and type(mf.hilbert.read_real(3)) is float
+        assert mf.hilbert.read_real(-1e300) == -1e300
+        assert mf.hilbert.read_int(-4) == -4
