@@ -219,10 +219,14 @@ def momentum_from_mode_ladders(layout: HilbertLayout,
     return tuple(comps)
 
 
+def _interior_mask(layout: HilbertLayout) -> np.ndarray:
+    """Boolean mask over flat indices: photon number n <= nmax - 1."""
+    return np.arange(layout.dimension) % layout.fock_dim < layout.nmax
+
+
 def interior_indices(layout: HilbertLayout) -> np.ndarray:
     """Flat indices of all basis kets with photon number n <= nmax - 1."""
-    keep = [i for i in range(layout.dimension) if layout.unflatten(i)[1] <= layout.nmax - 1]
-    return np.array(keep, dtype=int)
+    return np.flatnonzero(_interior_mask(layout))
 
 
 def full_commutator_reference(layout: HilbertLayout, k: int) -> Operator:
@@ -243,9 +247,23 @@ class AlgebraReport:
     passed: bool
 
 
-def _max_abs_on(matrix: np.ndarray, idx: np.ndarray) -> float:
-    sub = matrix[np.ix_(idx, idx)]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values))) if values.size else 0.0
+
+
+def _support(matrix: np.ndarray) -> np.ndarray:
+    """Mask of the indices whose row or column holds a nonzero entry."""
+    nonzero = matrix != 0
+    return nonzero.any(axis=0) | nonzero.any(axis=1)
+
+
+def _deviation_from_diagonal(block: np.ndarray, ref: np.ndarray, support: np.ndarray,
+                             subspace: np.ndarray) -> float:
+    """max |C - diag(ref)| over subspace x subspace, for a C that is zero
+    outside support x support and equals ``block`` on it."""
+    inside = subspace[support]
+    diff = (block - np.diag(ref[support]))[np.ix_(inside, inside)]
+    return max(_max_abs(diff), _max_abs(ref[subspace & ~support]))
 
 
 def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
@@ -264,38 +282,60 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     full-space commutator against its exact truncation reference.
     ``annihilators`` may inject precomputed (or deliberately corrupted)
     mode operators; by default they are built from the layout.
+
+    Each pair is checked on the union of the two operators' supports (the
+    indices whose row or column holds a nonzero entry).  Outside it both
+    operators vanish, so every product there is an exact zero and every
+    product inside equals the full-space one entry for entry; the zeros
+    are proved from the operators passed in, so an operator that leaks out
+    of its sector still fails.  The cost is O(M^2) small blocks instead of
+    dense D x D products.  Annihilators with non-finite entries are
+    refused with ValueError (a full-space product would spread them as NaN
+    through 0 * inf).
     """
     m_count = layout.n_modes
     if annihilators is None:
         annihilators = [mode_annihilator(layout, k) for k in range(m_count)]
     if len(annihilators) != m_count:
         raise ValueError("need one annihilator per mode")
-    interior = interior_indices(layout)
+    matrices = []
+    for k, op in enumerate(annihilators):
+        if op.layout != layout:
+            raise ValueError(f"annihilator {k} lives on a different layout")
+        if not np.all(np.isfinite(op.data)):
+            raise ValueError(f"annihilator {k} has non-finite entries")
+        matrices.append(op.data)
+    supports = [_support(a) for a in matrices]
+    interior = _interior_mask(layout)
+    everywhere = np.ones(layout.dimension, dtype=bool)
     reports: list[AlgebraReport] = []
     for k in range(m_count):
-        ak = annihilators[k]
         for l in range(m_count):
-            al = annihilators[l]
-            comm = (ak @ al.dag() - al.dag() @ ak).toarray()
+            support = supports[k] | supports[l]
+            block = np.ix_(support, support)
+            ak, al = matrices[k][block], matrices[l][block]
+            comm = ak @ al.conj().T - al.conj().T @ ak
             if k == l:
-                dev = _max_abs_on(comm - mode_projector(layout, k).toarray(), interior)
+                dev = _deviation_from_diagonal(comm, mode_projector(layout, k).diag(),
+                                               support, interior)
                 reports.append(AlgebraReport("commutator", k, l, "interior", dev, dev < tol))
                 if include_boundary:
-                    bdev = float(np.max(np.abs(comm - full_commutator_reference(layout, k).toarray())))
+                    bdev = _deviation_from_diagonal(
+                        comm, full_commutator_reference(layout, k).diag(), support, everywhere)
                     reports.append(AlgebraReport("commutator_boundary", k, l, "full",
                                                  bdev, bdev < tol))
             else:
-                dev = float(np.max(np.abs(comm)))
+                dev = _max_abs(comm)
                 reports.append(AlgebraReport("commutator", k, l, "full", dev, dev < tol))
-            prod = (ak @ al).toarray()
+            prod = ak @ al
             if k == l:
-                prod = prod - (ak @ ak).toarray()
-            dev = float(np.max(np.abs(prod)))
+                prod = prod - ak @ ak
+            dev = _max_abs(prod)
             reports.append(AlgebraReport("product_aa", k, l, "full", dev, dev < tol))
-            dprod = (ak.dag() @ al.dag()).toarray()
+            dprod = ak.conj().T @ al.conj().T
             if k == l:
-                dprod = dprod - (ak.dag() @ ak.dag()).toarray()
-            dev = float(np.max(np.abs(dprod)))
+                dprod = dprod - ak.conj().T @ ak.conj().T
+            dev = _max_abs(dprod)
             reports.append(AlgebraReport("product_adad", k, l, "full", dev, dev < tol))
     return reports
 

@@ -549,7 +549,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--tolerance must be a finite number > 0, got {args.tolerance!r}")
         cfg, _ = load_config(args.config)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {str(outdir)!r} is not a usable output directory: "
+                              f"{exc.strerror or exc}") from None
         return COMMANDS[args.command](cfg, outdir, args.tolerance, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,9 @@ the fixed fallback theta_hat = x_hat, phi_hat = +-y_hat applies.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -219,20 +221,31 @@ def _truncated_coherent_column(alpha: complex, nmax: int) -> np.ndarray:
     return col / np.linalg.norm(col)
 
 
+def _poisson_cdf(mu: float) -> Iterator[float]:
+    """P(X <= n) for X ~ Poisson(mu), n = 0, 1, 2, ...
+
+    One running left-to-right sum of the terms P(X = n), so the first n
+    values cost O(n) together.
+    """
+    if mu == 0.0:
+        yield from itertools.repeat(1.0)
+    else:
+        log_mu = math.log(mu)
+        kept = 0.0
+        for n in itertools.count():
+            kept += math.exp(-mu + n * log_mu - math.lgamma(n + 1))
+            yield kept
+
+
 def _poisson_tail(mu: float, nmax: int) -> float:
     """P(X > nmax) for X ~ Poisson(mu); the neglected coherent tail mass."""
-    if mu == 0.0:
-        return 0.0
-    log_terms = [-mu + n * math.log(mu) - math.lgamma(n + 1) for n in range(nmax + 1)]
-    kept = sum(math.exp(v) for v in log_terms)
-    return max(0.0, 1.0 - kept)
+    return max(0.0, 1.0 - next(itertools.islice(_poisson_cdf(mu), nmax, None)))
 
 
 def required_truncation(alpha: complex, tail_tol: float = 1e-10, cap: int = 10_000) -> int:
     """Smallest nmax whose truncated coherent state drops < tail_tol mass."""
-    mu = abs(alpha) ** 2
-    for n in range(cap + 1):
-        if _poisson_tail(mu, n) < tail_tol:
+    for n, kept in zip(range(cap + 1), _poisson_cdf(abs(alpha) ** 2)):
+        if max(0.0, 1.0 - kept) < tail_tol:
             return n
     raise ValueError(f"no truncation below {cap} reaches tail mass {tail_tol}")
 

@@ -10,8 +10,9 @@ from monofield.algebra import (
 )
 
 
-def abstract_layout(m, nmax):
-    return mf.build_layout([mf.abstract_mode(float(i + 1)) for i in range(m)], nmax)
+def abstract_layout(m, nmax, with_atom=False):
+    return mf.build_layout([mf.abstract_mode(float(i + 1)) for i in range(m)], nmax,
+                           with_atom=with_atom)
 
 
 def dense_commutator(x, y):
@@ -216,3 +217,101 @@ class TestVerifyAlgebra:
         assert lines[0] == "relation,k,l,subspace,deviation,pass"
         assert len(lines) == 1 + 3 * 4
         assert all(line.endswith(",true") for line in lines[1:])
+
+
+def dense_verify_algebra(layout, annihilators, tol=1e-12, include_boundary=False):
+    """Reference: every relation from full-space D x D products, pair by pair."""
+    mats = [op.toarray() for op in annihilators]
+    interior = interior_indices(layout)
+    sub = np.ix_(interior, interior)
+    reports = []
+    for k, ak in enumerate(mats):
+        for l, al in enumerate(mats):
+            comm = ak @ al.conj().T - al.conj().T @ ak
+            if k == l:
+                dev = float(np.max(np.abs((comm - mf.mode_projector(layout, k).toarray())[sub])))
+                reports.append(("commutator", k, l, "interior", repr(dev), dev < tol))
+                if include_boundary:
+                    ref = full_commutator_reference(layout, k).toarray()
+                    bdev = float(np.max(np.abs(comm - ref)))
+                    reports.append(("commutator_boundary", k, l, "full", repr(bdev), bdev < tol))
+            else:
+                dev = float(np.max(np.abs(comm)))
+                reports.append(("commutator", k, l, "full", repr(dev), dev < tol))
+            prod = ak @ al
+            if k == l:
+                prod = prod - ak @ ak
+            dev = float(np.max(np.abs(prod)))
+            reports.append(("product_aa", k, l, "full", repr(dev), dev < tol))
+            dprod = ak.conj().T @ al.conj().T
+            if k == l:
+                dprod = dprod - ak.conj().T @ ak.conj().T
+            dev = float(np.max(np.abs(dprod)))
+            reports.append(("product_adad", k, l, "full", repr(dev), dev < tol))
+    return reports
+
+
+def _off_sector(a, b):
+    a[0, -1] += 1e-3
+
+
+def _in_sector_block(a, b):
+    a[2 * b:3 * b, 2 * b:3 * b] += 1e-7 * np.arange(b * b).reshape(b, b)
+
+
+def _extra_entry(a, b):
+    a[3 * b + 1, 3 * b + 3] = 0.37 + 0.2j
+
+
+def _all_zero(a, b):
+    a[:] = 0.0
+
+
+class TestVerifyAlgebraMatchesDense:
+    """The support-restricted checks report exactly what full-space products give."""
+
+    @staticmethod
+    def assert_matches(layout, ops, include_boundary):
+        got = [(r.relation, r.k, r.l, r.subspace, repr(r.deviation), r.passed)
+               for r in mf.verify_algebra(layout, annihilators=ops,
+                                          include_boundary=include_boundary)]
+        assert got == dense_verify_algebra(layout, ops, include_boundary=include_boundary)
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    def test_exact_operators(self, with_atom, include_boundary):
+        layout = abstract_layout(5, 4, with_atom)
+        ops = [mf.mode_annihilator(layout, k) for k in range(5)]
+        self.assert_matches(layout, ops, include_boundary)
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    @pytest.mark.parametrize("k, edit", [(0, _off_sector), (2, _in_sector_block),
+                                         (3, _extra_entry), (1, _all_zero)])
+    def test_corrupted_operators(self, with_atom, k, edit):
+        layout = abstract_layout(5, 4, with_atom)
+        ops = [mf.mode_annihilator(layout, i) for i in range(5)]
+        a = ops[k].toarray()
+        edit(a, layout.fock_dim)
+        ops[k] = mf.Operator(layout, a)
+        reports = mf.verify_algebra(layout, annihilators=ops)
+        assert any(not r.passed for r in reports)
+        self.assert_matches(layout, ops, include_boundary=True)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_annihilator_rejected(self, bad):
+        layout = abstract_layout(3, 2)
+        ops = [mf.mode_annihilator(layout, i) for i in range(3)]
+        a = ops[1].toarray()
+        a[3, 4] = bad
+        ops[1] = mf.Operator(layout, a)
+        with pytest.raises(ValueError, match="non-finite"):
+            mf.verify_algebra(layout, annihilators=ops)
+
+
+@pytest.mark.parametrize("with_atom", [False, True])
+def test_interior_indices_match_unflatten_loop(with_atom):
+    layout = abstract_layout(3, 4, with_atom)
+    keep = [i for i in range(layout.dimension) if layout.unflatten(i)[1] <= layout.nmax - 1]
+    got = interior_indices(layout)
+    assert np.array_equal(got, np.array(keep, dtype=int))
+    assert got.dtype == np.array(keep, dtype=int).dtype

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,14 @@ class TestConfigParsing:
             assert spec.weights == CoherentSpec.make(spec.modes, [1.0, value],
                                                      [0.0, 0.0]).weights
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("")
+        assert run("verify-algebra", DATA / "config_algebra.json", tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out ")
+        assert str(tmp_path / out) in err
+
     def test_usage_error_exits_2(self):
         import os
         import subprocess
@@ -243,6 +252,19 @@ class TestVacuumEnergyCommand:
 
     def test_requires_states(self, tmp_path):
         assert run("vacuum-energy", DATA / "config_algebra.json", tmp_path) == 2
+
+    def test_hopeless_truncation_exits_2_quickly(self, tmp_path, capsys):
+        doc = json.loads((DATA / "config_vac.json").read_text())
+        doc["states"] = [{"label": "hot", "weights": [1.0, 1.0], "alphas": [100.0, 0]}]
+        p = tmp_path / "hot.json"
+        p.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run("vacuum-energy", p, tmp_path) == 2
+        # the search runs to its cap of 10000 rungs; re-summing the series
+        # for every rung took tens of seconds
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == ("config error: state 'hot': no truncation "
+                                           "below 10000 reaches tail mass 1e-10\n")
 
 
 class TestFieldSweepCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,29 @@ class TestCoherentState:
         need = mf.required_truncation(3.0)
         assert _poisson_tail(9.0, need) < 1e-10
         assert _poisson_tail(9.0, need - 1) >= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.5, 3.0, 2.0 + 5.0j, 20.0])
+    @pytest.mark.parametrize("tail_tol", [1e-3, 1e-10, 1e-15])
+    def test_required_truncation_matches_per_n_sum(self, alpha, tail_tol):
+        mu = abs(alpha) ** 2
+
+        def tail(n):  # the whole series re-summed for each candidate n
+            if mu == 0.0:
+                return 0.0
+            log_terms = [-mu + i * math.log(mu) - math.lgamma(i + 1) for i in range(n + 1)]
+            return max(0.0, 1.0 - sum(math.exp(v) for v in log_terms))
+
+        cap = 700
+        need = next((n for n in range(cap + 1) if tail(n) < tail_tol), None)
+        if need is None:  # the running sum stalls above 1 - tail_tol
+            with pytest.raises(ValueError, match="no truncation below 700"):
+                mf.required_truncation(alpha, tail_tol, cap)
+            need = cap
+        else:
+            assert mf.required_truncation(alpha, tail_tol, cap) == need
+        for n in (0, need - 1, need, need + 3):
+            if n >= 0:
+                assert _poisson_tail(mu, n) == tail(n)
 
     def test_weights_normalized(self):
         spec = self.two_mode_spec()
