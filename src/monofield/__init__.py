@@ -25,12 +25,14 @@ from .algebra import (
 )
 from .dynamics import (
     Propagator,
+    Spectrum,
     dyson_first_order,
     evolve,
     heisenberg,
     matrix_exp,
     propagator,
     resonance_kernel,
+    spectrum,
 )
 from .emission import (
     AtomParams,

@@ -27,7 +27,7 @@ from .algebra import (
     momentum,
     verify_algebra,
 )
-from .dynamics import dyson_first_order, evolve, resonance_kernel
+from .dynamics import dyson_first_order, evolve, resonance_kernel, spectrum
 from .emission import (
     EXCITED,
     AtomParams,
@@ -476,8 +476,9 @@ def cmd_compare_standard(cfg: RunConfig, outdir: Path, tol: float | None, seed: 
         horizon = 10.0 / lam
         dev = 0.0
         try:
+            spec = spectrum(h, cfg.field.hbar)
             for t in np.linspace(0.0, horizon, 101):
-                psi = evolve(h, psi0, float(t), cfg.field.hbar)
+                psi = spec.evolve(psi0, float(t))
                 pop = float(np.sum(np.abs(psi.amplitudes[layout.field_dim:]) ** 2))
                 ref = jc_excited_population(cfg.atom, g, 0, float(t), detuning)
                 dev = max(dev, abs(pop - ref))

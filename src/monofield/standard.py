@@ -259,7 +259,7 @@ def standard_scheme_run(modes: Sequence[ModeLabel], nmax: int, config: FieldConf
         a0 = standard_mode_annihilator(layout, 0)
         a1 = standard_mode_annihilator(layout, 1)
         vac = layout.basis_state([0] * layout.n_modes)
-        cross = float(np.linalg.norm(a0.conj().T @ a1.conj().T @ vac))
+        cross = float(np.linalg.norm(a0.conj().T @ (a1.conj().T @ vac)))
     run = {
         "scheme": "standard",
         "dimension": layout.dimension,

@@ -1,15 +1,41 @@
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import monofield as mf
 from conftest import random_hermitian, random_state
+from monofield.cli import load_config, main
 from monofield.dynamics import resonance_kernel
+from monofield.emission import EXCITED
+
+DATA = Path(__file__).parent / "data"
 
 
 def eig_evolve(h_matrix, amps, t, hbar=1.0):
     """Eigendecomposition oracle for exp(-iHt/hbar) @ amps."""
     evals, evecs = np.linalg.eigh(h_matrix)
     return evecs @ (np.exp(-1j * evals * t / hbar) * (evecs.conj().T @ amps))
+
+
+def config_hamiltonian(name, dipole=None):
+    """RWA Hamiltonian of a tests/data config (optionally at another dipole) and the config."""
+    cfg, _ = load_config(DATA / name)
+    atom = cfg.atom if dipole is None else replace(cfg.atom, d=dipole)
+    layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
+    return mf.atom_field_hamiltonian(layout, atom, cfg.field), cfg
+
+
+def jc_half_rabi(cfg):
+    return mf.jc_rabi_half_frequency(cfg.atom, mf.coupling(cfg.modes[0], cfg.atom, cfg.field))
+
+
+def relative_deviation(out, oracle):
+    return np.max(np.abs(out - oracle)) / np.max(np.abs(oracle))
 
 
 class TestResonanceKernel:
@@ -128,6 +154,141 @@ class TestEvolve:
         psi = mf.basis_state(two_tone_layout, 0, 0)
         out = mf.evolve(h, psi, 1.0, hbar=2.0)
         assert out.amplitude(0, 0) == np.exp(-1j * 0.5)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1e-300])
+    def test_zero_phase_returns_the_state_exactly(self, two_tone_layout, rng, t):
+        h = random_hermitian(two_tone_layout, rng)
+        psi = random_state(two_tone_layout, rng)
+        assert np.array_equal(mf.evolve(h, psi, t).amplitudes, psi.amplitudes)
+
+    def test_zero_time_propagator_is_the_identity_exactly(self, two_tone_layout, rng):
+        h = random_hermitian(two_tone_layout, rng)
+        assert np.array_equal(mf.propagator(h, 0.0).u.toarray(),
+                              np.eye(two_tone_layout.dimension))
+
+    def test_one_spectrum_serves_every_time(self, two_tone_layout, rng):
+        h = random_hermitian(two_tone_layout, rng)
+        psi = random_state(two_tone_layout, rng)
+        spec = mf.spectrum(h)
+        for t in (0.3, 1.7, 25.0):
+            assert np.array_equal(spec.evolve(psi, t).amplitudes,
+                                  mf.evolve(h, psi, t).amplitudes)
+            assert np.max(np.abs(spec.unitary(t).data @ psi.amplitudes
+                                 - spec.evolve(psi, t).amplitudes)) < 1e-12
+
+    def test_diagonal_generator_keeps_the_phase_formula(self, two_tone_layout, rng):
+        # the phase arithmetic of the diagonal path is unchanged, so results are equal
+        h = mf.hamiltonian(two_tone_layout, mf.FieldConfig(hbar=0.7))
+        psi = random_state(two_tone_layout, rng)
+        a = random_hermitian(two_tone_layout, rng)
+        for t in (0.9, -2.3):
+            phases = np.exp(-1j * h.diag().real * t / 0.7)
+            assert np.array_equal(mf.evolve(h, psi, t, 0.7).amplitudes,
+                                  phases * psi.amplitudes)
+            back = np.exp(1j * h.diag().real * t / 0.7)
+            assert np.array_equal(mf.heisenberg(h, a, t, 0.7).data,
+                                  back[:, None] * a.data * back.conj()[None, :])
+
+    def test_phase_beyond_one_over_eps_refused(self, two_tone_layout, rng):
+        h = random_hermitian(two_tone_layout, rng)
+        psi = random_state(two_tone_layout, rng)
+        largest = np.max(np.abs(np.linalg.eigvalsh(h.toarray())))
+        with pytest.raises(ValueError, match=r"overflow.*largest phase .* = 1\.000e\+16"):
+            mf.evolve(h, psi, 1e16 / largest)
+        mf.evolve(h, psi, 1e15 / largest)  # below 1/eps = 4.5e15: still evolved
+        diagonal = mf.hamiltonian(two_tone_layout)
+        for call in (lambda: mf.propagator(h, 1e16 / largest),
+                     lambda: mf.heisenberg(h, h, -1e16 / largest),
+                     lambda: mf.evolve(h, psi, 1.0, hbar=1e-300),
+                     lambda: mf.evolve(h, psi, math.inf),
+                     lambda: mf.evolve(diagonal, psi, 1e300)):
+            with pytest.raises(ValueError, match="overflow"):
+                call()
+
+    def test_nonfinite_generator_rejected(self, two_tone_layout, rng):
+        psi = random_state(two_tone_layout, rng)
+        dense = np.full((two_tone_layout.dimension,) * 2, np.inf)
+        diagonal = np.full(two_tone_layout.dimension, np.nan)
+        for h in (mf.Operator(two_tone_layout, dense),
+                  mf.Operator.from_diagonal(two_tone_layout, diagonal)):
+            with pytest.raises(ValueError, match="non-finite"):
+                mf.evolve(h, psi, 1.0)
+
+
+# (config, dipole, time as a fraction of the horizon): the emission config's
+# RWA Hamiltonian at three couplings, and the Jaynes-Cummings config at five
+# times over ten Rabi periods
+PADE_CASES = [("config_emission.json", d, None) for d in (1e-3, 1e-2, 1e-1)] \
+    + [("config_jc.json", None, f) for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+
+
+class TestAgainstPade:
+    """The spectral paths against scipy's Pade exponential, an independent oracle."""
+
+    @staticmethod
+    def case(name, dipole, fraction):
+        h, cfg = config_hamiltonian(name, dipole)
+        if fraction is None:
+            t = cfg.times[-1]
+        else:
+            t = fraction * 10.0 / jc_half_rabi(cfg)
+        u = scipy.linalg.expm((-1j * t / cfg.field.hbar) * h.toarray())
+        return h, cfg.field.hbar, t, u
+
+    @pytest.mark.parametrize("name, dipole, fraction", PADE_CASES)
+    def test_evolve(self, rng, name, dipole, fraction):
+        h, hbar, t, u = self.case(name, dipole, fraction)
+        psi = random_state(h.layout, rng)
+        out = mf.evolve(h, psi, t, hbar).amplitudes
+        assert relative_deviation(out, u @ psi.amplitudes) <= 1e-12
+
+    @pytest.mark.parametrize("name, dipole, fraction", PADE_CASES)
+    def test_propagator(self, name, dipole, fraction):
+        h, hbar, t, u = self.case(name, dipole, fraction)
+        assert relative_deviation(mf.propagator(h, t, hbar).u.toarray(), u) <= 1e-12
+
+    @pytest.mark.parametrize("name, dipole, fraction", PADE_CASES)
+    def test_heisenberg(self, name, dipole, fraction):
+        h, hbar, t, u = self.case(name, dipole, fraction)
+        a = mf.mode_annihilator(h.layout, 0)
+        oracle = u.conj().T @ a.toarray() @ u
+        assert relative_deviation(mf.heisenberg(h, a, t, hbar).toarray(), oracle) <= 1e-12
+
+    def test_jaynes_cummings_check_matches_per_time_pade_loop(self, tmp_path):
+        assert main(["compare-standard", "--config", str(DATA / "config_jc.json"),
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "comparison.json").read_text())
+        dev = report["jaynes_cummings_check"]["max_population_deviation"]
+        h, cfg = config_hamiltonian("config_jc.json")
+        layout = h.layout
+        lam = jc_half_rabi(cfg)
+        g = mf.coupling(cfg.modes[0], cfg.atom, cfg.field)
+        detuning = cfg.atom.omega0 - cfg.modes[0].omega
+        psi0 = mf.basis_state(layout, 0, 0, EXCITED).amplitudes
+        oracle = 0.0
+        for t in np.linspace(0.0, 10.0 / lam, 101):
+            u = scipy.linalg.expm((-1j * float(t) / cfg.field.hbar) * h.toarray())
+            pop = float(np.sum(np.abs((u @ psi0)[layout.field_dim:]) ** 2))
+            ref = mf.jc_excited_population(cfg.atom, g, 0, float(t), detuning)
+            oracle = max(oracle, abs(pop - ref))
+        assert abs(dev - oracle) <= 1e-12
+
+    def test_evolution_paths_never_call_pade(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called on an evolution path")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        h, _ = config_hamiltonian("config_jc.json")
+        psi = mf.basis_state(h.layout, 0, 0, EXCITED)
+        mf.evolve(h, psi, 1.0)
+        mf.propagator(h, 1.0)
+        mf.heisenberg(h, h, 1.0)
+        for command, name in (("emission", "config_emission.json"),
+                              ("compare-standard", "config_jc.json")):
+            assert main([command, "--config", str(DATA / name),
+                         "--out", str(tmp_path)]) == 0
 
 
 class TestHeisenberg:

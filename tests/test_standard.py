@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import monofield as mf
+from monofield.cli import load_config
 from monofield.dynamics import resonance_kernel
 from monofield.emission import EXCITED
 from monofield.standard import (
@@ -62,6 +65,12 @@ class TestStandardOperators:
         two_photon = a0.conj().T @ a1.conj().T @ vac
         assert np.linalg.norm(two_photon) == pytest.approx(1.0, abs=1e-14)
         assert two_photon[layout.flatten((1, 1))] == pytest.approx(1.0, abs=1e-14)
+
+    def test_cross_mode_double_creation_on_config_compare(self):
+        cfg, _ = load_config(Path(__file__).parent / "data" / "config_compare.json")
+        run = mf.standard_scheme_run(cfg.modes, cfg.standard_nmax, cfg.field)
+        assert run["dimension"] == 256
+        assert run["cross_mode_double_creation"] == 1.0
 
     def test_vacuum_energy_is_state_independent_sum(self, natural):
         layout = mf.build_standard_layout(z_modes(1.0, 2.0, 3.0), 2)
