@@ -45,6 +45,7 @@ from .emission import (
     first_order_state,
     free_hamiltonian_with_atom,
     interaction_hamiltonian,
+    interaction_picture,
     vacuum_subspace_check,
 )
 from .fields import (

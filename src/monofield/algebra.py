@@ -85,8 +85,9 @@ def sector_sum(layout: HilbertLayout, blocks: np.ndarray) -> np.ndarray:
 
 def ladder(layout: HilbertLayout) -> Operator:
     """Lowering operator on the shared Fock factor (identity on mode labels)."""
-    a = np.kron(np.eye(layout.n_modes, dtype=complex), fock_lowering(layout.nmax))
-    return Operator(layout, lift_over_atom(layout, a))
+    b = layout.fock_dim
+    blocks = np.broadcast_to(fock_lowering(layout.nmax), (layout.n_modes, b, b))
+    return Operator(layout, lift_over_atom(layout, sector_sum(layout, blocks)))
 
 
 def _sector_diagonal(layout: HilbertLayout, k: int, values) -> Operator:
@@ -104,13 +105,19 @@ def mode_projector(layout: HilbertLayout, k: int) -> Operator:
 
 
 def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
-    """Sector projector |k><k| tensor the Fock lowering operator."""
+    """Sector projector |k><k| tensor the Fock lowering operator.
+
+    The lowering block is written onto zeros at mode k's sector, once per
+    atom level, which is the kron(|k><k|, a) lifted over the atom entry
+    for entry.
+    """
     if not 0 <= k < layout.n_modes:
         raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
-    sector = np.zeros((layout.n_modes, layout.n_modes), dtype=complex)
-    sector[k, k] = 1.0
-    a = np.kron(sector, fock_lowering(layout.nmax))
-    return Operator(layout, lift_over_atom(layout, a))
+    b = layout.fock_dim
+    a = np.zeros((layout.dimension,) * 2, dtype=complex)
+    for lo in range(k * b, layout.dimension, layout.field_dim):
+        a[lo:lo + b, lo:lo + b] = fock_lowering(layout.nmax)
+    return Operator(layout, a)
 
 
 def number_operator(layout: HilbertLayout, k: int) -> Operator:
@@ -152,24 +159,24 @@ def hamiltonian_from_frequency_operator(layout: HilbertLayout,
     if layout.has_atom:
         raise ValueError("free-field hamiltonian requires a layout without atom factor")
     hbar = (config or FieldConfig()).hbar
-    a = fock_lowering(layout.nmax)
-    sym = 0.5 * (a.conj().T @ a + a @ a.conj().T)
-    h = hbar * np.kron(np.diag(layout.omegas.astype(complex)), sym)
-    return Operator(layout, h, diagonal=True)
+    sym = 0.5 * _ladder_symmetric_diag(layout.nmax)
+    return Operator.from_diagonal(layout, hbar * np.outer(layout.omegas, sym).ravel())
 
 
-def _ladder_symmetric_sum(nmax: int) -> np.ndarray:
-    """a^dag a + a a^dag on one truncated ladder (top rung keeps only a^dag a)."""
+def _ladder_symmetric_diag(nmax: int) -> np.ndarray:
+    """Diagonal of a^dag a + a a^dag on one truncated ladder (top rung keeps
+    only a^dag a).  Both products are diagonal; taking them from the matrix
+    products keeps their rounding (sqrt(n)^2 is not always n)."""
     a = fock_lowering(nmax)
     ad = a.conj().T
-    return ad @ a + a @ ad
+    return np.diagonal(ad @ a + a @ ad).real
 
 
 def hamiltonian_from_mode_ladders(layout: HilbertLayout,
                                   config: FieldConfig | None = None) -> Operator:
     """Sum form (1/2) sum_k hbar*omega_k (a_k^dag a_k + a_k a_k^dag), truncated products.
 
-    Assembled per sector: mode k's block is (hbar*omega_k/2) times the
+    Mode k's sector holds (hbar*omega_k/2) times the diagonal of the
     symmetrized product on one ladder, the same value a sum over the
     dense mode annihilators gives.
     """
@@ -177,8 +184,8 @@ def hamiltonian_from_mode_ladders(layout: HilbertLayout,
         raise ValueError("free-field hamiltonian requires a layout without atom factor")
     hbar = (config or FieldConfig()).hbar
     scale = 0.5 * hbar * layout.omegas
-    blocks = scale[:, None, None] * _ladder_symmetric_sum(layout.nmax)
-    return Operator(layout, sector_sum(layout, blocks), diagonal=True)
+    return Operator.from_diagonal(
+        layout, np.outer(scale, _ladder_symmetric_diag(layout.nmax)).ravel())
 
 
 def _require_field_modes(layout: HilbertLayout, what: str):
@@ -205,17 +212,16 @@ def momentum_from_mode_ladders(layout: HilbertLayout,
                                ) -> tuple[Operator, Operator, Operator]:
     """Momentum from the ladder products, the form the field integrals reproduce.
 
-    Assembled per sector like :func:`hamiltonian_from_mode_ladders`, with
-    block hbar*kappa_ki * (a^dag a + a a^dag)/2 for component i.
+    Built like :func:`hamiltonian_from_mode_ladders`: mode k's sector of
+    component i holds hbar*kappa_ki times the diagonal of (a^dag a + a a^dag)/2.
     """
     _require_field_modes(layout, "momentum")
     hbar = (config or FieldConfig()).hbar
-    sym = 0.5 * _ladder_symmetric_sum(layout.nmax)
+    sym = 0.5 * _ladder_symmetric_diag(layout.nmax)
     comps = []
     for i in range(3):
-        blocks = (hbar * layout.kappas[:, i])[:, None, None] * sym
-        comps.append(Operator(layout, lift_over_atom(layout, sector_sum(layout, blocks)),
-                              diagonal=True))
+        d = np.outer(hbar * layout.kappas[:, i], sym).ravel()
+        comps.append(Operator.from_diagonal(layout, lift_over_atom(layout, d)))
     return tuple(comps)
 
 
@@ -304,7 +310,7 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
             raise ValueError(f"annihilator {k} lives on a different layout")
         if not np.all(np.isfinite(op.data)):
             raise ValueError(f"annihilator {k} has non-finite entries")
-        matrices.append(op.data)
+        matrices.append(op.toarray() if op.diagonal else op.data)
     supports = [_support(a) for a in matrices]
     interior = _interior_mask(layout)
     everywhere = np.ones(layout.dimension, dtype=bool)

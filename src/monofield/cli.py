@@ -36,7 +36,7 @@ from .emission import (
     first_order_emission,
     first_order_state,
     free_hamiltonian_with_atom,
-    interaction_hamiltonian,
+    interaction_picture,
     vacuum_subspace_check,
 )
 from .fields import CoherentSpec, coherent_state, field_average, magnetic_field
@@ -255,7 +255,9 @@ def _parse_config(doc) -> RunConfig:
     if not any(amp for (_, n, _), amp in initial.items() if n < nmax):
         raise ConfigError(f"emission_initial has no nonzero amplitude below n = nmax = {nmax}, "
                           "so nothing can be emitted within the truncation")
-    if not np.isfinite(np.linalg.norm(list(initial.values()))):
+    with np.errstate(over="ignore"):  # an overflowing norm is refused here
+        norm = np.linalg.norm(list(initial.values()))
+    if not np.isfinite(norm):
         raise ConfigError("emission_initial: the norm of the amplitudes overflows")
 
     return RunConfig(modes=modes, nmax=nmax, field=field, atom=atom,
@@ -425,9 +427,11 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
                [[d, dev] for d, dev in zip(couplings, deviations)])
 
     psi_closed = first_order_state(initial, cfg.atom, cfg.field, t_ref)
-    psi_quad = dyson_first_order(
-        lambda tp: interaction_hamiltonian(layout, cfg.atom, cfg.field, tp),
-        initial, t_ref, hbar=cfg.field.hbar)
+    try:
+        psi_quad = dyson_first_order(interaction_picture(layout, cfg.atom, cfg.field),
+                                     initial, t_ref, hbar=cfg.field.hbar)
+    except ValueError as exc:
+        raise ConfigError(f"t = {t_ref!r}: first-order Dyson integral: {exc}")
     quad_dev = float(np.linalg.norm(psi_closed.amplitudes - psi_quad.amplitudes))
     kernel_dev = abs(resonance_kernel(0.0, 1.0) - (-1j))
 

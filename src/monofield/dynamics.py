@@ -3,8 +3,9 @@
 Evolution under a time-independent Hermitian generator H goes through its
 :class:`Spectrum`: one eigendecomposition H = V diag(lambda) V^dag, after
 which exp(-i*H*t/hbar) at any time t is V diag(exp(-i*lambda*t/hbar)) V^dag.
-A generator with the structural diagonal flag (see :class:`Operator`) is
-its own eigenbasis, so its evolution is the phase vector alone.
+A generator of the diagonal storage kind (see :class:`Operator`) is its
+own eigenbasis, so its evolution is the phase vector alone, and it moves
+a diagonal operator in the Heisenberg picture to a diagonal one.
 :func:`matrix_exp` is the general Pade exponential; no evolution path
 calls it.
 """
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec
 
-from .hilbert import Operator, StateVector
+from .hilbert import Operator, StateVector, apply
 
 __all__ = [
     "resonance_kernel",
@@ -56,7 +57,7 @@ def matrix_exp(a: Operator) -> Operator:
     if not np.all(np.isfinite(a.data)):
         raise ValueError("matrix exponential of non-finite input")
     if a.diagonal:
-        return Operator.from_diagonal(a.layout, np.exp(a.diag()))
+        return Operator.from_diagonal(a.layout, np.exp(a.data))
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is detected on the result and rejected below
         result = scipy.linalg.expm(a.toarray())
@@ -80,8 +81,8 @@ class Spectrum:
     """Eigendecomposition of one Hermitian generator, reused at every time.
 
     ``energies`` are the real eigenvalues and ``vectors`` the orthonormal
-    eigenvectors as columns; ``vectors`` is None for a generator with the
-    diagonal flag, whose eigenvalues are its diagonal in basis order.  A
+    eigenvectors as columns; ``vectors`` is None for a generator of the
+    diagonal kind, whose eigenvalues are its diagonal in basis order.  A
     dense step is applied as the identity plus V diag(exp(-i*lambda*t/hbar)
     - 1) V^dag, so a short step is as accurate as it is small.
     """
@@ -140,7 +141,7 @@ def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
         raise ValueError("generator has non-finite entries")
     _check_hermitian(h)
     if h.diagonal:
-        return Spectrum(h, float(hbar), h.diag().real, None)
+        return Spectrum(h, float(hbar), h.data.real, None)
     energies, vectors = np.linalg.eigh(h.data)
     return Spectrum(h, float(hbar), energies, vectors)
 
@@ -171,10 +172,6 @@ def heisenberg(h: Operator, a: Operator, t: float, hbar: float = 1.0) -> Operato
     if h.layout != a.layout:
         raise ValueError("layout mismatch between generator and operator")
     u = spectrum(h, hbar).unitary(-t)
-    if h.diagonal:
-        phases = u.diag()
-        return Operator(a.layout, phases[:, None] * a.data * phases.conj()[None, :],
-                        diagonal=a.diagonal)
     return u @ a @ u.dag()
 
 
@@ -188,7 +185,7 @@ def dyson_first_order(h_builder: Callable[[float], Operator], psi0: StateVector,
     """
 
     def integrand(tp: float) -> np.ndarray:
-        return h_builder(tp).data @ psi0.amplitudes
+        return apply(h_builder(tp), psi0).amplitudes
 
     integral, err, info = quad_vec(integrand, 0.0, t, epsabs=quad_tol,
                                    full_output=True)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import fock_lowering, hamiltonian, lift_over_atom, sector_sum
+from .algebra import fock_lowering, hamiltonian, lift_over_atom
 from .dynamics import resonance_kernel
 from .fields import polarization
 from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector
@@ -28,6 +28,7 @@ __all__ = [
     "sigma_minus",
     "free_hamiltonian_with_atom",
     "atom_field_hamiltonian",
+    "interaction_picture",
     "interaction_hamiltonian",
     "EmissionRecord",
     "EmissionAmplitudes",
@@ -70,9 +71,12 @@ class AtomParams:
     def make(cls, omega0: float, d: float, direction: Sequence[complex]) -> "AtomParams":
         """Build with the direction normalized for the caller."""
         uv = np.asarray(direction, dtype=complex)
-        norm = np.linalg.norm(uv)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norm = np.linalg.norm(uv)
         if norm == 0.0:
             raise ValueError("dipole direction must be nonzero")
+        if not np.isfinite(norm):
+            raise ValueError("the norm of the dipole direction overflows")
         return cls(float(omega0), float(d), tuple(uv / norm))
 
 
@@ -119,26 +123,41 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
     return Operator.from_diagonal(layout, d)
 
 
-def _coupling_matrix(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
-                     phases: np.ndarray | None = None) -> np.ndarray:
-    """hbar*omega0*d * sum_k (g_k [phase_k] a_k sigma+ + h.c.), assembled per sector.
+def _mode_couplings(layout: HilbertLayout, atom: AtomParams,
+                    config: FieldConfig) -> np.ndarray:
+    """coupling(mode, atom, config) for every mode of the layout."""
+    return np.array([coupling(m, atom, config) for m in layout.modes], dtype=complex)
 
-    a_k sigma+ maps ground to excited, so mode k's block g_k a sits in the
-    excited-row/ground-column quadrant and its adjoint in the other one;
-    both quadrants are sector sums, with no dense products.
+
+def _coupling_assembler(layout: HilbertLayout, atom: AtomParams,
+                        config: FieldConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """gs -> hbar*omega0*d * sum_k (gs_k a_k sigma+ + h.c.) as a dense matrix.
+
+    a_k sigma+ maps ground to excited, so mode k's lowering block, scaled by
+    gs_k, sits in the excited-row/ground-column quadrant and its adjoint in
+    the other one.  The positions of the sqrt(n) entries are found once;
+    each call adds gs_k*sqrt(n) onto zeros there, which is the sector sum
+    of the scaled blocks down to the sign of zeros.
     """
-    gs = []
-    for k, m in enumerate(layout.modes):
-        g = coupling(m, atom, config)
-        if phases is not None:
-            g = g * phases[k]
-        gs.append(g)
-    blocks = np.array(gs)[:, None, None] * fock_lowering(layout.nmax)
-    f = layout.field_dim
-    total = np.zeros((layout.dimension,) * 2, dtype=complex)
-    total[f:, :f] = sector_sum(layout, blocks)
-    total[:f, f:] = sector_sum(layout, blocks.conj().transpose(0, 2, 1))
-    return config.hbar * atom.omega0 * atom.d * total
+    m, b, f = layout.n_modes, layout.fock_dim, layout.field_dim
+    lowering = fock_lowering(layout.nmax)
+    block_rows, block_cols = np.nonzero(lowering)
+    mode = np.repeat(np.arange(m), block_rows.size)
+    cols = mode * b + np.tile(block_cols, m)
+    rows = f + mode * b + np.tile(block_rows, m)
+    sqrt_n = np.tile(lowering[block_rows, block_cols], m)
+    scale = config.hbar * atom.omega0 * atom.d
+    dim = layout.dimension
+    lower, upper = rows * dim + cols, cols * dim + rows  # flat positions
+
+    def assemble(gs: np.ndarray) -> np.ndarray:
+        entries = gs[mode] * sqrt_n
+        total = np.zeros(dim * dim, dtype=complex)
+        total[lower] += entries
+        total[upper] += entries.conj()
+        return scale * total.reshape(dim, dim)
+
+    return assemble
 
 
 def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
@@ -146,15 +165,38 @@ def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
     """Dipole/RWA Hamiltonian: atom splitting + field + sigma+ a / sigma- a^dag coupling."""
     _require_atom(layout)
     h0 = free_hamiltonian_with_atom(layout, atom, config)
-    return Operator(layout, h0.toarray() + _coupling_matrix(layout, atom, config))
+    coupled = _coupling_assembler(layout, atom, config)(_mode_couplings(layout, atom, config))
+    return Operator(layout, h0.toarray() + coupled)
+
+
+def interaction_picture(layout: HilbertLayout, atom: AtomParams,
+                        config: FieldConfig) -> Callable[[float], Operator]:
+    """t -> :func:`interaction_hamiltonian` at time t, for many times.
+
+    The mode couplings and the matrix positions do not depend on the time,
+    so they are found once here and each call only multiplies in the
+    detuning phases.
+    """
+    _require_atom(layout)
+    gs = _mode_couplings(layout, atom, config)
+    assemble = _coupling_assembler(layout, atom, config)
+    i_detunings = 1j * (atom.omega0 - layout.omegas)
+
+    def at(t: float) -> Operator:
+        phases = np.exp(i_detunings * t)
+        # written out in real parts to round like complex scalar products
+        phased = np.empty_like(gs)
+        phased.real = gs.real * phases.real - gs.imag * phases.imag
+        phased.imag = gs.real * phases.imag + gs.imag * phases.real
+        return Operator(layout, assemble(phased))
+
+    return at
 
 
 def interaction_hamiltonian(layout: HilbertLayout, atom: AtomParams,
                             config: FieldConfig, t: float) -> Operator:
     """Interaction-picture coupling with detuning phases exp(+-i(omega0-omega_k)t)."""
-    _require_atom(layout)
-    phases = np.exp(1j * (atom.omega0 - layout.omegas) * t)
-    return Operator(layout, _coupling_matrix(layout, atom, config, phases))
+    return interaction_picture(layout, atom, config)(t)
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,8 @@ class CoherentSpec:
         if not (len(modes) == len(weights) == len(alphas)):
             raise ValueError("modes, weights and alphas must have equal length")
         w = np.asarray(weights, dtype=complex)
-        total = np.linalg.norm(w)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            total = np.linalg.norm(w)
         if total == 0.0:
             raise ValueError("all sector weights are zero")
         if not np.isfinite(total):
@@ -212,15 +213,6 @@ def load_coherent_spec(source, config: FieldConfig | None = None) -> CoherentSpe
     return CoherentSpec.parse(load_mode_set(doc["modes"], config), doc)
 
 
-def _truncated_coherent_column(alpha: complex, nmax: int) -> np.ndarray:
-    """Unit-norm truncated coherent amplitudes c_n proportional to alpha^n/sqrt(n!)."""
-    col = np.empty(nmax + 1, dtype=complex)
-    col[0] = 1.0
-    for n in range(1, nmax + 1):
-        col[n] = col[n - 1] * alpha / math.sqrt(n)
-    return col / np.linalg.norm(col)
-
-
 def _poisson_cdf(mu: float) -> Iterator[float]:
     """P(X <= n) for X ~ Poisson(mu), n = 0, 1, 2, ...
 
@@ -242,6 +234,21 @@ def _poisson_tail(mu: float, nmax: int) -> float:
     return max(0.0, 1.0 - next(itertools.islice(_poisson_cdf(mu), nmax, None)))
 
 
+def _poisson_tails(mu: np.ndarray, nmax: int) -> np.ndarray:
+    """:func:`_poisson_tail` for every mean in ``mu`` at once.
+
+    The same left-to-right sum of the terms exp(-mu + n*log(mu) - lgamma(n+1)),
+    taken with numpy's exp and log, so a tail may differ from the scalar one
+    in the last bits.  A zero mean has tail 0.
+    """
+    n = np.arange(nmax + 1)
+    log_factorial = np.array([math.lgamma(i + 1) for i in n])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.exp(-mu[:, None] + n * np.log(mu)[:, None] - log_factorial)
+        kept = np.cumsum(terms, axis=1)[:, -1]
+    return np.where(mu == 0.0, 0.0, np.maximum(0.0, 1.0 - kept))
+
+
 def required_truncation(alpha: complex, tail_tol: float = 1e-10, cap: int = 10_000) -> int:
     """Smallest nmax whose truncated coherent state drops < tail_tol mass."""
     for n, kept in zip(range(cap + 1), _poisson_cdf(abs(alpha) ** 2)):
@@ -261,23 +268,42 @@ def coherent_state(layout: HilbertLayout, spec: CoherentSpec,
         raise ValueError("coherent_state builds field states; layout has an atom factor")
     if spec.modes != layout.modes:
         raise ValueError("coherent spec modes do not match the layout")
-    for k, alpha in enumerate(spec.alphas):
-        try:
-            tail = _poisson_tail(abs(alpha) ** 2, layout.nmax)
-        except OverflowError:
-            raise ValueError(f"|alpha|={abs(alpha):.4g} on mode {k} is too large: "
-                             "its mean photon number overflows") from None
+    alphas = np.array(spec.alphas, dtype=complex)
+    with np.errstate(over="ignore"):
+        magnitudes = np.abs(alphas)
+        mu = magnitudes ** 2
+    overflows = ~np.isfinite(mu)
+    tails = _poisson_tails(np.where(overflows, 0.0, mu), layout.nmax)
+    # each of the nmax+1 vector sum steps may round one ulp of 1 away from the
+    # scalar sum, so a mode this close to the bound is decided by _poisson_tail,
+    # the sum required_truncation reports from
+    slack = (layout.nmax + 2) * np.finfo(float).eps
+    for k in np.flatnonzero(overflows | (tails > tail_tol - slack)).tolist():
+        if overflows[k]:
+            raise ValueError(f"|alpha|={magnitudes[k]:.4g} on mode {k} is too large: "
+                             "its mean photon number overflows")
+        alpha = spec.alphas[k]
+        tail = _poisson_tail(abs(alpha) ** 2, layout.nmax)
         if tail > tail_tol:
             need = required_truncation(alpha, tail_tol)
             raise ValueError(
                 f"nmax={layout.nmax} too small for |alpha|={abs(alpha):.4g} on mode {k}: "
                 f"tail mass {tail:.3e} > {tail_tol:.1e}; nmax >= {need} required"
             )
-    amps = np.zeros(layout.dimension, dtype=complex)
-    for k, (w, alpha) in enumerate(zip(spec.weights, spec.alphas)):
-        lo = k * layout.fock_dim
-        amps[lo:lo + layout.fock_dim] = w * _truncated_coherent_column(alpha, layout.nmax)
-    return StateVector(layout, amps)
+    # column n is alpha^n/sqrt(n!), one mode per row; the product is written
+    # out in real arithmetic to round like a complex scalar product
+    cols = np.empty((layout.n_modes, layout.fock_dim), dtype=complex)
+    cols[:, 0] = 1.0
+    step = np.empty(layout.n_modes, dtype=complex)
+    for n in range(1, layout.fock_dim):
+        p = cols[:, n - 1]
+        step.real = p.real * alphas.real - p.imag * alphas.imag
+        step.imag = p.real * alphas.imag + p.imag * alphas.real
+        cols[:, n] = step / math.sqrt(n)
+    # each row's norm summed like np.linalg.norm of that row
+    norms = np.sqrt([c.real.dot(c.real) + c.imag.dot(c.imag) for c in cols])
+    weights = np.array(spec.weights, dtype=complex)
+    return StateVector(layout, (weights[:, None] * (cols / norms[:, None])).ravel())
 
 
 # -- averages -----------------------------------------------------------

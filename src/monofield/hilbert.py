@@ -243,51 +243,57 @@ class StateVector:
 
 
 class Operator:
-    """Square complex matrix tied to a layout, stored as a read-only ndarray.
+    """Square complex operator tied to a layout, in one of two storage kinds.
 
-    ``diagonal`` is a structural flag set by constructors that build
-    diagonal matrices; it gates exact fast paths and is never inferred by
-    sniffing entries.
+    The kind is the shape of the read-only ``data`` array: a length-D
+    vector is a diagonal operator (``data`` is its diagonal), a (D, D)
+    array a dense one.  Diagonal constructors store vectors, so products,
+    brackets and exponentials of diagonal operators cost O(D); an
+    operation on two operators of the same kind keeps the kind, and a
+    mixed sum promotes the diagonal operand to dense.
     """
 
-    __slots__ = ("layout", "data", "diagonal")
+    __slots__ = ("layout", "data")
 
-    def __init__(self, layout: HilbertLayout, data, diagonal: bool = False):
+    def __init__(self, layout: HilbertLayout, data):
         data = np.asarray(data, dtype=complex)
         data.setflags(write=False)
-        if data.shape != (layout.dimension, layout.dimension):
-            raise ValueError(
-                f"matrix shape {data.shape} does not match layout dimension "
-                f"{layout.dimension}"
-            )
+        dim = layout.dimension
+        if data.shape not in ((dim,), (dim, dim)):
+            raise ValueError(f"operator shape {data.shape} does not match layout "
+                             f"dimension {dim}")
         self.layout = layout
         self.data = data
-        self.diagonal = bool(diagonal)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, layout: HilbertLayout) -> "Operator":
-        return cls(layout, np.eye(layout.dimension, dtype=complex), diagonal=True)
+        return cls(layout, np.ones(layout.dimension, dtype=complex))
 
     @classmethod
     def zero(cls, layout: HilbertLayout) -> "Operator":
-        return cls(layout, np.zeros((layout.dimension,) * 2, dtype=complex), diagonal=True)
+        return cls(layout, np.zeros(layout.dimension, dtype=complex))
 
     @classmethod
     def from_diagonal(cls, layout: HilbertLayout, diag) -> "Operator":
-        diag = np.asarray(diag, dtype=complex)
+        diag = np.array(diag, dtype=complex)
         if diag.shape != (layout.dimension,):
             raise ValueError("diagonal length does not match layout dimension")
-        return cls(layout, np.diag(diag), diagonal=True)
+        return cls(layout, diag)
 
     # -- storage ------------------------------------------------------
 
+    @property
+    def diagonal(self) -> bool:
+        """True for the diagonal storage kind."""
+        return self.data.ndim == 1
+
     def toarray(self) -> np.ndarray:
-        return np.array(self.data)
+        return np.diag(self.data) if self.diagonal else np.array(self.data)
 
     def diag(self) -> np.ndarray:
-        return np.diagonal(self.data).copy()
+        return self.data.copy() if self.diagonal else np.diagonal(self.data).copy()
 
     # -- algebra ------------------------------------------------------
 
@@ -295,31 +301,38 @@ class Operator:
         if self.layout != other.layout:
             raise ValueError("operators live on different layouts")
 
-    def __add__(self, other: "Operator") -> "Operator":
+    def _same_kind(self, other: "Operator") -> tuple[np.ndarray, np.ndarray]:
+        """Both operands' arrays, the diagonal one written out when the kinds differ."""
         self._check_layout(other)
-        return Operator(self.layout, self.data + other.data,
-                        diagonal=self.diagonal and other.diagonal)
+        if self.diagonal == other.diagonal:
+            return self.data, other.data
+        return tuple(np.diag(op.data) if op.diagonal else op.data for op in (self, other))
+
+    def __add__(self, other: "Operator") -> "Operator":
+        a, b = self._same_kind(other)
+        return Operator(self.layout, a + b)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._check_layout(other)
-        return Operator(self.layout, self.data - other.data,
-                        diagonal=self.diagonal and other.diagonal)
+        a, b = self._same_kind(other)
+        return Operator(self.layout, a - b)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.layout, -self.data, diagonal=self.diagonal)
+        return Operator(self.layout, -self.data)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.layout, self.data * complex(scalar), diagonal=self.diagonal)
+        return Operator(self.layout, self.data * complex(scalar))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_layout(other)
-        return Operator(self.layout, self.data @ other.data,
-                        diagonal=self.diagonal and other.diagonal)
+        a, b = self.data, other.data
+        if self.diagonal:
+            return Operator(self.layout, a * b if other.diagonal else a[:, None] * b)
+        return Operator(self.layout, a * b[None, :] if other.diagonal else a @ b)
 
     def dag(self) -> "Operator":
-        return Operator(self.layout, self.data.conj().T, diagonal=self.diagonal)
+        return Operator(self.layout, self.data.conj().T)  # .T leaves a vector as is
 
     def commutator(self, other: "Operator") -> "Operator":
         return self @ other - other @ self
@@ -376,6 +389,8 @@ def inner(x: StateVector, y: StateVector) -> complex:
 
 def apply(a: Operator, x: StateVector) -> StateVector:
     _check_same_layout(a, x)
+    if a.diagonal:
+        return StateVector(x.layout, a.data * x.amplitudes)
     return StateVector(x.layout, a.data @ x.amplitudes)
 
 

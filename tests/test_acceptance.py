@@ -4,14 +4,16 @@ Each test prints a single PASS/FAIL line (visible with pytest -s or in
 failure output) and then asserts, so the suite doubles as a checklist.
 """
 
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import monofield as mf
 from monofield.algebra import full_commutator_reference, interior_indices
-from monofield.cli import main
+from monofield.cli import load_config, main
 from monofield.emission import EXCITED
 
 
@@ -229,3 +231,51 @@ def test_criterion_10_cli_determinism(tmp_path):
         for name in produced:
             identical &= (out_a / name).read_bytes() == (out_b / name).read_bytes()
     report(10, identical, "repeated runs byte-identical for fixed configs")
+
+
+def test_vacuum_energy_stays_finite_on_a_large_box(tmp_path):
+    """vacuum-energy on the max_index 3 box (684 modes, nmax 4, D = 3420).
+
+    Every zero-photon state has an energy of at most half the largest mode
+    energy, while the standard scheme's contrast sums half of every mode
+    energy.  The operators are diagonal vectors: one dense D x D operator
+    alone would take 187 MB, so the memory bound shows that none is built.
+    """
+    box = {"edge": 2.0, "max_index": 3}
+    cfg_doc = {"box": box, "nmax": 4, "field": {"hbar": 0.8}}
+    n_modes = 2 * (7 ** 3 - 1)
+    rng = np.random.default_rng(7)
+    states = [{"label": f"random_{i}",
+               "weights": [[float(re), float(im)] for re, im in rng.normal(size=(n_modes, 2))]}
+              for i in range(3)]
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps(cfg_doc))
+    cfg, _ = load_config(probe)
+    omegas = np.array([m.omega for m in cfg.modes])
+    top = int(np.argmax(omegas))
+    states.append({"label": "single_mode",
+                   "weights": [1.0 if k == top else 0.0 for k in range(n_modes)]})
+    config = tmp_path / "box.json"
+    config.write_text(json.dumps({**cfg_doc, "states": states}))
+
+    tracemalloc.start()
+    try:
+        rc = main(["vacuum-energy", "--config", str(config), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    with open(tmp_path / "vacuum.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    half_max = 0.5 * 0.8 * omegas.max()
+    energies = [float(r["energy"]) for r in rows]
+    contrasts = {float(r["standard_vacuum_energy"]) for r in rows}
+    assert len(contrasts) == 1
+    contrast = contrasts.pop()
+    assert contrast == pytest.approx(0.5 * 0.8 * omegas.sum(), rel=1e-12)
+    assert [r["is_vacuum"] for r in rows] == ["true"] * 4
+    assert energies[-1] == pytest.approx(half_max, rel=1e-12)
+    bound_ok = all(e <= half_max * (1 + 1e-12) for e in energies)
+    report("vacuum-box", bound_ok and contrast > max(energies) and peak < 64e6,
+           f"{len(rows)} states at most {max(energies):.6g} <= {half_max:.6g}; "
+           f"standard contrast {contrast:.6g}; tracemalloc peak {peak / 1e6:.1f} MB")

@@ -94,6 +94,7 @@ class TestConfigParsing:
         ("emission", "config_emission.json", {"couplings": [0.001, 0.002, 1e300]}),
         ("emission", "config_emission.json", {"field": {"hbar": 1e-300}}),
         ("emission", "config_emission.json", {"times": [1e300]}),
+        ("emission", "config_emission.json", {"times": [1e10]}),
         ("vacuum-energy", "config_vac.json",
          replaced("config_vac.json", ["states", 2, "alphas"], [1e300, 0])),
         ("vacuum-energy", "config_vac.json",
@@ -109,7 +110,7 @@ class TestConfigParsing:
             "nmax_bool", "single_coupling", "emission_abstract_modes",
             "field_sweep_abstract_modes", "tolerance_string", "tolerance_null",
             "states_not_list", "weights_not_list", "duplicate_mode", "modes_string",
-            "modes_empty", "initial_top_rung", "coupling_huge", "hbar_tiny", "time_huge",
+            "modes_empty", "initial_top_rung", "coupling_huge", "hbar_tiny", "time_huge", "time_quadrature",
             "alpha_huge", "weight_huge", "jc_omega0_huge", "jc_dipole_tiny",
             "emission_time_zero", "tolerance_zero", "tolerance_negative"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, base, change):

@@ -152,3 +152,17 @@ class TestHelpers:
         for k in range(3):
             want[k * b:(k + 1) * b, k * b:(k + 1) * b] = blocks[k]
         assert np.array_equal(sector_sum(layout, blocks), want)
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_ladder_constructors_match_kron_form(self, box, with_atom):
+        """mode_annihilator and ladder write one lowering block per sector;
+        the dense kron(selector, a) lifted over the atom is the oracle."""
+        layout = mf.build_layout(box.modes[:6], box.nmax, with_atom=with_atom)
+        a = mf.fock_lowering(layout.nmax)
+        for k in range(layout.n_modes):
+            selector = np.zeros((layout.n_modes,) * 2, dtype=complex)
+            selector[k, k] = 1.0
+            assert_same_entries(mf.mode_annihilator(layout, k).toarray(),
+                                lift_over_atom(layout, np.kron(selector, a)))
+        assert_same_entries(mf.ladder(layout).toarray(), lift_over_atom(
+            layout, np.kron(np.eye(layout.n_modes, dtype=complex), a)))
