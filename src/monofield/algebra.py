@@ -51,52 +51,18 @@ def fock_lowering(nmax: int) -> np.ndarray:
     return a
 
 
-def lift_over_atom(layout, field_part: np.ndarray) -> np.ndarray:
-    """Extend a field-sector matrix or diagonal over the atom factor.
-
-    With an atom the atom level is the slowest axis, so a matrix m becomes
-    kron(1_2, m) and a diagonal d becomes (d, d); without one it is
-    returned as is.  Works for any layout with a ``has_atom`` flag.
-    """
-    if not layout.has_atom:
-        return field_part
-    if field_part.ndim == 1:
-        return np.tile(field_part, 2)
-    f = field_part.shape[0]
-    out = np.zeros((2 * f, 2 * f), dtype=complex)
-    out[:f, :f] = out[f:, f:] = field_part
-    return out
-
-
-def sector_sum(layout: HilbertLayout, blocks: np.ndarray) -> np.ndarray:
-    """Field-space matrix with blocks[k] on mode k's (nmax+1)-square diagonal block.
-
-    This is a mode sum sum_k |k><k| (x) blocks[k], written in one strided
-    update instead of M dense field_dim-square additions.  The blocks
-    are added onto zeros, so every entry is what a running sum over the
-    modes gives, down to the sign of zeros.
-    """
-    m, b = layout.n_modes, layout.fock_dim
-    out = np.zeros((layout.field_dim,) * 2, dtype=complex)
-    idx = np.arange(m)
-    out.reshape(m, b, m, b)[idx, :, idx, :] += blocks
-    return out
-
-
 def ladder(layout: HilbertLayout) -> Operator:
     """Lowering operator on the shared Fock factor (identity on mode labels)."""
-    b = layout.fock_dim
-    blocks = np.broadcast_to(fock_lowering(layout.nmax), (layout.n_modes, b, b))
-    return Operator(layout, lift_over_atom(layout, sector_sum(layout, blocks)))
+    return Operator(layout, layout.place(layout.on_each_level(fock_lowering(layout.nmax))))
 
 
 def _sector_diagonal(layout: HilbertLayout, k: int, values) -> Operator:
     """Diagonal operator with ``values`` on mode k's sector (per n), zero elsewhere."""
     if not 0 <= k < layout.n_modes:
         raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
-    d = np.zeros(layout.field_dim)
-    d[k * layout.fock_dim:(k + 1) * layout.fock_dim] = values
-    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
+    d = np.zeros(layout.dimension)
+    layout.view(d)[:, k] = values
+    return Operator.from_diagonal(layout, d)
 
 
 def mode_projector(layout: HilbertLayout, k: int) -> Operator:
@@ -107,17 +73,13 @@ def mode_projector(layout: HilbertLayout, k: int) -> Operator:
 def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
     """Sector projector |k><k| tensor the Fock lowering operator.
 
-    The lowering block is written onto zeros at mode k's sector, once per
-    atom level, which is the kron(|k><k|, a) lifted over the atom entry
-    for entry.
+    Only mode k's block is written, so the pages of the lazily zeroed
+    D x D array outside it are never touched.
     """
     if not 0 <= k < layout.n_modes:
         raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
-    b = layout.fock_dim
-    a = np.zeros((layout.dimension,) * 2, dtype=complex)
-    for lo in range(k * b, layout.dimension, layout.field_dim):
-        a[lo:lo + b, lo:lo + b] = fock_lowering(layout.nmax)
-    return Operator(layout, a)
+    block = layout.on_each_level(fock_lowering(layout.nmax))
+    return Operator(layout, layout.place(block, modes=k))
 
 
 def number_operator(layout: HilbertLayout, k: int) -> Operator:
@@ -127,14 +89,7 @@ def number_operator(layout: HilbertLayout, k: int) -> Operator:
 
 def frequency_operator(layout: HilbertLayout) -> Operator:
     """Diagonal operator with eigenvalue omega_k on every |k, n> ket."""
-    d = np.repeat(layout.omegas, layout.fock_dim)
-    return Operator.from_diagonal(layout, lift_over_atom(layout, d))
-
-
-def _spectral_field_diag(layout: HilbertLayout) -> np.ndarray:
-    """Diagonal omega_k*(n + 1/2) from the closed-form spectrum."""
-    halves = np.arange(layout.fock_dim) + 0.5
-    return np.outer(layout.omegas, halves).ravel()
+    return Operator.from_diagonal(layout, layout.flat(layout.omegas[:, None]))
 
 
 def hamiltonian(layout: HilbertLayout, config: FieldConfig | None = None) -> Operator:
@@ -146,7 +101,8 @@ def hamiltonian(layout: HilbertLayout, config: FieldConfig | None = None) -> Ope
     if layout.has_atom:
         raise ValueError("free-field hamiltonian requires a layout without atom factor")
     hbar = (config or FieldConfig()).hbar
-    return Operator.from_diagonal(layout, hbar * _spectral_field_diag(layout))
+    halves = np.arange(layout.fock_dim) + 0.5
+    return Operator.from_diagonal(layout, layout.flat(hbar * np.outer(layout.omegas, halves)))
 
 
 def hamiltonian_from_frequency_operator(layout: HilbertLayout,
@@ -160,7 +116,7 @@ def hamiltonian_from_frequency_operator(layout: HilbertLayout,
         raise ValueError("free-field hamiltonian requires a layout without atom factor")
     hbar = (config or FieldConfig()).hbar
     sym = 0.5 * _ladder_symmetric_diag(layout.nmax)
-    return Operator.from_diagonal(layout, hbar * np.outer(layout.omegas, sym).ravel())
+    return Operator.from_diagonal(layout, layout.flat(hbar * np.outer(layout.omegas, sym)))
 
 
 def _ladder_symmetric_diag(nmax: int) -> np.ndarray:
@@ -184,8 +140,8 @@ def hamiltonian_from_mode_ladders(layout: HilbertLayout,
         raise ValueError("free-field hamiltonian requires a layout without atom factor")
     hbar = (config or FieldConfig()).hbar
     scale = 0.5 * hbar * layout.omegas
-    return Operator.from_diagonal(
-        layout, np.outer(scale, _ladder_symmetric_diag(layout.nmax)).ravel())
+    sym = _ladder_symmetric_diag(layout.nmax)
+    return Operator.from_diagonal(layout, layout.flat(np.outer(scale, sym)))
 
 
 def _require_field_modes(layout: HilbertLayout, what: str):
@@ -200,11 +156,8 @@ def momentum(layout: HilbertLayout,
     _require_field_modes(layout, "momentum")
     hbar = (config or FieldConfig()).hbar
     halves = np.arange(layout.fock_dim) + 0.5
-    comps = []
-    for i in range(3):
-        d = np.outer(layout.kappas[:, i], halves).ravel()
-        comps.append(Operator.from_diagonal(layout, hbar * lift_over_atom(layout, d)))
-    return tuple(comps)
+    return tuple(Operator.from_diagonal(layout, layout.flat(hbar * np.outer(kappa, halves)))
+                 for kappa in layout.kappas.T)
 
 
 def momentum_from_mode_ladders(layout: HilbertLayout,
@@ -218,16 +171,13 @@ def momentum_from_mode_ladders(layout: HilbertLayout,
     _require_field_modes(layout, "momentum")
     hbar = (config or FieldConfig()).hbar
     sym = 0.5 * _ladder_symmetric_diag(layout.nmax)
-    comps = []
-    for i in range(3):
-        d = np.outer(hbar * layout.kappas[:, i], sym).ravel()
-        comps.append(Operator.from_diagonal(layout, lift_over_atom(layout, d)))
-    return tuple(comps)
+    return tuple(Operator.from_diagonal(layout, layout.flat(np.outer(hbar * kappa, sym)))
+                 for kappa in layout.kappas.T)
 
 
 def _interior_mask(layout: HilbertLayout) -> np.ndarray:
     """Boolean mask over flat indices: photon number n <= nmax - 1."""
-    return np.arange(layout.dimension) % layout.fock_dim < layout.nmax
+    return layout.flat(np.arange(layout.fock_dim) < layout.nmax)
 
 
 def interior_indices(layout: HilbertLayout) -> np.ndarray:

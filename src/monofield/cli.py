@@ -57,6 +57,7 @@ from .hilbert import (
     superposition,
 )
 from .standard import (
+    MAX_MODES,
     MAX_NMAX,
     compare_report,
     jc_excited_population,
@@ -334,7 +335,7 @@ def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int
     h = hamiltonian(layout, cfg.field)
     propagating = all(not m.abstract for m in cfg.modes)
     p_ops = momentum(layout, cfg.field) if propagating else None
-    std_layout_ok = layout.n_modes <= 4
+    std_layout_ok = layout.n_modes <= MAX_MODES
     contrast = standard_vacuum_energy(
         build_standard_layout(cfg.modes, cfg.standard_nmax), cfg.field) \
         if std_layout_ok else 0.5 * cfg.field.hbar * float(np.sum(layout.omegas))
@@ -483,7 +484,7 @@ def cmd_compare_standard(cfg: RunConfig, outdir: Path, tol: float | None, seed: 
             spec = spectrum(h, cfg.field.hbar)
             for t in np.linspace(0.0, horizon, 101):
                 psi = spec.evolve(psi0, float(t))
-                pop = float(np.sum(np.abs(psi.amplitudes[layout.field_dim:]) ** 2))
+                pop = float(np.sum(np.abs(layout.view(psi.amplitudes)[EXCITED]) ** 2))
                 ref = jc_excited_population(cfg.atom, g, 0, float(t), detuning)
                 dev = max(dev, abs(pop - ref))
         except (ValueError, OverflowError) as exc:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import fock_lowering, hamiltonian, lift_over_atom
+from .algebra import fock_lowering, hamiltonian
 from .dynamics import resonance_kernel
 from .fields import polarization
 from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector
@@ -94,18 +94,19 @@ def _require_atom(layout: HilbertLayout):
         raise ValueError("layout has no atom factor")
 
 
+def _raise_atom(field_block: np.ndarray) -> np.ndarray:
+    """(atom, n)-square block of sigma+ tensor ``field_block``: excited rows, ground columns."""
+    return np.kron([[0.0, 0.0], [1.0, 0.0]], field_block)
+
+
 def sigma3(layout: HilbertLayout) -> Operator:
     _require_atom(layout)
-    d = np.concatenate([-np.ones(layout.field_dim), np.ones(layout.field_dim)])
-    return Operator.from_diagonal(layout, d)
+    return Operator.from_diagonal(layout, layout.flat(np.array([-1.0, 1.0])[:, None, None]))
 
 
 def sigma_plus(layout: HilbertLayout) -> Operator:
     _require_atom(layout)
-    m = np.zeros((layout.dimension,) * 2, dtype=complex)
-    f = layout.field_dim
-    m[f:, :f] = np.eye(f)
-    return Operator(layout, m)
+    return Operator(layout, layout.place(_raise_atom(np.eye(layout.fock_dim))))
 
 
 def sigma_minus(layout: HilbertLayout) -> Operator:
@@ -116,11 +117,11 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
                                config: FieldConfig) -> Operator:
     """Uncoupled part: atom splitting plus the spectral field Hamiltonian."""
     _require_atom(layout)
-    field_diag = hamiltonian(layout.without_atom(), config).diag().real
-    d = lift_over_atom(layout, field_diag)
-    d[:layout.field_dim] -= 0.5 * config.hbar * atom.omega0
-    d[layout.field_dim:] += 0.5 * config.hbar * atom.omega0
-    return Operator.from_diagonal(layout, d)
+    field = layout.without_atom()
+    # ground level minus, excited level plus half the splitting
+    split = 0.5 * config.hbar * atom.omega0 * np.array([-1.0, 1.0])[:, None, None]
+    field_diag = field.view(hamiltonian(field, config).diag().real)
+    return Operator.from_diagonal(layout, layout.flat(field_diag + split))
 
 
 def _mode_couplings(layout: HilbertLayout, atom: AtomParams,
@@ -133,22 +134,21 @@ def _coupling_assembler(layout: HilbertLayout, atom: AtomParams,
                         config: FieldConfig) -> Callable[[np.ndarray], np.ndarray]:
     """gs -> hbar*omega0*d * sum_k (gs_k a_k sigma+ + h.c.) as a dense matrix.
 
-    a_k sigma+ maps ground to excited, so mode k's lowering block, scaled by
-    gs_k, sits in the excited-row/ground-column quadrant and its adjoint in
-    the other one.  The positions of the sqrt(n) entries are found once;
-    each call adds gs_k*sqrt(n) onto zeros there, which is the sector sum
-    of the scaled blocks down to the sign of zeros.
+    Mode k's block of a_k sigma+ is its lowering block in the excited-row/
+    ground-column quadrant, scaled by gs_k.  The positions of the sqrt(n)
+    entries are taken once from the layout's block placement; each call
+    adds gs_k*sqrt(n) there and its conjugate at the transposed positions
+    onto zeros, the sector sum of the scaled blocks down to the sign of zeros.
     """
-    m, b, f = layout.n_modes, layout.fock_dim, layout.field_dim
-    lowering = fock_lowering(layout.nmax)
-    block_rows, block_cols = np.nonzero(lowering)
-    mode = np.repeat(np.arange(m), block_rows.size)
-    cols = mode * b + np.tile(block_cols, m)
-    rows = f + mode * b + np.tile(block_rows, m)
-    sqrt_n = np.tile(lowering[block_rows, block_cols], m)
+    block = _raise_atom(fock_lowering(layout.nmax))
+    block_rows, block_cols = np.nonzero(block)
+    positions = layout.block_positions
+    lower = positions[:, block_rows, block_cols].ravel()
+    upper = positions[:, block_cols, block_rows].ravel()
+    mode = np.repeat(np.arange(layout.n_modes), block_rows.size)
+    sqrt_n = np.tile(block[block_rows, block_cols], layout.n_modes)
     scale = config.hbar * atom.omega0 * atom.d
     dim = layout.dimension
-    lower, upper = rows * dim + cols, cols * dim + rows  # flat positions
 
     def assemble(gs: np.ndarray) -> np.ndarray:
         entries = gs[mode] * sqrt_n
@@ -244,18 +244,20 @@ def first_order_emission(initial: StateVector, atom: AtomParams,
     """
     layout = initial.layout
     _require_atom(layout)
-    ground_norm = float(np.linalg.norm(initial.amplitudes[:layout.field_dim]))
+    amps = layout.view(initial.amplitudes)
+    ground_norm = float(np.linalg.norm(amps[GROUND]))
     if ground_norm > ground_tol:
         raise ValueError(
             f"initial state has ground-atom components (norm {ground_norm:.3e}); "
             "first-order emission starts from the excited sector"
         )
+    excited = amps[EXCITED].tolist()
     records = []
     for k, m in enumerate(layout.modes):
         g_conj = np.conj(coupling(m, atom, config))
         kernel = resonance_kernel(atom.omega0 - m.omega, t)
         for n in range(layout.nmax):
-            psi = initial.amplitude(k, n, EXCITED)
+            psi = excited[k][n]
             amp = atom.omega0 * atom.d * kernel * psi * math.sqrt(n + 1) * g_conj
             records.append(EmissionRecord(
                 mode_index=k, mode=m, n_initial=n, amplitude=complex(amp),
@@ -268,8 +270,9 @@ def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfi
     """Interaction-picture state through first order (not normalized)."""
     amps = first_order_emission(initial, atom, config, t)
     out = initial.amplitudes.copy()
+    ground = initial.layout.view(out)[GROUND]
     for r in amps.records:
-        out[initial.layout.flatten(r.mode_index, r.n_initial + 1, GROUND)] += r.amplitude
+        ground[r.mode_index, r.n_initial + 1] += r.amplitude
     return StateVector(initial.layout, out)
 
 
@@ -294,7 +297,7 @@ def vacuum_subspace_check(state: StateVector, config: FieldConfig | None = None,
     """
     cfg = config or FieldConfig()
     layout = state.layout
-    amps = state.amplitudes.reshape(-1, layout.n_modes, layout.fock_dim)
+    amps = layout.view(state.amplitudes)
     worst = float(np.max(np.abs(amps[:, :, 1:])))
     energy = np.sum(0.5 * cfg.hbar * layout.omegas * np.abs(amps[:, :, 0]) ** 2)
     return VacuumCheck(is_vacuum=bool(worst < tol), field_energy=float(energy),

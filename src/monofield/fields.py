@@ -18,13 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    fock_lowering,
-    hamiltonian_from_mode_ladders,
-    lift_over_atom,
-    momentum_from_mode_ladders,
-    sector_sum,
-)
+from .algebra import fock_lowering, hamiltonian_from_mode_ladders, momentum_from_mode_ladders
 from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, expect,
                       load_mode_set, parse_complex, read_json)
 
@@ -128,12 +122,8 @@ def _assemble(layout: HilbertLayout, weights: np.ndarray) -> tuple[Operator, Ope
     """
     a = fock_lowering(layout.nmax)
     ad = a.conj().T
-    comps = []
-    for i in range(3):
-        w = weights[:, i, None, None]
-        blocks = w * a + np.conj(w) * ad
-        comps.append(Operator(layout, lift_over_atom(layout, sector_sum(layout, blocks))))
-    return tuple(comps)
+    return tuple(Operator(layout, layout.place(layout.on_each_level(w * a + np.conj(w) * ad)))
+                 for w in weights.T[:, :, None, None])
 
 
 def vector_potential(layout: HilbertLayout, config: FieldConfig, t: float,
@@ -303,7 +293,7 @@ def coherent_state(layout: HilbertLayout, spec: CoherentSpec,
     # each row's norm summed like np.linalg.norm of that row
     norms = np.sqrt([c.real.dot(c.real) + c.imag.dot(c.imag) for c in cols])
     weights = np.array(spec.weights, dtype=complex)
-    return StateVector(layout, (weights[:, None] * (cols / norms[:, None])).ravel())
+    return StateVector(layout, layout.flat(weights[:, None] * (cols / norms[:, None])))
 
 
 # -- averages -----------------------------------------------------------

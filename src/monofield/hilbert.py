@@ -10,6 +10,10 @@ Flat index convention (fixed, so serialized matrices are reproducible):
 atom level is the slowest axis, then mode index, then photon number::
 
     flat = atom * M*(nmax+1) + k * (nmax+1) + n
+
+:class:`HilbertLayout` is the one owner of this order: other modules reach
+states and diagonals through its (atom levels, modes, n) ``view``/``flat``
+and build matrices with ``place``, one (atom, n)-square block per mode.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -148,8 +153,13 @@ class HilbertLayout:
         return self.n_modes * self.fock_dim
 
     @property
+    def levels(self) -> int:
+        """Length of the atom axis of :meth:`view`: 2 with the atom, else 1."""
+        return max(1, self.atom_levels)
+
+    @property
     def dimension(self) -> int:
-        return self.field_dim * max(1, self.atom_levels)
+        return self.field_dim * self.levels
 
     @property
     def has_atom(self) -> bool:
@@ -182,6 +192,45 @@ class HilbertLayout:
         atom, rest = divmod(i, self.field_dim)
         k, n = divmod(rest, self.fock_dim)
         return k, n, atom
+
+    def view(self, values: np.ndarray) -> np.ndarray:
+        """The (atom levels, modes, n) view of a length-D state or diagonal;
+        writing through it writes the flat array."""
+        return values.reshape(self.levels, self.n_modes, self.fock_dim)
+
+    def flat(self, values) -> np.ndarray:
+        """New length-D array whose :meth:`view` is ``values``, broadcast."""
+        values = np.asarray(values)
+        out = np.empty(self.dimension, dtype=values.dtype)
+        self.view(out)[...] = values
+        return out
+
+    @cached_property
+    def block_positions(self) -> np.ndarray:
+        """Flat D x D positions of every mode's block, shape (M, A*b, A*b): the
+        mode's kets in (atom, n) order, A = :attr:`levels`.  Read-only."""
+        kets = self.field_dim * np.arange(self.levels)[:, None] + np.arange(self.fock_dim)
+        index = self.fock_dim * np.arange(self.n_modes)[:, None] + kets.ravel()
+        positions = self.dimension * index[:, :, None] + index[:, None, :]
+        positions.setflags(write=False)
+        return positions
+
+    def on_each_level(self, field_blocks: np.ndarray) -> np.ndarray:
+        """Mode blocks that act as the (nmax+1)-square ``field_blocks`` on every atom level."""
+        return field_blocks if self.levels == 1 else np.kron(np.eye(self.levels), field_blocks)
+
+    def place(self, blocks: np.ndarray, modes=None) -> np.ndarray:
+        """D x D matrix with blocks[i] on the block of mode modes[i], zero elsewhere.
+
+        ``modes`` defaults to every mode; only the listed modes' blocks are
+        written.  The blocks (see :attr:`block_positions`) are added onto
+        zeros, so every entry is what a running sum over the modes gives,
+        down to the sign of zeros.
+        """
+        positions = self.block_positions if modes is None else self.block_positions[modes]
+        out = np.zeros(self.dimension ** 2, dtype=complex)
+        out[positions] += blocks
+        return out.reshape(self.dimension, self.dimension)
 
     def without_atom(self) -> "HilbertLayout":
         return HilbertLayout(self.modes, self.nmax, 0)

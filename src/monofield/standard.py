@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import fock_lowering, lift_over_atom
+from .algebra import fock_lowering, mode_annihilator
 from .dynamics import resonance_kernel
-from .emission import AtomParams, coupling
-from .hilbert import FieldConfig, ModeLabel
+from .emission import EXCITED, AtomParams, coupling, first_order_emission
+from .hilbert import FieldConfig, ModeLabel, build_layout, superposition
 
 __all__ = [
     "MAX_MODES",
@@ -119,7 +119,8 @@ def standard_mode_annihilator(layout: StandardLayout, k: int) -> np.ndarray:
     eye = np.eye(layout.fock_dim, dtype=complex)
     mats = [eye] * layout.n_modes
     mats[k] = fock_lowering(layout.nmax)
-    return lift_over_atom(layout, reduce(np.kron, mats))
+    field = reduce(np.kron, mats)
+    return np.kron(np.eye(2), field) if layout.has_atom else field
 
 
 def standard_hamiltonian(layout: StandardLayout,
@@ -131,7 +132,7 @@ def standard_hamiltonian(layout: StandardLayout,
         eye_diag = [np.ones(layout.fock_dim)] * layout.n_modes
         eye_diag[k] = np.arange(layout.fock_dim) + 0.5
         diag += hbar * m.omega * reduce(np.kron, eye_diag)
-    return np.diag(lift_over_atom(layout, diag).astype(complex))
+    return np.diag(np.tile(diag, max(1, layout.atom_levels)).astype(complex))
 
 
 def standard_vacuum_energy(layout: StandardLayout,
@@ -206,10 +207,6 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
                      weights: Sequence[complex] | None = None,
                      seed: int = 0, n_vacuum_samples: int = 5) -> dict:
     """Summary of the single-oscillator scheme for the comparison report."""
-    from .algebra import mode_annihilator
-    from .emission import EXCITED, first_order_emission
-    from .hilbert import build_layout, superposition
-
     layout = build_layout(modes, nmax)
     hbar = config.hbar
     omegas = layout.omegas
@@ -259,7 +256,9 @@ def standard_scheme_run(modes: Sequence[ModeLabel], nmax: int, config: FieldConf
         a0 = standard_mode_annihilator(layout, 0)
         a1 = standard_mode_annihilator(layout, 1)
         vac = layout.basis_state([0] * layout.n_modes)
-        cross = float(np.linalg.norm(a0.conj().T @ (a1.conj().T @ vac)))
+        # a^dag v = conj(a^T conj(v)); for the real vacuum the conjugations
+        # leave the norm alone, so no conjugate-transposed copy is built
+        cross = float(np.linalg.norm(a0.T @ (a1.T @ vac)))
     run = {
         "scheme": "standard",
         "dimension": layout.dimension,

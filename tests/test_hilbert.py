@@ -86,6 +86,7 @@ class TestBuildLayout:
                 for a in range(2 if atom else 1):
                     i = layout.flatten(k, n, a)
                     assert layout.unflatten(i) == (k, n, a)
+                    assert layout.view(np.arange(layout.dimension))[a, k, n] == i
                     seen.add(i)
         assert seen == set(range(layout.dimension))
 

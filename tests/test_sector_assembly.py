@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import monofield as mf
-from monofield.algebra import lift_over_atom, sector_sum
 from monofield.cli import load_config
 from monofield.emission import sigma_plus
 from monofield.fields import _mode_weights
@@ -132,37 +131,38 @@ class TestRwaCoupling:
 
 
 class TestHelpers:
-    def test_lift_over_atom_is_kron(self, rng):
-        layout = mf.build_layout([mf.abstract_mode(1.0), mf.abstract_mode(2.0)], 2,
+    @pytest.mark.parametrize("modes", [None, [2, 0]], ids=["all_modes", "mode_subset"])
+    def test_place_matches_per_entry_loop(self, rng, modes):
+        """blocks[i][(atom, n), (atom', n')] lands on |k, n, atom><k, n', atom'|
+        for k = modes[i] (every mode by default), added onto zeros; nothing
+        else is written."""
+        layout = mf.build_layout([mf.abstract_mode(w) for w in (1.0, 2.0, 3.0)], 2,
                                  with_atom=True)
-        f = layout.field_dim
-        m = rng.normal(size=(f, f)) + 1j * rng.normal(size=(f, f))
-        d = rng.normal(size=f)
-        assert np.array_equal(lift_over_atom(layout, m),
-                              np.kron(np.eye(2), m))
-        assert np.array_equal(lift_over_atom(layout, d), np.tile(d, 2))
-        bare = layout.without_atom()
-        assert lift_over_atom(bare, m) is m
-
-    def test_sector_sum_places_blocks(self, rng):
-        layout = mf.build_layout([mf.abstract_mode(w) for w in (1.0, 2.0, 3.0)], 2)
-        b = layout.fock_dim
-        blocks = rng.normal(size=(3, b, b)) + 1j * rng.normal(size=(3, b, b))
-        want = np.zeros((layout.field_dim,) * 2, dtype=complex)
-        for k in range(3):
-            want[k * b:(k + 1) * b, k * b:(k + 1) * b] = blocks[k]
-        assert np.array_equal(sector_sum(layout, blocks), want)
+        targets = modes or range(layout.n_modes)
+        b, size = layout.fock_dim, 2 * layout.fock_dim
+        shape = (len(targets), size, size)
+        blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        blocks[0, 0, 0] = -0.0
+        want = np.zeros((layout.dimension,) * 2, dtype=complex)
+        for block, k in zip(blocks, targets):
+            for row in range(size):
+                for col in range(size):
+                    r = layout.flatten(k, row % b, row // b)
+                    c = layout.flatten(k, col % b, col // b)
+                    want[r, c] += block[row, col]
+        assert_same_entries(layout.place(blocks, modes=modes), want)
 
     @pytest.mark.parametrize("with_atom", [False, True])
     def test_ladder_constructors_match_kron_form(self, box, with_atom):
         """mode_annihilator and ladder write one lowering block per sector;
-        the dense kron(selector, a) lifted over the atom is the oracle."""
+        the dense kron(1_atom, selector, a) is the oracle."""
         layout = mf.build_layout(box.modes[:6], box.nmax, with_atom=with_atom)
         a = mf.fock_lowering(layout.nmax)
+        atom = np.eye(2 if with_atom else 1, dtype=complex)
         for k in range(layout.n_modes):
             selector = np.zeros((layout.n_modes,) * 2, dtype=complex)
             selector[k, k] = 1.0
             assert_same_entries(mf.mode_annihilator(layout, k).toarray(),
-                                lift_over_atom(layout, np.kron(selector, a)))
-        assert_same_entries(mf.ladder(layout).toarray(), lift_over_atom(
-            layout, np.kron(np.eye(layout.n_modes, dtype=complex), a)))
+                                np.kron(atom, np.kron(selector, a)))
+        assert_same_entries(mf.ladder(layout).toarray(), np.kron(
+            atom, np.kron(np.eye(layout.n_modes, dtype=complex), a)))
