@@ -51,9 +51,14 @@ def fock_lowering(nmax: int) -> np.ndarray:
     return a
 
 
+def _lowering_block(layout: HilbertLayout) -> np.ndarray:
+    """One mode's (atom, n)-square block of the Fock lowering operator."""
+    return layout.on_each_level(fock_lowering(layout.nmax))
+
+
 def ladder(layout: HilbertLayout) -> Operator:
     """Lowering operator on the shared Fock factor (identity on mode labels)."""
-    return Operator(layout, layout.place(layout.on_each_level(fock_lowering(layout.nmax))))
+    return Operator(layout, np.broadcast_to(_lowering_block(layout), layout.block_shape))
 
 
 def _sector_diagonal(layout: HilbertLayout, k: int, values) -> Operator:
@@ -71,15 +76,13 @@ def mode_projector(layout: HilbertLayout, k: int) -> Operator:
 
 
 def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
-    """Sector projector |k><k| tensor the Fock lowering operator.
-
-    Only mode k's block is written, so the pages of the lazily zeroed
-    D x D array outside it are never touched.
-    """
+    """Sector projector |k><k| tensor the Fock lowering operator: the
+    lowering block on mode k, zero blocks on every other mode."""
     if not 0 <= k < layout.n_modes:
         raise ValueError(f"mode index {k} out of range [0, {layout.n_modes})")
-    block = layout.on_each_level(fock_lowering(layout.nmax))
-    return Operator(layout, layout.place(block, modes=k))
+    blocks = np.zeros(layout.block_shape, dtype=complex)
+    blocks[k] = _lowering_block(layout)
+    return Operator(layout, blocks)
 
 
 def number_operator(layout: HilbertLayout, k: int) -> Operator:
@@ -207,10 +210,38 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-def _support(matrix: np.ndarray) -> np.ndarray:
-    """Mask of the indices whose row or column holds a nonzero entry."""
-    nonzero = matrix != 0
-    return nonzero.any(axis=0) | nonzero.any(axis=1)
+def _pieces(op: Operator):
+    """``op`` as (support, kets, blocks): ``op`` is the sum of blocks[i] on
+    kets[i] x kets[i] over its nonzero mode blocks (a diagonal is a stack of
+    1 x 1 blocks), and ``support`` masks those kets.  A dense operator gives
+    (support, None, matrix), its support scanned from the matrix: the
+    indices whose row or column holds a nonzero entry."""
+    data = op.data
+    if data.ndim == 2:
+        nonzero = data != 0
+        return nonzero.any(axis=0) | nonzero.any(axis=1), None, data
+    if data.ndim == 1:
+        kets = np.flatnonzero(data)[:, None]
+        blocks = data[kets[:, 0], None, None]
+    else:
+        nonzero = np.any(data != 0, axis=(1, 2))
+        kets = op.layout.block_kets[nonzero]
+        blocks = data[nonzero]
+    support = np.zeros(op.layout.dimension, dtype=bool)
+    support[kets] = True
+    return support, kets, blocks
+
+
+def _on_support(pieces, support: np.ndarray) -> np.ndarray:
+    """The matrix of a :func:`_pieces` result on the indices ``support`` masks."""
+    _, kets, data = pieces
+    if kets is None:
+        return data[np.ix_(support, support)]
+    rank = np.cumsum(support) - 1
+    out = np.zeros((np.count_nonzero(support),) * 2, dtype=complex)
+    at = rank[kets]
+    out[at[:, :, None], at[:, None, :]] = data
+    return out
 
 
 def _deviation_from_diagonal(block: np.ndarray, ref: np.ndarray, support: np.ndarray,
@@ -239,37 +270,35 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     ``annihilators`` may inject precomputed (or deliberately corrupted)
     mode operators; by default they are built from the layout.
 
-    Each pair is checked on the union of the two operators' supports (the
-    indices whose row or column holds a nonzero entry).  Outside it both
-    operators vanish, so every product there is an exact zero and every
-    product inside equals the full-space one entry for entry; the zeros
-    are proved from the operators passed in, so an operator that leaks out
-    of its sector still fails.  The cost is O(M^2) small blocks instead of
-    dense D x D products.  Annihilators with non-finite entries are
-    refused with ValueError (a full-space product would spread them as NaN
-    through 0 * inf).
+    Each pair is checked on the union of the two operators' supports: the
+    kets of their nonzero mode blocks, or for a dense operator the indices
+    whose row or column holds a nonzero entry.  Outside it both operators
+    vanish, so every product there is an exact zero and every product
+    inside equals the full-space one entry for entry; the zeros are proved
+    from the operators passed in, so a dense operator that leaks out of its
+    sector still fails.  The cost is O(M^2) small blocks instead of dense
+    D x D products.  Annihilators with non-finite entries are refused with
+    ValueError (a full-space product would spread them as NaN through 0 * inf).
     """
     m_count = layout.n_modes
     if annihilators is None:
         annihilators = [mode_annihilator(layout, k) for k in range(m_count)]
     if len(annihilators) != m_count:
         raise ValueError("need one annihilator per mode")
-    matrices = []
+    pieces = []
     for k, op in enumerate(annihilators):
         if op.layout != layout:
             raise ValueError(f"annihilator {k} lives on a different layout")
         if not np.all(np.isfinite(op.data)):
             raise ValueError(f"annihilator {k} has non-finite entries")
-        matrices.append(op.toarray() if op.diagonal else op.data)
-    supports = [_support(a) for a in matrices]
+        pieces.append(_pieces(op))
     interior = _interior_mask(layout)
     everywhere = np.ones(layout.dimension, dtype=bool)
     reports: list[AlgebraReport] = []
     for k in range(m_count):
         for l in range(m_count):
-            support = supports[k] | supports[l]
-            block = np.ix_(support, support)
-            ak, al = matrices[k][block], matrices[l][block]
+            support = pieces[k][0] | pieces[l][0]
+            ak, al = _on_support(pieces[k], support), _on_support(pieces[l], support)
             comm = ak @ al.conj().T - al.conj().T @ ak
             if k == l:
                 dev = _deviation_from_diagonal(comm, mode_projector(layout, k).diag(),

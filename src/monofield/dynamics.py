@@ -3,9 +3,11 @@
 Evolution under a time-independent Hermitian generator H goes through its
 :class:`Spectrum`: one eigendecomposition H = V diag(lambda) V^dag, after
 which exp(-i*H*t/hbar) at any time t is V diag(exp(-i*lambda*t/hbar)) V^dag.
-A generator of the diagonal storage kind (see :class:`Operator`) is its
-own eigenbasis, so its evolution is the phase vector alone, and it moves
-a diagonal operator in the Heisenberg picture to a diagonal one.
+The storage kind of the generator (see :class:`Operator`) sets the cost:
+a diagonal generator is its own eigenbasis, so its evolution is the phase
+vector alone, and it moves a diagonal operator in the Heisenberg picture
+to a diagonal one; a block generator is diagonalised by one batched
+``eigh`` over its mode blocks, and V is a block operator.
 :func:`matrix_exp` is the general Pade exponential; no evolution path
 calls it.
 """
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec
 
-from .hilbert import Operator, StateVector, apply
+from .hilbert import Operator, StateVector
 
 __all__ = [
     "resonance_kernel",
@@ -59,8 +61,9 @@ def matrix_exp(a: Operator) -> Operator:
     if a.diagonal:
         return Operator.from_diagonal(a.layout, np.exp(a.data))
     with np.errstate(over="ignore", invalid="ignore"):
-        # overflow is detected on the result and rejected below
-        result = scipy.linalg.expm(a.toarray())
+        # overflow is detected on the result and rejected below; a block
+        # stack is exponentiated block by block
+        result = scipy.linalg.expm(a.data)
     if not np.all(np.isfinite(result)):
         scale = a.max_abs()
         raise ValueError(
@@ -80,17 +83,27 @@ def _check_hermitian(h: Operator):
 class Spectrum:
     """Eigendecomposition of one Hermitian generator, reused at every time.
 
-    ``energies`` are the real eigenvalues and ``vectors`` the orthonormal
-    eigenvectors as columns; ``vectors`` is None for a generator of the
-    diagonal kind, whose eigenvalues are its diagonal in basis order.  A
-    dense step is applied as the identity plus V diag(exp(-i*lambda*t/hbar)
-    - 1) V^dag, so a short step is as accurate as it is small.
+    ``energies`` holds one real eigenvalue per basis ket and ``vectors``
+    the orthonormal eigenvectors as the columns of an operator: eigenvalue
+    i belongs to column i.  For a block generator, column i is an
+    eigenvector of the block of ket i's mode, so ``vectors`` is a block
+    operator.  ``vectors`` is None for a generator of the diagonal kind,
+    whose eigenvalues are its diagonal in basis order.  A step is applied
+    as the identity plus V diag(exp(-i*lambda*t/hbar) - 1) V^dag, so a
+    short step is as accurate as it is small.
     """
 
     generator: Operator
     hbar: float
     energies: np.ndarray = field(repr=False)
-    vectors: np.ndarray | None = field(repr=False)
+    vectors: Operator | None = field(repr=False)
+    adjoint: Operator | None = field(repr=False, init=False)
+    largest: float = field(repr=False, init=False)  # max |lambda|
+
+    def __post_init__(self):
+        adjoint = None if self.vectors is None else self.vectors.dag()
+        object.__setattr__(self, "adjoint", adjoint)
+        object.__setattr__(self, "largest", float(np.max(np.abs(self.energies))))
 
     def _angles(self, t: float) -> np.ndarray | None:
         """-i*lambda*t/hbar per eigenvalue, or None when all of them are exactly 0.
@@ -98,7 +111,7 @@ class Spectrum:
         ``eigh`` cannot overflow, so a time is refused when the largest
         phase has no digit left below 2*pi (or is not finite).
         """
-        largest = float(np.max(np.abs(self.energies))) * abs(float(t)) / self.hbar
+        largest = self.largest * abs(float(t)) / self.hbar
         if not largest < _PHASE_LIMIT:
             raise ValueError(
                 f"matrix exponential overflowed (largest phase |lambda*t/hbar| = "
@@ -116,10 +129,8 @@ class Spectrum:
             return Operator.identity(layout)
         if self.vectors is None:
             return Operator.from_diagonal(layout, np.exp(angles))
-        v = self.vectors
-        u = (v * np.expm1(angles)) @ v.conj().T
-        u[np.diag_indices_from(u)] += 1.0
-        return Operator(layout, u)
+        step = self.vectors @ Operator.from_diagonal(layout, np.expm1(angles)) @ self.adjoint
+        return step + Operator.identity(layout)
 
     def evolve(self, psi: StateVector, t: float) -> StateVector:
         """exp(-i*H*t/hbar)|psi>; ``psi`` itself when every phase is 0."""
@@ -130,20 +141,29 @@ class Spectrum:
             return psi
         if self.vectors is None:
             return StateVector(psi.layout, np.exp(angles) * psi.amplitudes)
-        v = self.vectors
-        step = v @ (np.expm1(angles) * (v.conj().T @ psi.amplitudes))
+        v, vh, phases = self.vectors.data, self.adjoint.data, np.expm1(angles)
+        if v.ndim == 2:
+            step = v @ (phases * (vh @ psi.amplitudes))
+        else:  # one gather into per-mode rows, one scatter back
+            layout = psi.layout
+            rows = layout.blocks_of(psi.amplitudes)[..., None]
+            coefficients = layout.blocks_of(phases)[..., None] * (vh @ rows)
+            step = layout.from_blocks((v @ coefficients)[..., 0])
         return StateVector(psi.layout, psi.amplitudes + step)
 
 
 def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
-    """The :class:`Spectrum` of a finite Hermitian generator ``h``."""
+    """The :class:`Spectrum` of a finite Hermitian generator ``h``; one
+    batched ``eigh`` over the blocks of a block generator."""
     if not np.all(np.isfinite(h.data)):
         raise ValueError("generator has non-finite entries")
     _check_hermitian(h)
     if h.diagonal:
         return Spectrum(h, float(hbar), h.data.real, None)
     energies, vectors = np.linalg.eigh(h.data)
-    return Spectrum(h, float(hbar), energies, vectors)
+    if h.kind == "block":
+        energies = h.layout.from_blocks(energies)
+    return Spectrum(h, float(hbar), energies, Operator(h.layout, vectors))
 
 
 @dataclass(frozen=True)
@@ -185,7 +205,10 @@ def dyson_first_order(h_builder: Callable[[float], Operator], psi0: StateVector,
     """
 
     def integrand(tp: float) -> np.ndarray:
-        return apply(h_builder(tp), psi0).amplitudes
+        h = h_builder(tp)
+        if h.layout != psi0.layout:
+            raise ValueError("layout mismatch")
+        return h.matvec(psi0.amplitudes)
 
     integral, err, info = quad_vec(integrand, 0.0, t, epsabs=quad_tol,
                                    full_output=True)

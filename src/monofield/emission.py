@@ -106,7 +106,8 @@ def sigma3(layout: HilbertLayout) -> Operator:
 
 def sigma_plus(layout: HilbertLayout) -> Operator:
     _require_atom(layout)
-    return Operator(layout, layout.place(_raise_atom(np.eye(layout.fock_dim))))
+    return Operator(layout, np.broadcast_to(_raise_atom(np.eye(layout.fock_dim)),
+                                            layout.block_shape))
 
 
 def sigma_minus(layout: HilbertLayout) -> Operator:
@@ -132,30 +133,29 @@ def _mode_couplings(layout: HilbertLayout, atom: AtomParams,
 
 def _coupling_assembler(layout: HilbertLayout, atom: AtomParams,
                         config: FieldConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """gs -> hbar*omega0*d * sum_k (gs_k a_k sigma+ + h.c.) as a dense matrix.
+    """gs -> hbar*omega0*d * sum_k (gs_k a_k sigma+ + h.c.) as (M, 2b, 2b) blocks.
 
     Mode k's block of a_k sigma+ is its lowering block in the excited-row/
     ground-column quadrant, scaled by gs_k.  The positions of the sqrt(n)
-    entries are taken once from the layout's block placement; each call
-    adds gs_k*sqrt(n) there and its conjugate at the transposed positions
-    onto zeros, the sector sum of the scaled blocks down to the sign of zeros.
+    entries are found once; each call writes gs_k*sqrt(n) there and its
+    conjugate at the transposed positions, on zero blocks.
     """
     block = _raise_atom(fock_lowering(layout.nmax))
-    block_rows, block_cols = np.nonzero(block)
-    positions = layout.block_positions
-    lower = positions[:, block_rows, block_cols].ravel()
-    upper = positions[:, block_cols, block_rows].ravel()
-    mode = np.repeat(np.arange(layout.n_modes), block_rows.size)
-    sqrt_n = np.tile(block[block_rows, block_cols], layout.n_modes)
+    rows, cols = np.nonzero(block)
+    sqrt_n = block[rows, cols]
+    # flat positions in the stack of the sqrt(n) entries and of their transposes
+    first = block.size * np.arange(layout.n_modes)[:, None]
+    lower = (first + np.ravel_multi_index((rows, cols), block.shape)).ravel()
+    upper = (first + np.ravel_multi_index((cols, rows), block.shape)).ravel()
     scale = config.hbar * atom.omega0 * atom.d
-    dim = layout.dimension
 
     def assemble(gs: np.ndarray) -> np.ndarray:
-        entries = gs[mode] * sqrt_n
-        total = np.zeros(dim * dim, dtype=complex)
-        total[lower] += entries
-        total[upper] += entries.conj()
-        return scale * total.reshape(dim, dim)
+        entries = scale * (gs[:, None] * sqrt_n).ravel()
+        blocks = np.zeros(layout.block_shape, dtype=complex)
+        flat = blocks.reshape(-1)
+        flat[lower] = entries
+        flat[upper] = entries.conj()
+        return blocks
 
     return assemble
 
@@ -166,29 +166,29 @@ def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
     _require_atom(layout)
     h0 = free_hamiltonian_with_atom(layout, atom, config)
     coupled = _coupling_assembler(layout, atom, config)(_mode_couplings(layout, atom, config))
-    return Operator(layout, h0.toarray() + coupled)
+    return h0 + Operator(layout, coupled)
 
 
 def interaction_picture(layout: HilbertLayout, atom: AtomParams,
                         config: FieldConfig) -> Callable[[float], Operator]:
     """t -> :func:`interaction_hamiltonian` at time t, for many times.
 
-    The mode couplings and the matrix positions do not depend on the time,
-    so they are found once here and each call only multiplies in the
-    detuning phases.
+    The mode couplings and the positions of the coupling entries in the
+    mode blocks do not depend on the time, so they are found once here and
+    each call only multiplies in the detuning phases.
     """
     _require_atom(layout)
     gs = _mode_couplings(layout, atom, config)
     assemble = _coupling_assembler(layout, atom, config)
     i_detunings = 1j * (atom.omega0 - layout.omegas)
+    g_re, g_im = gs.real[:, None], gs.imag[:, None] * np.array([-1.0, 1.0])
 
     def at(t: float) -> Operator:
-        phases = np.exp(i_detunings * t)
-        # written out in real parts to round like complex scalar products
-        phased = np.empty_like(gs)
-        phased.real = gs.real * phases.real - gs.imag * phases.imag
-        phased.imag = gs.real * phases.imag + gs.imag * phases.real
-        return Operator(layout, assemble(phased))
+        # (re, im) pairs of gs * phases, written out in real parts to round
+        # like complex scalar products: (gr*pr - gi*pi, gr*pi + gi*pr)
+        phases = np.exp(i_detunings * t).view(float).reshape(-1, 2)
+        pairs = g_re * phases + g_im * phases[:, ::-1]
+        return Operator(layout, assemble(pairs.view(complex).ravel()))
 
     return at
 

@@ -10,6 +10,7 @@ the fixed fallback theta_hat = x_hat, phi_hat = +-y_hat applies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -59,7 +60,14 @@ class PolarizationBasis:
 
 
 def polarization_basis(kappa: Sequence[float]) -> PolarizationBasis:
-    kv = np.asarray(kappa, dtype=float)
+    """The helicity pair of wavevector ``kappa``, computed once per distinct
+    wavevector (keyed on its exact float bits, so -0.0 and 0.0 differ)."""
+    return _polarization_basis(np.asarray(kappa, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=4096)
+def _polarization_basis(kappa_bytes: bytes) -> PolarizationBasis:
+    kv = np.frombuffer(kappa_bytes)
     norm = np.linalg.norm(kv)
     if norm == 0.0:
         raise ValueError("polarization undefined for zero wavevector")
@@ -114,15 +122,14 @@ def _mode_weights(layout: HilbertLayout, config: FieldConfig, t: float,
 
 
 def _assemble(layout: HilbertLayout, weights: np.ndarray) -> tuple[Operator, Operator, Operator]:
-    """Components F_i = sum_k (w_ki a_k + conj(w_ki) a_k^dag), assembled per sector.
+    """Components F_i = sum_k (w_ki a_k + conj(w_ki) a_k^dag) as block operators.
 
-    Each mode contributes only its own diagonal block, w_ki a + conj(w_ki)
-    a^dag on one truncated ladder, so the blocks are written in place
-    instead of summing M dense mode annihilators.
+    Each mode contributes only its own block, w_ki a + conj(w_ki) a^dag on
+    one truncated ladder, so the sum over modes is the stack of those blocks.
     """
     a = fock_lowering(layout.nmax)
     ad = a.conj().T
-    return tuple(Operator(layout, layout.place(layout.on_each_level(w * a + np.conj(w) * ad)))
+    return tuple(Operator(layout, layout.on_each_level(w * a + np.conj(w) * ad))
                  for w in weights.T[:, :, None, None])
 
 
@@ -372,20 +379,14 @@ class FieldIdentityReport:
         )
 
 
-def _dot_square(ops: tuple[Operator, Operator, Operator]) -> np.ndarray:
-    total = np.zeros_like(ops[0].toarray())
-    for op in ops:
-        m = op.toarray()
-        total += m @ m
-    return total
+def _dot_square(ops: tuple[Operator, Operator, Operator]) -> Operator:
+    return ops[0] @ ops[0] + ops[1] @ ops[1] + ops[2] @ ops[2]
 
 
-def _cross(a: tuple[Operator, ...], b: tuple[Operator, ...]) -> list[np.ndarray]:
-    am = [op.toarray() for op in a]
-    bm = [op.toarray() for op in b]
-    return [am[1] @ bm[2] - am[2] @ bm[1],
-            am[2] @ bm[0] - am[0] @ bm[2],
-            am[0] @ bm[1] - am[1] @ bm[0]]
+def _cross(a: tuple[Operator, ...], b: tuple[Operator, ...]) -> list[Operator]:
+    return [a[1] @ b[2] - a[2] @ b[1],
+            a[2] @ b[0] - a[0] @ b[2],
+            a[0] @ b[1] - a[1] @ b[0]]
 
 
 def energy_identity(layout: HilbertLayout, config: FieldConfig,
@@ -396,13 +397,14 @@ def energy_identity(layout: HilbertLayout, config: FieldConfig,
 
     Because the integrand is (t, x)-independent, the integrals reduce to a
     factor V; the check builds E and B at each sample point and compares
-    matrices.  Both Poynting orderings (literal E x B and the symmetrized
-    half-difference) are evaluated and the better one is recorded.
+    operators, block by block.  Both Poynting orderings (literal E x B and
+    the symmetrized half-difference) are evaluated and the better one is
+    recorded.
     """
     if not samples:
         raise ValueError("need at least one (t, x) sample")
-    h_ref = hamiltonian_from_mode_ladders(layout, config).toarray()
-    p_ref = [op.toarray() for op in momentum_from_mode_ladders(layout, config)]
+    h_ref = hamiltonian_from_mode_ladders(layout, config)
+    p_ref = momentum_from_mode_ladders(layout, config)
     e2_list, b2_list, literal_list, sym_list = [], [], [], []
     for t, x in samples:
         e_ops = electric_field(layout, config, t, x)
@@ -414,26 +416,18 @@ def energy_identity(layout: HilbertLayout, config: FieldConfig,
         literal_list.append(exb)
         sym_list.append([0.5 * (f - g) for f, g in zip(exb, bxe)])
 
-    def pairwise(mats: list[np.ndarray]) -> float:
-        dev = 0.0
-        for i in range(1, len(mats)):
-            dev = max(dev, float(np.max(np.abs(mats[i] - mats[0]))))
-        return dev
+    def pairwise(ops: list[Operator]) -> float:
+        return max([(op - ops[0]).max_abs() for op in ops[1:]], default=0.0)
 
     e2_dev = pairwise(e2_list)
     b2_dev = pairwise(b2_list)
     integrand_dev = pairwise([e2 + b2 for e2, b2 in zip(e2_list, b2_list)])
-    energy_dev = max(
-        float(np.max(np.abs(0.5 * config.volume * (e2 + b2) - h_ref)))
-        for e2, b2 in zip(e2_list, b2_list)
-    )
+    energy_dev = max((0.5 * config.volume * (e2 + b2) - h_ref).max_abs()
+                     for e2, b2 in zip(e2_list, b2_list))
 
-    def momentum_dev(cross_list: list[list[np.ndarray]]) -> float:
-        dev = 0.0
-        for comps in cross_list:
-            for i in range(3):
-                dev = max(dev, float(np.max(np.abs(config.volume * comps[i] - p_ref[i]))))
-        return dev
+    def momentum_dev(cross_list: list[list[Operator]]) -> float:
+        return max((config.volume * comps[i] - p_ref[i]).max_abs()
+                   for comps in cross_list for i in range(3))
 
     lit = momentum_dev(literal_list)
     sym = momentum_dev(sym_list)

@@ -13,7 +13,9 @@ atom level is the slowest axis, then mode index, then photon number::
 
 :class:`HilbertLayout` is the one owner of this order: other modules reach
 states and diagonals through its (atom levels, modes, n) ``view``/``flat``
-and build matrices with ``place``, one (atom, n)-square block per mode.
+or its per-mode (modes, atom*n) ``blocks_of``/``from_blocks``, and an
+operator's per-mode (atom, n)-square blocks reach the flat matrix only
+through ``place``.
 """
 
 from __future__ import annotations
@@ -140,24 +142,26 @@ class HilbertLayout:
         if self.atom_levels not in (0, 2):
             raise ValueError(f"atom_levels must be 0 or 2, got {self.atom_levels}")
 
-    @property
+    # the sizes are cached: per-call bookkeeping of small operators reads them often
+
+    @cached_property
     def n_modes(self) -> int:
         return len(self.modes)
 
-    @property
+    @cached_property
     def fock_dim(self) -> int:
         return self.nmax + 1
 
-    @property
+    @cached_property
     def field_dim(self) -> int:
         return self.n_modes * self.fock_dim
 
-    @property
+    @cached_property
     def levels(self) -> int:
         """Length of the atom axis of :meth:`view`: 2 with the atom, else 1."""
         return max(1, self.atom_levels)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return self.field_dim * self.levels
 
@@ -206,12 +210,38 @@ class HilbertLayout:
         return out
 
     @cached_property
+    def block_shape(self) -> tuple[int, int, int]:
+        """(M, A*b, A*b), A = :attr:`levels`, b = nmax+1: the shape of the
+        block storage kind of :class:`Operator`."""
+        size = self.levels * self.fock_dim
+        return self.n_modes, size, size
+
+    @cached_property
+    def block_kets(self) -> np.ndarray:
+        """Flat indices of every mode's kets, shape (M, A*b): row k holds mode
+        k's kets in (atom, n) order.  Read-only."""
+        kets = self.view(np.arange(self.dimension)).swapaxes(0, 1).reshape(self.block_shape[:2])
+        kets.setflags(write=False)
+        return kets
+
+    def blocks_of(self, values) -> np.ndarray:
+        """The (M, A*b) per-mode rows of a length-D state or diagonal, in
+        :attr:`block_kets` order (a copy)."""
+        return np.asarray(values)[self.block_kets]
+
+    def from_blocks(self, rows) -> np.ndarray:
+        """New length-D array whose :meth:`blocks_of` is ``rows``."""
+        rows = np.asarray(rows)
+        out = np.empty(self.dimension, dtype=rows.dtype)
+        out[self.block_kets] = rows
+        return out
+
+    @cached_property
     def block_positions(self) -> np.ndarray:
-        """Flat D x D positions of every mode's block, shape (M, A*b, A*b): the
-        mode's kets in (atom, n) order, A = :attr:`levels`.  Read-only."""
-        kets = self.field_dim * np.arange(self.levels)[:, None] + np.arange(self.fock_dim)
-        index = self.fock_dim * np.arange(self.n_modes)[:, None] + kets.ravel()
-        positions = self.dimension * index[:, :, None] + index[:, None, :]
+        """Flat D x D positions of every mode's block, shape (M, A*b, A*b), in
+        :attr:`block_kets` order.  Read-only."""
+        kets = self.block_kets
+        positions = self.dimension * kets[:, :, None] + kets[:, None, :]
         positions.setflags(write=False)
         return positions
 
@@ -291,15 +321,28 @@ class StateVector:
         return complex(self.amplitudes[self.layout.flatten(k, n, atom)])
 
 
-class Operator:
-    """Square complex operator tied to a layout, in one of two storage kinds.
+# promotion order of the storage kinds, keyed by data.ndim
+_KINDS = {1: "diagonal", 3: "block", 2: "dense"}
+_RANK = {ndim: rank for rank, ndim in enumerate(_KINDS)}
 
-    The kind is the shape of the read-only ``data`` array: a length-D
-    vector is a diagonal operator (``data`` is its diagonal), a (D, D)
-    array a dense one.  Diagonal constructors store vectors, so products,
-    brackets and exponentials of diagonal operators cost O(D); an
-    operation on two operators of the same kind keeps the kind, and a
-    mixed sum promotes the diagonal operand to dense.
+
+class Operator:
+    """Square complex operator tied to a layout, in one of three storage kinds.
+
+    The kind is the shape of the read-only ``data`` array:
+
+    * ``diagonal``: a length-D vector, the operator's diagonal;
+    * ``block``: the (M, A*b, A*b) stack of :attr:`HilbertLayout.block_shape`,
+      one (atom, n)-square block per mode in :attr:`HilbertLayout.block_kets`
+      order, zero between sectors (``toarray`` is ``layout.place(data)``);
+    * ``dense``: a (D, D) array, the fallback for sector-mixing operators.
+
+    Every operator built from the mode operators commutes with the
+    frequency operator, so it is diagonal or block.  An operation keeps its
+    operands' kind when they agree.  A product with a diagonal operand
+    scales the rows or columns of the other one; in a sum, a diagonal
+    operand joins a block one as a stack of diagonal blocks, and any
+    operand meeting a dense one is written out dense.
     """
 
     __slots__ = ("layout", "data")
@@ -308,7 +351,7 @@ class Operator:
         data = np.asarray(data, dtype=complex)
         data.setflags(write=False)
         dim = layout.dimension
-        if data.shape not in ((dim,), (dim, dim)):
+        if data.shape not in ((dim,), layout.block_shape, (dim, dim)):
             raise ValueError(f"operator shape {data.shape} does not match layout "
                              f"dimension {dim}")
         self.layout = layout
@@ -334,15 +377,52 @@ class Operator:
     # -- storage ------------------------------------------------------
 
     @property
+    def kind(self) -> str:
+        """``"diagonal"``, ``"block"`` or ``"dense"``."""
+        return _KINDS[self.data.ndim]
+
+    @property
     def diagonal(self) -> bool:
         """True for the diagonal storage kind."""
         return self.data.ndim == 1
 
     def toarray(self) -> np.ndarray:
+        if self.data.ndim == 3:
+            return self.layout.place(self.data)
         return np.diag(self.data) if self.diagonal else np.array(self.data)
 
     def diag(self) -> np.ndarray:
+        if self.data.ndim == 3:
+            return self.layout.from_blocks(np.diagonal(self.data, axis1=1, axis2=2))
         return self.data.copy() if self.diagonal else np.diagonal(self.data).copy()
+
+    def _stored_as(self, ndim: int) -> np.ndarray:
+        """The stored array written out as the (more general) kind ``ndim``."""
+        if self.data.ndim == ndim:
+            return self.data
+        if ndim == 2:
+            return self.toarray()
+        blocks = np.zeros(self.layout.block_shape, dtype=complex)
+        i = np.arange(blocks.shape[-1])
+        blocks[:, i, i] = self.layout.blocks_of(self.data)
+        return blocks
+
+    def _diagonal_like(self, diag: np.ndarray) -> np.ndarray:
+        """A diagonal arranged along this operator's rows: (M, A*b) rows for a
+        block operator, the vector itself for a dense one."""
+        return self.layout.blocks_of(diag) if self.data.ndim == 3 else diag
+
+    def matvec(self, amplitudes: np.ndarray) -> np.ndarray:
+        """This operator times a length-D vector.  A block operator gathers the
+        vector into per-mode rows, multiplies every block at once and
+        scatters the result back."""
+        a = self.data
+        if a.ndim == 1:
+            return a * amplitudes
+        if a.ndim == 2:
+            return a @ amplitudes
+        rows = np.matmul(a, self.layout.blocks_of(amplitudes)[..., None])
+        return self.layout.from_blocks(rows[..., 0])
 
     # -- algebra ------------------------------------------------------
 
@@ -351,11 +431,10 @@ class Operator:
             raise ValueError("operators live on different layouts")
 
     def _same_kind(self, other: "Operator") -> tuple[np.ndarray, np.ndarray]:
-        """Both operands' arrays, the diagonal one written out when the kinds differ."""
+        """Both operands' arrays, written out as the more general of their kinds."""
         self._check_layout(other)
-        if self.diagonal == other.diagonal:
-            return self.data, other.data
-        return tuple(np.diag(op.data) if op.diagonal else op.data for op in (self, other))
+        ndim = max(self.data.ndim, other.data.ndim, key=_RANK.__getitem__)
+        return self._stored_as(ndim), other._stored_as(ndim)
 
     def __add__(self, other: "Operator") -> "Operator":
         a, b = self._same_kind(other)
@@ -376,12 +455,20 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_layout(other)
         a, b = self.data, other.data
-        if self.diagonal:
-            return Operator(self.layout, a * b if other.diagonal else a[:, None] * b)
-        return Operator(self.layout, a * b[None, :] if other.diagonal else a @ b)
+        if self.diagonal and other.diagonal:
+            product = a * b
+        elif self.diagonal:
+            product = other._diagonal_like(a)[..., :, None] * b
+        elif other.diagonal:
+            product = a * self._diagonal_like(b)[..., None, :]
+        else:
+            a, b = self._same_kind(other)
+            product = a @ b
+        return Operator(self.layout, product)
 
     def dag(self) -> "Operator":
-        return Operator(self.layout, self.data.conj().T)  # .T leaves a vector as is
+        data = self.data.conj()
+        return Operator(self.layout, data if self.diagonal else np.swapaxes(data, -1, -2))
 
     def commutator(self, other: "Operator") -> "Operator":
         return self @ other - other @ self
@@ -398,7 +485,7 @@ class Operator:
         return self.hermitian_deviation() < tol
 
     def __repr__(self) -> str:
-        return f"Operator(dim={self.layout.dimension}, diagonal={self.diagonal})"
+        return f"Operator(dim={self.layout.dimension}, kind={self.kind})"
 
 
 # -- state construction and brackets -----------------------------------
@@ -438,9 +525,7 @@ def inner(x: StateVector, y: StateVector) -> complex:
 
 def apply(a: Operator, x: StateVector) -> StateVector:
     _check_same_layout(a, x)
-    if a.diagonal:
-        return StateVector(x.layout, a.data * x.amplitudes)
-    return StateVector(x.layout, a.data @ x.amplitudes)
+    return StateVector(x.layout, a.matvec(x.amplitudes))
 
 
 def expect(a: Operator, x: StateVector) -> complex:

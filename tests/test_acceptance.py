@@ -279,3 +279,36 @@ def test_vacuum_energy_stays_finite_on_a_large_box(tmp_path):
     report("vacuum-box", bound_ok and contrast > max(energies) and peak < 64e6,
            f"{len(rows)} states at most {max(energies):.6g} <= {half_max:.6g}; "
            f"standard contrast {contrast:.6g}; tracemalloc peak {peak / 1e6:.1f} MB")
+
+
+def test_field_average_fits_in_blocks_on_a_large_box(tmp_path):
+    """field_average of the electric field on the max_index 2 box (248 modes,
+    nmax 8, D = 2232).
+
+    The three components are (M, b, b) block stacks of about 0.3 MB each;
+    written out dense they would take 80 MB each, so the memory bound shows
+    that none is.  The averages are checked against the classical formula.
+    """
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"box": {"edge": 2.0, "max_index": 2}, "nmax": 8}))
+    cfg, _ = load_config(path)
+    layout = mf.build_layout(cfg.modes, cfg.nmax)
+    assert (layout.n_modes, layout.dimension) == (248, 2232)
+    rng = np.random.default_rng(11)
+    count = layout.n_modes
+    alphas = 0.3 * np.exp(2j * np.pi * rng.uniform(size=count))
+    spec = mf.CoherentSpec.make(cfg.modes, rng.normal(size=count) + 1j * rng.normal(size=count),
+                                alphas)
+    state = mf.coherent_state(layout, spec)
+    t, x = 0.7, (0.3, -0.2, 0.5)
+    tracemalloc.start()
+    try:
+        got = mf.field_average(mf.electric_field, state, cfg.field, t, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = mf.classical_formula(spec, cfg.field, t, x)[1]
+    dev = float(np.max(np.abs(got - want)))
+    report("field-box", dev < 1e-12 and peak < 16e6,
+           f"<E> within {dev:.2e} of the classical formula; "
+           f"tracemalloc peak {peak / 1e6:.2f} MB")

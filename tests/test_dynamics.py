@@ -175,7 +175,7 @@ class TestSpectrum:
         for t in (0.3, 1.7, 25.0):
             assert np.array_equal(spec.evolve(psi, t).amplitudes,
                                   mf.evolve(h, psi, t).amplitudes)
-            assert np.max(np.abs(spec.unitary(t).data @ psi.amplitudes
+            assert np.max(np.abs(spec.unitary(t).toarray() @ psi.amplitudes
                                  - spec.evolve(psi, t).amplitudes)) < 1e-12
 
     def test_diagonal_generator_keeps_the_phase_formula(self, two_tone_layout, rng):
@@ -188,8 +188,8 @@ class TestSpectrum:
             assert np.array_equal(mf.evolve(h, psi, t, 0.7).amplitudes,
                                   phases * psi.amplitudes)
             back = np.exp(1j * h.diag().real * t / 0.7)
-            assert np.array_equal(mf.heisenberg(h, a, t, 0.7).data,
-                                  back[:, None] * a.data * back.conj()[None, :])
+            assert np.array_equal(mf.heisenberg(h, a, t, 0.7).toarray(),
+                                  back[:, None] * a.toarray() * back.conj()[None, :])
 
     def test_phase_beyond_one_over_eps_refused(self, two_tone_layout, rng):
         h = random_hermitian(two_tone_layout, rng)
@@ -356,5 +356,5 @@ class TestDysonFirstOrder:
         psi = random_state(two_tone_layout, rng)
         w, t = 1.7, 2.1
         out = mf.dyson_first_order(lambda tp: np.cos(w * tp) * c, psi, t)
-        expected = psi.amplitudes + (np.sin(w * t) / w) * (c.data @ psi.amplitudes) / 1j
+        expected = psi.amplitudes + (np.sin(w * t) / w) * (c.toarray() @ psi.amplitudes) / 1j
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10

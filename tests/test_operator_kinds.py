@@ -1,22 +1,28 @@
-"""The two storage kinds of Operator: a length-D vector is a diagonal
-operator, a (D, D) array a dense one.
+"""The three storage kinds of Operator: a length-D vector is a diagonal
+operator, an (M, A*b, A*b) stack a block one, a (D, D) array a dense one.
 
 Every operation on the stored arrays is checked against the same operation
-on the written-out dense matrices; for real diagonals the results are equal
-bit for bit, because each entry of a product with a diagonal matrix is one
-product plus exact zeros.
+on the written-out dense matrices.  Where the arithmetic is the same the
+results are equal bit for bit: each entry of a product with a diagonal
+matrix is one product plus exact zeros, and sums, adjoints and maxima act
+entry by entry.  A product of two blocks, or of a block and a vector, sums
+fewer zeros than the dense product, in another order, so in general it
+agrees to rounding; the field components, whose rows hold two entries,
+give the dense route's bits.
 """
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import monofield as mf
 from monofield.algebra import full_commutator_reference, hamiltonian_from_frequency_operator
 from monofield.cli import load_config
-from monofield.emission import sigma3
+from monofield.emission import sigma3, sigma_minus, sigma_plus
 from monofield.fields import _poisson_tail, _poisson_tails
 from conftest import random_hermitian, random_state
 
@@ -230,3 +236,193 @@ class TestBatchedCoherentState:
             want = np.array([_poisson_tail(mu, nmax) for mu in mus])
             assert np.all(np.abs(got - want) <= 1e-12 * want + eps)
             assert got[0] == want[0] == 0.0
+
+
+# -- the block kind -------------------------------------------------------
+
+
+@pytest.fixture(params=[False, True], ids=["field", "atom"])
+def block_layout(request):
+    """Three modes at nmax 2: blocks of side 3, or 6 with the atom."""
+    return mf.build_layout([mf.abstract_mode(1.0), mf.abstract_mode(2.5),
+                            mf.abstract_mode(0.4)], 2, with_atom=request.param)
+
+
+def random_blocks(layout, rng):
+    """Hermitian block operator with random complex blocks."""
+    shape = layout.block_shape
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return mf.Operator(layout, 0.5 * (m + np.swapaxes(m.conj(), 1, 2)))
+
+
+def close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestBlockKind:
+    def test_every_sector_diagonal_constructor_stores_blocks(self, mixed_modes):
+        field = mf.build_layout(mixed_modes, 3)
+        atom = mf.build_layout(mixed_modes, 3, with_atom=True)
+        params = mf.AtomParams.make(1.3, 0.02, [1.0, 0.0, 0.0])
+        config = mf.FieldConfig()
+        ops = [mf.ladder(field), mf.ladder(atom), mf.mode_annihilator(field, 1),
+               mf.mode_annihilator(atom, 2), sigma_plus(atom), sigma_minus(atom),
+               mf.atom_field_hamiltonian(atom, params, config),
+               mf.interaction_hamiltonian(atom, params, config, 0.4),
+               mf.interaction_picture(atom, params, config)(1.7)]
+        for layout in (field, atom):
+            for builder in (mf.vector_potential, mf.electric_field, mf.magnetic_field):
+                ops.extend(builder(layout, config, 0.3, (0.1, 0.2, -0.4)))
+        for op in ops:
+            assert op.kind == "block" and op.data.shape == op.layout.block_shape
+
+    def test_toarray_places_each_block_on_its_mode(self, block_layout, rng):
+        x = random_blocks(block_layout, rng)
+        b = block_layout.fock_dim
+        want = np.zeros((block_layout.dimension,) * 2, dtype=complex)
+        for k, block in enumerate(x.data):
+            for row, col in np.ndindex(block.shape):
+                want[block_layout.flatten(k, row % b, row // b),
+                     block_layout.flatten(k, col % b, col // b)] = block[row, col]
+        assert np.array_equal(x.toarray(), want)
+        assert np.array_equal(x.diag(), np.diagonal(want))
+        assert repr(x) == f"Operator(dim={block_layout.dimension}, kind=block)"
+
+    def test_wrong_block_shapes_rejected(self, block_layout):
+        m, size, _ = block_layout.block_shape
+        for shape in [(m, size + 1, size + 1), (m + 1, size, size), (m, size, size - 1)]:
+            with pytest.raises(ValueError, match="shape"):
+                mf.Operator(block_layout, np.zeros(shape))
+
+    def test_dag_and_scalars_match_dense(self, block_layout, rng):
+        x = random_blocks(block_layout, rng) @ random_blocks(block_layout, rng)
+        xm = x.toarray()
+        for got, want in [(x.dag(), xm.conj().T), (-x, -xm), (2.5j * x, 2.5j * xm)]:
+            assert got.kind == "block"
+            assert np.array_equal(got.toarray(), want)
+
+    def test_products_match_dense(self, block_layout, rng):
+        x, y = random_blocks(block_layout, rng), random_blocks(block_layout, rng)
+        d, dense = real_diagonal(block_layout, rng), random_hermitian(block_layout, rng)
+        xm, ym, dm, densem = x.toarray(), y.toarray(), d.toarray(), dense.toarray()
+        c = complex_diagonal(block_layout, rng)
+        for got, want in [(x @ y, xm @ ym), (x @ c, xm @ c.toarray()), (c @ x, c.toarray() @ xm)]:
+            assert got.kind == "block" and close(got.toarray(), want)
+        for got, want, kind in [(x @ d, xm @ dm, "block"), (d @ x, dm @ xm, "block"),
+                                (x @ dense, xm @ densem, "dense"),
+                                (dense @ x, densem @ xm, "dense")]:
+            assert got.kind == kind
+            assert np.array_equal(got.toarray(), want)
+
+    def test_sums_with_a_diagonal_stay_block(self, block_layout, rng):
+        x, d = random_blocks(block_layout, rng), real_diagonal(block_layout, rng)
+        dense = random_hermitian(block_layout, rng)
+        xm, dm, densem = x.toarray(), d.toarray(), dense.toarray()
+        for got, want, kind in [(x + d, xm + dm, "block"), (d + x, dm + xm, "block"),
+                                (x - d, xm - dm, "block"), (d - x, dm - xm, "block"),
+                                (x.commutator(d), xm @ dm - dm @ xm, "block"),
+                                (x + dense, xm + densem, "dense"),
+                                (dense - x, densem - xm, "dense")]:
+            assert got.kind == kind
+            assert np.array_equal(got.toarray(), want)
+
+    def test_apply_and_expect_match_dense(self, block_layout, rng):
+        x = random_blocks(block_layout, rng)
+        psi = random_state(block_layout, rng)
+        dense = mf.Operator(block_layout, x.toarray())
+        assert close(mf.apply(x, psi).amplitudes, mf.apply(dense, psi).amplitudes)
+        assert abs(mf.expect(x, psi) - mf.expect(dense, psi)) <= 1e-15 * x.max_abs()
+
+    def test_hermitian_deviation_and_max_abs_match_dense(self, block_layout, rng):
+        x = random_blocks(block_layout, rng) @ random_blocks(block_layout, rng)
+        xm = x.toarray()
+        assert x.max_abs() == float(np.max(np.abs(xm)))
+        assert x.hermitian_deviation() == float(np.max(np.abs(xm - xm.conj().T)))
+        assert random_blocks(block_layout, rng).hermitian_deviation() == 0.0
+
+    def test_heisenberg_with_a_block_generator_stays_block(self, block_layout, rng):
+        h, a = random_blocks(block_layout, rng), random_blocks(block_layout, rng)
+        moved = mf.heisenberg(h, a, 0.8)
+        assert moved.kind == "block"
+        u = scipy.linalg.expm(-0.8j * h.toarray())
+        want = u.conj().T @ a.toarray() @ u
+        assert np.max(np.abs(moved.toarray() - want)) < 1e-12
+
+    def test_matrix_exp_exponentiates_each_block(self, block_layout, rng):
+        h = random_blocks(block_layout, rng)
+        got = mf.matrix_exp(-0.6j * h)
+        assert got.kind == "block"
+        want = scipy.linalg.expm(-0.6j * h.toarray())
+        assert np.max(np.abs(got.toarray() - want)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["config_emission.json", "config_jc.json"])
+def test_block_spectrum_matches_dense_eigh_and_pade(name):
+    """One batched eigh over the RWA blocks against the dense eigh of the
+    written-out matrix and scipy's Pade exponential."""
+    cfg, _ = load_config(DATA / name)
+    layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
+    hbar = cfg.field.hbar
+    h = mf.atom_field_hamiltonian(layout, cfg.atom, cfg.field)
+    assert h.kind == "block"
+    dense = mf.Operator(layout, h.toarray())
+    blocks, full = mf.spectrum(h, hbar), mf.spectrum(dense, hbar)
+    assert blocks.vectors.kind == "block"
+    scale = float(np.max(np.abs(full.energies)))
+    assert np.max(np.abs(np.sort(blocks.energies) - full.energies)) <= 1e-14 * scale
+    amps = np.zeros(layout.dimension, dtype=complex)
+    for (k, n, atom), amp in cfg.emission_initial.items():
+        amps[layout.flatten(k, n, atom)] = amp
+    psi = mf.StateVector(layout, amps).normalize()
+    for t in (0.3, cfg.times[-1], 40.0):
+        pade = scipy.linalg.expm((-1j * t / hbar) * h.toarray())
+        unitary = blocks.unitary(t)
+        assert unitary.kind == "block"
+        assert np.max(np.abs(unitary.toarray() - pade)) < 1e-12
+        assert np.max(np.abs(unitary.toarray() - full.unitary(t).toarray())) < 1e-12
+        evolved = blocks.evolve(psi, t).amplitudes
+        assert np.max(np.abs(evolved - pade @ psi.amplitudes)) < 1e-12
+        assert np.max(np.abs(evolved - full.evolve(psi, t).amplitudes)) < 1e-12
+        assert np.array_equal(mf.evolve(h, psi, t, hbar).amplitudes, evolved)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_field_average_on_the_box_equals_the_dense_route(tmp_path, seed):
+    """field_average of block components on the 52-mode box (nmax 5) gives the
+    same bits as the same components written out dense."""
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"box": {"edge": 2.2, "max_index": 1}, "nmax": 5}))
+    cfg, _ = load_config(path)
+    layout = mf.build_layout(cfg.modes, cfg.nmax)
+    rng = np.random.default_rng(seed)
+    count = layout.n_modes
+    alphas = 0.2 * rng.uniform(size=count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    spec = mf.CoherentSpec.make(cfg.modes, rng.normal(size=count) + 1j * rng.normal(size=count),
+                                alphas)
+    state = mf.coherent_state(layout, spec)
+    for builder in (mf.vector_potential, mf.electric_field, mf.magnetic_field):
+        def dense(*args, builder=builder):
+            return tuple(mf.Operator(layout, op.toarray()) for op in builder(*args))
+        for t, x in [(0.0, (0.0, 0.0, 0.0)), (rng.uniform(0, 2), rng.uniform(-1.1, 1.1, 3))]:
+            got = mf.field_average(builder, state, cfg.field, t, x)
+            want = mf.field_average(dense, state, cfg.field, t, x)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("with_atom", [False, True])
+def test_verify_algebra_reads_block_supports_like_the_dense_scan(with_atom):
+    """Block annihilators, one of them with an entry in a second mode's block
+    and one all zero, report what their dense copies report."""
+    layout = mf.build_layout([mf.abstract_mode(w) for w in (1.0, 2.0, 3.0, 4.5)], 3,
+                             with_atom=with_atom)
+    ops = [mf.mode_annihilator(layout, k) for k in range(layout.n_modes)]
+    leaked = ops[1].data.copy()
+    leaked[3, 0, 2] = 0.25 - 0.5j
+    ops[1] = mf.Operator(layout, leaked)
+    ops[2] = mf.Operator(layout, np.zeros(layout.block_shape))
+    dense = [mf.Operator(layout, op.toarray()) for op in ops]
+    got = mf.verify_algebra(layout, annihilators=ops, include_boundary=True)
+    assert not all(r.passed for r in got)
+    assert [(r.relation, r.k, r.l, repr(r.deviation), r.passed) for r in got] == \
+        [(r.relation, r.k, r.l, repr(r.deviation), r.passed)
+         for r in mf.verify_algebra(layout, annihilators=dense, include_boundary=True)]
