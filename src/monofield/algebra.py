@@ -270,33 +270,47 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     ``annihilators`` may inject precomputed (or deliberately corrupted)
     mode operators; by default they are built from the layout.
 
-    Each pair is checked on the union of the two operators' supports: the
-    kets of their nonzero mode blocks, or for a dense operator the indices
-    whose row or column holds a nonzero entry.  Outside it both operators
-    vanish, so every product there is an exact zero and every product
-    inside equals the full-space one entry for entry; the zeros are proved
-    from the operators passed in, so a dense operator that leaks out of its
-    sector still fails.  The cost is O(M^2) small blocks instead of dense
-    D x D products.  Annihilators with non-finite entries are refused with
+    Each operator's support is the kets of its nonzero mode blocks, or for
+    a dense operator the indices whose row or column holds a nonzero entry;
+    outside it the operator vanishes.  A cross pair (k != l) whose supports
+    are disjoint is decided from one support-overlap matrix: every term of
+    its three products pairs an entry inside one support with an entry
+    inside the other, so each is 0 * x with x finite and the rows report an
+    exact 0.0 without a product.  The M diagonal pairs, and any cross pair
+    whose supports overlap, are multiplied on the union of the two supports.
+    The full-space product only adds exact zeros to those entries, so the
+    two agree up to how the remaining terms are grouped and fused (bit for
+    bit for the ladders, whose product entries are single terms).  So the
+    zeros are proved from the operators passed in, and an operator that
+    leaks out of its sector still fails.  What stays O(M^2) is writing the
+    3 M^2 report rows.  Annihilators with non-finite entries are refused with
     ValueError (a full-space product would spread them as NaN through 0 * inf).
     """
     m_count = layout.n_modes
-    if annihilators is None:
-        annihilators = [mode_annihilator(layout, k) for k in range(m_count)]
-    if len(annihilators) != m_count:
+    if annihilators is not None and len(annihilators) != m_count:
         raise ValueError("need one annihilator per mode")
     pieces = []
-    for k, op in enumerate(annihilators):
+    for k in range(m_count):
+        # built one at a time, so only its nonzero blocks stay, not M full stacks
+        op = mode_annihilator(layout, k) if annihilators is None else annihilators[k]
         if op.layout != layout:
             raise ValueError(f"annihilator {k} lives on a different layout")
         if not np.all(np.isfinite(op.data)):
             raise ValueError(f"annihilator {k} has non-finite entries")
         pieces.append(_pieces(op))
+    supports = np.array([support for support, _, _ in pieces], dtype=float)
+    overlap = (supports @ supports.T > 0).tolist()
     interior = _interior_mask(layout)
     everywhere = np.ones(layout.dimension, dtype=bool)
+    zero_passed = 0.0 < tol
     reports: list[AlgebraReport] = []
     for k in range(m_count):
         for l in range(m_count):
+            if k != l and not overlap[k][l]:
+                reports += (AlgebraReport("commutator", k, l, "full", 0.0, zero_passed),
+                            AlgebraReport("product_aa", k, l, "full", 0.0, zero_passed),
+                            AlgebraReport("product_adad", k, l, "full", 0.0, zero_passed))
+                continue
             support = pieces[k][0] | pieces[l][0]
             ak, al = _on_support(pieces[k], support), _on_support(pieces[l], support)
             comm = ak @ al.conj().T - al.conj().T @ ak

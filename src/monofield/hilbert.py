@@ -249,17 +249,15 @@ class HilbertLayout:
         """Mode blocks that act as the (nmax+1)-square ``field_blocks`` on every atom level."""
         return field_blocks if self.levels == 1 else np.kron(np.eye(self.levels), field_blocks)
 
-    def place(self, blocks: np.ndarray, modes=None) -> np.ndarray:
-        """D x D matrix with blocks[i] on the block of mode modes[i], zero elsewhere.
+    def place(self, blocks: np.ndarray) -> np.ndarray:
+        """D x D matrix with blocks[k] on the block of mode k, zero elsewhere.
 
-        ``modes`` defaults to every mode; only the listed modes' blocks are
-        written.  The blocks (see :attr:`block_positions`) are added onto
-        zeros, so every entry is what a running sum over the modes gives,
-        down to the sign of zeros.
+        The blocks (see :attr:`block_positions`) are added onto zeros, so
+        every entry is what a running sum over the modes gives, down to the
+        sign of zeros.
         """
-        positions = self.block_positions if modes is None else self.block_positions[modes]
         out = np.zeros(self.dimension ** 2, dtype=complex)
-        out[positions] += blocks
+        out[self.block_positions] += blocks
         return out.reshape(self.dimension, self.dimension)
 
     def without_atom(self) -> "HilbertLayout":

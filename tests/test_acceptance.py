@@ -281,6 +281,38 @@ def test_vacuum_energy_stays_finite_on_a_large_box(tmp_path):
            f"standard contrast {contrast:.6g}; tracemalloc peak {peak / 1e6:.1f} MB")
 
 
+def test_verify_algebra_on_a_large_box(tmp_path, monkeypatch):
+    """verify-algebra on the max_index 2 box (248 modes, nmax 5, D = 1488).
+
+    All 3 M^2 relations hold.  The cross pairs are decided from disjoint
+    supports and each annihilator is kept as its one nonzero block, so the
+    traced peak of the verify_algebra call stays near the report rows' own
+    size; M full block stacks alone would take 35 MB.
+    """
+    config = tmp_path / "box.json"
+    config.write_text(json.dumps({"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}))
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return mf.verify_algebra(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr("monofield.cli.verify_algebra", traced)
+    rc = main(["verify-algebra", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "algebra.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    n_modes = 248
+    passed = sum(r["pass"] == "true" for r in rows)
+    report("algebra-box", len(rows) == 3 * n_modes ** 2 == passed and peaks[0] < 40e6,
+           f"{passed} of {len(rows)} relations hold on {n_modes} modes; "
+           f"tracemalloc peak {peaks[0] / 1e6:.1f} MB")
+
+
 def test_field_average_fits_in_blocks_on_a_large_box(tmp_path):
     """field_average of the electric field on the max_index 2 box (248 modes,
     nmax 8, D = 2232).

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monofield as mf
 from monofield.algebra import (
@@ -297,6 +299,23 @@ class TestVerifyAlgebraMatchesDense:
         assert any(not r.passed for r in reports)
         self.assert_matches(layout, ops, include_boundary=True)
 
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_block_kind_leak_fails(self, with_atom):
+        """A block-kind annihilator with a second nonzero block, on another
+        mode's sector, overlaps that mode's support: the pair is multiplied,
+        not decided from disjoint supports."""
+        layout = abstract_layout(5, 4, with_atom)
+        ops = [mf.mode_annihilator(layout, i) for i in range(5)]
+        blocks = ops[1].data.copy()
+        # a scaled ladder: every product entry is one term, so no rounding
+        # order can part the two routes
+        blocks[3] = 2.0 ** -10 * blocks[1]
+        ops[1] = mf.Operator(layout, blocks)
+        assert ops[1].data.shape == layout.block_shape
+        reports = mf.verify_algebra(layout, annihilators=ops)
+        assert (1, 3) in {(r.k, r.l) for r in reports if not r.passed}
+        self.assert_matches(layout, ops, include_boundary=True)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_annihilator_rejected(self, bad):
         layout = abstract_layout(3, 2)
@@ -306,6 +325,47 @@ class TestVerifyAlgebraMatchesDense:
         ops[1] = mf.Operator(layout, a)
         with pytest.raises(ValueError, match="non-finite"):
             mf.verify_algebra(layout, annihilators=ops)
+
+
+@st.composite
+def overwritten_annihilators(draw):
+    """2-4 abstract modes at nmax 2-3, with or without the atom, and one
+    annihilator, dense or block kind, with a few entries overwritten."""
+    m = draw(st.integers(2, 4), label="modes")
+    layout = abstract_layout(m, draw(st.integers(2, 3), label="nmax"),
+                             draw(st.booleans(), label="with_atom"))
+    ops = [mf.mode_annihilator(layout, i) for i in range(m)]
+    k = draw(st.integers(0, m - 1), label="k")
+    data = ops[k].toarray() if draw(st.booleans(), label="dense") else ops[k].data.copy()
+    index = st.tuples(*(st.integers(0, n - 1) for n in data.shape))
+    value = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    for at, x in draw(st.lists(st.tuples(index, value), min_size=1, max_size=4),
+                      label="entries"):
+        data[at] = x
+    ops[k] = mf.Operator(layout, data)
+    return layout, ops
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=overwritten_annihilators())
+def test_verify_algebra_matches_dense_on_overwritten_entries(case):
+    """The same rows and verdicts as the dense oracle.  A cross pair with
+    disjoint supports reports the oracle's exact 0.0; every other deviation
+    agrees to rounding, since products restricted to a support group and
+    fuse their terms differently from D x D ones.  Entries are at most 2 in
+    modulus, so that rounding stays far below 1e-13."""
+    layout, ops = case
+    got = mf.verify_algebra(layout, annihilators=ops, include_boundary=True)
+    want = dense_verify_algebra(layout, ops, include_boundary=True)
+    assert [(r.relation, r.k, r.l, r.subspace, r.passed) for r in got] \
+        == [w[:4] + w[5:] for w in want]
+    nonzero = [op.toarray() != 0 for op in ops]
+    supports = [nz.any(axis=0) | nz.any(axis=1) for nz in nonzero]
+    for r, w in zip(got, want):
+        if r.k != r.l and not np.any(supports[r.k] & supports[r.l]):
+            assert repr(r.deviation) == w[4] == "0.0"
+        else:
+            assert r.deviation == pytest.approx(float(w[4]), rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("with_atom", [False, True])

@@ -131,26 +131,23 @@ class TestRwaCoupling:
 
 
 class TestHelpers:
-    @pytest.mark.parametrize("modes", [None, [2, 0]], ids=["all_modes", "mode_subset"])
-    def test_place_matches_per_entry_loop(self, rng, modes):
-        """blocks[i][(atom, n), (atom', n')] lands on |k, n, atom><k, n', atom'|
-        for k = modes[i] (every mode by default), added onto zeros; nothing
-        else is written."""
+    def test_place_matches_per_entry_loop(self, rng):
+        """blocks[k][(atom, n), (atom', n')] lands on |k, n, atom><k, n', atom'|,
+        added onto zeros; nothing else is written."""
         layout = mf.build_layout([mf.abstract_mode(w) for w in (1.0, 2.0, 3.0)], 2,
                                  with_atom=True)
-        targets = modes or range(layout.n_modes)
         b, size = layout.fock_dim, 2 * layout.fock_dim
-        shape = (len(targets), size, size)
+        shape = (layout.n_modes, size, size)
         blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         blocks[0, 0, 0] = -0.0
         want = np.zeros((layout.dimension,) * 2, dtype=complex)
-        for block, k in zip(blocks, targets):
+        for k, block in enumerate(blocks):
             for row in range(size):
                 for col in range(size):
                     r = layout.flatten(k, row % b, row // b)
                     c = layout.flatten(k, col % b, col // b)
                     want[r, c] += block[row, col]
-        assert_same_entries(layout.place(blocks, modes=modes), want)
+        assert_same_entries(layout.place(blocks), want)
 
     @pytest.mark.parametrize("with_atom", [False, True])
     def test_ladder_constructors_match_kron_form(self, box, with_atom):
