@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -51,6 +52,7 @@ from .hilbert import (
     load_mode_set,
     mode,
     parse_complex,
+    parse_complex_list,
     read_int,
     read_json,
     read_real,
@@ -182,8 +184,7 @@ def _parse_config(doc) -> RunConfig:
     if "atom" in doc:
         atom_doc = doc["atom"]
         _require_keys(atom_doc, {"omega0", "dipole", "direction"}, "atom")
-        direction = [parse_complex(v, f"atom.direction[{i}]")
-                     for i, v in enumerate(_list(atom_doc, "direction"))]
+        direction = parse_complex_list(_list(atom_doc, "direction"), "atom.direction")
         atom = AtomParams.make(read_real(atom_doc.get("omega0"), "atom.omega0"),
                                read_real(atom_doc.get("dipole"), "atom.dipole"), direction)
 
@@ -526,7 +527,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args``
+    fills a fresh namespace on every call, so nothing carries over."""
     parser = argparse.ArgumentParser(
         prog="monofield",
         description="Single-oscillator mode quantization: checks and reports.")

@@ -9,7 +9,9 @@ vector alone, and it moves a diagonal operator in the Heisenberg picture
 to a diagonal one; a block generator is diagonalised by one batched
 ``eigh`` over its mode blocks, and V is a block operator.
 :func:`matrix_exp` is the general Pade exponential; no evolution path
-calls it.
+calls it.  scipy is imported only inside :func:`matrix_exp`
+(``scipy.linalg``) and :func:`dyson_first_order` (``quad_vec``), so
+importing this module, and every command but ``emission``, loads none of it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import quad_vec
 
 from .hilbert import Operator, StateVector
 
@@ -60,6 +60,8 @@ def matrix_exp(a: Operator) -> Operator:
         raise ValueError("matrix exponential of non-finite input")
     if a.diagonal:
         return Operator.from_diagonal(a.layout, np.exp(a.data))
+    import scipy.linalg
+
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is detected on the result and rejected below; a block
         # stack is exponentiated block by block
@@ -203,6 +205,7 @@ def dyson_first_order(h_builder: Callable[[float], Operator], psi0: StateVector,
     The result is the raw first-order sum (not normalized).  Quadrature
     that fails to converge to ``quad_tol`` is rejected.
     """
+    from scipy.integrate import quad_vec
 
     def integrand(tp: float) -> np.ndarray:
         h = h_builder(tp)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import fock_lowering, hamiltonian_from_mode_ladders, momentum_from_mode_ladders
 from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, expect,
-                      load_mode_set, parse_complex, read_json)
+                      load_mode_set, parse_complex_list, read_json)
 
 __all__ = [
     "PolarizationBasis",
@@ -175,7 +175,7 @@ class CoherentSpec:
             raise ValueError("all sector weights are zero")
         if not np.isfinite(total):
             raise ValueError("the norm of the sector weights overflows")
-        return cls(modes, tuple(w / total), tuple(complex(a) for a in alphas))
+        return cls(modes, tuple(w / total), tuple(np.asarray(alphas, dtype=complex).tolist()))
 
     @classmethod
     def parse(cls, modes: Sequence[ModeLabel], doc) -> "CoherentSpec":
@@ -193,11 +193,11 @@ class CoherentSpec:
         return cls.make(modes, weights, [0.0] * len(modes))
 
 
-def _complex_list(doc, key: str, default: list) -> list[complex]:
+def _complex_list(doc, key: str, default: list) -> np.ndarray:
     values = doc.get(key, default)
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{key}: expected a list, got {values!r}")
-    return [parse_complex(v, f"{key}[{i}]") for i, v in enumerate(values)]
+    return parse_complex_list(values, key)
 
 
 def load_coherent_spec(source, config: FieldConfig | None = None) -> CoherentSpec:

@@ -27,6 +27,7 @@ import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "read_real",
     "read_int",
     "parse_complex",
+    "parse_complex_list",
     "load_mode_set",
     "save_state",
     "load_state",
@@ -576,6 +578,32 @@ def parse_complex(value, where: str = "value") -> complex:
     except ValueError:
         raise ValueError(f"{where}: expected a finite number or [re, im] pair, "
                          f"got {value!r}") from None
+
+
+def parse_complex_list(values: Sequence, where: str = "value") -> np.ndarray:
+    """A list of :func:`parse_complex` entries as one complex array.
+
+    The whole list is read with one type pass and one float array; an
+    entry that pass cannot vouch for sends the list through
+    :func:`parse_complex` entry by entry, which names the first bad entry
+    as ``where[i]``.
+    """
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {2}:
+        pairs = values
+    else:
+        pairs = [v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+                 for v in values]
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) <= {int, float}:
+        try:
+            parts = np.array(flat, dtype=float)
+        except OverflowError:  # an int past the float range
+            parts = None
+        # |x| < max also refuses an int just past the float range that rounds to max
+        if parts is not None and abs(parts).max(initial=0.0) < sys.float_info.max:
+            return parts.view(complex)
+    return np.array([parse_complex(v, f"{where}[{i}]") for i, v in enumerate(values)],
+                    dtype=complex)
 
 
 def load_mode_set(source, config: FieldConfig | None = None) -> tuple[ModeLabel, ...]:

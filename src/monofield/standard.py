@@ -218,9 +218,7 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
         samples.append(0.5 * hbar * float(np.sum(np.abs(w) ** 2 * omegas)))
     cross = 0.0
     if layout.n_modes >= 2:
-        a0 = mode_annihilator(layout, 0).toarray()
-        a1 = mode_annihilator(layout, 1).toarray()
-        cross = float(np.max(np.abs(a0.conj().T @ a1.conj().T)))
+        cross = (mode_annihilator(layout, 0).dag() @ mode_annihilator(layout, 1).dag()).max_abs()
     run = {
         "scheme": "single-oscillator",
         "dimension": layout.dimension,

@@ -344,3 +344,26 @@ def test_field_average_fits_in_blocks_on_a_large_box(tmp_path):
     report("field-box", dev < 1e-12 and peak < 16e6,
            f"<E> within {dev:.2e} of the classical formula; "
            f"tracemalloc peak {peak / 1e6:.2f} MB")
+
+
+def test_single_oscillator_run_fits_in_blocks_on_a_large_box(tmp_path):
+    """The single-oscillator side of compare-standard on the max_index 2 box
+    (248 modes, nmax 8, D = 2232).
+
+    Its cross-mode double creation max|a_0^dag a_1^dag| is a product of two
+    block stacks; written out dense, the two annihilators alone would take
+    160 MB, so the memory bound shows that neither is.
+    """
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"box": {"edge": 2.0, "max_index": 2}, "nmax": 8}))
+    cfg, _ = load_config(path)
+    tracemalloc.start()
+    try:
+        run = mf.single_oscillator_run(cfg.modes, cfg.nmax, cfg.field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cross = run["cross_mode_double_creation"]
+    report("compare-box", run["dimension"] == 2232 and cross == 0.0 and peak < 8e6,
+           f"cross-mode double creation {cross!r} on {len(cfg.modes)} modes; "
+           f"tracemalloc peak {peak / 1e6:.2f} MB")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monofield as mf
+from monofield.cli import ConfigError, load_config
 from conftest import random_hermitian, random_state
 
 
@@ -253,3 +254,119 @@ class TestTypedReaders:
         assert mf.hilbert.read_real(3) == 3.0 and type(mf.hilbert.read_real(3)) is float
         assert mf.hilbert.read_real(-1e300) == -1e300
         assert mf.hilbert.read_int(-4) == -4
+
+
+def per_entry_complex_list(values, where):
+    """The one-entry-at-a-time reader, kept as the oracle of parse_complex_list."""
+    return [mf.hilbert.parse_complex(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def read_both(values, where="weights"):
+    """(values or error message) from the oracle and from parse_complex_list."""
+    out = []
+    for reader in (per_entry_complex_list, mf.hilbert.parse_complex_list):
+        try:
+            # repr tells signed zeros apart
+            out.append([repr(complex(z)) for z in reader(values, where)])
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+BAD_ENTRIES = {
+    "bool": True,
+    "string": "1.5",
+    "inf": float("inf"),  # what json reads for 1e400
+    "triple": [1.0, 2.0, 3.0],
+    "nested_pair": [[1.0, 0.0], [0.0, 1.0]],
+    "bool_imag": [0.5, True],
+    "null": None,
+    "nan_real": [float("nan"), 0.0],
+    "int_past_float_range": 10 ** 400,
+    "int_rounding_to_max": int(np.finfo(float).max) + 1,
+    "single": [1.0],
+    "empty_pair": [],
+}
+GOOD = [[0.25, -1.0], 2, [-0.0, 0.0], -0.0, [3, 2 ** 70], 1e-300, [2 ** 63 + 1, -7]]
+
+
+class TestComplexListReader:
+    @pytest.mark.parametrize("position", [0, 3, len(GOOD) - 1],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", list(BAD_ENTRIES.values()), ids=list(BAD_ENTRIES))
+    def test_bad_entry_named_as_before(self, bad, position):
+        values = list(GOOD)
+        values[position] = bad
+        old, new = read_both(values)
+        assert isinstance(old, str) and f"weights[{position}]" in old
+        assert new == old
+
+    def test_first_of_two_bad_entries_named(self):
+        values = list(GOOD)
+        values[2], values[5] = "x", True
+        old, new = read_both(values, "alphas")
+        assert new == old == "alphas[2]: expected a finite number or [re, im] pair, got 'x'"
+
+    @pytest.mark.parametrize("values", [
+        GOOD,
+        [],
+        [1.0, [0.0, 2.0], 3, [4, 5.5]],
+        [[1.0, 2.0]] * 40,
+        [0.5] * 40,
+        [np.float64(1.5), [np.float64(2.0), 0.0]],  # float subclasses: entry by entry
+        [[1.0, 2.0], (3.0, 4.0)],
+        [np.finfo(float).max, [-np.finfo(float).max, 0.0]],
+    ], ids=["good", "empty", "mixed", "pairs", "reals", "float_subclass", "tuple",
+            "float_max"])
+    def test_values_as_before(self, values):
+        old, new = read_both(values)
+        assert isinstance(old, list) and new == old
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-2 ** 1030, max_value=2 ** 1030),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        st.sampled_from(list(BAD_ENTRIES.values()))), max_size=12))
+    def test_matches_per_entry_reader(self, values):
+        old, new = read_both(values)
+        assert new == old
+
+    @pytest.mark.parametrize("key", ["weights", "alphas"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", ["true", '"1.5"', "1e400", "[1, 2, 3]",
+                                     "[[1, 0], [0, 1]]", "[0.5, true]", "null"],
+                             ids=["bool", "string", "1e400", "triple", "nested_pair",
+                                  "bool_imag", "null"])
+    def test_config_error_message_unchanged(self, tmp_path, key, position, bad):
+        entries = ["1.0", "[0.0, 0.5]", "2"]
+        entries[position] = bad
+        listed = "[" + ", ".join(entries) + "]"
+        state = {"weights": [1, 1, 1], key: "LIST"}
+        doc = {"modes": [{"omega": 1.0}, {"omega": 2.0}, {"omega": 3.0}], "nmax": 2,
+               "states": [state]}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc).replace('"LIST"', listed))  # 1e400 as written
+        values = json.loads(listed)
+        with pytest.raises(ValueError) as oracle:
+            per_entry_complex_list(values, key)
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value) == f"bad states[0]: {oracle.value}"
+
+    def test_non_list_refused_as_before(self):
+        modes = [mf.abstract_mode(1.0)]
+        for key in ("weights", "alphas"):
+            doc = {"weights": [1.0], key: 3.0}
+            with pytest.raises(ValueError) as exc:
+                mf.CoherentSpec.parse(modes, doc)
+            assert str(exc.value) == f"{key}: expected a list, got 3.0"
+
+    def test_spec_values_as_before(self):
+        modes = [mf.abstract_mode(1.0), mf.abstract_mode(2.0), mf.abstract_mode(3.0)]
+        weights, alphas = [1, [0.0, -2.0], 0.5], [[0.1, 0.2], -0.0, 3]
+        spec = mf.CoherentSpec.parse(modes, {"weights": weights, "alphas": alphas})
+        want = mf.CoherentSpec.make(modes, per_entry_complex_list(weights, "weights"),
+                                    per_entry_complex_list(alphas, "alphas"))
+        assert spec == want
+        assert [type(a) for a in spec.alphas] == [complex] * 3
