@@ -8,6 +8,9 @@ a diagonal generator is its own eigenbasis, so its evolution is the phase
 vector alone, and it moves a diagonal operator in the Heisenberg picture
 to a diagonal one; a block generator is diagonalised by one batched
 ``eigh`` over its mode blocks, and V is a block operator.
+:meth:`Spectrum.trajectory` evolves one state to a whole array of times as
+one stacked product, with each time's row the same arithmetic as a single
+step; :meth:`Spectrum.evolve` is the trajectory at one time.
 :func:`matrix_exp` is the general Pade exponential; no evolution path
 calls it.  scipy is imported only inside :func:`matrix_exp`
 (``scipy.linalg``) and :func:`dyson_first_order` (``quad_vec``), so
@@ -107,51 +110,71 @@ class Spectrum:
         object.__setattr__(self, "adjoint", adjoint)
         object.__setattr__(self, "largest", float(np.max(np.abs(self.energies))))
 
-    def _angles(self, t: float) -> np.ndarray | None:
-        """-i*lambda*t/hbar per eigenvalue, or None when all of them are exactly 0.
+    def _angles(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """-i*lambda*t/hbar per time (rows) and eigenvalue, and which times
+        have every phase exactly 0.
 
-        ``eigh`` cannot overflow, so a time is refused when the largest
-        phase has no digit left below 2*pi (or is not finite).
+        ``eigh`` cannot overflow, so the times are refused when a largest
+        phase has no digit left below 2*pi (or is not finite); the message
+        names the first such time's phase.
         """
-        largest = self.largest * abs(float(t)) / self.hbar
-        if not largest < _PHASE_LIMIT:
+        largest = self.largest * np.abs(times) / self.hbar
+        refused = ~(largest < _PHASE_LIMIT)
+        if refused.any():
             raise ValueError(
                 f"matrix exponential overflowed (largest phase |lambda*t/hbar| = "
-                f"{largest:.3e}, limit {_PHASE_LIMIT:.3e}; rescale the generator or the time)"
+                f"{largest[refused][0]:.3e}, limit {_PHASE_LIMIT:.3e}; rescale the generator "
+                "or the time)"
             )
-        if largest == 0.0:
-            return None
-        return -1j * self.energies * t / self.hbar
+        return -1j * self.energies * times[:, None] / self.hbar, largest == 0.0
 
     def unitary(self, t: float) -> Operator:
         """exp(-i*H*t/hbar); exactly the identity when every phase is 0."""
         layout = self.generator.layout
-        angles = self._angles(t)
-        if angles is None:
+        (angles,), (still,) = self._angles(np.array([float(t)]))
+        if still:
             return Operator.identity(layout)
         if self.vectors is None:
             return Operator.from_diagonal(layout, np.exp(angles))
         step = self.vectors @ Operator.from_diagonal(layout, np.expm1(angles)) @ self.adjoint
         return step + Operator.identity(layout)
 
-    def evolve(self, psi: StateVector, t: float) -> StateVector:
-        """exp(-i*H*t/hbar)|psi>; ``psi`` itself when every phase is 0."""
+    def trajectory(self, psi: StateVector, times) -> np.ndarray:
+        """The (T, D) amplitudes of exp(-i*H*t/hbar)|psi> at each of the T
+        ``times`` (1-D), in one batched product; a time whose phases are all
+        0 gets the amplitudes of ``psi`` exactly.
+
+        Row t is the same arithmetic as a step on its own: the phase vector
+        times ``psi`` for a diagonal generator, else ``psi`` plus
+        V diag(expm1(angles)) V^dag ``psi`` with V^dag ``psi`` formed once and
+        V applied by one stacked ``matmul`` over the times (and the modes of
+        a block generator).
+        """
         if psi.layout != self.generator.layout:
             raise ValueError("layout mismatch between generator and state")
-        angles = self._angles(t)
-        if angles is None:
-            return psi
+        angles, still = self._angles(np.asarray(times, dtype=float))
+        amplitudes = psi.amplitudes
         if self.vectors is None:
-            return StateVector(psi.layout, np.exp(angles) * psi.amplitudes)
-        v, vh, phases = self.vectors.data, self.adjoint.data, np.expm1(angles)
-        if v.ndim == 2:
-            step = v @ (phases * (vh @ psi.amplitudes))
-        else:  # one gather into per-mode rows, one scatter back
-            layout = psi.layout
-            rows = layout.blocks_of(psi.amplitudes)[..., None]
-            coefficients = layout.blocks_of(phases)[..., None] * (vh @ rows)
-            step = layout.from_blocks((v @ coefficients)[..., 0])
-        return StateVector(psi.layout, psi.amplitudes + step)
+            out = np.exp(angles) * amplitudes
+        else:
+            v, vh, phases = self.vectors.data, self.adjoint.data, np.expm1(angles)
+            if v.ndim == 2:
+                out = amplitudes + (v @ (phases * (vh @ amplitudes))[..., None])[..., 0]
+            else:  # one gather into per-mode rows, one scatter back
+                kets = psi.layout.block_kets
+                rows = vh @ amplitudes[kets][..., None]
+                coefficients = phases[:, kets, None] * rows
+                out = np.empty_like(phases)
+                out[:, kets] = (v @ coefficients)[..., 0]
+                out += amplitudes
+        out[still] = amplitudes
+        return out
+
+    def evolve(self, psi: StateVector, t: float) -> StateVector:
+        """exp(-i*H*t/hbar)|psi>: the :meth:`trajectory` at the one time
+        ``t``, so the amplitudes of ``psi`` exactly when every phase is 0."""
+        (amplitudes,) = self.trajectory(psi, [t])
+        return StateVector(psi.layout, amplitudes)
 
 
 def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:

@@ -200,9 +200,10 @@ class HilbertLayout:
         return k, n, atom
 
     def view(self, values: np.ndarray) -> np.ndarray:
-        """The (atom levels, modes, n) view of a length-D state or diagonal;
-        writing through it writes the flat array."""
-        return values.reshape(self.levels, self.n_modes, self.fock_dim)
+        """The (atom levels, modes, n) view of a length-D state or diagonal,
+        after any leading axes of a stack of them; writing through it writes
+        the flat array."""
+        return values.reshape(*values.shape[:-1], self.levels, self.n_modes, self.fock_dim)
 
     def flat(self, values) -> np.ndarray:
         """New length-D array whose :meth:`view` is ``values``, broadcast."""

@@ -90,7 +90,7 @@ def test_criterion_4_finite_state_dependent_vacuum_energy():
         energy = mf.expect(h, state).real
         worst = max(worst, abs(energy - 0.5 * float(probs @ omegas)))
         bound_ok &= energy <= 0.5 * omegas.max() + 1e-12
-    std = mf.standard_vacuum_energy(mf.build_standard_layout(layout.modes, 3))
+    std = mf.standard_vacuum_energy(mf.build_standard_layout(layout.modes, 3).modes)
     report(4, worst < 1e-12 and bound_ok,
            f"formula dev {worst:.2e}; bounded by half the largest mode energy: "
            f"{bound_ok}; standard-scheme contrast {std}")
@@ -366,4 +366,80 @@ def test_single_oscillator_run_fits_in_blocks_on_a_large_box(tmp_path):
     cross = run["cross_mode_double_creation"]
     report("compare-box", run["dimension"] == 2232 and cross == 0.0 and peak < 8e6,
            f"cross-mode double creation {cross!r} on {len(cfg.modes)} modes; "
+           f"tracemalloc peak {peak / 1e6:.2f} MB")
+
+
+BOX_ATOM = {"omega0": 1.0, "dipole": 0.02, "direction": [1.0, [0.0, 0.3], 0.2]}
+
+
+def weighting_deviation(outdir, n_modes):
+    """Largest relative deviation, over every row of comparison_emission.csv,
+    of the single-oscillator amplitude from the standard amplitude times the
+    mode's sector weight, which must be the default 1/sqrt(M)."""
+    with open(outdir / "comparison_emission.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["mode_index"]) for r in rows] == list(range(n_modes))
+    worst = 0.0
+    for r in rows:
+        weight = complex(float(r["weight_re"]), float(r["weight_im"]))
+        assert weight == 1.0 / np.sqrt(n_modes)
+        single = complex(float(r["single_re"]), float(r["single_im"]))
+        weighted = weight * complex(float(r["standard_re"]), float(r["standard_im"]))
+        assert weighted != 0.0
+        worst = max(worst, abs(single - weighted) / abs(weighted))
+    return worst
+
+
+@pytest.mark.parametrize("with_atom", [False, True], ids=["field", "atom"])
+@pytest.mark.parametrize("max_index, n_modes", [(1, 52), (2, 248)])
+def test_compare_standard_on_the_box(tmp_path, max_index, n_modes, with_atom):
+    """The paper's comparison on the quantization box (52 and 248 modes).
+
+    The standard side comes from closed forms, so the command runs where
+    the tensor-product space, of dimension 3^M at standard_nmax 2, could
+    never be built.  With the atom, each mode's single-oscillator amplitude
+    is the standard one times that mode's sector weight, to a relative
+    1e-12 on every mode.
+    """
+    doc = {"box": {"edge": 2.0, "max_index": max_index}, "nmax": 2}
+    if with_atom:
+        doc["atom"] = BOX_ATOM
+    config = tmp_path / "box.json"
+    config.write_text(json.dumps(doc))
+    assert main(["compare-standard", "--config", str(config), "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "comparison.json").read_text())
+    assert result["dimensions"] == {"single_oscillator": 3 * n_modes, "standard": 3 ** n_modes}
+    assert result["algebra"] == {"cross_mode_double_creation_single_oscillator": 0.0,
+                                 "cross_mode_double_creation_standard": 1.0}
+    assert "jaynes_cummings_check" not in result
+    if not with_atom:
+        assert not (tmp_path / "comparison_emission.csv").exists()
+        return
+    worst = weighting_deviation(tmp_path, n_modes)
+    report(f"compare-box-{n_modes}", worst <= 1e-12,
+           f"single = weight x standard amplitude on all {n_modes} modes, "
+           f"worst relative deviation {worst:.2e} (tolerance 1e-12)")
+
+
+def test_compare_standard_fits_in_blocks_on_a_large_box(tmp_path):
+    """compare-standard with the atom on the max_index 2 box (248 modes,
+    nmax 8, D = 4464 with the atom).
+
+    Written out dense, one operator on the single-oscillator layout would
+    take 319 MB, and the tensor-product space has 4^248 states, so the
+    memory bound shows that neither side builds them.
+    """
+    config = tmp_path / "box.json"
+    config.write_text(json.dumps({"box": {"edge": 2.0, "max_index": 2}, "nmax": 8,
+                                  "atom": BOX_ATOM}))
+    tracemalloc.start()
+    try:
+        rc = main(["compare-standard", "--config", str(config), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    worst = weighting_deviation(tmp_path, 248)
+    report("compare-box-memory", worst <= 1e-12 and peak < 4e6,
+           f"weighting within {worst:.2e} (tolerance 1e-12) on 248 modes; "
            f"tracemalloc peak {peak / 1e6:.2f} MB")

@@ -351,6 +351,25 @@ class TestCompareStandardCommand:
         assert jc["ok"] is True
         assert jc["max_population_deviation"] < 1e-10
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("omega0", 1e300,
+         "config error: Jaynes-Cummings check: atom.omega0 = 1e+300 and atom.dipole = 0.05 "
+         "give half-Rabi frequency 3.535533905932738e+298: "),
+        ("dipole", 1e-300,
+         "config error: Jaynes-Cummings check: atom.omega0 = 1.0 and atom.dipole = 1e-300 "
+         "give half-Rabi frequency 7.071067811865476e-301: matrix exponential overflowed "
+         "(largest phase |lambda*t/hbar| = 5.657e+299, limit 4.504e+15; rescale the "
+         "generator or the time)\n"),
+    ], ids=["jc_omega0_huge", "jc_dipole_tiny"])
+    def test_jc_refusals_name_the_first_refused_time(self, tmp_path, capsys, key, value,
+                                                      message):
+        # the phase named is the one at the first of the 101 times that is refused
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**json.loads((DATA / "config_jc.json").read_text()),
+                                 **replaced("config_jc.json", ["atom", key], value)}))
+        assert run("compare-standard", p, tmp_path) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_deterministic_given_seed(self, tmp_path):
         run("compare-standard", DATA / "config_compare.json", tmp_path / "a",
             "--seed", "9")

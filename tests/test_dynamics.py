@@ -217,6 +217,99 @@ class TestSpectrum:
                 mf.evolve(h, psi, 1.0)
 
 
+def trajectory_generators(layout, rng):
+    """A generator of each storage kind: diagonal, block and dense."""
+    block, _ = config_hamiltonian("config_emission.json")
+    return {"diagonal": mf.hamiltonian(layout), "block": block,
+            "dense": random_hermitian(layout, rng)}
+
+
+class TestTrajectory:
+    # hbar = 100 leaves the phases of 5e-324 (the least subnormal) exactly 0
+    HBAR = 100.0
+    TIMES = [0.0, 30.0, -170.0, -0.0, 2500.0, 5e-324, -45.0]
+
+    @pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
+    def test_equals_a_per_time_evolve_loop_bit_for_bit(self, two_tone_layout, rng, kind):
+        h = trajectory_generators(two_tone_layout, rng)[kind]
+        assert h.kind == kind
+        # a -0.0 amplitude shows that a zero-phase row is psi itself: psi
+        # plus a zero step would turn it into +0.0
+        amplitudes = random_state(h.layout, rng).amplitudes.copy()
+        amplitudes[1] = complex(-0.0, -0.0)
+        psi = mf.StateVector(h.layout, amplitudes)
+        spec = mf.spectrum(h, self.HBAR)
+        out = spec.trajectory(psi, self.TIMES)
+        loop = np.stack([spec.evolve(psi, t).amplitudes for t in self.TIMES])
+        assert out.shape == (len(self.TIMES), h.layout.dimension)
+        assert out.tobytes() == loop.tobytes()
+        for t, row in zip(self.TIMES, out):
+            if spec.largest * abs(t) / self.HBAR == 0.0:
+                assert row.tobytes() == psi.amplitudes.tobytes()
+            else:
+                assert not np.array_equal(row, psi.amplitudes)
+        assert np.max(np.abs(out - np.stack([eig_evolve(h.toarray(), psi.amplitudes, t, self.HBAR)
+                                             for t in self.TIMES]))) < 1e-12
+
+    def test_refuses_the_first_time_beyond_one_over_eps(self, two_tone_layout, rng):
+        h = random_hermitian(two_tone_layout, rng)
+        psi = random_state(two_tone_layout, rng)
+        spec = mf.spectrum(h)
+        too_long = 1e16 / spec.largest
+        with pytest.raises(ValueError, match=r"overflow.*largest phase .* = 1\.000e\+16"):
+            spec.trajectory(psi, [0.0, 1.0, too_long, 10 * too_long])
+        for times in ([0.0, math.nan], [math.inf], [1.0, -math.inf]):
+            with pytest.raises(ValueError, match="overflow"):
+                spec.trajectory(psi, times)
+        assert spec.trajectory(psi, []).shape == (0, two_tone_layout.dimension)
+
+
+def per_time_jc_deviation(path):
+    """The Jaynes-Cummings check's max population deviation, one evolve per time."""
+    cfg, _ = load_config(path)
+    layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
+    h = mf.atom_field_hamiltonian(layout, cfg.atom, cfg.field)
+    g = mf.coupling(cfg.modes[0], cfg.atom, cfg.field)
+    detuning = cfg.atom.omega0 - cfg.modes[0].omega
+    psi0 = mf.basis_state(layout, 0, 0, EXCITED)
+    spec = mf.spectrum(h, cfg.field.hbar)
+    dev = 0.0
+    for t in np.linspace(0.0, 10.0 / jc_half_rabi(cfg), 101):
+        psi = spec.evolve(psi0, float(t))
+        pop = float(np.sum(np.abs(layout.view(psi.amplitudes)[EXCITED]) ** 2))
+        ref = mf.jc_excited_population(cfg.atom, g, 0, float(t), detuning)
+        dev = max(dev, abs(pop - ref))
+    return dev
+
+
+def seeded_jc_config(seed, nmax):
+    """A single-mode config with a random mode, atom and hbar."""
+    rng = np.random.default_rng(seed)
+    kappa = rng.normal(size=3)
+    kappa *= rng.uniform(0.5, 2.0) / np.linalg.norm(kappa)
+    direction = rng.normal(size=(3, 2))
+    return {"modes": [{"s": int(rng.choice([-1, 1])), "kappa": kappa.tolist()}],
+            "nmax": nmax, "field": {"hbar": float(rng.uniform(0.5, 2.0))},
+            "atom": {"omega0": float(rng.uniform(0.8, 2.0)),
+                     "dipole": float(rng.uniform(0.03, 0.08)),
+                     "direction": direction.tolist()},
+            "times": [1.0]}
+
+
+@pytest.mark.parametrize("seed, nmax", [(None, None), (1, 1), (2, 3), (3, 5), (4, 9)],
+                         ids=["config_jc", "seed1", "seed2", "seed3", "seed4"])
+def test_jaynes_cummings_deviation_equals_the_per_time_loop(tmp_path, seed, nmax):
+    if seed is None:
+        path = DATA / "config_jc.json"
+    else:
+        path = tmp_path / "jc.json"
+        path.write_text(json.dumps(seeded_jc_config(seed, nmax)))
+    assert main(["compare-standard", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "comparison.json").read_text())
+    assert report["jaynes_cummings_check"]["max_population_deviation"] \
+        == per_time_jc_deviation(path)
+
+
 # (config, dipole, time as a fraction of the horizon): the emission config's
 # RWA Hamiltonian at three couplings, and the Jaynes-Cummings config at five
 # times over ten Rabi periods

@@ -77,7 +77,60 @@ class TestStandardOperators:
         h = mf.standard_hamiltonian(layout, natural)
         vac = layout.basis_state((0, 0, 0))
         assert np.vdot(vac, h @ vac).real == pytest.approx(3.0, abs=1e-13)
-        assert mf.standard_vacuum_energy(layout, natural) == pytest.approx(3.0)
+        assert mf.standard_vacuum_energy(layout.modes, natural) == pytest.approx(3.0)
+
+
+class TestClosedFormsAgainstTensorProduct:
+    """standard_scheme_run reports the standard side from closed forms; at
+    every size the capped tensor-product layout allows, its operators agree."""
+
+    @pytest.mark.parametrize("with_atom", [False, True], ids=["field", "atom"])
+    @pytest.mark.parametrize("nmax", [1, 2, 3])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_closed_forms_match_the_oracle(self, n_modes, nmax, with_atom):
+        config = mf.FieldConfig(hbar=0.7, volume=2.0)
+        modes = z_modes(0.8, 1.3, 2.1, 2.9)[:n_modes]
+        atom = mf.AtomParams.make(1.1, 0.02, (1.0, 0.5j, 0.3)) if with_atom else None
+        run = mf.standard_scheme_run(modes, nmax, config, atom=atom, t=0.9)
+
+        layout = mf.build_standard_layout(modes, nmax)
+        assert run["dimension"] == layout.dimension
+        vac = layout.basis_state((0,) * n_modes)
+        cross = 0.0
+        if n_modes >= 2:
+            a0 = mf.standard_mode_annihilator(layout, 0)
+            a1 = mf.standard_mode_annihilator(layout, 1)
+            cross = float(np.linalg.norm(a0.T @ (a1.T @ vac)))
+        assert run["cross_mode_double_creation"] == cross
+        vacuum = np.vdot(vac, mf.standard_hamiltonian(layout, config) @ vac).real
+        assert abs(run["vacuum_energy"] - vacuum) <= 1e-13
+
+        if not with_atom:
+            assert "emission" not in run
+            return
+        emit_layout = mf.build_standard_layout(modes, nmax, with_atom=True)
+        assert run["emission_dimension"] == emit_layout.dimension
+        rows = standard_first_order_emission(atom, emit_layout.modes, config, 0.9)
+        assert [r["amplitude"] for r in run["emission"]] == [r["amplitude"] for r in rows]
+        # first order from |vac, excited>: <1_k, ground|H|vac, excited>/hbar
+        # times the resonance kernel, with H the tensor-product oracle's
+        h = mf.standard_atom_field_hamiltonian(emit_layout, atom, config)
+        start = emit_layout.flatten((0,) * n_modes, atom=EXCITED)
+        for k, (row, m) in enumerate(zip(run["emission"], modes)):
+            photon = [0] * n_modes
+            photon[k] = 1
+            element = h[emit_layout.flatten(photon), start] / config.hbar
+            want = element * resonance_kernel(atom.omega0 - m.omega, 0.9)
+            assert abs(row["amplitude"] - want) <= 1e-12 * abs(want)
+
+    def test_no_tensor_product_beyond_the_cap(self, natural):
+        modes = z_modes(0.8, 1.3, 2.1, 2.9) + (mf.abstract_mode(3.7),)
+        with pytest.raises(ValueError, match="cap"):
+            mf.build_standard_layout(modes, 3)
+        run = mf.standard_scheme_run(modes, 3, natural)
+        assert run["dimension"] == 4 ** 5
+        assert run["cross_mode_double_creation"] == 1.0
+        assert run["vacuum_energy"] == 0.5 * float(np.sum([m.omega for m in modes]))
 
 
 class TestStandardEmission:
@@ -85,7 +138,7 @@ class TestStandardEmission:
         modes = z_modes(0.8, 1.3)
         layout = mf.build_standard_layout(modes, 2, with_atom=True)
         atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.5j, 0.0))
-        rows = standard_first_order_emission(atom, layout, natural, 0.9)
+        rows = standard_first_order_emission(atom, layout.modes, natural, 0.9)
         for row, mode in zip(rows, modes):
             g = mf.coupling(mode, atom, natural)
             expected = atom.omega0 * atom.d * np.conj(g) \
@@ -97,7 +150,7 @@ class TestStandardEmission:
         mode = z_modes(1.1)[0]
         atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.0, 0.0))
         std_layout = mf.build_standard_layout([mode], 2, with_atom=True)
-        std = standard_first_order_emission(atom, std_layout, natural, 1.4)
+        std = standard_first_order_emission(atom, std_layout.modes, natural, 1.4)
         layout = mf.build_layout([mode], 2, with_atom=True)
         amps = np.zeros(layout.dimension, dtype=complex)
         amps[layout.flatten(0, 0, EXCITED)] = 1.0
@@ -109,7 +162,7 @@ class TestStandardEmission:
         modes = z_modes(0.9, 1.2)
         atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.0, 0.0))
         std_layout = mf.build_standard_layout(modes, 2, with_atom=True)
-        std = standard_first_order_emission(atom, std_layout, natural, 1.0)
+        std = standard_first_order_emission(atom, std_layout.modes, natural, 1.0)
         layout = mf.build_layout(modes, 2, with_atom=True)
         weights = [0.6, 0.8]
         amps = np.zeros(layout.dimension, dtype=complex)
