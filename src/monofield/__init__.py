@@ -49,9 +49,11 @@ from .emission import (
     vacuum_subspace_check,
 )
 from .fields import (
+    CoherentBatch,
     CoherentSpec,
     PolarizationBasis,
     classical_formula,
+    coherent_rows,
     coherent_state,
     electric_field,
     energy_identity,
@@ -74,6 +76,7 @@ from .hilbert import (
     basis_state,
     build_layout,
     expect,
+    expect_rows,
     inner,
     load_mode_set,
     mode,

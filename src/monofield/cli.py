@@ -38,9 +38,10 @@ from .emission import (
     first_order_state,
     free_hamiltonian_with_atom,
     interaction_picture,
-    vacuum_subspace_check,
+    VACUUM_TOL,
 )
-from .fields import CoherentSpec, coherent_state, field_average, magnetic_field
+from .fields import (CoherentBatch, CoherentSpec, StateError, coherent_rows, coherent_state,
+                     field_average, magnetic_field)
 from .fields import electric_field, vector_potential
 from .hilbert import (
     FieldConfig,
@@ -48,7 +49,7 @@ from .hilbert import (
     ModeLabel,
     basis_state,
     build_layout,
-    expect,
+    expect_rows,
     load_mode_set,
     mode,
     parse_complex,
@@ -85,7 +86,9 @@ class RunConfig:
     field: FieldConfig
     atom: AtomParams | None
     coherent: CoherentSpec | None
-    states: tuple[tuple[str, CoherentSpec], ...]
+    # the vacuum-energy states: one label and one batch row each
+    state_labels: tuple[str, ...]
+    states: CoherentBatch
     times: tuple[float, ...]
     points: tuple[tuple[float, float, float], ...]
     couplings: tuple[float, ...]
@@ -159,6 +162,34 @@ def load_config(path) -> tuple[RunConfig, dict]:
         raise ConfigError(str(exc))
 
 
+STATE_KEYS = {"weights", "alphas", "label"}
+
+
+def _read_states(entries: list, modes: tuple[ModeLabel, ...]) -> CoherentBatch | None:
+    """The "states" list as one batch, read with one type pass and one float
+    array, or None when that pass cannot vouch for every state.
+
+    None sends the list through :meth:`CoherentSpec.parse` state by state,
+    which reads the same values and names the first bad state.
+    """
+    if not entries:
+        return CoherentBatch.stack(modes, [])
+    m = len(modes)
+    zeros = [0.0] * m
+    if not all(type(e) is dict and e.keys() <= STATE_KEYS
+               and type(w := e.get("weights")) is list and len(w) == m
+               and type(a := e.get("alphas", zeros)) is list and len(a) == m
+               for e in entries):
+        return None
+    values = [v for e in entries for v in e["weights"]]
+    values += [v for e in entries for v in e.get("alphas", zeros)]
+    try:
+        weights, alphas = parse_complex_list(values).reshape(2, len(entries), len(modes))
+        return CoherentBatch.make(modes, weights, alphas)
+    except ValueError:
+        return None
+
+
 def _parse_config(doc) -> RunConfig:
     _require_keys(doc, TOP_LEVEL_KEYS, "config")
 
@@ -195,10 +226,12 @@ def _parse_config(doc) -> RunConfig:
 
     coherent = _spec_from(doc["coherent"], "coherent") if "coherent" in doc else None
 
-    states = []
-    for i, entry in enumerate(_list(doc, "states")):
-        spec = _spec_from(entry, f"states[{i}]", "label")
-        states.append((str(entry.get("label", f"state{i}")), spec))
+    entries = _list(doc, "states")
+    states = _read_states(entries, modes)
+    if states is None:  # the one-pass read cannot vouch for every state
+        states = CoherentBatch.stack(modes, [_spec_from(entry, f"states[{i}]", "label")
+                                             for i, entry in enumerate(entries)])
+    state_labels = tuple(str(entry.get("label", f"state{i}")) for i, entry in enumerate(entries))
 
     if "times" in doc and "time_grid" in doc:
         raise ConfigError("give either 'times' or 'time_grid', not both")
@@ -261,7 +294,7 @@ def _parse_config(doc) -> RunConfig:
         raise ConfigError("emission_initial: the norm of the amplitudes overflows")
 
     return RunConfig(modes=modes, nmax=nmax, field=field, atom=atom,
-                     coherent=coherent, states=tuple(states), times=times,
+                     coherent=coherent, state_labels=state_labels, states=states, times=times,
                      points=tuple(points), couplings=couplings,
                      tolerances=tolerances, standard_nmax=standard_nmax,
                      emission_initial=initial)
@@ -327,6 +360,11 @@ def cmd_verify_algebra(cfg: RunConfig, outdir: Path, tol: float | None, seed: in
     return 1 if failed else 0
 
 
+# vacuum-energy builds its states in blocks of about this many bytes of
+# amplitudes, so its working arrays stay small whatever the number of states
+STATE_BLOCK_BYTES = 1 << 18
+
+
 def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> int:
     if not cfg.states:
         raise ConfigError("vacuum-energy needs a 'states' list")
@@ -335,19 +373,25 @@ def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int
     propagating = all(not m.abstract for m in cfg.modes)
     p_ops = momentum(layout, cfg.field) if propagating else None
     contrast = standard_vacuum_energy(cfg.modes, cfg.field)
+    labels = cfg.state_labels
     rows = []
-    for label, spec in cfg.states:
+    size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension))
+    for start in range(0, len(labels), size):
+        block = cfg.states.rows(start, start + size)
         try:
-            state = coherent_state(layout, spec)
-        except ValueError as exc:
-            raise ConfigError(f"state {label!r}: {exc}")
-        check = vacuum_subspace_check(state, cfg.field)
-        energy = expect(h, state).real
+            psi = coherent_rows(layout, block)
+        except StateError as exc:
+            raise ConfigError(f"state {labels[start + exc.index]!r}: {exc}")
+        # zero-photon: every n > 0 amplitude below the vacuum_subspace_check tolerance
+        is_vacuum = np.abs(layout.view(psi)[..., 1:]).max(axis=(-3, -2, -1)) < VACUUM_TOL
+        energy = expect_rows(h, psi).real
         if p_ops is not None:
-            p = [expect(op, state).real for op in p_ops]
+            p = zip(*(expect_rows(op, psi).real.tolist() for op in p_ops))
         else:
-            p = ["", "", ""]
-        rows.append([label, check.is_vacuum, energy, p[0], p[1], p[2], contrast])
+            p = [("", "", "")] * len(psi)
+        rows += [[label, vac, e, *pk, contrast] for label, vac, e, pk
+                 in zip(labels[start:start + size], is_vacuum.tolist(),
+                        energy.tolist(), p)]
     _write_csv(outdir / "vacuum.csv",
                ["label", "is_vacuum", "energy", "px", "py", "pz",
                 "standard_vacuum_energy"], rows)

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 GROUND, EXCITED = 0, 1
+# largest n > 0 amplitude modulus of a state counted as zero-photon
+VACUUM_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ class VacuumCheck:
 
 
 def vacuum_subspace_check(state: StateVector, config: FieldConfig | None = None,
-                          tol: float = 1e-14) -> VacuumCheck:
+                          tol: float = VACUUM_TOL) -> VacuumCheck:
     """True iff every n > 0 amplitude vanishes; reports <H_field> = sum |psi|^2 * hbar*omega/2.
 
     The zero-photon states span a whole subspace, so the reported energy

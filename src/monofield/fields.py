@@ -28,11 +28,14 @@ __all__ = [
     "polarization",
     "polarization_basis",
     "CoherentSpec",
+    "CoherentBatch",
+    "StateError",
     "load_coherent_spec",
     "vector_potential",
     "electric_field",
     "magnetic_field",
     "coherent_state",
+    "coherent_rows",
     "required_truncation",
     "field_average",
     "classical_formula",
@@ -168,14 +171,8 @@ class CoherentSpec:
         modes = tuple(modes)
         if not (len(modes) == len(weights) == len(alphas)):
             raise ValueError("modes, weights and alphas must have equal length")
-        w = np.asarray(weights, dtype=complex)
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            total = np.linalg.norm(w)
-        if total == 0.0:
-            raise ValueError("all sector weights are zero")
-        if not np.isfinite(total):
-            raise ValueError("the norm of the sector weights overflows")
-        return cls(modes, tuple(w / total), tuple(np.asarray(alphas, dtype=complex).tolist()))
+        w = _unit_rows(np.asarray(weights, dtype=complex)[None])[0]
+        return cls(modes, tuple(w), tuple(np.asarray(alphas, dtype=complex).tolist()))
 
     @classmethod
     def parse(cls, modes: Sequence[ModeLabel], doc) -> "CoherentSpec":
@@ -191,6 +188,90 @@ class CoherentSpec:
         if weights is None:
             weights = [1.0] * len(modes)
         return cls.make(modes, weights, [0.0] * len(modes))
+
+
+@dataclass(frozen=True, eq=False)
+class CoherentBatch:
+    """S coherent specs on one mode tuple: row s of the read-only (S, M)
+    ``weights`` and ``alphas`` arrays holds what a :class:`CoherentSpec` holds."""
+
+    modes: tuple[ModeLabel, ...]
+    weights: np.ndarray
+    alphas: np.ndarray
+
+    def __post_init__(self):
+        shape = (len(self.weights), len(self.modes))
+        if not self.weights.shape == self.alphas.shape == shape:
+            raise ValueError("modes, weights and alphas must have equal length")
+        self.weights.setflags(write=False)
+        self.alphas.setflags(write=False)
+
+    @classmethod
+    def make(cls, modes: Sequence[ModeLabel], weights, alphas) -> "CoherentBatch":
+        """Batch from (S, M) weight and alpha rows; every weight row is
+        normalised as :meth:`CoherentSpec.make` normalises one."""
+        weights = np.asarray(weights, dtype=complex)
+        return cls(tuple(modes), _unit_rows(weights), np.asarray(alphas, dtype=complex))
+
+    @classmethod
+    def stack(cls, modes: Sequence[ModeLabel], specs: Sequence[CoherentSpec]) -> "CoherentBatch":
+        """Batch whose rows are ``specs``, made on ``modes``."""
+        shape = (len(specs), len(modes))
+        return cls(tuple(modes),
+                   np.array([s.weights for s in specs], dtype=complex).reshape(shape),
+                   np.array([s.alphas for s in specs], dtype=complex).reshape(shape))
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def rows(self, start: int, stop: int) -> "CoherentBatch":
+        """The batch of states ``start`` to ``stop`` (exclusive)."""
+        return CoherentBatch(self.modes, self.weights[start:stop], self.alphas[start:stop])
+
+    def spec(self, s: int) -> CoherentSpec:
+        """State ``s`` as a :class:`CoherentSpec`."""
+        return CoherentSpec(self.modes, tuple(self.weights[s]), tuple(self.alphas[s].tolist()))
+
+
+class StateError(ValueError):
+    """A ValueError about one state of a :class:`CoherentBatch`, its row ``index``."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+# below this norm the sum of squares of a weight row may have underflowed
+_SMALL_NORM = math.sqrt(np.finfo(float).tiny)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of every row of a complex array, summed like np.linalg.norm of that row."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def _unit_rows(weights: np.ndarray) -> np.ndarray:
+    """Every row of a complex (S, M) array divided by its 2-norm.
+
+    A row whose norm is below sqrt(tiny), where its squares may underflow,
+    is first divided by its largest modulus; any other row is divided by
+    its plain norm.  Refuses an all-zero row and a norm that overflows.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = _row_norms(weights)
+    small = norms < _SMALL_NORM
+    if small.any():
+        peaks = np.abs(weights[small]).max(axis=1, initial=0.0)
+        if not peaks.all():
+            raise ValueError("all sector weights are zero")
+        # real division of each part: a complex one overflows on a subnormal peak
+        scaled = (weights[small].view(float) / peaks[:, None]).view(complex)
+        weights = weights.copy()
+        weights[small] = scaled
+        norms[small] = _row_norms(scaled)
+    if not np.isfinite(norms).all():
+        raise ValueError("the norm of the sector weights overflows")
+    return weights / norms[:, None]
 
 
 def _complex_list(doc, key: str, default: list) -> np.ndarray:
@@ -232,7 +313,7 @@ def _poisson_tail(mu: float, nmax: int) -> float:
 
 
 def _poisson_tails(mu: np.ndarray, nmax: int) -> np.ndarray:
-    """:func:`_poisson_tail` for every mean in ``mu`` at once.
+    """:func:`_poisson_tail` for every mean in the array ``mu`` at once.
 
     The same left-to-right sum of the terms exp(-mu + n*log(mu) - lgamma(n+1)),
     taken with numpy's exp and log, so a tail may differ from the scalar one
@@ -241,8 +322,8 @@ def _poisson_tails(mu: np.ndarray, nmax: int) -> np.ndarray:
     n = np.arange(nmax + 1)
     log_factorial = np.array([math.lgamma(i + 1) for i in n])
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.exp(-mu[:, None] + n * np.log(mu)[:, None] - log_factorial)
-        kept = np.cumsum(terms, axis=1)[:, -1]
+        terms = np.exp(-mu[..., None] + n * np.log(mu)[..., None] - log_factorial)
+        kept = np.cumsum(terms, axis=-1)[..., -1]
     return np.where(mu == 0.0, 0.0, np.maximum(0.0, 1.0 - kept))
 
 
@@ -256,16 +337,27 @@ def required_truncation(alpha: complex, tail_tol: float = 1e-10, cap: int = 10_0
 
 def coherent_state(layout: HilbertLayout, spec: CoherentSpec,
                    tail_tol: float = 1e-10) -> StateVector:
-    """State sum_k Phi_k |k> |alpha_k> with renormalized truncated blocks.
+    """State sum_k Phi_k |k> |alpha_k> with renormalized truncated blocks:
+    the one-state case of :func:`coherent_rows`, whose checks it shares."""
+    return StateVector(layout, coherent_rows(layout, CoherentBatch.stack(spec.modes, [spec]),
+                                             tail_tol)[0])
 
-    Rejects the request when any mode's Poisson tail beyond nmax exceeds
-    ``tail_tol``, reporting the truncation that would suffice.
+
+def coherent_rows(layout: HilbertLayout, batch: CoherentBatch,
+                  tail_tol: float = 1e-10) -> np.ndarray:
+    """The (S, D) amplitudes of every state of ``batch``, one state per row.
+
+    All S*M coherent columns run through one recurrence, so each row equals
+    the amplitudes the same arithmetic gives for that state alone.  Rejects
+    the request when any mode's Poisson tail beyond nmax exceeds
+    ``tail_tol``, reporting the truncation that would suffice, with a
+    :class:`StateError` for the first such state.
     """
     if layout.has_atom:
         raise ValueError("coherent_state builds field states; layout has an atom factor")
-    if spec.modes != layout.modes:
+    if batch.modes != layout.modes:
         raise ValueError("coherent spec modes do not match the layout")
-    alphas = np.array(spec.alphas, dtype=complex)
+    alphas = batch.alphas
     with np.errstate(over="ignore"):
         magnitudes = np.abs(alphas)
         mu = magnitudes ** 2
@@ -275,32 +367,35 @@ def coherent_state(layout: HilbertLayout, spec: CoherentSpec,
     # scalar sum, so a mode this close to the bound is decided by _poisson_tail,
     # the sum required_truncation reports from
     slack = (layout.nmax + 2) * np.finfo(float).eps
-    for k in np.flatnonzero(overflows | (tails > tail_tol - slack)).tolist():
-        if overflows[k]:
-            raise ValueError(f"|alpha|={magnitudes[k]:.4g} on mode {k} is too large: "
-                             "its mean photon number overflows")
-        alpha = spec.alphas[k]
+    for s, k in np.argwhere(overflows | (tails > tail_tol - slack)).tolist():
+        if overflows[s, k]:
+            raise StateError(s, f"|alpha|={magnitudes[s, k]:.4g} on mode {k} is too large: "
+                                "its mean photon number overflows")
+        alpha = complex(alphas[s, k])
         tail = _poisson_tail(abs(alpha) ** 2, layout.nmax)
         if tail > tail_tol:
-            need = required_truncation(alpha, tail_tol)
-            raise ValueError(
-                f"nmax={layout.nmax} too small for |alpha|={abs(alpha):.4g} on mode {k}: "
-                f"tail mass {tail:.3e} > {tail_tol:.1e}; nmax >= {need} required"
-            )
-    # column n is alpha^n/sqrt(n!), one mode per row; the product is written
-    # out in real arithmetic to round like a complex scalar product
-    cols = np.empty((layout.n_modes, layout.fock_dim), dtype=complex)
-    cols[:, 0] = 1.0
-    step = np.empty(layout.n_modes, dtype=complex)
+            try:
+                need = required_truncation(alpha, tail_tol)
+            except ValueError as exc:
+                raise StateError(s, str(exc)) from None
+            raise StateError(
+                s, f"nmax={layout.nmax} too small for |alpha|={abs(alpha):.4g} on mode {k}: "
+                   f"tail mass {tail:.3e} > {tail_tol:.1e}; nmax >= {need} required")
+    rows = np.empty((len(batch), layout.dimension), dtype=complex)
+    # column n is alpha^n/sqrt(n!), one (state, mode) per entry of the first
+    # two axes; the product is written out in real arithmetic to round like a
+    # complex scalar product
+    cols = layout.view(rows)[:, 0]
+    cols[..., 0] = 1.0
+    step = np.empty(alphas.shape, dtype=complex)
     for n in range(1, layout.fock_dim):
-        p = cols[:, n - 1]
+        p = cols[..., n - 1]
         step.real = p.real * alphas.real - p.imag * alphas.imag
         step.imag = p.real * alphas.imag + p.imag * alphas.real
-        cols[:, n] = step / math.sqrt(n)
-    # each row's norm summed like np.linalg.norm of that row
-    norms = np.sqrt([c.real.dot(c.real) + c.imag.dot(c.imag) for c in cols])
-    weights = np.array(spec.weights, dtype=complex)
-    return StateVector(layout, layout.flat(weights[:, None] * (cols / norms[:, None])))
+        cols[..., n] = step / math.sqrt(n)
+    np.divide(cols, _row_norms(cols)[..., None], out=cols)
+    np.multiply(batch.weights[..., None], cols, out=cols)
+    return rows
 
 
 # -- averages -----------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "inner",
     "apply",
     "expect",
+    "expect_rows",
     "read_json",
     "read_real",
     "read_int",
@@ -532,6 +533,15 @@ def apply(a: Operator, x: StateVector) -> StateVector:
 def expect(a: Operator, x: StateVector) -> complex:
     """<x|A|x>; equals inner(x, apply(A, x)) by construction."""
     return inner(x, apply(a, x))
+
+
+def expect_rows(a: Operator, rows: np.ndarray) -> np.ndarray:
+    """<x|A|x> for every row x of an (S, D) amplitude array, A of the
+    diagonal kind: one conjugated row product, each value the one
+    :func:`expect` gives for that row alone."""
+    if not a.diagonal:
+        raise ValueError(f"expect_rows needs a diagonal operator, got kind {a.kind}")
+    return np.vecdot(rows, a.data * rows)
 
 
 # -- serialization ------------------------------------------------------

@@ -2,12 +2,14 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monofield import algebra
-from monofield.cli import load_config, main, ConfigError
-from monofield.fields import CoherentSpec, load_coherent_spec
-from monofield.hilbert import Operator
+from monofield.cli import _read_states, load_config, main, ConfigError
+from monofield.fields import (CoherentBatch, CoherentSpec, coherent_rows, coherent_state,
+                              load_coherent_spec)
+from monofield.hilbert import FieldConfig, Operator, build_layout, load_mode_set
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,7 +192,7 @@ class TestConfigParsing:
         else:
             spec = load_coherent_spec(spec_doc)
             cfg, _ = load_config(p)
-            assert cfg.states[0][1].weights == spec.weights
+            assert cfg.states.spec(0).weights == spec.weights
             assert spec.weights == CoherentSpec.make(spec.modes, [1.0, value],
                                                      [0.0, 0.0]).weights
 
@@ -387,3 +389,197 @@ class TestCompareStandardCommand:
         b = json.loads((tmp_path / "b" / "comparison.json").read_text())
         assert a["vacuum_energy"]["single_oscillator_samples"] \
             != b["vacuum_energy"]["single_oscillator_samples"]
+
+
+def _vacuum_doc(rng, modes, nmax, n_states, alpha_scale, vacuum_every=3):
+    """A vacuum-energy config: random weights (a few exact zeros) and
+    coherent amplitudes, every ``vacuum_every``-th state with all alphas 0."""
+    states = []
+    for i in range(n_states):
+        weights = rng.normal(size=(len(modes), 2))
+        weights[rng.uniform(size=len(modes)) < 0.2] = 0.0
+        weights[0] = [1.0, 0.0]
+        radius = 0.0 if i % vacuum_every == 0 else alpha_scale
+        alphas = radius * rng.uniform(size=len(modes)) \
+            * np.exp(2j * np.pi * rng.uniform(size=len(modes)))
+        states.append({"label": f"s{i}",
+                       "weights": [[float(re), float(im)] if im else float(re)
+                                   for re, im in weights],
+                       "alphas": [[a.real, a.imag] for a in alphas.tolist()]})
+    return {"modes": modes, "nmax": nmax, "states": states}
+
+
+PROPAGATING = [{"s": 1, "kappa": [0.0, 0.0, 1.0]}, {"s": -1, "kappa": [0.0, 2.0, 0.0]},
+               {"s": 1, "kappa": [1.0, -1.0, 0.5]}, {"s": -1, "kappa": [-0.3, 0.2, 0.9]}]
+ABSTRACT = [{"omega": 1.0}, {"omega": 2.5}, {"omega": 0.7, "j": 1}]
+
+
+def _per_state_rows(doc):
+    """vacuum.csv rows as the command built them state by state: each spec
+    parsed on its own, then coherent_state, vacuum_subspace_check and one
+    expect per operator."""
+    from monofield.algebra import hamiltonian, momentum
+    from monofield.emission import vacuum_subspace_check
+    from monofield.fields import coherent_state
+    from monofield.hilbert import build_layout, expect, load_mode_set
+    from monofield.standard import standard_vacuum_energy
+
+    modes = load_mode_set(doc["modes"])
+    layout = build_layout(modes, doc["nmax"])
+    h = hamiltonian(layout)
+    p_ops = momentum(layout) if all(not m.abstract for m in modes) else None
+    contrast = standard_vacuum_energy(modes, FieldConfig())
+    lines, amplitudes = ["label,is_vacuum,energy,px,py,pz,standard_vacuum_energy"], []
+    for entry in doc["states"]:
+        state = coherent_state(layout, CoherentSpec.parse(modes, entry))
+        check = vacuum_subspace_check(state)
+        p = [repr(expect(op, state).real) for op in p_ops] if p_ops else ["", "", ""]
+        lines.append(",".join([entry["label"], "true" if check.is_vacuum else "false",
+                               repr(expect(h, state).real), *p, repr(contrast)]))
+        amplitudes.append(state.amplitudes)
+    return "\n".join(lines) + "\n", np.array(amplitudes)
+
+
+class TestVacuumEnergyBatch:
+    @pytest.mark.parametrize("modes, nmax, n_states, alpha_scale", [
+        (PROPAGATING, 1, 12, 3e-3),
+        (PROPAGATING, 12, 12, 0.8),
+        (ABSTRACT, 12, 7, 0.8),
+        (PROPAGATING, 12, 1, 0.8),
+    ], ids=["mixed_nmax1", "mixed_nmax12", "abstract", "one_state"])
+    def test_rows_and_amplitudes_match_the_per_state_loop(self, tmp_path, modes, nmax,
+                                                          n_states, alpha_scale):
+        doc = _vacuum_doc(np.random.default_rng(nmax + n_states), modes, nmax, n_states,
+                          alpha_scale, vacuum_every=1 if n_states == 1 else 3)
+        if n_states == 1:
+            doc["states"][0]["alphas"][1] = [0.5, -0.25]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        want_csv, want_amps = _per_state_rows(doc)
+        assert run("vacuum-energy", p, tmp_path) == 0
+        assert (tmp_path / "vacuum.csv").read_text() == want_csv
+        vacua = want_csv.count(",true,")
+        assert n_states == 1 or 0 < vacua < n_states  # both kinds of state are met
+        cfg, _ = load_config(p)
+        layout = build_layout(cfg.modes, cfg.nmax)
+        rows = coherent_rows(layout, cfg.states)
+        assert rows.tobytes() == want_amps.tobytes()
+        assert coherent_state(layout, cfg.states.spec(0)).amplitudes.tobytes() \
+            == rows[0].tobytes()
+
+    def test_one_pass_reader_matches_per_state_parsing(self):
+        doc = _vacuum_doc(np.random.default_rng(3), PROPAGATING, 4, 9, 0.3)
+        doc["states"][2].pop("alphas")
+        doc["states"][4]["weights"][1] = 2
+        doc["states"][5]["weights"] = [1e-200, 0, [3e-201, -1e-200], 0]
+        modes = load_mode_set(doc["modes"])
+        batch = _read_states(doc["states"], modes)
+        want = CoherentBatch.stack(modes, [CoherentSpec.parse(modes, e) for e in doc["states"]])
+        assert batch.weights.tobytes() == want.weights.tobytes()
+        assert batch.alphas.tobytes() == want.alphas.tobytes()
+
+    @pytest.mark.parametrize("entry", [5, {"weights": [1, 1, 1, 1], "bogus": 0},
+                                       {"weights": [1, 1, 1]}, {"weights": [1, 1, 1, True]},
+                                       {"weights": [0, 0, 0, 0]},
+                                       {"weights": (1, 1, 1, 1)}])
+    def test_one_pass_reader_declines_what_it_cannot_vouch_for(self, entry):
+        doc = _vacuum_doc(np.random.default_rng(4), PROPAGATING, 4, 3, 0.3)
+        assert _read_states([*doc["states"], entry], load_mode_set(doc["modes"])) is None
+
+    def test_states_are_built_in_one_batch(self, tmp_path, monkeypatch):
+        # the per-state loop (coherent_state, vacuum_subspace_check and expect
+        # per state) must not come back: none of them runs, the batch runs once
+        import monofield
+
+        calls = {"coherent_state": 0, "expect": 0, "vacuum_subspace_check": 0,
+                 "coherent_rows": 0}
+        for module in (monofield.fields, monofield.hilbert, monofield.emission):
+            for name in calls:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def counted(*args, _name=name, _original=original, **kwargs):
+                        calls[_name] += 1
+                        return _original(*args, **kwargs)
+                    for owner in (monofield, monofield.cli, monofield.fields,
+                                  monofield.hilbert, monofield.emission):
+                        if getattr(owner, name, None) is original:
+                            monkeypatch.setattr(owner, name, counted)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_vacuum_doc(np.random.default_rng(5), PROPAGATING, 12, 50, 0.8)))
+        assert run("vacuum-energy", p, tmp_path) == 0
+        assert calls == {"coherent_state": 0, "expect": 0, "vacuum_subspace_check": 0,
+                         "coherent_rows": 1}
+
+    # two bad states, 1 and 3, of each kind: the first one is named, with the
+    # line the state-by-state command printed
+    @pytest.mark.parametrize("bad1, bad3, message", [
+        (5, "x", "states[1] must be an object"),
+        ({"weights": [1, 1], "alphas": [0, "x"]}, {"weights": [1, 1], "alphas": [True, 0]},
+         "bad states[1]: alphas[1]: expected a finite number or [re, im] pair, got 'x'"),
+        ({"weights": [1, 1], "alphas": [0, 1e200]}, {"weights": [1, 1], "alphas": [1e300, 0]},
+         "state 'b1': |alpha|=1e+200 on mode 1 is too large: its mean photon number overflows"),
+        ({"weights": [1, 1], "alphas": [0, 3.0]}, {"weights": [1, 1], "alphas": [4.0, 0]},
+         "state 'b1': nmax=12 too small for |alpha|=3 on mode 1: tail mass 1.242e-01 > "
+         "1.0e-10; nmax >= 34 required"),
+        ({"weights": [1, 1], "alphas": [100.0, 0]}, {"weights": [1, 1], "alphas": [0, 200.0]},
+         "state 'b1': no truncation below 10000 reaches tail mass 1e-10"),
+        ({"weights": [0, 0]}, {"weights": [0.0, [0, 0]]},
+         "bad states[1]: all sector weights are zero"),
+        ({"weights": [1e308, 1e308]}, {"weights": [0, 0]},
+         "bad states[1]: the norm of the sector weights overflows"),
+        ({"weights": [1, 1], "alphas": [0, 3.0]}, 7, "states[3] must be an object"),
+        ({"weights": [1, 1], "alphas": [0, 1e200]}, {"weights": [1, 1], "alphas": [0, "x"]},
+         "bad states[3]: alphas[1]: expected a finite number or [re, im] pair, got 'x'"),
+    ], ids=["non_object", "bad_alpha", "overflowing_alpha", "small_nmax", "hopeless",
+            "zero_weights", "overflowing_weights", "load_before_build",
+            "parse_before_build"])
+    def test_first_bad_state_is_named(self, tmp_path, capsys, monkeypatch, bad1, bad3,
+                                      message):
+        import monofield
+
+        built = []
+        monkeypatch.setattr(monofield.cli, "coherent_rows",
+                            lambda *args: built.append(1) or coherent_rows(*args))
+        good = {"weights": [1.0, [0.0, 1.0]], "alphas": [0.5, [0.0, 0.3]]}
+        states = [dict(good, label=f"s{i}") for i in range(5)]
+        for i, bad in ((1, bad1), (3, bad3)):
+            states[i] = dict(bad, label=f"b{i}") if isinstance(bad, dict) else bad
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"modes": PROPAGATING[:2], "nmax": 12, "states": states}))
+        assert run("vacuum-energy", p, tmp_path) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        # a state that cannot be loaded is refused before any state is built
+        assert built == ([1] if message.startswith("state ") else [])
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 16 * 4 * 13])
+    def test_blocks_of_states_change_nothing(self, tmp_path, capsys, monkeypatch,
+                                             block_bytes):
+        # blocks of one and of three states: the same file, and an error in a
+        # later block still names its own state
+        import monofield
+
+        doc = _vacuum_doc(np.random.default_rng(6), PROPAGATING, 12, 10, 0.8)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run("vacuum-energy", p, tmp_path / "whole") == 0
+        monkeypatch.setattr(monofield.cli, "STATE_BLOCK_BYTES", block_bytes)
+        assert run("vacuum-energy", p, tmp_path / "blocks") == 0
+        assert (tmp_path / "blocks" / "vacuum.csv").read_bytes() \
+            == (tmp_path / "whole" / "vacuum.csv").read_bytes()
+        doc["states"][7]["alphas"][2] = 3.0
+        doc["states"][8]["alphas"][0] = 1e200
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("vacuum-energy", p, tmp_path / "blocks") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: state 's7': nmax=12 too small for |alpha|=3 on mode 2: ")
+
+    @pytest.mark.parametrize("weights", [[1e-160, 1e-160], [1e-165, 1e-165], [1e-200, 0]])
+    def test_weights_whose_squares_underflow_run(self, tmp_path, weights):
+        doc = {"modes": PROPAGATING[:2], "nmax": 2, "states": [{"weights": weights}]}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run("vacuum-energy", p, tmp_path) == 0
+        cfg, _ = load_config(p)
+        assert abs(np.linalg.norm(cfg.states.weights[0]) - 1.0) < 1e-15

@@ -175,6 +175,35 @@ class TestCoherentState:
         spec = self.two_mode_spec()
         assert sum(abs(w) ** 2 for w in spec.weights) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("weights", [[1e-160, 1e-160], [1e-165, 1e-165], [1e-200, 0.0],
+                                         [5e-324, 1e-320j]])
+    def test_weights_whose_squares_underflow_are_normalized(self, weights):
+        spec = self.two_mode_spec()
+        spec = mf.CoherentSpec.make(spec.modes, weights, [0.0, 0.0])
+        assert abs(np.linalg.norm(spec.weights) - 1.0) < 1e-15
+        ratio = weights[1] / weights[0]
+        assert spec.weights[1] / spec.weights[0] == pytest.approx(ratio, rel=1e-15)
+
+    def test_ordinary_weights_keep_the_plain_norm_bit_for_bit(self, rng):
+        modes = self.two_mode_spec().modes
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            w = scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            want = w / np.linalg.norm(w)
+            assert np.array(mf.CoherentSpec.make(modes, w, [0, 0]).weights).tobytes() \
+                == want.tobytes()
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.0, 0.0], "all sector weights are zero"),
+        ([0j, -0.0], "all sector weights are zero"),
+        ([1e308, 1e308], "the norm of the sector weights overflows"),
+    ])
+    def test_zero_and_overflowing_weights_refused(self, weights, message):
+        modes = self.two_mode_spec().modes
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mf.CoherentSpec.make(modes, weights, [0.0, 0.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mf.CoherentBatch.make(modes, [[1.0, 1.0], weights], [[0.0, 0.0]] * 2)
+
     def test_spec_loadable_from_json(self, tmp_path):
         import json
 

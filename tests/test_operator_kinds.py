@@ -189,7 +189,8 @@ class TestBatchedCoherentState:
     def test_data_configs_match_the_scalar_recurrence(self, name):
         cfg, _ = load_config(DATA / name)
         layout = mf.build_layout(cfg.modes, cfg.nmax)
-        specs = [spec for _, spec in cfg.states] + [cfg.coherent] * (cfg.coherent is not None)
+        specs = [cfg.states.spec(s) for s in range(len(cfg.states))]
+        specs += [cfg.coherent] * (cfg.coherent is not None)
         assert specs
         for spec in specs:
             assert same_bits(mf.coherent_state(layout, spec).amplitudes,
