@@ -225,7 +225,7 @@ def _pieces(op: Operator):
         blocks = data[kets[:, 0], None, None]
     else:
         nonzero = np.any(data != 0, axis=(1, 2))
-        kets = op.layout.block_kets[nonzero]
+        kets = op.layout.blocks_of(np.arange(op.layout.dimension))[nonzero]
         blocks = data[nonzero]
     support = np.zeros(op.layout.dimension, dtype=bool)
     support[kets] = True

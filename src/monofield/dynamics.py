@@ -8,9 +8,10 @@ a diagonal generator is its own eigenbasis, so its evolution is the phase
 vector alone, and it moves a diagonal operator in the Heisenberg picture
 to a diagonal one; a block generator is diagonalised by one batched
 ``eigh`` over its mode blocks, and V is a block operator.
-:meth:`Spectrum.trajectory` evolves one state to a whole array of times as
-one stacked product, with each time's row the same arithmetic as a single
-step; :meth:`Spectrum.evolve` is the trajectory at one time.
+:meth:`Spectrum.trajectory` evolves one state to a whole array of times
+through one stacked :meth:`Operator.matvec` of the (times, D) phases, with
+each time's row the same arithmetic as a single step;
+:meth:`Spectrum.evolve` is the trajectory at one time.
 :func:`matrix_exp` is the general Pade exponential; no evolution path
 calls it.  scipy is imported only inside :func:`matrix_exp`
 (``scipy.linalg``) and :func:`dyson_first_order` (``quad_vec``), so
@@ -147,8 +148,7 @@ class Spectrum:
         Row t is the same arithmetic as a step on its own: the phase vector
         times ``psi`` for a diagonal generator, else ``psi`` plus
         V diag(expm1(angles)) V^dag ``psi`` with V^dag ``psi`` formed once and
-        V applied by one stacked ``matmul`` over the times (and the modes of
-        a block generator).
+        V applied to the (T, D) stack by one :meth:`Operator.matvec`.
         """
         if psi.layout != self.generator.layout:
             raise ValueError("layout mismatch between generator and state")
@@ -157,16 +157,8 @@ class Spectrum:
         if self.vectors is None:
             out = np.exp(angles) * amplitudes
         else:
-            v, vh, phases = self.vectors.data, self.adjoint.data, np.expm1(angles)
-            if v.ndim == 2:
-                out = amplitudes + (v @ (phases * (vh @ amplitudes))[..., None])[..., 0]
-            else:  # one gather into per-mode rows, one scatter back
-                kets = psi.layout.block_kets
-                rows = vh @ amplitudes[kets][..., None]
-                coefficients = phases[:, kets, None] * rows
-                out = np.empty_like(phases)
-                out[:, kets] = (v @ coefficients)[..., 0]
-                out += amplitudes
+            out = amplitudes + self.vectors.matvec(
+                np.expm1(angles) * self.adjoint.matvec(amplitudes))
         out[still] = amplitudes
         return out
 

@@ -1,10 +1,11 @@
 """Two-level atom coupled to the mode superposition: dipole/RWA Hamiltonian,
 interaction picture, and first-order spontaneous/stimulated amplitudes.
 
-Atom conventions (this library's choice): the atom factor is the slowest
-index axis, level 0 = ground |->, level 1 = excited |+>, sigma3 |+> = +|+>,
-sigma_minus |+> = |->.  The atom sits at the origin, so no spatial phases
-enter the couplings.
+Atom conventions (this library's choice): within each mode's sector the
+atom level is the slower index axis, ahead of the photon number (see
+:mod:`monofield.hilbert`); level 0 = ground |->, level 1 = excited |+>,
+sigma3 |+> = +|+>, sigma_minus |+> = |->.  The atom sits at the origin,
+so no spatial phases enter the couplings.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class AtomParams:
         uv = tuple(complex(z) for z in self.u)
         if len(uv) != 3:
             raise ValueError("dipole direction must be a 3-vector")
+        if not np.all(np.isfinite(uv)):
+            raise ValueError(f"dipole direction must be finite, got {uv}")
         norm = math.sqrt(sum(abs(z) ** 2 for z in uv))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"dipole direction must be unit length, |u| = {norm}")

@@ -7,15 +7,16 @@ number of modes: each mode is a sector of one oscillator, not an extra
 tensor factor.
 
 Flat index convention (fixed, so serialized matrices are reproducible):
-atom level is the slowest axis, then mode index, then photon number::
+mode index is the slowest axis, then atom level, then photon number::
 
-    flat = atom * M*(nmax+1) + k * (nmax+1) + n
+    flat = (k * A + atom) * (nmax+1) + n,    A = 2 with the atom, else 1
 
-:class:`HilbertLayout` is the one owner of this order: other modules reach
-states and diagonals through its (atom levels, modes, n) ``view``/``flat``
-or its per-mode (modes, atom*n) ``blocks_of``/``from_blocks``, and an
-operator's per-mode (atom, n)-square blocks reach the flat matrix only
-through ``place``.
+so every mode's (atom, n) kets are contiguous and the per-mode blocks are
+a reshape of the flat basis.  :class:`HilbertLayout` is the one owner of
+this order: other modules reach states and diagonals through its
+(atom levels, modes, n) ``view``/``flat`` or its per-mode (modes, atom*n)
+``blocks_of``/``from_blocks``, and an operator's per-mode (atom, n)-square
+blocks reach the flat matrix only through ``place``.
 """
 
 from __future__ import annotations
@@ -156,17 +157,13 @@ class HilbertLayout:
         return self.nmax + 1
 
     @cached_property
-    def field_dim(self) -> int:
-        return self.n_modes * self.fock_dim
-
-    @cached_property
     def levels(self) -> int:
         """Length of the atom axis of :meth:`view`: 2 with the atom, else 1."""
         return max(1, self.atom_levels)
 
     @cached_property
     def dimension(self) -> int:
-        return self.field_dim * self.levels
+        return self.n_modes * self.levels * self.fock_dim
 
     @property
     def has_atom(self) -> bool:
@@ -190,21 +187,23 @@ class HilbertLayout:
             raise IndexError("layout has no atom factor")
         if self.has_atom and atom not in (0, 1):
             raise IndexError(f"atom level {atom} out of range [0, 2)")
-        return atom * self.field_dim + k * self.fock_dim + n
+        return (k * self.levels + atom) * self.fock_dim + n
 
     def unflatten(self, i: int) -> tuple[int, int, int]:
         """Inverse of :meth:`flatten`; returns (k, n, atom)."""
         if not 0 <= i < self.dimension:
             raise IndexError(f"flat index {i} out of range [0, {self.dimension})")
-        atom, rest = divmod(i, self.field_dim)
-        k, n = divmod(rest, self.fock_dim)
+        rest, n = divmod(i, self.fock_dim)
+        k, atom = divmod(rest, self.levels)
         return k, n, atom
 
     def view(self, values: np.ndarray) -> np.ndarray:
         """The (atom levels, modes, n) view of a length-D state or diagonal,
         after any leading axes of a stack of them; writing through it writes
-        the flat array."""
-        return values.reshape(*values.shape[:-1], self.levels, self.n_modes, self.fock_dim)
+        the flat array.  The flat order is (modes, atom levels, n), so this
+        is a transposed view."""
+        shape = (*values.shape[:-1], self.n_modes, self.levels, self.fock_dim)
+        return values.reshape(shape).swapaxes(-3, -2)
 
     def flat(self, values) -> np.ndarray:
         """New length-D array whose :meth:`view` is ``values``, broadcast."""
@@ -220,34 +219,18 @@ class HilbertLayout:
         size = self.levels * self.fock_dim
         return self.n_modes, size, size
 
-    @cached_property
-    def block_kets(self) -> np.ndarray:
-        """Flat indices of every mode's kets, shape (M, A*b): row k holds mode
-        k's kets in (atom, n) order.  Read-only."""
-        kets = self.view(np.arange(self.dimension)).swapaxes(0, 1).reshape(self.block_shape[:2])
-        kets.setflags(write=False)
-        return kets
-
     def blocks_of(self, values) -> np.ndarray:
-        """The (M, A*b) per-mode rows of a length-D state or diagonal, in
-        :attr:`block_kets` order (a copy)."""
-        return np.asarray(values)[self.block_kets]
+        """The (M, A*b) per-mode rows of a length-D state or diagonal, after
+        any leading axes of a stack of them: row k holds mode k's kets in
+        (atom, n) order.  A reshape, so a view of contiguous input."""
+        values = np.asarray(values)
+        return values.reshape(*values.shape[:-1], *self.block_shape[:2])
 
     def from_blocks(self, rows) -> np.ndarray:
-        """New length-D array whose :meth:`blocks_of` is ``rows``."""
+        """The length-D array (after any leading axes) whose :meth:`blocks_of`
+        is ``rows``; a view of contiguous input."""
         rows = np.asarray(rows)
-        out = np.empty(self.dimension, dtype=rows.dtype)
-        out[self.block_kets] = rows
-        return out
-
-    @cached_property
-    def block_positions(self) -> np.ndarray:
-        """Flat D x D positions of every mode's block, shape (M, A*b, A*b), in
-        :attr:`block_kets` order.  Read-only."""
-        kets = self.block_kets
-        positions = self.dimension * kets[:, :, None] + kets[:, None, :]
-        positions.setflags(write=False)
-        return positions
+        return rows.reshape(*rows.shape[:-2], self.dimension)
 
     def on_each_level(self, field_blocks: np.ndarray) -> np.ndarray:
         """Mode blocks that act as the (nmax+1)-square ``field_blocks`` on every atom level."""
@@ -256,12 +239,14 @@ class HilbertLayout:
     def place(self, blocks: np.ndarray) -> np.ndarray:
         """D x D matrix with blocks[k] on the block of mode k, zero elsewhere.
 
-        The blocks (see :attr:`block_positions`) are added onto zeros, so
-        every entry is what a running sum over the modes gives, down to the
-        sign of zeros.
+        Mode k's block is the square of its contiguous kets (see
+        :meth:`blocks_of`).  The blocks are added onto zeros, so every entry
+        is what a running sum over the modes gives, down to the sign of zeros.
         """
-        out = np.zeros(self.dimension ** 2, dtype=complex)
-        out[self.block_positions] += blocks
+        m, size, _ = self.block_shape
+        out = np.zeros((m, size, m, size), dtype=complex)
+        k = np.arange(m)
+        out[k, :, k, :] += blocks
         return out.reshape(self.dimension, self.dimension)
 
     def without_atom(self) -> "HilbertLayout":
@@ -335,8 +320,9 @@ class Operator:
 
     * ``diagonal``: a length-D vector, the operator's diagonal;
     * ``block``: the (M, A*b, A*b) stack of :attr:`HilbertLayout.block_shape`,
-      one (atom, n)-square block per mode in :attr:`HilbertLayout.block_kets`
-      order, zero between sectors (``toarray`` is ``layout.place(data)``);
+      one (atom, n)-square block per mode on that mode's contiguous kets
+      (:meth:`HilbertLayout.blocks_of`), zero between sectors (``toarray``
+      is ``layout.place(data)``);
     * ``dense``: a (D, D) array, the fallback for sector-mixing operators.
 
     Every operator built from the mode operators commutes with the
@@ -395,7 +381,7 @@ class Operator:
 
     def diag(self) -> np.ndarray:
         if self.data.ndim == 3:
-            return self.layout.from_blocks(np.diagonal(self.data, axis1=1, axis2=2))
+            return self.layout.from_blocks(np.diagonal(self.data, axis1=1, axis2=2).copy())
         return self.data.copy() if self.diagonal else np.diagonal(self.data).copy()
 
     def _stored_as(self, ndim: int) -> np.ndarray:
@@ -415,16 +401,18 @@ class Operator:
         return self.layout.blocks_of(diag) if self.data.ndim == 3 else diag
 
     def matvec(self, amplitudes: np.ndarray) -> np.ndarray:
-        """This operator times a length-D vector.  A block operator gathers the
-        vector into per-mode rows, multiplies every block at once and
-        scatters the result back."""
+        """This operator times every length-D vector of a ``(..., D)`` stack.
+
+        Each vector is multiplied on its own (one GEMM over the stack would
+        round by the stack), so a row of the result is the arithmetic of the
+        product with that row alone; a block operator multiplies the (M, A*b)
+        :meth:`HilbertLayout.blocks_of` rows by their blocks.
+        """
         a = self.data
         if a.ndim == 1:
             return a * amplitudes
-        if a.ndim == 2:
-            return a @ amplitudes
-        rows = np.matmul(a, self.layout.blocks_of(amplitudes)[..., None])
-        return self.layout.from_blocks(rows[..., 0])
+        rows = amplitudes if a.ndim == 2 else self.layout.blocks_of(amplitudes)
+        return (a @ rows[..., None]).reshape(amplitudes.shape)
 
     # -- algebra ------------------------------------------------------
 
@@ -536,12 +524,10 @@ def expect(a: Operator, x: StateVector) -> complex:
 
 
 def expect_rows(a: Operator, rows: np.ndarray) -> np.ndarray:
-    """<x|A|x> for every row x of an (S, D) amplitude array, A of the
-    diagonal kind: one conjugated row product, each value the one
-    :func:`expect` gives for that row alone."""
-    if not a.diagonal:
-        raise ValueError(f"expect_rows needs a diagonal operator, got kind {a.kind}")
-    return np.vecdot(rows, a.data * rows)
+    """<x|A|x> for every row x of an (S, D) amplitude array: one stacked
+    :meth:`Operator.matvec` and one conjugated row product, each value the
+    one :func:`expect` gives for that row alone."""
+    return np.vecdot(rows, a.matvec(rows))
 
 
 # -- serialization ------------------------------------------------------
@@ -659,15 +645,36 @@ def save_state(state: StateVector, path) -> None:
             fh.write(f"{i},{float(z.real)!r},{float(z.imag)!r}\n")
 
 
+def _read_entries(path, what: str, header: str, dimension: int):
+    """(indices, value) of every line of a columnar ``what`` file under
+    ``header``: integer indices in [0, dimension), then a finite re, im.
+    Any other line is refused with a ValueError naming it."""
+    fields = header.count(",") + 1
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise ValueError(f"unexpected {what} header {first!r}")
+        for number, line in enumerate(fh, start=2):
+            entry = line.rstrip("\n").split(",")
+            try:
+                if len(entry) != fields:
+                    raise ValueError(f"expected {fields} fields, got {len(entry)}")
+                indices = [int(i) for i in entry[:-2]]
+                for i in indices:
+                    if not 0 <= i < dimension:
+                        raise ValueError(f"index {i} out of range [0, {dimension})")
+                re, im = float(entry[-2]), float(entry[-1])
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError(f"non-finite value {re}, {im}")
+            except ValueError as exc:
+                raise ValueError(f"{what} file {str(path)!r}, line {number}: {exc}") from None
+            yield indices, complex(re, im)
+
+
 def load_state(path, layout: HilbertLayout) -> StateVector:
     amps = np.zeros(layout.dimension, dtype=complex)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "index,re,im":
-            raise ValueError(f"unexpected state header {header!r}")
-        for line in fh:
-            idx, re, im = line.rstrip("\n").split(",")
-            amps[int(idx)] = float(re) + 1j * float(im)
+    for (i,), value in _read_entries(path, "state", "index,re,im", layout.dimension):
+        amps[i] = value
     return StateVector(layout, amps)
 
 
@@ -684,11 +691,6 @@ def save_operator(op: Operator, path) -> None:
 
 def load_operator(path, layout: HilbertLayout) -> Operator:
     mat = np.zeros((layout.dimension,) * 2, dtype=complex)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "row,col,re,im":
-            raise ValueError(f"unexpected operator header {header!r}")
-        for line in fh:
-            r, c, re, im = line.rstrip("\n").split(",")
-            mat[int(r), int(c)] = float(re) + 1j * float(im)
+    for (r, c), value in _read_entries(path, "operator", "row,col,re,im", layout.dimension):
+        mat[r, c] = value
     return Operator(layout, mat)

@@ -190,7 +190,7 @@ def test_criterion_8_single_mode_jaynes_cummings(natural):
     worst = 0.0
     for t in np.linspace(0.0, 10.0 / lam, 120):
         psi = mf.evolve(h, psi0, float(t))
-        pop = float(np.sum(np.abs(psi.amplitudes[layout.field_dim:]) ** 2))
+        pop = float(np.sum(np.abs(layout.view(psi.amplitudes)[EXCITED]) ** 2))
         worst = max(worst, abs(pop - mf.jc_excited_population(atom, g, 0, float(t))))
     report(8, worst < 1e-10,
            f"max population deviation from the analytic oracle over ten Rabi "

@@ -304,6 +304,11 @@ class TestEmissionCommand:
         # 2 times x 3 modes x nmax source sectors
         assert len(lines) == 1 + 2 * 3 * 3
 
+    def test_matches_golden(self, tmp_path):
+        assert run("emission", DATA / "config_emission.json", tmp_path) == 0
+        assert (tmp_path / "emission.csv").read_bytes() \
+            == (DATA / "golden_emission.csv").read_bytes()
+
     def test_deterministic_outputs(self, tmp_path):
         run("emission", DATA / "config_emission.json", tmp_path / "a")
         run("emission", DATA / "config_emission.json", tmp_path / "b")
@@ -335,6 +340,11 @@ class TestCompareStandardCommand:
         assert report["algebra"]["cross_mode_double_creation_single_oscillator"] == 0.0
         assert report["algebra"]["cross_mode_double_creation_standard"] == 1.0
         assert (tmp_path / "comparison_emission.csv").exists()
+
+    def test_matches_golden(self, tmp_path):
+        assert run("compare-standard", DATA / "config_compare.json", tmp_path) == 0
+        assert (tmp_path / "comparison_emission.csv").read_bytes() \
+            == (DATA / "golden_comparison_emission.csv").read_bytes()
 
     def test_uncoupled_single_mode_skips_jc_check(self, tmp_path):
         # kappa along -z: the s = +1 polarization is orthogonal to the dipole

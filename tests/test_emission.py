@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,10 @@ class TestCoupling:
             mf.AtomParams(omega0=1.0, d=0.1, u=(1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="omega0"):
             mf.AtomParams(omega0=-1.0, d=0.1, u=(1.0, 0.0, 0.0))
+        for bad in [(math.nan, 0.0, 0.0), (1.0, complex(0.0, math.nan), 0.0),
+                    (math.inf, 0.0, 0.0)]:
+            with pytest.raises(ValueError, match="finite"):
+                mf.AtomParams(omega0=1.0, d=0.1, u=bad)
         normalized = mf.AtomParams.make(1.0, 0.1, (3.0, 4.0, 0.0))
         assert abs(np.linalg.norm(normalized.u) - 1.0) < 1e-12
 
@@ -340,7 +346,7 @@ class TestSingleModeEquivalence:
         for t in np.linspace(0.0, 10.0 / lam, 60):
             psi = mf.evolve(h, psi0, float(t), natural.hbar)
             excited_pop = float(np.sum(np.abs(
-                psi.amplitudes[layout.field_dim:]) ** 2))
+                layout.view(psi.amplitudes)[EXCITED]) ** 2))
             oracle = mf.jc_excited_population(atom, g, 0, float(t))
             assert abs(excited_pop - oracle) < 1e-10
 

@@ -88,8 +88,32 @@ class TestBuildLayout:
                     i = layout.flatten(k, n, a)
                     assert layout.unflatten(i) == (k, n, a)
                     assert layout.view(np.arange(layout.dimension))[a, k, n] == i
+                    assert layout.blocks_of(np.arange(layout.dimension))[
+                        k, a * (nmax + 1) + n] == i
                     seen.add(i)
         assert seen == set(range(layout.dimension))
+
+
+class TestBlockRows:
+    @pytest.mark.parametrize("atom", [False, True])
+    def test_blocks_round_trip_as_views_with_leading_axes(self, atom, rng):
+        layout = abstract_layout(3, 2, atom)
+        stack = rng.normal(size=(4, 5, layout.dimension))
+        rows = layout.blocks_of(stack)
+        assert rows.shape == (4, 5, *layout.block_shape[:2])
+        assert np.shares_memory(rows, stack)
+        back = layout.from_blocks(rows)
+        assert np.array_equal(back, stack) and np.shares_memory(back, stack)
+        for t in np.ndindex(4, 5):
+            assert np.array_equal(rows[t], layout.blocks_of(stack[t]))
+            assert np.array_equal(layout.from_blocks(rows[t]), stack[t])
+
+    def test_view_of_a_stack_writes_the_flat_arrays(self):
+        layout = abstract_layout(3, 2, atom=True)
+        stack = np.zeros((2, layout.dimension))
+        layout.view(stack)[:, 1, 2, 0] = 7.0
+        assert np.flatnonzero(stack[0]).tolist() == [layout.flatten(2, 0, 1)]
+        assert np.array_equal(stack[0], stack[1])
 
 
 class TestBasisState:
@@ -203,6 +227,47 @@ class TestSerialization:
         mf.hilbert.save_operator(a, path)
         back = mf.hilbert.load_operator(path, two_tone_layout)
         assert np.array_equal(back.toarray(), a.toarray())
+
+    def test_state_roundtrip_keeps_signed_zeros(self, two_tone_layout, tmp_path):
+        amps = np.zeros(two_tone_layout.dimension, dtype=complex)
+        amps[0], amps[1], amps[2] = complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)
+        path = tmp_path / "state.csv"
+        mf.hilbert.save_state(mf.StateVector(two_tone_layout, amps), path)
+        back = mf.hilbert.load_state(path, two_tone_layout)
+        assert back.amplitudes.tobytes() == amps.tobytes()
+
+    @pytest.mark.parametrize("line, problem", [
+        ("-1,1.0,0.0", "index -1 out of range [0, 8)"),
+        ("8,1.0,0.0", "index 8 out of range [0, 8)"),
+        ("1.5,1.0,0.0", "invalid literal for int()"),
+        ("0,nan,0.0", "non-finite value"),
+        ("0,1.0,inf", "non-finite value"),
+        ("0,1.0", "expected 3 fields, got 2"),
+        ("0,1.0,0.0,0.0", "expected 3 fields, got 4"),
+        ("", "expected 3 fields, got 1"),
+    ])
+    def test_state_file_bad_line_refused(self, two_tone_layout, tmp_path, line, problem):
+        path = tmp_path / "state.csv"
+        path.write_text(f"index,re,im\n0,1.0,0.0\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            mf.hilbert.load_state(path, two_tone_layout)
+        assert str(exc.value).startswith(f"state file {str(path)!r}, line 3: {problem}")
+
+    @pytest.mark.parametrize("line, problem", [
+        ("-1,0,1.0,0.0", "index -1 out of range [0, 8)"),
+        ("0,-1,1.0,0.0", "index -1 out of range [0, 8)"),
+        ("0,8,1.0,0.0", "index 8 out of range [0, 8)"),
+        ("0,0,-inf,0.0", "non-finite value"),
+        ("0,0,1.0,nan", "non-finite value"),
+        ("0,0,1.0", "expected 4 fields, got 3"),
+        ("0,x,1.0,0.0", "invalid literal for int()"),
+    ])
+    def test_operator_file_bad_line_refused(self, two_tone_layout, tmp_path, line, problem):
+        path = tmp_path / "op.csv"
+        path.write_text(f"row,col,re,im\n0,0,1.0,0.0\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            mf.hilbert.load_operator(path, two_tone_layout)
+        assert str(exc.value).startswith(f"operator file {str(path)!r}, line 3: {problem}")
 
     def test_mode_set_from_json(self, tmp_path):
         doc = [

@@ -260,6 +260,25 @@ def close(got, want):
     return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+STACK_KINDS = {"diagonal": complex_diagonal, "block": random_blocks,
+               "dense": random_hermitian}
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_a_stack_of_states_is_applied_row_by_row(block_layout, rng, kind):
+    """matvec of a (..., D) stack and expect_rows give each row's own bits."""
+    x = STACK_KINDS[kind](block_layout, rng)
+    rows = np.array([random_state(block_layout, rng).amplitudes for _ in range(6)])
+    stacked = x.matvec(rows.reshape(2, 3, -1))
+    assert stacked.shape == (2, 3, block_layout.dimension)
+    for row, got in zip(rows, stacked.reshape(rows.shape)):
+        assert same_bits(got, x.matvec(row))
+    values = mf.expect_rows(x, rows)
+    for row, got in zip(rows, values.tolist()):
+        want = mf.expect(x, mf.StateVector(block_layout, row))
+        assert repr(got) == repr(want)
+
+
 class TestBlockKind:
     def test_every_sector_diagonal_constructor_stores_blocks(self, mixed_modes):
         field = mf.build_layout(mixed_modes, 3)

@@ -152,7 +152,7 @@ class TestHelpers:
     @pytest.mark.parametrize("with_atom", [False, True])
     def test_ladder_constructors_match_kron_form(self, box, with_atom):
         """mode_annihilator and ladder write one lowering block per sector;
-        the dense kron(1_atom, selector, a) is the oracle."""
+        the dense kron(selector, 1_atom, a) is the oracle."""
         layout = mf.build_layout(box.modes[:6], box.nmax, with_atom=with_atom)
         a = mf.fock_lowering(layout.nmax)
         atom = np.eye(2 if with_atom else 1, dtype=complex)
@@ -160,6 +160,6 @@ class TestHelpers:
             selector = np.zeros((layout.n_modes,) * 2, dtype=complex)
             selector[k, k] = 1.0
             assert_same_entries(mf.mode_annihilator(layout, k).toarray(),
-                                np.kron(atom, np.kron(selector, a)))
+                                np.kron(selector, np.kron(atom, a)))
         assert_same_entries(mf.ladder(layout).toarray(), np.kron(
-            atom, np.kron(np.eye(layout.n_modes, dtype=complex), a)))
+            np.eye(layout.n_modes, dtype=complex), np.kron(atom, a)))
