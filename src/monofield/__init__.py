@@ -37,7 +37,6 @@ from .dynamics import (
 from .emission import (
     AtomParams,
     EmissionAmplitudes,
-    EmissionRecord,
     VacuumCheck,
     atom_field_hamiltonian,
     coupling,

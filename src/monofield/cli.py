@@ -15,6 +15,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -321,21 +322,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _json_default(value):
+    """A complex number as [re, im], a numpy integer as an int."""
+    return [value.real, value.imag] if isinstance(value, complex) else operator.index(value)
 
 
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -432,15 +426,16 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     initial = superposition(layout, cfg.emission_initial)
     rows = []
     for i, t in enumerate(cfg.times):
-        for r in first_order_emission(initial, cfg.atom, cfg.field, t).records:
-            m = r.mode
-            try:
-                prob = abs(r.amplitude) ** 2
-            except OverflowError:
-                raise ConfigError(f"times[{i}] = {t!r}: the emission probability overflows")
-            rows.append([t, m.s, m.kappa[0], m.kappa[1], m.kappa[2], m.omega,
-                         r.n_initial, r.amplitude.real, r.amplitude.imag,
-                         r.channel, prob])
+        table = first_order_emission(initial, cfg.atom, cfg.field, t).amplitudes
+        for m, amps in zip(layout.modes, table.tolist()):
+            for n, amp in enumerate(amps):
+                try:
+                    prob = abs(amp) ** 2
+                except OverflowError:
+                    raise ConfigError(f"times[{i}] = {t!r}: the emission probability overflows")
+                rows.append([t, m.s, m.kappa[0], m.kappa[1], m.kappa[2], m.omega,
+                             n, amp.real, amp.imag,
+                             "spontaneous" if n == 0 else "stimulated", prob])
     _write_csv(outdir / "emission.csv",
                ["t", "s", "kx", "ky", "kz", "omega", "n_initial",
                 "amp_re", "amp_im", "channel", "prob"], rows)

@@ -213,12 +213,11 @@ def heisenberg(h: Operator, a: Operator, t: float, hbar: float = 1.0) -> Operato
 
 
 def dyson_first_order(h_builder: Callable[[float], Operator], psi0: StateVector,
-                      t: float, quad_tol: float = 1e-12,
-                      hbar: float = 1.0) -> StateVector:
+                      t: float, hbar: float = 1.0) -> StateVector:
     """|psi0> + (i*hbar)^-1 integral_0^t H_I(t')|psi0> dt' by adaptive quadrature.
 
     The result is the raw first-order sum (not normalized).  Quadrature
-    that fails to converge to ``quad_tol`` is rejected.
+    that fails to converge to an absolute 1e-12 is rejected.
     """
     from scipy.integrate import quad_vec
 
@@ -228,7 +227,7 @@ def dyson_first_order(h_builder: Callable[[float], Operator], psi0: StateVector,
             raise ValueError("layout mismatch")
         return h.matvec(psi0.amplitudes)
 
-    integral, err, info = quad_vec(integrand, 0.0, t, epsabs=quad_tol,
+    integral, err, info = quad_vec(integrand, 0.0, t, epsabs=1e-12,
                                    full_output=True)
     if not info.success:
         raise ValueError(f"quadrature did not converge (error estimate {err:.3e})")

@@ -31,7 +31,6 @@ __all__ = [
     "atom_field_hamiltonian",
     "interaction_picture",
     "interaction_hamiltonian",
-    "EmissionRecord",
     "EmissionAmplitudes",
     "first_order_emission",
     "first_order_state",
@@ -174,6 +173,20 @@ def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
     return h0 + Operator(layout, coupled)
 
 
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise complex product a*b written out in real parts,
+    (ar*br - ai*bi, ar*bi + ai*br), so every entry rounds as Python's
+    complex product of the two entries does.  A real operand is the
+    complex number (x, 0.0), zero terms included."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br - ai * bi
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = ar * bi + ai * br
+    return out
+
+
 def interaction_picture(layout: HilbertLayout, atom: AtomParams,
                         config: FieldConfig) -> Callable[[float], Operator]:
     """t -> :func:`interaction_hamiltonian` at time t, for many times.
@@ -186,14 +199,9 @@ def interaction_picture(layout: HilbertLayout, atom: AtomParams,
     gs = _mode_couplings(layout, atom, config)
     assemble = _coupling_assembler(layout, atom, config)
     i_detunings = 1j * (atom.omega0 - layout.omegas)
-    g_re, g_im = gs.real[:, None], gs.imag[:, None] * np.array([-1.0, 1.0])
 
     def at(t: float) -> Operator:
-        # (re, im) pairs of gs * phases, written out in real parts to round
-        # like complex scalar products: (gr*pr - gi*pi, gr*pi + gi*pr)
-        phases = np.exp(i_detunings * t).view(float).reshape(-1, 2)
-        pairs = g_re * phases + g_im * phases[:, ::-1]
-        return Operator(layout, assemble(pairs.view(complex).ravel()))
+        return Operator(layout, assemble(_cmul(gs, np.exp(i_detunings * t))))
 
     return at
 
@@ -204,70 +212,62 @@ def interaction_hamiltonian(layout: HilbertLayout, atom: AtomParams,
     return interaction_picture(layout, atom, config)(t)
 
 
-@dataclass(frozen=True)
-class EmissionRecord:
-    """First-order amplitude into |mode, n_initial+1, ground>."""
-
-    mode_index: int
-    mode: ModeLabel
-    n_initial: int
-    amplitude: complex
-    channel: str  # "spontaneous" (n_initial = 0) or "stimulated"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionAmplitudes:
-    """All first-order transition amplitudes for one initial state and time."""
+    """All first-order transition amplitudes for one initial state and time.
+
+    ``amplitudes`` is the read-only (M, nmax) table whose entry [k, n] is
+    the amplitude from |k, n, excited> into |k, n+1, ground>: column 0 is
+    spontaneous emission, the others stimulated emission.
+    """
 
     layout: HilbertLayout
     time: float
-    records: tuple[EmissionRecord, ...]
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        self.amplitudes.setflags(write=False)
+
+    def _row(self, k: int) -> np.ndarray:
+        if not 0 <= k < self.layout.n_modes:
+            raise IndexError(f"mode index {k} out of range [0, {self.layout.n_modes})")
+        return self.amplitudes[k]
 
     def spontaneous(self, k: int) -> complex:
-        for r in self.records:
-            if r.mode_index == k and r.n_initial == 0:
-                return r.amplitude
-        return 0.0
+        return complex(self._row(k)[0])
 
     def stimulated(self, k: int) -> dict[int, complex]:
-        return {r.n_initial: r.amplitude for r in self.records
-                if r.mode_index == k and r.n_initial >= 1}
+        """n -> amplitude from n >= 1 photons in mode k."""
+        return dict(enumerate(self._row(k)[1:].tolist(), start=1))
 
 
 def first_order_emission(initial: StateVector, atom: AtomParams,
-                         config: FieldConfig, t: float,
-                         ground_tol: float = 1e-14) -> EmissionAmplitudes:
+                         config: FieldConfig, t: float) -> EmissionAmplitudes:
     """First-order amplitudes from an excited-atom state with photon weights Psi.
 
-    Each amplitude is omega0*d * kernel(omega0-omega_k, t) * Psi_(k,n)
-    * sqrt(n+1) * conj(g_k), feeding |k, n+1, ground>.  Sectors the
-    initial superposition does not populate come out exactly zero: the
-    raising operator of one mode annihilates every other sector instead
-    of creating a two-mode excitation.  The n = nmax sector has no
-    in-layout target (the truncated raising operator drops it), matching
-    exact truncated evolution.
+    Entry [k, n] of the table is omega0*d * kernel(omega0-omega_k, t)
+    * Psi_(k,n) * sqrt(n+1) * conj(g_k), multiplied left to right, feeding
+    |k, n+1, ground>.  Sectors the initial superposition does not populate
+    come out exactly zero: the raising operator of one mode annihilates
+    every other sector instead of creating a two-mode excitation.  The
+    n = nmax sector has no in-layout target (the truncated raising operator
+    drops it), matching exact truncated evolution.  A ground-atom norm
+    above 1e-14 is refused.
     """
     layout = initial.layout
     _require_atom(layout)
     amps = layout.view(initial.amplitudes)
     ground_norm = float(np.linalg.norm(amps[GROUND]))
-    if ground_norm > ground_tol:
+    if ground_norm > 1e-14:
         raise ValueError(
             f"initial state has ground-atom components (norm {ground_norm:.3e}); "
             "first-order emission starts from the excited sector"
         )
-    excited = amps[EXCITED].tolist()
-    records = []
-    for k, m in enumerate(layout.modes):
-        g_conj = np.conj(coupling(m, atom, config))
-        kernel = resonance_kernel(atom.omega0 - m.omega, t)
-        for n in range(layout.nmax):
-            psi = excited[k][n]
-            amp = atom.omega0 * atom.d * kernel * psi * math.sqrt(n + 1) * g_conj
-            records.append(EmissionRecord(
-                mode_index=k, mode=m, n_initial=n, amplitude=complex(amp),
-                channel="spontaneous" if n == 0 else "stimulated"))
-    return EmissionAmplitudes(layout=layout, time=t, records=tuple(records))
+    kernels = [resonance_kernel(atom.omega0 - m.omega, t) for m in layout.modes]
+    scaled = _cmul(atom.omega0 * atom.d, kernels)[:, None]
+    table = _cmul(_cmul(scaled, amps[EXCITED, :, :-1]), np.sqrt(np.arange(1, layout.fock_dim)))
+    g_conj = _mode_couplings(layout, atom, config).conj()[:, None]
+    return EmissionAmplitudes(layout=layout, time=t, amplitudes=_cmul(table, g_conj))
 
 
 def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfig,
@@ -275,9 +275,7 @@ def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfi
     """Interaction-picture state through first order (not normalized)."""
     amps = first_order_emission(initial, atom, config, t)
     out = initial.amplitudes.copy()
-    ground = initial.layout.view(out)[GROUND]
-    for r in amps.records:
-        ground[r.mode_index, r.n_initial + 1] += r.amplitude
+    initial.layout.view(out)[GROUND, :, 1:] += amps.amplitudes
     return StateVector(initial.layout, out)
 
 
@@ -293,9 +291,10 @@ class VacuumCheck:
         return self.is_vacuum
 
 
-def vacuum_subspace_check(state: StateVector, config: FieldConfig | None = None,
-                          tol: float = VACUUM_TOL) -> VacuumCheck:
-    """True iff every n > 0 amplitude vanishes; reports <H_field> = sum |psi|^2 * hbar*omega/2.
+def vacuum_subspace_check(state: StateVector,
+                          config: FieldConfig | None = None) -> VacuumCheck:
+    """True iff every n > 0 amplitude is below :data:`VACUUM_TOL`; reports
+    <H_field> = sum |psi|^2 * hbar*omega/2.
 
     The zero-photon states span a whole subspace, so the reported energy
     depends on the state (finite, bounded by half the largest mode energy).
@@ -305,6 +304,6 @@ def vacuum_subspace_check(state: StateVector, config: FieldConfig | None = None,
     amps = layout.view(state.amplitudes)
     worst = float(np.max(np.abs(amps[:, :, 1:])))
     energy = np.sum(0.5 * cfg.hbar * layout.omegas * np.abs(amps[:, :, 0]) ** 2)
-    return VacuumCheck(is_vacuum=bool(worst < tol), field_energy=float(energy),
+    return VacuumCheck(is_vacuum=bool(worst < VACUUM_TOL), field_energy=float(energy),
                        max_excited_component=worst)
 

@@ -679,14 +679,20 @@ def load_state(path, layout: HilbertLayout) -> StateVector:
 
 
 def save_operator(op: Operator, path) -> None:
-    """Write nonzero entries as columnar text: row, col, re, im."""
-    dense = op.toarray()
-    rows, cols = np.nonzero(dense)
+    """Write the nonzero entries of ``op.toarray()`` in row-major order as
+    columnar text: row, col, re, im, read from the stored kind without a
+    D x D copy.  Every kind is a stack of square blocks on the diagonal
+    (D 1x1 blocks, M blocks, or one), and place adds the blocks of the
+    block kind onto zeros, which turns a -0.0 part into 0.0."""
+    data = op.data
+    stack = data.reshape(-1, 1, 1) if op.diagonal else data.reshape(-1, *data.shape[-2:])
+    k, i, j = np.nonzero(stack)
+    values = stack[k, i, j] + 0.0 if data.ndim == 3 else stack[k, i, j]
+    rows, cols = k * stack.shape[-1] + i, k * stack.shape[-1] + j
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("row,col,re,im\n")
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            z = dense[r, c]
-            fh.write(f"{r},{c},{float(z.real)!r},{float(z.imag)!r}\n")
+        for r, c, z in zip(rows.tolist(), cols.tolist(), values.tolist()):
+            fh.write(f"{r},{c},{z.real!r},{z.imag!r}\n")
 
 
 def load_operator(path, layout: HilbertLayout) -> Operator:

@@ -210,16 +210,17 @@ def jc_excited_population(atom: AtomParams, g: complex, n: int, t: float,
 
 
 def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldConfig,
-                     atom: AtomParams | None = None, t: float = 1.0,
-                     weights: Sequence[complex] | None = None,
-                     seed: int = 0, n_vacuum_samples: int = 5) -> dict:
-    """Summary of the single-oscillator scheme for the comparison report."""
+                          atom: AtomParams | None = None, t: float = 1.0,
+                          seed: int = 0) -> dict:
+    """Summary of the single-oscillator scheme for the comparison report: five
+    sampled vacuum energies and, with an atom, the emission amplitudes from
+    the excited atom in the equal-weight superposition of the vacuum sectors."""
     layout = build_layout(modes, nmax)
     hbar = config.hbar
     omegas = layout.omegas
     rng = np.random.default_rng(seed)
     samples = []
-    for _ in range(n_vacuum_samples):
+    for _ in range(5):
         w = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
         w /= np.linalg.norm(w)
         samples.append(0.5 * hbar * float(np.sum(np.abs(w) ** 2 * omegas)))
@@ -237,15 +238,13 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
     }
     if atom is not None:
         emit_layout = build_layout(modes, nmax, with_atom=True)
-        if weights is None:
-            weights = [1.0 / math.sqrt(len(modes))] * len(modes)
+        weights = [1.0 / math.sqrt(len(modes))] * len(modes)
         initial = superposition(emit_layout,
                                 {(k, 0, EXCITED): w for k, w in enumerate(weights)})
-        result = first_order_emission(initial, atom, config, t)
+        spontaneous = first_order_emission(initial, atom, config, t).amplitudes[:, 0]
         run["emission"] = [
-            {"mode_index": r.mode_index, "omega": r.mode.omega,
-             "amplitude": r.amplitude, "channel": r.channel}
-            for r in result.records if r.n_initial == 0
+            {"mode_index": k, "omega": m.omega, "amplitude": amp, "channel": "spontaneous"}
+            for k, (m, amp) in enumerate(zip(emit_layout.modes, spontaneous.tolist()))
         ]
         run["emission_weights"] = [complex(w) for w in weights]
         run["emission_dimension"] = emit_layout.dimension

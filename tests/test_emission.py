@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import monofield as mf
 from monofield.dynamics import resonance_kernel
-from monofield.emission import EXCITED, GROUND, sigma3, sigma_plus
+from monofield.emission import EXCITED, GROUND, _coupling_assembler, sigma3, sigma_plus
 
 
 def z_mode(omega=2.0, s=+1):
@@ -173,9 +173,8 @@ class TestFirstOrderEmission:
             expected = self.atom.omega0 * self.atom.d \
                 * resonance_kernel(self.atom.omega0 - mode.omega, t) \
                 * psi * np.sqrt(n + 1) * np.conj(g)
-            got = [r.amplitude for r in result.records
-                   if r.mode_index == k and r.n_initial == n]
-            assert got[0] == pytest.approx(expected, abs=1e-15)
+            got = result.amplitudes[k, n]
+            assert got == pytest.approx(expected, abs=1e-15)
 
     def test_resonant_mode_kernel_is_minus_it(self, natural):
         initial = excited_state(self.layout, {(1, 0): 1.0})
@@ -188,9 +187,8 @@ class TestFirstOrderEmission:
     def test_absent_modes_get_exactly_zero(self, natural):
         initial = excited_state(self.layout, {(0, 0): 1.0})
         result = mf.first_order_emission(initial, self.atom, natural, 0.7)
-        for r in result.records:
-            if r.mode_index != 0:
-                assert r.amplitude == 0.0
+        for amplitude in result.amplitudes[1:].ravel():
+            assert amplitude == 0.0
 
     def test_channel_split_and_enhancement(self, natural):
         initial = excited_state(self.layout, {(0, 0): 0.6, (0, 2): 0.8})
@@ -223,9 +221,8 @@ class TestFirstOrderEmission:
         atom2 = mf.AtomParams(self.atom.omega0, self.atom.d * dscale, self.atom.u)
         r1 = mf.first_order_emission(base, self.atom, natural, 1.0)
         r2 = mf.first_order_emission(scaled, atom2, natural, 1.0)
-        for a, b in zip(r1.records, r2.records):
-            assert b.amplitude == pytest.approx(scale * dscale * a.amplitude,
-                                                rel=1e-12, abs=1e-18)
+        for a, b in zip(r1.amplitudes.ravel(), r2.amplitudes.ravel()):
+            assert b == pytest.approx(scale * dscale * a, rel=1e-12, abs=1e-18)
 
     def test_closed_form_vs_quadrature(self, natural):
         initial = excited_state(self.layout, {(0, 0): 0.5, (1, 0): 0.5,
@@ -260,6 +257,105 @@ class TestFirstOrderEmission:
             excesses.append(pert.norm ** 2 - 1.0)
         assert excesses[0] > 0
         assert excesses[1] / excesses[0] == pytest.approx(4.0, rel=1e-6)
+
+
+def emission_loop(initial, atom, config, t):
+    """The first-order amplitudes one at a time, each the printed product
+    of Python scalars multiplied left to right: the reference for the table."""
+    layout = initial.layout
+    excited = layout.view(initial.amplitudes)[EXCITED].tolist()
+    table = np.empty((layout.n_modes, layout.nmax), dtype=complex)
+    for k, m in enumerate(layout.modes):
+        g_conj = np.conj(mf.coupling(m, atom, config))
+        kernel = resonance_kernel(atom.omega0 - m.omega, t)
+        for n in range(layout.nmax):
+            amp = atom.omega0 * atom.d * kernel * excited[k][n] * math.sqrt(n + 1) * g_conj
+            table[k, n] = complex(amp)
+    return table
+
+
+def random_emission_case(rng):
+    """(initial, atom, config, t): 1-8 modes, one exactly resonant (the
+    series kernel) and one within 1e-9 of resonance, nmax 1-5, an excited
+    state with exact zeros and signed zeros, and t = 0, t < 0 or t > 0."""
+    omega0 = float(rng.uniform(0.5, 2.0))
+    modes = [mf.mode(+1, (0.0, 0.0, omega0)), mf.mode(-1, (omega0 * (1 + 1e-9), 0.0, 0.0))]
+    for _ in range(rng.integers(0, 7)):
+        u = rng.normal(size=3)
+        modes.append(mf.mode(int(rng.choice([-1, 1])),
+                             tuple(rng.uniform(0.2, 3.0) * u / np.linalg.norm(u))))
+    order = rng.permutation(len(modes))
+    modes = [modes[i] for i in order[:rng.integers(1, len(modes) + 1)]]
+    layout = mf.build_layout(modes, int(rng.integers(1, 6)), with_atom=True)
+    parts = rng.normal(size=(layout.n_modes, layout.fock_dim, 2))
+    parts[rng.uniform(size=parts.shape) < 0.25] = 0.0
+    parts[rng.uniform(size=parts.shape) < 0.25] = -0.0
+    parts[rng.uniform(size=layout.n_modes) < 0.3] = 0.0  # empty sectors
+    amps = np.zeros(layout.dimension, dtype=complex)
+    layout.view(amps)[EXCITED] = parts.view(complex)[..., 0]
+    layout.view(amps)[GROUND] = complex(-0.0, 0.0)
+    d = float(rng.choice([0.0, rng.uniform(0.0, 0.1)]))
+    atom = mf.AtomParams.make(omega0, d, rng.normal(size=3) + 1j * rng.normal(size=3))
+    config = mf.FieldConfig(hbar=float(rng.uniform(0.5, 2.0)),
+                            volume=float(rng.uniform(0.5, 5.0)))
+    t = float(rng.choice([0.0, -1.0, 1.0])) * float(rng.uniform(0.1, 5.0))
+    return mf.StateVector(layout, amps), atom, config, t
+
+
+class TestAmplitudeTable:
+    def test_matches_the_amplitude_loop_bit_for_bit(self, rng):
+        for _ in range(300):
+            initial, atom, config, t = random_emission_case(rng)
+            got = mf.first_order_emission(initial, atom, config, t).amplitudes
+            assert got.shape == (initial.layout.n_modes, initial.layout.nmax)
+            assert got.tobytes() == emission_loop(initial, atom, config, t).tobytes()
+
+    def test_first_order_state_adds_one_amplitude_at_a_time(self, rng):
+        for _ in range(50):
+            initial, atom, config, t = random_emission_case(rng)
+            table = mf.first_order_emission(initial, atom, config, t).amplitudes
+            want = initial.amplitudes.copy()
+            for (k, n), amp in np.ndenumerate(table):
+                want[initial.layout.flatten(k, n + 1, GROUND)] += amp
+            got = mf.first_order_state(initial, atom, config, t).amplitudes
+            assert got.tobytes() == want.tobytes()
+
+    def test_interaction_picture_matches_the_real_pair_formula(self, rng):
+        for _ in range(50):
+            initial, atom, config, t = random_emission_case(rng)
+            layout = initial.layout
+            gs = np.array([mf.coupling(m, atom, config) for m in layout.modes])
+            i_detunings = 1j * (atom.omega0 - layout.omegas)
+            g_re, g_im = gs.real[:, None], gs.imag[:, None] * np.array([-1.0, 1.0])
+            # (gr*pr - gi*pi, gr*pi + gi*pr) on the (re, im) pairs of the phases
+            phases = np.exp(i_detunings * t).view(float).reshape(-1, 2)
+            pairs = g_re * phases + g_im * phases[:, ::-1]
+            want = _coupling_assembler(layout, atom, config)(pairs.view(complex).ravel())
+            got = mf.interaction_picture(layout, atom, config)(t).data
+            assert got.tobytes() == want.tobytes()
+
+    def test_channels_read_the_read_only_table(self, natural):
+        layout = mf.build_layout([z_mode(0.8), z_mode(1.0), z_mode(1.3)], 3, with_atom=True)
+        initial = excited_state(layout, {(0, 0): 0.6, (1, 2): 0.8j, (2, 1): 0.1})
+        atom = mf.AtomParams.make(1.0, 0.01, (1.0, 0.3j, 0.0))
+        result = mf.first_order_emission(initial, atom, natural, 0.9)
+        table = result.amplitudes
+        assert not table.flags.writeable
+        for k in range(layout.n_modes):
+            assert result.spontaneous(k) == table[k, 0]
+            assert type(result.spontaneous(k)) is complex
+            assert result.stimulated(k) == {1: table[k, 1], 2: table[k, 2]}
+
+    @pytest.mark.parametrize("k", [-1, 3, 7])
+    def test_mode_outside_the_layout_refused(self, natural, k):
+        layout = mf.build_layout([z_mode(0.8), z_mode(1.0), z_mode(1.3)], 2, with_atom=True)
+        initial = excited_state(layout, {(0, 0): 1.0})
+        atom = mf.AtomParams.make(1.0, 0.01, (1.0, 0.3j, 0.0))
+        result = mf.first_order_emission(initial, atom, natural, 1.0)
+        with pytest.raises(IndexError, match="mode index"):
+            result.spontaneous(k)
+        with pytest.raises(IndexError, match="mode index"):
+            result.stimulated(k)
 
 
 class TestExcitationNumber:

@@ -228,6 +228,42 @@ class TestSerialization:
         back = mf.hilbert.load_operator(path, two_tone_layout)
         assert np.array_equal(back.toarray(), a.toarray())
 
+    @pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
+    def test_operator_file_is_that_of_its_dense_array(self, kind, rng, tmp_path):
+        """Each kind writes the bytes its toarray() writes, signed zeros included."""
+        layout = abstract_layout(3, 2, atom=True)
+        shape = {"diagonal": (layout.dimension,), "block": layout.block_shape,
+                 "dense": (layout.dimension,) * 2}[kind]
+        parts = rng.normal(size=(*shape, 2))
+        # exact zeros of either sign in either part, some whole entries zero
+        parts[rng.uniform(size=parts.shape) < 0.3] = 0.0
+        parts[rng.uniform(size=parts.shape) < 0.3] = -0.0
+        op = mf.Operator(layout, parts.view(complex)[..., 0])
+        assert op.kind == kind
+        mf.hilbert.save_operator(op, tmp_path / "stored.csv")
+        mf.hilbert.save_operator(mf.Operator(layout, op.toarray()), tmp_path / "dense.csv")
+        assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+    def test_block_operator_is_saved_without_a_dense_copy(self, tmp_path):
+        """The RWA Hamiltonian on the 52-mode box with the atom at nmax 5
+        (D = 624) is a 120 kB block stack; a dense copy would take 6.2 MB."""
+        import tracemalloc
+
+        from monofield.cli import _box_modes
+
+        modes, volume = _box_modes({"edge": 2.0, "max_index": 1}, 1.0)
+        layout = mf.build_layout(modes, 5, with_atom=True)
+        atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.3j, 0.2))
+        h = mf.atom_field_hamiltonian(layout, atom, mf.FieldConfig(volume=volume))
+        assert h.kind == "block"
+        tracemalloc.start()
+        try:
+            mf.hilbert.save_operator(h, tmp_path / "h.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_state_roundtrip_keeps_signed_zeros(self, two_tone_layout, tmp_path):
         amps = np.zeros(two_tone_layout.dimension, dtype=complex)
         amps[0], amps[1], amps[2] = complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)

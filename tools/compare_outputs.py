@@ -1,0 +1,133 @@
+"""Compare the CLI outputs of two source trees byte for byte.
+
+    python tools/compare_outputs.py PARENT_TREE [CHANGE_TREE]
+
+CHANGE_TREE defaults to the tree this script sits in.  A parent tree is
+an unpacked commit, for example
+
+    git archive <commit> | tar -x -C <dir>
+
+All five commands run on every config below, once per tree, each run in a
+fresh interpreter with ``PYTHONPATH=<tree>/src`` and
+``OPENBLAS_NUM_THREADS=1``:
+
+* ``tests/data/config*.json``;
+* the configs ``bench/inputs.py`` generates for seeds 11 and 3;
+* the 52-mode box (``max_index`` 1) with the atom.
+
+A config a command cannot use is still run: its exit code and message
+are compared too.  Everything is written under a temporary directory.
+The script compares the exit codes, stdout, stderr (with the tree path
+masked) and every output file, prints each difference, and exits 1 if
+there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ["verify-algebra", "vacuum-energy", "field-sweep", "emission", "compare-standard"]
+SEEDS = [11, 3]
+BOX_WITH_ATOM = {
+    "box": {"edge": 2.0, "max_index": 1}, "nmax": 3,
+    "atom": {"omega0": 1.0, "dipole": 0.02, "direction": [1.0, [0.0, 0.3], 0.2]},
+    "times": [0.5, 1.0],
+    "emission_initial": [{"mode": 0, "n": 0, "amp": 1.0},
+                         {"mode": 7, "n": 1, "amp": [0.0, 0.5]},
+                         {"mode": 30, "n": 2, "amp": -0.3}],
+    "coherent": {"weights": [1.0] * 52, "alphas": [0.1] * 52},
+    "states": [{"label": "vacuum", "weights": [1.0] * 52}],
+    "points": [[0.1, 0.2, 0.3]],
+}
+
+
+def write_configs(directory: Path) -> list[Path]:
+    """Every config of the comparison, written into ``directory``."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import inputs
+
+    docs = {}
+    for seed in SEEDS:
+        for group in (inputs.algebra_inputs, inputs.box_inputs, inputs.emission_inputs):
+            for name, doc in group(seed).items():
+                docs[f"bench-{seed}-{name}"] = doc
+    docs["box-atom"] = BOX_WITH_ATOM
+    directory.mkdir(parents=True)
+    paths = []
+    for source in sorted((ROOT / "tests" / "data").glob("config*.json")):
+        paths.append(directory / source.name)
+        paths[-1].write_bytes(source.read_bytes())
+    for name, doc in docs.items():
+        paths.append(directory / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    return paths
+
+
+def run(tree: Path, workdir: Path, config: Path, command: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command; its files go to
+    ``workdir/out/<config>/<command>``, named relative to ``workdir`` so
+    that messages naming them agree between trees."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    out = Path("out") / config.stem / command
+    proc = subprocess.run(
+        [sys.executable, "-m", "monofield.cli", command, "--config", str(config),
+         "--out", str(out)],
+        cwd=workdir, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr.replace(str(tree), "<tree>")
+
+
+def files(directory: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in argv] + [ROOT] * (2 - len(argv))
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        tmp = Path(tmp)
+        configs = write_configs(tmp / "configs")
+        workdirs = [tmp / "parent", tmp / "change"]
+        for w in workdirs:
+            w.mkdir()
+        jobs = [(side, config, command) for side in (0, 1)
+                for config in configs for command in COMMANDS]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(
+                lambda job: run(trees[job[0]], workdirs[job[0]], job[1], job[2]), jobs))
+        half = len(jobs) // 2
+        differences = []
+        for (_, config, command), old, new in zip(jobs, results[:half], results[half:]):
+            for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+                if a != b:
+                    differences.append(f"{config.name} {command}: {what} differs:\n"
+                                       f"  parent: {a!r}\n  change: {b!r}")
+        old_files, new_files = (files(w / "out") for w in workdirs)
+        for name in sorted(old_files.keys() | new_files.keys()):
+            if name not in new_files or name not in old_files:
+                side = "parent" if name in old_files else "change"
+                differences.append(f"{name}: written only by the {side} tree")
+            elif old_files[name] != new_files[name]:
+                differences.append(f"{name}: contents differ")
+    for line in differences:
+        print(line)
+    codes = Counter(code for code, _, _ in results[:half])
+    print(f"{half} runs per tree (parent exit codes {dict(sorted(codes.items()))}), "
+          f"{len(old_files)} parent files, {len(new_files)} change files: "
+          f"{len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
