@@ -49,7 +49,6 @@ from .emission import (
 )
 from .fields import (
     CoherentBatch,
-    CoherentSpec,
     PolarizationBasis,
     classical_formula,
     coherent_rows,
@@ -57,7 +56,6 @@ from .fields import (
     electric_field,
     energy_identity,
     field_average,
-    load_coherent_spec,
     magnetic_field,
     polarization,
     polarization_basis,

@@ -41,9 +41,8 @@ from .emission import (
     interaction_picture,
     VACUUM_TOL,
 )
-from .fields import (CoherentBatch, CoherentSpec, StateError, coherent_rows, coherent_state,
-                     field_average, magnetic_field)
-from .fields import electric_field, vector_potential
+from .fields import (CoherentBatch, StateError, coherent_rows, coherent_state, electric_field,
+                     field_average, magnetic_field, read_states, vector_potential)
 from .hilbert import (
     FieldConfig,
     HilbertLayout,
@@ -86,7 +85,7 @@ class RunConfig:
     nmax: int
     field: FieldConfig
     atom: AtomParams | None
-    coherent: CoherentSpec | None
+    coherent: CoherentBatch | None  # one row
     # the vacuum-energy states: one label and one batch row each
     state_labels: tuple[str, ...]
     states: CoherentBatch
@@ -163,34 +162,6 @@ def load_config(path) -> tuple[RunConfig, dict]:
         raise ConfigError(str(exc))
 
 
-STATE_KEYS = {"weights", "alphas", "label"}
-
-
-def _read_states(entries: list, modes: tuple[ModeLabel, ...]) -> CoherentBatch | None:
-    """The "states" list as one batch, read with one type pass and one float
-    array, or None when that pass cannot vouch for every state.
-
-    None sends the list through :meth:`CoherentSpec.parse` state by state,
-    which reads the same values and names the first bad state.
-    """
-    if not entries:
-        return CoherentBatch.stack(modes, [])
-    m = len(modes)
-    zeros = [0.0] * m
-    if not all(type(e) is dict and e.keys() <= STATE_KEYS
-               and type(w := e.get("weights")) is list and len(w) == m
-               and type(a := e.get("alphas", zeros)) is list and len(a) == m
-               for e in entries):
-        return None
-    values = [v for e in entries for v in e["weights"]]
-    values += [v for e in entries for v in e.get("alphas", zeros)]
-    try:
-        weights, alphas = parse_complex_list(values).reshape(2, len(entries), len(modes))
-        return CoherentBatch.make(modes, weights, alphas)
-    except ValueError:
-        return None
-
-
 def _parse_config(doc) -> RunConfig:
     _require_keys(doc, TOP_LEVEL_KEYS, "config")
 
@@ -217,22 +188,14 @@ def _parse_config(doc) -> RunConfig:
         direction = parse_complex_list(_list(atom_doc, "direction"), "atom.direction")
         atom = AtomParams.make(read_real(atom_doc.get("omega0"), "atom.omega0"),
                                read_real(atom_doc.get("dipole"), "atom.dipole"), direction)
+        if not math.isfinite(hbar * atom.omega0 * atom.d):
+            raise ConfigError(f"atom.omega0 = {atom.omega0!r} and atom.dipole = {atom.d!r} "
+                              f"with field.hbar = {hbar!r}: the coupling scale "
+                              "hbar*omega0*dipole overflows")
 
-    def _spec_from(obj: dict, where: str, *extra: str) -> CoherentSpec:
-        _require_keys(obj, {"weights", "alphas", *extra}, where)
-        try:
-            return CoherentSpec.parse(modes, obj)
-        except ValueError as exc:
-            raise ConfigError(f"bad {where}: {exc}")
-
-    coherent = _spec_from(doc["coherent"], "coherent") if "coherent" in doc else None
-
-    entries = _list(doc, "states")
-    states = _read_states(entries, modes)
-    if states is None:  # the one-pass read cannot vouch for every state
-        states = CoherentBatch.stack(modes, [_spec_from(entry, f"states[{i}]", "label")
-                                             for i, entry in enumerate(entries)])
-    state_labels = tuple(str(entry.get("label", f"state{i}")) for i, entry in enumerate(entries))
+    coherent = read_states(modes, [doc["coherent"]], "coherent", labelled=False)[0] \
+        if "coherent" in doc else None
+    states, state_labels = read_states(modes, _list(doc, "states"))
 
     if "times" in doc and "time_grid" in doc:
         raise ConfigError("give either 'times' or 'time_grid', not both")
@@ -315,11 +278,20 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write the rows; a non-finite float is a config error naming file and column."""
+    non_finite = {"nan", "inf", "-inf"}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            cells = [_fmt(v) for v in row]
+            if non_finite.intersection(cells):  # a label may read "nan" too
+                for column, value, cell in zip(header, row, cells):
+                    if cell in non_finite and not isinstance(value, str):
+                        path.unlink()  # no half-written table is left behind
+                        raise ConfigError(f"{path}: column {column!r} would hold "
+                                          "a non-finite number")
+            writer.writerow(cells)
 
 
 def _json_default(value):
@@ -328,9 +300,12 @@ def _json_default(value):
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    """Write ``doc`` as strict JSON; a non-finite float is a config error naming the file."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"{path}: the report would hold a non-finite number") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 # -- commands -------------------------------------------------------------
@@ -591,6 +566,8 @@ def main(argv=None) -> int:
     try:
         if args.tolerance is not None and not 0.0 < args.tolerance < math.inf:
             raise ConfigError(f"--tolerance must be a finite number > 0, got {args.tolerance!r}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed!r}")
         cfg, _ = load_config(args.config)
         outdir = Path(args.out)
         try:

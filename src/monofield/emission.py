@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import fock_lowering, hamiltonian
 from .dynamics import resonance_kernel
-from .fields import polarization
+from .fields import _unit_rows, polarization
 from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector
 
 __all__ = [
@@ -73,15 +73,14 @@ class AtomParams:
 
     @classmethod
     def make(cls, omega0: float, d: float, direction: Sequence[complex]) -> "AtomParams":
-        """Build with the direction normalized for the caller."""
+        """Build with the direction normalized for the caller, the way sector
+        weight rows are, so squares that under- or overflow are no fault."""
         uv = np.asarray(direction, dtype=complex)
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            norm = np.linalg.norm(uv)
-        if norm == 0.0:
+        if not uv.any():
             raise ValueError("dipole direction must be nonzero")
-        if not np.isfinite(norm):
-            raise ValueError("the norm of the dipole direction overflows")
-        return cls(float(omega0), float(d), tuple(uv / norm))
+        if not np.isfinite(uv).all():
+            raise ValueError(f"dipole direction must be finite, got {tuple(uv.tolist())}")
+        return cls(float(omega0), float(d), tuple(_unit_rows(uv[None])[0]))
 
 
 def coupling(mode: ModeLabel, atom: AtomParams, config: FieldConfig) -> complex:

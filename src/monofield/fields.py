@@ -21,16 +21,15 @@ import numpy as np
 
 from .algebra import fock_lowering, hamiltonian_from_mode_ladders, momentum_from_mode_ladders
 from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, expect,
-                      load_mode_set, parse_complex_list, read_json)
+                      parse_complex_list)
 
 __all__ = [
     "PolarizationBasis",
     "polarization",
     "polarization_basis",
-    "CoherentSpec",
     "CoherentBatch",
     "StateError",
-    "load_coherent_spec",
+    "read_states",
     "vector_potential",
     "electric_field",
     "magnetic_field",
@@ -157,43 +156,12 @@ def magnetic_field(layout: HilbertLayout, config: FieldConfig, t: float,
 # -- coherent superpositions --------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoherentSpec:
-    """Per-mode sector weight Phi_k and coherent amplitude alpha_k."""
-
-    modes: tuple[ModeLabel, ...]
-    weights: tuple[complex, ...]
-    alphas: tuple[complex, ...]
-
-    @classmethod
-    def make(cls, modes: Sequence[ModeLabel], weights: Sequence[complex],
-             alphas: Sequence[complex]) -> "CoherentSpec":
-        modes = tuple(modes)
-        if not (len(modes) == len(weights) == len(alphas)):
-            raise ValueError("modes, weights and alphas must have equal length")
-        w = _unit_rows(np.asarray(weights, dtype=complex)[None])[0]
-        return cls(modes, tuple(w), tuple(np.asarray(alphas, dtype=complex).tolist()))
-
-    @classmethod
-    def parse(cls, modes: Sequence[ModeLabel], doc) -> "CoherentSpec":
-        """Spec from a document's "weights" and optional "alphas" (default 0) lists."""
-        weights = _complex_list(doc, "weights", [])
-        alphas = _complex_list(doc, "alphas", [0.0] * len(weights))
-        return cls.make(modes, weights, alphas)
-
-    @classmethod
-    def vacuum(cls, modes: Sequence[ModeLabel],
-               weights: Sequence[complex] | None = None) -> "CoherentSpec":
-        modes = tuple(modes)
-        if weights is None:
-            weights = [1.0] * len(modes)
-        return cls.make(modes, weights, [0.0] * len(modes))
-
-
 @dataclass(frozen=True, eq=False)
 class CoherentBatch:
-    """S coherent specs on one mode tuple: row s of the read-only (S, M)
-    ``weights`` and ``alphas`` arrays holds what a :class:`CoherentSpec` holds."""
+    """S coherent superpositions sum_k Phi_k |k> |alpha_k> on one mode tuple:
+    row s of the read-only (S, M) ``weights`` and ``alphas`` arrays holds the
+    sector weights Phi and amplitudes alpha of state s.  One state is a
+    one-row batch."""
 
     modes: tuple[ModeLabel, ...]
     weights: np.ndarray
@@ -209,17 +177,9 @@ class CoherentBatch:
     @classmethod
     def make(cls, modes: Sequence[ModeLabel], weights, alphas) -> "CoherentBatch":
         """Batch from (S, M) weight and alpha rows; every weight row is
-        normalised as :meth:`CoherentSpec.make` normalises one."""
+        normalised to unit 2-norm."""
         weights = np.asarray(weights, dtype=complex)
         return cls(tuple(modes), _unit_rows(weights), np.asarray(alphas, dtype=complex))
-
-    @classmethod
-    def stack(cls, modes: Sequence[ModeLabel], specs: Sequence[CoherentSpec]) -> "CoherentBatch":
-        """Batch whose rows are ``specs``, made on ``modes``."""
-        shape = (len(specs), len(modes))
-        return cls(tuple(modes),
-                   np.array([s.weights for s in specs], dtype=complex).reshape(shape),
-                   np.array([s.alphas for s in specs], dtype=complex).reshape(shape))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -227,10 +187,6 @@ class CoherentBatch:
     def rows(self, start: int, stop: int) -> "CoherentBatch":
         """The batch of states ``start`` to ``stop`` (exclusive)."""
         return CoherentBatch(self.modes, self.weights[start:stop], self.alphas[start:stop])
-
-    def spec(self, s: int) -> CoherentSpec:
-        """State ``s`` as a :class:`CoherentSpec`."""
-        return CoherentSpec(self.modes, tuple(self.weights[s]), tuple(self.alphas[s].tolist()))
 
 
 class StateError(ValueError):
@@ -253,42 +209,83 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _unit_rows(weights: np.ndarray) -> np.ndarray:
     """Every row of a complex (S, M) array divided by its 2-norm.
 
-    A row whose norm is below sqrt(tiny), where its squares may underflow,
-    is first divided by its largest modulus; any other row is divided by
-    its plain norm.  Refuses an all-zero row and a norm that overflows.
+    A row whose squares may underflow (norm below sqrt(tiny)) is first
+    divided by its largest modulus, and one whose squares overflow by its
+    largest real or imaginary part, which is finite where a modulus may
+    not be; any other row is divided by its plain norm.  Refuses an
+    all-zero row and a non-finite entry with a :class:`StateError`
+    naming the first such row.
     """
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
         norms = _row_norms(weights)
     small = norms < _SMALL_NORM
-    if small.any():
-        peaks = np.abs(weights[small]).max(axis=1, initial=0.0)
-        if not peaks.all():
-            raise ValueError("all sector weights are zero")
-        # real division of each part: a complex one overflows on a subnormal peak
-        scaled = (weights[small].view(float) / peaks[:, None]).view(complex)
+    rescale = small | (norms == math.inf)
+    if rescale.any():
+        rows = weights[rescale]
+        # a zero or non-finite row comes out non-finite and is refused below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            peaks = np.where(small[rescale], np.abs(rows).max(axis=1, initial=0.0),
+                             np.abs(rows.view(float)).max(axis=1, initial=0.0))
+            # real division of each part: a complex one overflows on a subnormal peak
+            scaled = (rows.view(float) / peaks[:, None]).view(complex)
+            norms[rescale] = _row_norms(scaled)
         weights = weights.copy()
-        weights[small] = scaled
-        norms[small] = _row_norms(scaled)
+        weights[rescale] = scaled
     if not np.isfinite(norms).all():
-        raise ValueError("the norm of the sector weights overflows")
+        row = int(np.argmin(np.isfinite(norms)))
+        raise StateError(row, "all sector weights are zero" if small[row]
+                         else "the sector weights are not finite")
     return weights / norms[:, None]
 
 
-def _complex_list(doc, key: str, default: list) -> np.ndarray:
-    values = doc.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{key}: expected a list, got {values!r}")
-    return parse_complex_list(values, key)
+def read_states(modes: Sequence[ModeLabel], entries: Sequence, where: str = "states[{}]",
+                labelled: bool = True) -> tuple[CoherentBatch, tuple[str, ...]]:
+    """A list of {"weights", "alphas"[, "label"]} documents as one batch,
+    with each state's label (``state<i>`` when it has none).
 
+    Complex entries are [re, im] pairs or bare reals; "alphas" defaults to
+    zeros, and "label" is allowed only when ``labelled``.  One Python pass
+    checks the shape of every entry, one :func:`parse_complex_list` call per
+    key reads the values and one normalisation runs over the weight rows.  A
+    refusal is a :class:`StateError` for the first bad state in list order,
+    its message naming the state as ``where.format(index)``.
+    """
+    modes = tuple(modes)
+    keys = {"weights", "alphas", "label"} if labelled else {"weights", "alphas"}
+    defaults = {"weights": [], "alphas": [0.0] * len(modes)}
+    name = where.format  # called only to refuse a state
 
-def load_coherent_spec(source, config: FieldConfig | None = None) -> CoherentSpec:
-    """Read a coherent spec from JSON (any :func:`read_json` source): modes
-    plus weight/alpha lists, complex entries as [re, im] pairs or bare reals."""
-    doc = read_json(source)
-    unknown = set(doc) - {"modes", "weights", "alphas"}
-    if unknown:
-        raise ValueError(f"unknown keys in coherent spec: {sorted(unknown)}")
-    return CoherentSpec.parse(load_mode_set(doc["modes"], config), doc)
+    def read(entries: Sequence, first: int) -> tuple[CoherentBatch, tuple[str, ...]]:
+        labels = []
+        for i, entry in enumerate(entries, first):
+            if not isinstance(entry, dict):
+                raise StateError(i, f"{name(i)} must be an object")
+            if not entry.keys() <= keys:
+                raise StateError(i, f"unknown keys in {name(i)}: {sorted(set(entry) - keys)}")
+            for key, default in defaults.items():
+                value = entry.get(key, default)
+                if not isinstance(value, (list, tuple)):
+                    raise StateError(i, f"bad {name(i)}: {key}: expected a list, got {value!r}")
+                if len(value) != len(modes):
+                    raise StateError(i, f"bad {name(i)}: modes, weights and alphas must have "
+                                        "equal length")
+            labels.append(entry["label"] if "label" in entry else f"state{i}")
+            if not isinstance(labels[-1], str):
+                raise StateError(i, f"bad {name(i)}: label: expected a string, got {labels[-1]!r}")
+        shape = (len(entries), len(modes))
+        try:
+            weights, alphas = (parse_complex_list([v for e in entries for v in e.get(k, d)], k)
+                               .reshape(shape) for k, d in defaults.items())
+            return CoherentBatch(modes, _unit_rows(weights), alphas), tuple(labels)
+        except ValueError as exc:  # shown only from a one-state read, of state ``first``
+            raise StateError(first, f"bad {name(first)}: {exc}") from None
+
+    try:
+        return read(entries, 0)
+    except StateError:  # the states one at a time, so that the first bad one is named
+        for i, entry in enumerate(entries):
+            read([entry], i)
+        raise  # pragma: no cover
 
 
 def _poisson_cdf(mu: float) -> Iterator[float]:
@@ -335,12 +332,14 @@ def required_truncation(alpha: complex, tail_tol: float = 1e-10, cap: int = 10_0
     raise ValueError(f"no truncation below {cap} reaches tail mass {tail_tol}")
 
 
-def coherent_state(layout: HilbertLayout, spec: CoherentSpec,
+def coherent_state(layout: HilbertLayout, state: CoherentBatch,
                    tail_tol: float = 1e-10) -> StateVector:
-    """State sum_k Phi_k |k> |alpha_k> with renormalized truncated blocks:
-    the one-state case of :func:`coherent_rows`, whose checks it shares."""
-    return StateVector(layout, coherent_rows(layout, CoherentBatch.stack(spec.modes, [spec]),
-                                             tail_tol)[0])
+    """State sum_k Phi_k |k> |alpha_k> of a one-row batch, with renormalized
+    truncated blocks: the one-state case of :func:`coherent_rows`, whose
+    checks it shares."""
+    if len(state) != 1:
+        raise ValueError(f"coherent_state builds one state, got a batch of {len(state)}")
+    return StateVector(layout, coherent_rows(layout, state, tail_tol)[0])
 
 
 def coherent_rows(layout: HilbertLayout, batch: CoherentBatch,
@@ -356,7 +355,7 @@ def coherent_rows(layout: HilbertLayout, batch: CoherentBatch,
     if layout.has_atom:
         raise ValueError("coherent_state builds field states; layout has an atom factor")
     if batch.modes != layout.modes:
-        raise ValueError("coherent spec modes do not match the layout")
+        raise ValueError("coherent state modes do not match the layout")
     alphas = batch.alphas
     with np.errstate(over="ignore"):
         magnitudes = np.abs(alphas)
@@ -411,18 +410,18 @@ def field_average(builder: FieldBuilder, state: StateVector, config: FieldConfig
     return np.array([expect(op, state).real for op in ops])
 
 
-def classical_formula(spec: CoherentSpec, config: FieldConfig, t: float,
+def classical_formula(state: CoherentBatch, config: FieldConfig, t: float,
                       x: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The printed classical sums for <A>, <E>, <B>; oracle for field_average.
 
-    Evaluates the mode sums directly from the spec, with no operators in
-    sight, so it cross-checks the operator route independently.
+    Evaluates the mode sums directly from row 0 of the batch, with no
+    operators in sight, so it cross-checks the operator route independently.
     """
     xv = np.asarray(x, dtype=float)
     a_avg = np.zeros(3, dtype=complex)
     e_avg = np.zeros(3, dtype=complex)
     b_avg = np.zeros(3, dtype=complex)
-    for m, w, alpha in zip(spec.modes, spec.weights, spec.alphas):
+    for m, w, alpha in zip(state.modes, state.weights[0], state.alphas[0].tolist()):
         if m.abstract:
             raise ValueError(f"classical fields require propagating modes; {m} is abstract")
         basis = polarization_basis(m.kappa)

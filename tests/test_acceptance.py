@@ -113,7 +113,7 @@ def test_criterion_5_field_integral_identities(mixed_modes, natural):
 
 def test_criterion_6_coherent_averages(natural):
     modes = (mf.mode(+1, (0.0, 0.0, 1.0)), mf.mode(-1, (0.0, 2.0, 0.0)))
-    spec = mf.CoherentSpec.make(modes, [1.0, 1.0j], [1.0, 0.6 - 0.5j])
+    spec = mf.CoherentBatch.make(modes, [[1.0, 1.0j]], [[1.0, 0.6 - 0.5j]])
     layout = mf.build_layout(modes, 30)
     state = mf.coherent_state(layout, spec)
     rng = np.random.default_rng(23)
@@ -125,7 +125,7 @@ def test_criterion_6_coherent_averages(natural):
         for builder, ref in zip(builders, mf.classical_formula(spec, natural, t, x)):
             avg = mf.field_average(builder, state, natural, t, x)
             worst = max(worst, float(np.max(np.abs(avg - ref))))
-    vac = mf.coherent_state(layout, mf.CoherentSpec.vacuum(modes))
+    vac = mf.coherent_state(layout, mf.CoherentBatch.make(modes, [[1.0, 1.0]], [[0.0, 0.0]]))
     vac_zero = all(
         np.all(mf.field_average(b, vac, natural, 0.3, (0.1, 0.2, 0.3)) == 0.0)
         for b in builders)
@@ -328,8 +328,8 @@ def test_field_average_fits_in_blocks_on_a_large_box(tmp_path):
     rng = np.random.default_rng(11)
     count = layout.n_modes
     alphas = 0.3 * np.exp(2j * np.pi * rng.uniform(size=count))
-    spec = mf.CoherentSpec.make(cfg.modes, rng.normal(size=count) + 1j * rng.normal(size=count),
-                                alphas)
+    spec = mf.CoherentBatch.make(cfg.modes,
+                                 [rng.normal(size=count) + 1j * rng.normal(size=count)], [alphas])
     state = mf.coherent_state(layout, spec)
     t, x = 0.7, (0.3, -0.2, 0.5)
     tracemalloc.start()

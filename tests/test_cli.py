@@ -5,13 +5,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monofield import algebra
-from monofield.cli import _read_states, load_config, main, ConfigError
-from monofield.fields import (CoherentBatch, CoherentSpec, coherent_rows, coherent_state,
-                              load_coherent_spec)
-from monofield.hilbert import FieldConfig, Operator, build_layout, load_mode_set
+from monofield import algebra, cli
+from monofield.cli import load_config, main, ConfigError
+from monofield.fields import CoherentBatch, StateError, coherent_rows, coherent_state, read_states
+from monofield.hilbert import FieldConfig, Operator, build_layout, load_mode_set, parse_complex
 
 DATA = Path(__file__).parent / "data"
+# configs with one bad "states" or "coherent" section (or two bad states),
+# each with the exact error line its command must print
+STATE_FAULTS = json.loads((DATA / "state_faults.json").read_text())
+
+
+def fault_config(directory, case):
+    """The base config with its section replaced by the case's raw JSON text,
+    which may hold numbers such as 1e400 that json.dumps cannot write."""
+    doc = json.loads((DATA / case["base"]).read_text())
+    doc.pop(case["section"])
+    p = directory / "fault.json"
+    p.write_text(json.dumps(doc)[:-1] + f', "{case["section"]}": {case["value"]}}}')
+    return p
 
 
 def run(command, config, out, *extra):
@@ -99,8 +111,6 @@ class TestConfigParsing:
         ("emission", "config_emission.json", {"times": [1e10]}),
         ("vacuum-energy", "config_vac.json",
          replaced("config_vac.json", ["states", 2, "alphas"], [1e300, 0])),
-        ("vacuum-energy", "config_vac.json",
-         replaced("config_vac.json", ["states", 0, "weights"], [1e300, 1.0])),
         ("compare-standard", "config_jc.json",
          replaced("config_jc.json", ["atom", "omega0"], 1e300)),
         ("compare-standard", "config_jc.json",
@@ -113,7 +123,7 @@ class TestConfigParsing:
             "field_sweep_abstract_modes", "tolerance_string", "tolerance_null",
             "states_not_list", "weights_not_list", "duplicate_mode", "modes_string",
             "modes_empty", "initial_top_rung", "coupling_huge", "hbar_tiny", "time_huge", "time_quadrature",
-            "alpha_huge", "weight_huge", "jc_omega0_huge", "jc_dipole_tiny",
+            "alpha_huge", "jc_omega0_huge", "jc_dipole_tiny",
             "emission_time_zero", "tolerance_zero", "tolerance_negative"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, base, change):
         doc = json.loads((DATA / base).read_text())
@@ -177,24 +187,75 @@ class TestConfigParsing:
     def test_one_complex_parser(self, tmp_path, capsys, form, value, named):
         # the library and the CLI read weights with the same parser
         modes = [{"s": 1, "kappa": [0.0, 0.0, 1.0]}, {"s": -1, "kappa": [0.0, 2.0, 0.0]}]
-        spec_doc = {"modes": modes, "weights": [1.0, form]}
+        entries = [{"weights": [1.0, form]}]
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"modes": modes, "nmax": 2,
-                                 "states": [{"weights": [1.0, form]}]}))
+        p.write_text(json.dumps({"modes": modes, "nmax": 2, "states": entries}))
         if value is None:
             with pytest.raises(ValueError, match=r"weights\[1\]"):
-                load_coherent_spec(spec_doc)
+                read_states(load_mode_set(modes), entries)
             assert run("vacuum-energy", p, tmp_path) == 2
             err = capsys.readouterr().err
             assert any(line.startswith("config error:") and named in line
                        for line in err.splitlines())
             assert "Traceback" not in err
         else:
-            spec = load_coherent_spec(spec_doc)
+            batch, _ = read_states(load_mode_set(modes), entries)
             cfg, _ = load_config(p)
-            assert cfg.states.spec(0).weights == spec.weights
-            assert spec.weights == CoherentSpec.make(spec.modes, [1.0, value],
-                                                     [0.0, 0.0]).weights
+            assert cfg.states.weights.tobytes() == batch.weights.tobytes()
+            assert batch.weights.tobytes() == CoherentBatch.make(
+                batch.modes, [[1.0, value]], [[0.0, 0.0]]).weights.tobytes()
+
+    @pytest.mark.parametrize("case", STATE_FAULTS, ids=[c["id"] for c in STATE_FAULTS])
+    def test_state_fault_names_the_first_bad_state(self, tmp_path, capsys, case):
+        # the exact line of the per-state reader this one replaced
+        assert run(case["command"], fault_config(tmp_path, case), tmp_path) == 2
+        assert capsys.readouterr().err == case["error"] + "\n"
+
+    @pytest.mark.parametrize("label, error", [
+        ([1, 2], "bad states[1]: label: expected a string, got [1, 2]"),
+        (5, "bad states[1]: label: expected a string, got 5"),
+        (None, "bad states[1]: label: expected a string, got None"),
+    ])
+    def test_label_must_be_a_string(self, tmp_path, label, error):
+        doc = json.loads((DATA / "config_vac.json").read_text())
+        doc["states"][1]["label"] = label
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value) == error
+
+    def test_missing_label_is_numbered(self, tmp_path):
+        doc = json.loads((DATA / "config_vac.json").read_text())
+        del doc["states"][2]["label"]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        cfg, _ = load_config(p)
+        assert cfg.state_labels == ("uniform_vacuum", "low_mode_only", "state2")
+
+    @pytest.mark.parametrize("weights, plain", [
+        ([1e200, 1e200], [1, 1]),
+        ([1.5e308, 1.5e308], [1, 1]),
+        ([[0.0, 1e300], [0.0, -1e300]], [[0, 1], [0, -1]]),
+        ([1e300, 1.0], [1, 1e-300]),
+    ], ids=["1e200", "1.5e308", "imaginary_1e300", "weight_huge"])
+    def test_weights_whose_norm_overflows_are_normalised(self, tmp_path, weights, plain):
+        doc = json.loads((DATA / "config_vac.json").read_text())
+        outputs = []
+        for w in (weights, plain):
+            doc["states"] = [{"label": "s", "weights": w}]
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(doc))
+            outputs.append(load_config(p)[0].states.weights.tobytes())
+            assert run("vacuum-energy", p, tmp_path) == 0
+            outputs.append((tmp_path / "vacuum.csv").read_bytes())
+        assert outputs[:2] == outputs[2:]
+
+    def test_seed_must_be_non_negative(self, tmp_path, capsys):
+        assert run("compare-standard", DATA / "config_compare.json", tmp_path,
+                   "--seed", "-1") == 2
+        assert capsys.readouterr().err == ("config error: --seed must be a non-negative "
+                                           "integer, got -1\n")
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, out):
@@ -332,6 +393,37 @@ class TestEmissionCommand:
         assert cfg.emission_initial == {(k, 0, 1): 1.0 for k in range(3)}
 
 
+class TestFiniteOutputs:
+    def test_atom_whose_coupling_scale_overflows_exits_2(self, tmp_path, capsys):
+        # each entry alone is in range; the product hbar*omega0*dipole is not
+        doc = json.loads((DATA / "config_compare.json").read_text())
+        doc["atom"].update(omega0=1e200, dipole=1e200)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run("compare-standard", p, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "config error: atom.omega0 = 1e+200 and atom.dipole = 1e+200 with field.hbar = "
+            "1.0: the coupling scale hbar*omega0*dipole overflows\n")
+        assert not (tmp_path / "comparison.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_writers_refuse_a_non_finite_number(self, tmp_path, value):
+        with pytest.raises(ConfigError) as exc:
+            cli._write_json(tmp_path / "r.json", {"a": [1.0, {"b": value}]})
+        assert str(exc.value) == (f"{tmp_path / 'r.json'}: the report would hold "
+                                  "a non-finite number")
+        assert not (tmp_path / "r.json").exists()
+        with pytest.raises(ConfigError) as exc:
+            cli._write_csv(tmp_path / "r.csv", ["label", "x", "y"],
+                           [["nan", 1.0, 2.0], ["a", 3.0, np.float64(value)]])
+        assert str(exc.value) == f"{tmp_path / 'r.csv'}: column 'y' would hold a non-finite number"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_a_label_may_read_nan(self, tmp_path):
+        cli._write_csv(tmp_path / "r.csv", ["label", "x"], [["nan", 1.0], ["inf", 0.5]])
+        assert (tmp_path / "r.csv").read_text() == "label,x\nnan,1.0\ninf,0.5\n"
+
+
 class TestCompareStandardCommand:
     def test_dimension_contrast_in_report(self, tmp_path):
         assert run("compare-standard", DATA / "config_compare.json", tmp_path) == 0
@@ -425,8 +517,8 @@ ABSTRACT = [{"omega": 1.0}, {"omega": 2.5}, {"omega": 0.7, "j": 1}]
 
 
 def _per_state_rows(doc):
-    """vacuum.csv rows as the command built them state by state: each spec
-    parsed on its own, then coherent_state, vacuum_subspace_check and one
+    """vacuum.csv rows as the command built them state by state: each state
+    read on its own, then coherent_state, vacuum_subspace_check and one
     expect per operator."""
     from monofield.algebra import hamiltonian, momentum
     from monofield.emission import vacuum_subspace_check
@@ -441,7 +533,7 @@ def _per_state_rows(doc):
     contrast = standard_vacuum_energy(modes, FieldConfig())
     lines, amplitudes = ["label,is_vacuum,energy,px,py,pz,standard_vacuum_energy"], []
     for entry in doc["states"]:
-        state = coherent_state(layout, CoherentSpec.parse(modes, entry))
+        state = coherent_state(layout, read_states(modes, [entry])[0])
         check = vacuum_subspace_check(state)
         p = [repr(expect(op, state).real) for op in p_ops] if p_ops else ["", "", ""]
         lines.append(",".join([entry["label"], "true" if check.is_vacuum else "false",
@@ -474,27 +566,50 @@ class TestVacuumEnergyBatch:
         layout = build_layout(cfg.modes, cfg.nmax)
         rows = coherent_rows(layout, cfg.states)
         assert rows.tobytes() == want_amps.tobytes()
-        assert coherent_state(layout, cfg.states.spec(0)).amplitudes.tobytes() \
+        assert coherent_state(layout, cfg.states.rows(0, 1)).amplitudes.tobytes() \
             == rows[0].tobytes()
 
     def test_one_pass_reader_matches_per_state_parsing(self):
+        # the whole list read at once gives the bits of each entry parsed on
+        # its own, entry by entry, and normalised as one row
         doc = _vacuum_doc(np.random.default_rng(3), PROPAGATING, 4, 9, 0.3)
         doc["states"][2].pop("alphas")
         doc["states"][4]["weights"][1] = 2
         doc["states"][5]["weights"] = [1e-200, 0, [3e-201, -1e-200], 0]
+        doc["states"][6]["weights"] = [1e300, [0, -1e300], 0, 1.0]
         modes = load_mode_set(doc["modes"])
-        batch = _read_states(doc["states"], modes)
-        want = CoherentBatch.stack(modes, [CoherentSpec.parse(modes, e) for e in doc["states"]])
-        assert batch.weights.tobytes() == want.weights.tobytes()
-        assert batch.alphas.tobytes() == want.alphas.tobytes()
+        batch, labels = read_states(modes, doc["states"])
+        for s, entry in enumerate(doc["states"]):
+            weights, alphas = ([parse_complex(v) for v in entry.get(key, [0.0] * 4)]
+                               for key in ("weights", "alphas"))
+            want = CoherentBatch.make(modes, [weights], [alphas])
+            assert batch.weights[s].tobytes() == want.weights[0].tobytes()
+            assert batch.alphas[s].tobytes() == want.alphas[0].tobytes()
+        assert labels == tuple(f"s{i}" for i in range(9))
 
-    @pytest.mark.parametrize("entry", [5, {"weights": [1, 1, 1, 1], "bogus": 0},
-                                       {"weights": [1, 1, 1]}, {"weights": [1, 1, 1, True]},
-                                       {"weights": [0, 0, 0, 0]},
-                                       {"weights": (1, 1, 1, 1)}])
-    def test_one_pass_reader_declines_what_it_cannot_vouch_for(self, entry):
+    # entries the one-pass read of the former two-reader design could not
+    # vouch for: the one reader gives what the per-state read then gave
+    @pytest.mark.parametrize("entry, error", [
+        (5, "states[3] must be an object"),
+        ({"weights": [1, 1, 1, 1], "bogus": 0}, "unknown keys in states[3]: ['bogus']"),
+        ({"weights": [1, 1, 1]},
+         "bad states[3]: modes, weights and alphas must have equal length"),
+        ({"weights": [1, 1, 1, True]},
+         "bad states[3]: weights[3]: expected a finite number or [re, im] pair, got True"),
+        ({"weights": [0, 0, 0, 0]}, "bad states[3]: all sector weights are zero"),
+        ({"weights": (1, 1, 1, 1)}, None),
+    ], ids=["5", "entry1", "entry2", "entry3", "entry4", "entry5"])
+    def test_one_pass_reader_declines_what_it_cannot_vouch_for(self, entry, error):
         doc = _vacuum_doc(np.random.default_rng(4), PROPAGATING, 4, 3, 0.3)
-        assert _read_states([*doc["states"], entry], load_mode_set(doc["modes"])) is None
+        modes = load_mode_set(doc["modes"])
+        if error is None:
+            batch, _ = read_states(modes, [*doc["states"], entry])
+            want, _ = read_states(modes, [{"weights": list(entry["weights"])}])
+            assert batch.weights[3].tobytes() == want.weights[0].tobytes()
+            return
+        with pytest.raises(StateError) as exc:
+            read_states(modes, [*doc["states"], entry])
+        assert (str(exc.value), exc.value.index) == (error, 3)
 
     def test_states_are_built_in_one_batch(self, tmp_path, monkeypatch):
         # the per-state loop (coherent_state, vacuum_subspace_check and expect
@@ -536,8 +651,9 @@ class TestVacuumEnergyBatch:
          "state 'b1': no truncation below 10000 reaches tail mass 1e-10"),
         ({"weights": [0, 0]}, {"weights": [0.0, [0, 0]]},
          "bad states[1]: all sector weights are zero"),
+        # squares that overflow are no fault: the row is normalised
         ({"weights": [1e308, 1e308]}, {"weights": [0, 0]},
-         "bad states[1]: the norm of the sector weights overflows"),
+         "bad states[3]: all sector weights are zero"),
         ({"weights": [1, 1], "alphas": [0, 3.0]}, 7, "states[3] must be an object"),
         ({"weights": [1, 1], "alphas": [0, 1e200]}, {"weights": [1, 1], "alphas": [0, "x"]},
          "bad states[3]: alphas[1]: expected a finite number or [re, im] pair, got 'x'"),

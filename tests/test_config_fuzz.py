@@ -1,11 +1,18 @@
 """Config fuzzing: replace one leaf or one section of a valid config with a
-value from a fixed pool and run the command in-process.  Whatever the
-value, the command must keep the exit contract (0 pass, 1 physics check
-failed, 2 config error) and raise nothing."""
+value from a fixed pool, or two numeric leaves of one section with the same
+extreme value, and run the command in-process.  Whatever the values, the
+command must keep the exit contract (0 pass, 1 physics check failed, 2
+config error) and raise nothing, and every file it writes on exit 0 or 1
+must hold finite numbers only: strict JSON, and CSV cells that read as
+finite floats where they read as floats at all."""
 
 import contextlib
+import csv
 import io
+import itertools
 import json
+import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -40,30 +47,83 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _check_outputs(outdir: Path, where: str) -> None:
+    for path in sorted(outdir.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_refuse_constant)
+            continue
+        for row in csv.reader(io.StringIO(text)):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), f"{where}: {path.name} holds {cell!r}"
+
+
+def _run(name: str, doc: dict, tmp_path: Path, where: str) -> None:
+    """Run the config's command on ``doc`` in a fresh output directory and
+    check the exit contract and, on exit 0 or 1, the files written."""
+    config = tmp_path / "mutated.json"
+    config.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    shutil.rmtree(outdir, ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([COMMANDS[name], "--config", str(config), "--out", str(outdir)])
+    except Exception as exc:
+        raise AssertionError(f"{where} raised {exc!r}") from exc
+    assert rc in (0, 1, 2), f"{where} exited {rc!r}"
+    if rc == 2:
+        assert any(line.startswith("config error:")
+                   for line in err.getvalue().splitlines()), where
+    else:
+        _check_outputs(outdir, where)
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    _leaf(doc, path[:-1])[path[-1]] = value
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 @settings(derandomize=True, database=None, max_examples=5, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_config_keeps_exit_contract(tmp_path, name, data):
     base = json.loads((DATA / name).read_text())
-    config = tmp_path / "mutated.json"
     # every example replaces each leaf and section in turn, one per run
     for path in _paths(base):
         where = ".".join(map(str, path))
         value = data.draw(st.sampled_from(POOL), label=where)
         doc = json.loads(json.dumps(base))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        config.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main([COMMANDS[name], "--config", str(config), "--out", str(tmp_path)])
-        except Exception as exc:
-            raise AssertionError(f"{where} = {value!r} raised {exc!r}") from exc
-        assert rc in (0, 1, 2), f"{where} = {value!r} exited {rc!r}"
-        if rc == 2:
-            assert any(line.startswith("config error:")
-                       for line in err.getvalue().splitlines()), f"{where} = {value!r}"
+        _replaced(doc, path, value)
+        _run(name, doc, tmp_path, f"{where} = {value!r}")
+
+
+@pytest.mark.parametrize("name", ["config_compare.json", "config_jc.json"])
+@pytest.mark.parametrize("value", [1e300, 1e-300])
+def test_extreme_pairs_keep_outputs_finite(tmp_path, name, value):
+    # each leaf alone is in range; two of one section together, such as
+    # atom.omega0 and atom.dipole, may not be
+    base = json.loads((DATA / name).read_text())
+    for section in base:
+        leaves = [path for path in _paths(base[section], (section,))
+                  if type(_leaf(base, path)) in (int, float)]
+        for pair in itertools.combinations(leaves, 2):
+            doc = json.loads(json.dumps(base))
+            for path in pair:
+                _replaced(doc, path, value)
+            _run(name, doc, tmp_path,
+                 " and ".join(".".join(map(str, path)) for path in pair) + f" = {value!r}")

@@ -75,6 +75,15 @@ class TestCoupling:
         normalized = mf.AtomParams.make(1.0, 0.1, (3.0, 4.0, 0.0))
         assert abs(np.linalg.norm(normalized.u) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("direction, plain", [
+        ((1e200, 1e200, 0.0), (1.0, 1.0, 0.0)),
+        ((1.5e308, 0.0, -1.5e308j), (1.0, 0.0, -1.0j)),
+        ((1e-200, 0.0, 1e-200j), (1.0, 0.0, 1.0j)),
+    ], ids=["1e200", "1.5e308", "1e-200"])
+    def test_direction_whose_squares_under_or_overflow_is_normalized(self, direction, plain):
+        # an underflowing one used to be refused as a zero direction
+        assert mf.AtomParams.make(1.0, 0.1, direction) == mf.AtomParams.make(1.0, 0.1, plain)
+
 
 class TestAtomFieldHamiltonian:
     def test_decoupled_spectrum(self, natural):

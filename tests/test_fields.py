@@ -101,7 +101,7 @@ class TestFieldOperators:
 class TestCoherentState:
     def two_mode_spec(self, alphas=(0.3, 0.4j)):
         modes = (mf.mode(+1, (0.0, 0.0, 1.0)), mf.mode(-1, (0.0, 2.0, 0.0)))
-        return mf.CoherentSpec.make(modes, [1.0, 1.0], list(alphas))
+        return mf.CoherentBatch.make(modes, [[1.0, 1.0]], [list(alphas)])
 
     def test_vacuum_spec_energy(self, natural):
         spec = self.two_mode_spec(alphas=(0.0, 0.0))
@@ -114,7 +114,7 @@ class TestCoherentState:
     def test_eigenrelation_of_truncated_block(self, natural):
         mode = mf.mode(+1, (0.0, 0.0, 1.0))
         layout = mf.build_layout([mode], 30)
-        spec = mf.CoherentSpec.make([mode], [1.0], [0.5])
+        spec = mf.CoherentBatch.make([mode], [[1.0]], [[0.5]])
         state = mf.coherent_state(layout, spec)
         a = mf.mode_annihilator(layout, 0)
         residual = mf.apply(a, state).amplitudes - 0.5 * state.amplitudes
@@ -126,7 +126,7 @@ class TestCoherentState:
         state = mf.coherent_state(layout, spec)
         h = mf.hamiltonian(layout, natural)
         expected = sum(m.omega * abs(w) ** 2 * (abs(al) ** 2 + 0.5)
-                       for m, w, al in zip(spec.modes, spec.weights, spec.alphas))
+                       for m, w, al in zip(spec.modes, spec.weights[0], spec.alphas[0]))
         assert mf.expect(h, state).real == pytest.approx(expected, abs=1e-10)
 
     def test_momentum_expectation_formula(self, natural):
@@ -135,13 +135,13 @@ class TestCoherentState:
         state = mf.coherent_state(layout, spec)
         for i, p in enumerate(mf.momentum(layout, natural)):
             expected = sum(m.kappa[i] * abs(w) ** 2 * (abs(al) ** 2 + 0.5)
-                           for m, w, al in zip(spec.modes, spec.weights, spec.alphas))
+                           for m, w, al in zip(spec.modes, spec.weights[0], spec.alphas[0]))
             assert mf.expect(p, state).real == pytest.approx(expected, abs=1e-10)
 
     def test_truncation_too_small_reports_required_nmax(self):
         mode = mf.mode(+1, (0.0, 0.0, 1.0))
         layout = mf.build_layout([mode], 5)
-        spec = mf.CoherentSpec.make([mode], [1.0], [3.0])
+        spec = mf.CoherentBatch.make([mode], [[1.0]], [[3.0]])
         with pytest.raises(ValueError, match="nmax >= "):
             mf.coherent_state(layout, spec)
         need = mf.required_truncation(3.0)
@@ -173,36 +173,36 @@ class TestCoherentState:
 
     def test_weights_normalized(self):
         spec = self.two_mode_spec()
-        assert sum(abs(w) ** 2 for w in spec.weights) == pytest.approx(1.0, abs=1e-14)
+        assert sum(abs(w) ** 2 for w in spec.weights[0]) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("weights", [[1e-160, 1e-160], [1e-165, 1e-165], [1e-200, 0.0],
                                          [5e-324, 1e-320j]])
     def test_weights_whose_squares_underflow_are_normalized(self, weights):
         spec = self.two_mode_spec()
-        spec = mf.CoherentSpec.make(spec.modes, weights, [0.0, 0.0])
-        assert abs(np.linalg.norm(spec.weights) - 1.0) < 1e-15
+        w = mf.CoherentBatch.make(spec.modes, [weights], [[0.0, 0.0]]).weights[0]
+        assert abs(np.linalg.norm(w) - 1.0) < 1e-15
         ratio = weights[1] / weights[0]
-        assert spec.weights[1] / spec.weights[0] == pytest.approx(ratio, rel=1e-15)
+        assert w[1] / w[0] == pytest.approx(ratio, rel=1e-15)
 
     def test_ordinary_weights_keep_the_plain_norm_bit_for_bit(self, rng):
         modes = self.two_mode_spec().modes
         for scale in (1e-150, 1e-3, 1.0, 1e150):
             w = scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
             want = w / np.linalg.norm(w)
-            assert np.array(mf.CoherentSpec.make(modes, w, [0, 0]).weights).tobytes() \
+            assert mf.CoherentBatch.make(modes, [w], [[0, 0]]).weights[0].tobytes() \
                 == want.tobytes()
 
     @pytest.mark.parametrize("weights, message", [
         ([0.0, 0.0], "all sector weights are zero"),
         ([0j, -0.0], "all sector weights are zero"),
-        ([1e308, 1e308], "the norm of the sector weights overflows"),
+        ([np.inf, 1.0], "the sector weights are not finite"),
+        ([np.nan, 0.0], "the sector weights are not finite"),
     ])
     def test_zero_and_overflowing_weights_refused(self, weights, message):
         modes = self.two_mode_spec().modes
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            mf.CoherentSpec.make(modes, weights, [0.0, 0.0])
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            mf.CoherentBatch.make(modes, [[1.0, 1.0], weights], [[0.0, 0.0]] * 2)
+        with pytest.raises(mf.fields.StateError, match=f"^{message}$") as exc:
+            mf.CoherentBatch.make(modes, [[1.0, 1.0], weights, [0.0, 0.0]], [[0.0, 0.0]] * 3)
+        assert exc.value.index == 1
 
     def test_spec_loadable_from_json(self, tmp_path):
         import json
@@ -215,19 +215,34 @@ class TestCoherentState:
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
-        for source in (str(path), path):
-            spec = mf.load_coherent_spec(source)
-            assert spec.alphas == (0.3 + 0j, 0.4j)
-            assert abs(spec.weights[1] / spec.weights[0] - 1j) < 1e-14
-        with pytest.raises(ValueError, match="unknown"):
-            mf.load_coherent_spec({"modes": doc["modes"], "weights": [1, 1],
-                                   "phases": [0, 0]})
+        doc = json.loads(path.read_text())
+        modes = mf.load_mode_set(doc.pop("modes"))
+        state, _ = mf.fields.read_states(modes, [doc], "coherent", labelled=False)
+        assert state.alphas[0].tolist() == [0.3 + 0j, 0.4j]
+        assert abs(state.weights[0, 1] / state.weights[0, 0] - 1j) < 1e-14
+        with pytest.raises(ValueError, match=r"^unknown keys in coherent: \['phases'\]$"):
+            mf.fields.read_states(modes, [{"weights": [1, 1], "phases": [0, 0]}], "coherent",
+                                  labelled=False)
+
+    @pytest.mark.parametrize("weights, plain", [
+        ([1e200, 1e200], [1, 1]),
+        ([1.5e308, -1.5e308], [1, -1]),
+        ([1e308j, 1e308 + 1e308j], [1j, 1 + 1j]),
+        ([1e300, 1.0], [1, 1e-300]),
+    ])
+    def test_weights_whose_squares_overflow_are_normalized(self, weights, plain):
+        # divided by their largest part first, so a real or imaginary row
+        # gives the bits of the same row at unit scale
+        modes = self.two_mode_spec().modes
+        got = mf.CoherentBatch.make(modes, [weights], [[0, 0]]).weights
+        want = mf.CoherentBatch.make(modes, [plain], [[0, 0]]).weights
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFieldAverages:
     def test_vacuum_averages_identically_zero(self, natural):
         modes = (mf.mode(+1, (0.0, 0.0, 1.0)), mf.mode(-1, (1.0, 0.0, 0.0)))
-        spec = mf.CoherentSpec.vacuum(modes)
+        spec = mf.CoherentBatch.make(modes, [[1.0, 1.0]], [[0.0, 0.0]])
         layout = mf.build_layout(modes, 3)
         state = mf.coherent_state(layout, spec)
         for builder in (mf.vector_potential, mf.electric_field, mf.magnetic_field):
@@ -239,7 +254,7 @@ class TestFieldAverages:
     def test_single_mode_hand_value(self, natural):
         mode = mf.mode(+1, (0.0, 0.0, 2.0))
         alpha = 0.2
-        spec = mf.CoherentSpec.make([mode], [1.0], [alpha])
+        spec = mf.CoherentBatch.make([mode], [[1.0]], [[alpha]])
         layout = mf.build_layout([mode], 30)
         state = mf.coherent_state(layout, spec)
         avg = mf.field_average(mf.vector_potential, state, natural, 0.0, (0, 0, 0))
@@ -249,7 +264,7 @@ class TestFieldAverages:
 
     def test_operator_route_matches_classical_oracle(self, natural):
         modes = (mf.mode(+1, (0.0, 0.0, 1.0)), mf.mode(-1, (0.0, 2.0, 0.0)))
-        spec = mf.CoherentSpec.make(modes, [1.0, 1.0j], [0.9, 0.35 - 0.2j])
+        spec = mf.CoherentBatch.make(modes, [[1.0, 1.0j]], [[0.9, 0.35 - 0.2j]])
         layout = mf.build_layout(modes, 30)
         state = mf.coherent_state(layout, spec)
         rng = np.random.default_rng(42)
@@ -264,7 +279,7 @@ class TestFieldAverages:
 
     def test_average_electric_is_minus_ddt_average_potential(self, natural):
         modes = (mf.mode(+1, (0.0, 0.0, 1.0)), mf.mode(+1, (0.0, 2.0, 0.0)))
-        spec = mf.CoherentSpec.make(modes, [1.0, 1.0], [0.4, 0.7j])
+        spec = mf.CoherentBatch.make(modes, [[1.0, 1.0]], [[0.4, 0.7j]])
         layout = mf.build_layout(modes, 30)
         state = mf.coherent_state(layout, spec)
         t, x, h = 0.6, (0.3, 0.0, -0.2), 1e-4

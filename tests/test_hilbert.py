@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import monofield as mf
 from monofield.cli import ConfigError, load_config
+from monofield.fields import read_states
 from conftest import random_hermitian, random_state
 
 
@@ -460,14 +461,15 @@ class TestComplexListReader:
         for key in ("weights", "alphas"):
             doc = {"weights": [1.0], key: 3.0}
             with pytest.raises(ValueError) as exc:
-                mf.CoherentSpec.parse(modes, doc)
-            assert str(exc.value) == f"{key}: expected a list, got 3.0"
+                read_states(modes, [doc])
+            assert str(exc.value) == f"bad states[0]: {key}: expected a list, got 3.0"
 
     def test_spec_values_as_before(self):
         modes = [mf.abstract_mode(1.0), mf.abstract_mode(2.0), mf.abstract_mode(3.0)]
         weights, alphas = [1, [0.0, -2.0], 0.5], [[0.1, 0.2], -0.0, 3]
-        spec = mf.CoherentSpec.parse(modes, {"weights": weights, "alphas": alphas})
-        want = mf.CoherentSpec.make(modes, per_entry_complex_list(weights, "weights"),
-                                    per_entry_complex_list(alphas, "alphas"))
-        assert spec == want
-        assert [type(a) for a in spec.alphas] == [complex] * 3
+        batch, labels = read_states(modes, [{"weights": weights, "alphas": alphas}])
+        want = mf.CoherentBatch.make(modes, [per_entry_complex_list(weights, "weights")],
+                                     [per_entry_complex_list(alphas, "alphas")])
+        assert batch.weights.tobytes() == want.weights.tobytes()
+        assert batch.alphas.tobytes() == want.alphas.tobytes()
+        assert labels == ("state0",)

@@ -158,7 +158,7 @@ def scalar_coherent_amplitudes(layout, spec):
     """The per-mode recurrence col[n] = col[n-1]*alpha/sqrt(n) in complex
     scalars, each column normalized and weighted on its own."""
     amps = np.zeros(layout.dimension, dtype=complex)
-    for k, (w, alpha) in enumerate(zip(spec.weights, spec.alphas)):
+    for k, (w, alpha) in enumerate(zip(spec.weights[0], spec.alphas[0])):
         col = np.empty(layout.fock_dim, dtype=complex)
         col[0] = 1.0
         for n in range(1, layout.fock_dim):
@@ -181,7 +181,7 @@ class TestBatchedCoherentState:
             weights = rng.normal(size=32) + 1j * rng.normal(size=32)
             alphas = scale * rng.uniform(size=32) * np.exp(2j * np.pi * rng.uniform(size=32))
             alphas[::5] = alphas[::5].real  # some real amplitudes, zero imaginary parts
-            spec = mf.CoherentSpec.make(modes, weights, alphas)
+            spec = mf.CoherentBatch.make(modes, [weights], [alphas])
             assert same_bits(mf.coherent_state(layout, spec).amplitudes,
                              scalar_coherent_amplitudes(layout, spec))
 
@@ -189,7 +189,7 @@ class TestBatchedCoherentState:
     def test_data_configs_match_the_scalar_recurrence(self, name):
         cfg, _ = load_config(DATA / name)
         layout = mf.build_layout(cfg.modes, cfg.nmax)
-        specs = [cfg.states.spec(s) for s in range(len(cfg.states))]
+        specs = [cfg.states.rows(s, s + 1) for s in range(len(cfg.states))]
         specs += [cfg.coherent] * (cfg.coherent is not None)
         assert specs
         for spec in specs:
@@ -199,10 +199,10 @@ class TestBatchedCoherentState:
     def test_first_failing_mode_is_reported(self):
         modes = [mf.abstract_mode(w) for w in (1.0, 2.0, 3.0)]
         layout = mf.build_layout(modes, 5)
-        spec = mf.CoherentSpec.make(modes, [1.0] * 3, [0.1, 3.0, 1e300])
+        spec = mf.CoherentBatch.make(modes, [[1.0] * 3], [[0.1, 3.0, 1e300]])
         with pytest.raises(ValueError, match=r"\|alpha\|=3 on mode 1: tail mass"):
             mf.coherent_state(layout, spec)
-        spec = mf.CoherentSpec.make(modes, [1.0] * 3, [0.1, 1e300, 3.0])
+        spec = mf.CoherentBatch.make(modes, [[1.0] * 3], [[0.1, 1e300, 3.0]])
         with pytest.raises(ValueError, match="on mode 1 is too large"):
             mf.coherent_state(layout, spec)
 
@@ -214,8 +214,8 @@ class TestBatchedCoherentState:
         for nmax in (3, 12, 40):
             layout = mf.build_layout(modes, nmax)
             for mu in 10 ** rng.uniform(-1.0, 1.5, 40):
-                spec = mf.CoherentSpec.make(modes, [1.0], [math.sqrt(mu)])
-                tail = _poisson_tail(abs(spec.alphas[0]) ** 2, nmax)
+                spec = mf.CoherentBatch.make(modes, [[1.0]], [[math.sqrt(mu)]])
+                tail = _poisson_tail(abs(complex(spec.alphas[0, 0])) ** 2, nmax)
                 if not tail > 1e-12:  # required_truncation cannot resolve tails near eps
                     continue
                 mf.coherent_state(layout, spec, tail_tol=tail)
@@ -417,8 +417,8 @@ def test_field_average_on_the_box_equals_the_dense_route(tmp_path, seed):
     rng = np.random.default_rng(seed)
     count = layout.n_modes
     alphas = 0.2 * rng.uniform(size=count) * np.exp(2j * np.pi * rng.uniform(size=count))
-    spec = mf.CoherentSpec.make(cfg.modes, rng.normal(size=count) + 1j * rng.normal(size=count),
-                                alphas)
+    spec = mf.CoherentBatch.make(cfg.modes,
+                                 [rng.normal(size=count) + 1j * rng.normal(size=count)], [alphas])
     state = mf.coherent_state(layout, spec)
     for builder in (mf.vector_potential, mf.electric_field, mf.magnetic_field):
         def dense(*args, builder=builder):

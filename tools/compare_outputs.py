@@ -12,7 +12,10 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``:
 
 * ``tests/data/config*.json``;
-* the configs ``bench/inputs.py`` generates for seeds 11 and 3;
+* the configs ``bench/inputs.py`` generates for seeds 11 and 3, and its
+  ``MALFORMED`` configs;
+* the configs of ``tests/data/state_faults.json``: a ``tests/data`` config
+  whose "states" or "coherent" section is replaced by the case's raw text;
 * the 52-mode box (``max_index`` 1) with the atom.
 
 A config a command cannot use is still run: its exit code and message
@@ -59,15 +62,25 @@ def write_configs(directory: Path) -> list[Path]:
         for group in (inputs.algebra_inputs, inputs.box_inputs, inputs.emission_inputs):
             for name, doc in group(seed).items():
                 docs[f"bench-{seed}-{name}"] = doc
+    for name, _, doc in inputs.MALFORMED:
+        docs[f"malformed-{name}"] = doc
     docs["box-atom"] = BOX_WITH_ATOM
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    data = ROOT / "tests" / "data"
+    for case in json.loads((data / "state_faults.json").read_text(encoding="utf-8")):
+        # the section as raw text: it may hold numbers json.dumps cannot write
+        doc = json.loads((data / case["base"]).read_text(encoding="utf-8"))
+        doc.pop(case["section"])
+        texts[f"fault-{case['id']}"] = \
+            json.dumps(doc)[:-1] + f', "{case["section"]}": {case["value"]}}}'
     directory.mkdir(parents=True)
     paths = []
-    for source in sorted((ROOT / "tests" / "data").glob("config*.json")):
+    for source in sorted(data.glob("config*.json")):
         paths.append(directory / source.name)
         paths[-1].write_bytes(source.read_bytes())
-    for name, doc in docs.items():
+    for name, text in texts.items():
         paths.append(directory / f"{name}.json")
-        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        paths[-1].write_text(text, encoding="utf-8")
     return paths
 
 
