@@ -9,7 +9,7 @@ as a comparison oracle.
 """
 
 from .algebra import (
-    AlgebraReport,
+    AlgebraTable,
     fock_lowering,
     frequency_operator,
     hamiltonian,

@@ -35,12 +35,16 @@ __all__ = [
     "momentum_from_mode_ladders",
     "interior_indices",
     "full_commutator_reference",
-    "AlgebraReport",
+    "RELATIONS",
+    "AlgebraTable",
     "verify_algebra",
     "algebra_reports_csv",
 ]
 
 DEFAULT_ALGEBRA_TOL = 1e-12
+# the relations verify_algebra checks, in the order of its table's last axis
+RELATIONS = ("commutator", "product_aa", "product_adad")
+_VERDICTS = {True: "true", False: "false"}
 
 
 def fock_lowering(nmax: int) -> np.ndarray:
@@ -194,18 +198,6 @@ def full_commutator_reference(layout: HilbertLayout, k: int) -> Operator:
     return _sector_diagonal(layout, k, np.r_[np.ones(layout.nmax), -layout.nmax])
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    """Outcome of one operator relation check."""
-
-    relation: str
-    k: int
-    l: int
-    subspace: str
-    deviation: float
-    passed: bool
-
-
 def _max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
@@ -244,47 +236,55 @@ def _on_support(pieces, support: np.ndarray) -> np.ndarray:
     return out
 
 
-def _deviation_from_diagonal(block: np.ndarray, ref: np.ndarray, support: np.ndarray,
-                             subspace: np.ndarray) -> float:
-    """max |C - diag(ref)| over subspace x subspace, for a C that is zero
-    outside support x support and equals ``block`` on it."""
-    inside = subspace[support]
-    diff = (block - np.diag(ref[support]))[np.ix_(inside, inside)]
-    return max(_max_abs(diff), _max_abs(ref[subspace & ~support]))
+@dataclass(frozen=True, eq=False)
+class AlgebraTable:
+    """The read-only (M, M, 3) ``deviations[k, l, r]`` of relation
+    ``RELATIONS[r]`` for the mode pair (k, l); a relation holds when its
+    deviation is below ``tol``."""
+
+    tol: float
+    deviations: np.ndarray
+
+    def __post_init__(self):
+        self.deviations.setflags(write=False)
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.deviations < self.tol
+
+    @property
+    def failed(self) -> int:
+        return int(np.count_nonzero(~self.passed))
+
+    def __len__(self) -> int:
+        return self.deviations.size
 
 
 def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
-                   annihilators: list[Operator] | None = None,
-                   include_boundary: bool = False) -> list[AlgebraReport]:
+                   annihilators: list[Operator] | None = None) -> AlgebraTable:
     """Check the projector-valued commutation relation and both product rules.
 
-    For every ordered mode pair (k, l), three relations are checked:
+    For every ordered mode pair (k, l), the three ``RELATIONS`` are checked:
 
     * ``commutator``: [a_k, a_l^dag] = delta_kl P_k; on the interior
       subspace for k = l, on the full space (exact zero) otherwise.
     * ``product_aa``: a_k a_l = delta_kl a_k^2.
     * ``product_adad``: a_k^dag a_l^dag = delta_kl (a_k^dag)^2.
 
-    With ``include_boundary`` an extra row per diagonal pair compares the
-    full-space commutator against its exact truncation reference.
     ``annihilators`` may inject precomputed (or deliberately corrupted)
     mode operators; by default they are built from the layout.
 
-    Each operator's support is the kets of its nonzero mode blocks, or for
-    a dense operator the indices whose row or column holds a nonzero entry;
-    outside it the operator vanishes.  A cross pair (k != l) whose supports
-    are disjoint is decided from one support-overlap matrix: every term of
-    its three products pairs an entry inside one support with an entry
-    inside the other, so each is 0 * x with x finite and the rows report an
-    exact 0.0 without a product.  The M diagonal pairs, and any cross pair
-    whose supports overlap, are multiplied on the union of the two supports.
-    The full-space product only adds exact zeros to those entries, so the
-    two agree up to how the remaining terms are grouped and fused (bit for
-    bit for the ladders, whose product entries are single terms).  So the
-    zeros are proved from the operators passed in, and an operator that
-    leaks out of its sector still fails.  What stays O(M^2) is writing the
-    3 M^2 report rows.  Annihilators with non-finite entries are refused with
-    ValueError (a full-space product would spread them as NaN through 0 * inf).
+    An operator vanishes outside its support: the kets of its nonzero mode
+    blocks, or for a dense operator the indices whose row or column holds a
+    nonzero entry.  The table starts as zeros, and a cross pair (k != l)
+    whose supports are disjoint keeps them: every term of its products is
+    0 * x with x finite.  The M diagonal pairs, and any cross pair whose
+    supports overlap, are multiplied on the union of the two supports,
+    which agrees with the full-space product up to how its terms are
+    grouped and fused (bit for bit for the ladders).  So an operator that
+    leaks out of its sector still fails.  Annihilators with non-finite
+    entries are refused with ValueError (a full-space product would spread
+    them as NaN through 0 * inf).
     """
     m_count = layout.n_modes
     if annihilators is not None and len(annihilators) != m_count:
@@ -299,50 +299,49 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
             raise ValueError(f"annihilator {k} has non-finite entries")
         pieces.append(_pieces(op))
     supports = np.array([support for support, _, _ in pieces], dtype=float)
-    overlap = (supports @ supports.T > 0).tolist()
+    multiplied = (supports @ supports.T > 0) | np.eye(m_count, dtype=bool)
     interior = _interior_mask(layout)
-    everywhere = np.ones(layout.dimension, dtype=bool)
-    zero_passed = 0.0 < tol
-    reports: list[AlgebraReport] = []
-    for k in range(m_count):
-        for l in range(m_count):
-            if k != l and not overlap[k][l]:
-                reports += (AlgebraReport("commutator", k, l, "full", 0.0, zero_passed),
-                            AlgebraReport("product_aa", k, l, "full", 0.0, zero_passed),
-                            AlgebraReport("product_adad", k, l, "full", 0.0, zero_passed))
-                continue
-            support = pieces[k][0] | pieces[l][0]
-            ak, al = _on_support(pieces[k], support), _on_support(pieces[l], support)
-            comm = ak @ al.conj().T - al.conj().T @ ak
-            if k == l:
-                dev = _deviation_from_diagonal(comm, mode_projector(layout, k).diag(),
-                                               support, interior)
-                reports.append(AlgebraReport("commutator", k, l, "interior", dev, dev < tol))
-                if include_boundary:
-                    bdev = _deviation_from_diagonal(
-                        comm, full_commutator_reference(layout, k).diag(), support, everywhere)
-                    reports.append(AlgebraReport("commutator_boundary", k, l, "full",
-                                                 bdev, bdev < tol))
-            else:
-                dev = _max_abs(comm)
-                reports.append(AlgebraReport("commutator", k, l, "full", dev, dev < tol))
-            prod = ak @ al
-            if k == l:
-                prod = prod - ak @ ak
-            dev = _max_abs(prod)
-            reports.append(AlgebraReport("product_aa", k, l, "full", dev, dev < tol))
-            dprod = ak.conj().T @ al.conj().T
-            if k == l:
-                dprod = dprod - ak.conj().T @ ak.conj().T
-            dev = _max_abs(dprod)
-            reports.append(AlgebraReport("product_adad", k, l, "full", dev, dev < tol))
-    return reports
+    deviations = np.zeros((m_count, m_count, len(RELATIONS)))
+    for k, l in np.argwhere(multiplied).tolist():
+        support = pieces[k][0] | pieces[l][0]
+        ak, al = _on_support(pieces[k], support), _on_support(pieces[l], support)
+        comm = ak @ al.conj().T - al.conj().T @ ak
+        prod = ak @ al
+        dprod = ak.conj().T @ al.conj().T
+        if k == l:  # max |comm - P_k| on the interior; comm is zero off support x support
+            ref, inside = mode_projector(layout, k).diag(), interior[support]
+            comm_dev = max(_max_abs((comm - np.diag(ref[support]))[np.ix_(inside, inside)]),
+                           _max_abs(ref[interior & ~support]))
+            prod = prod - ak @ ak
+            dprod = dprod - ak.conj().T @ ak.conj().T
+        else:
+            comm_dev = _max_abs(comm)
+        deviations[k, l] = comm_dev, _max_abs(prod), _max_abs(dprod)
+    return AlgebraTable(tol, deviations)
 
 
-def algebra_reports_csv(reports: list[AlgebraReport], path) -> None:
-    """Write reports as CSV: relation, k, l, subspace, deviation, pass."""
+def algebra_reports_csv(table: AlgebraTable, path) -> None:
+    """Write the table as CSV: relation, k, l, subspace, deviation, pass.
+
+    One row per (k, l, relation) in that order.  The diagonal commutator's
+    subspace is ``interior``, every other row's ``full``; a deviation is
+    its shortest round-trip ``repr``.  Rows are written one k at a time,
+    and every cross pair whose three deviations are 0.0 from one template.
+    """
+    zero_tail = f",full,0.0,{_VERDICTS[0.0 < table.tol]}\n"
+    labels = [str(l) for l in range(len(table.deviations))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("relation,k,l,subspace,deviation,pass\n")
-        for r in reports:
-            flag = "true" if r.passed else "false"
-            fh.write(f"{r.relation},{r.k},{r.l},{r.subspace},{r.deviation!r},{flag}\n")
+        for k, (devs, verdicts) in enumerate(zip(table.deviations, table.passed)):
+            heads = [f"{name},{k}," for name in RELATIONS]
+            comm, aa, adad = heads
+            diagonal = labels[k]
+            lines = []
+            for l, dev, verdict in zip(labels, devs.tolist(), verdicts.tolist()):
+                if dev == [0.0, 0.0, 0.0] and l != diagonal:
+                    lines.append(f"{comm}{l}{zero_tail}{aa}{l}{zero_tail}{adad}{l}{zero_tail}")
+                    continue
+                subspaces = ("interior" if l == diagonal else "full", "full", "full")
+                lines += [f"{head}{l},{subspace},{d!r},{_VERDICTS[v]}\n"
+                          for head, subspace, d, v in zip(heads, subspaces, dev, verdict)]
+            fh.write("".join(lines))

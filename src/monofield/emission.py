@@ -18,8 +18,8 @@ import numpy as np
 
 from .algebra import fock_lowering, hamiltonian
 from .dynamics import resonance_kernel
-from .fields import _unit_rows, polarization
-from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector
+from .fields import polarization
+from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, unit_rows
 
 __all__ = [
     "AtomParams",
@@ -80,7 +80,7 @@ class AtomParams:
             raise ValueError("dipole direction must be nonzero")
         if not np.isfinite(uv).all():
             raise ValueError(f"dipole direction must be finite, got {tuple(uv.tolist())}")
-        return cls(float(omega0), float(d), tuple(_unit_rows(uv[None])[0]))
+        return cls(float(omega0), float(d), tuple(unit_rows(uv[None])[0]))
 
 
 def coupling(mode: ModeLabel, atom: AtomParams, config: FieldConfig) -> complex:

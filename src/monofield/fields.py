@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import fock_lowering, hamiltonian_from_mode_ladders, momentum_from_mode_ladders
-from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, expect,
-                      parse_complex_list)
+from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateError, StateVector,
+                      expect, parse_complex_list, row_norms, unit_rows)
 
 __all__ = [
     "PolarizationBasis",
@@ -179,7 +179,7 @@ class CoherentBatch:
         """Batch from (S, M) weight and alpha rows; every weight row is
         normalised to unit 2-norm."""
         weights = np.asarray(weights, dtype=complex)
-        return cls(tuple(modes), _unit_rows(weights), np.asarray(alphas, dtype=complex))
+        return cls(tuple(modes), unit_rows(weights), np.asarray(alphas, dtype=complex))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -187,55 +187,6 @@ class CoherentBatch:
     def rows(self, start: int, stop: int) -> "CoherentBatch":
         """The batch of states ``start`` to ``stop`` (exclusive)."""
         return CoherentBatch(self.modes, self.weights[start:stop], self.alphas[start:stop])
-
-
-class StateError(ValueError):
-    """A ValueError about one state of a :class:`CoherentBatch`, its row ``index``."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
-# below this norm the sum of squares of a weight row may have underflowed
-_SMALL_NORM = math.sqrt(np.finfo(float).tiny)
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """2-norm of every row of a complex array, summed like np.linalg.norm of that row."""
-    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
-
-
-def _unit_rows(weights: np.ndarray) -> np.ndarray:
-    """Every row of a complex (S, M) array divided by its 2-norm.
-
-    A row whose squares may underflow (norm below sqrt(tiny)) is first
-    divided by its largest modulus, and one whose squares overflow by its
-    largest real or imaginary part, which is finite where a modulus may
-    not be; any other row is divided by its plain norm.  Refuses an
-    all-zero row and a non-finite entry with a :class:`StateError`
-    naming the first such row.
-    """
-    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
-        norms = _row_norms(weights)
-    small = norms < _SMALL_NORM
-    rescale = small | (norms == math.inf)
-    if rescale.any():
-        rows = weights[rescale]
-        # a zero or non-finite row comes out non-finite and is refused below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            peaks = np.where(small[rescale], np.abs(rows).max(axis=1, initial=0.0),
-                             np.abs(rows.view(float)).max(axis=1, initial=0.0))
-            # real division of each part: a complex one overflows on a subnormal peak
-            scaled = (rows.view(float) / peaks[:, None]).view(complex)
-            norms[rescale] = _row_norms(scaled)
-        weights = weights.copy()
-        weights[rescale] = scaled
-    if not np.isfinite(norms).all():
-        row = int(np.argmin(np.isfinite(norms)))
-        raise StateError(row, "all sector weights are zero" if small[row]
-                         else "the sector weights are not finite")
-    return weights / norms[:, None]
 
 
 def read_states(modes: Sequence[ModeLabel], entries: Sequence, where: str = "states[{}]",
@@ -276,7 +227,7 @@ def read_states(modes: Sequence[ModeLabel], entries: Sequence, where: str = "sta
         try:
             weights, alphas = (parse_complex_list([v for e in entries for v in e.get(k, d)], k)
                                .reshape(shape) for k, d in defaults.items())
-            return CoherentBatch(modes, _unit_rows(weights), alphas), tuple(labels)
+            return CoherentBatch(modes, unit_rows(weights), alphas), tuple(labels)
         except ValueError as exc:  # shown only from a one-state read, of state ``first``
             raise StateError(first, f"bad {name(first)}: {exc}") from None
 
@@ -392,7 +343,7 @@ def coherent_rows(layout: HilbertLayout, batch: CoherentBatch,
         step.real = p.real * alphas.real - p.imag * alphas.imag
         step.imag = p.real * alphas.imag + p.imag * alphas.real
         cols[..., n] = step / math.sqrt(n)
-    np.divide(cols, _row_norms(cols)[..., None], out=cols)
+    np.divide(cols, row_norms(cols)[..., None], out=cols)
     np.multiply(batch.weights[..., None], cols, out=cols)
     return rows
 

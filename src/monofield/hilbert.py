@@ -40,6 +40,8 @@ __all__ = [
     "HilbertLayout",
     "build_layout",
     "StateVector",
+    "StateError",
+    "unit_rows",
     "Operator",
     "basis_state",
     "superposition",
@@ -272,6 +274,56 @@ def build_layout(modes: Sequence[ModeLabel], nmax: int,
     return HilbertLayout(modes=modes, nmax=int(nmax), atom_levels=2 if with_atom else 0)
 
 
+class StateError(ValueError):
+    """A ValueError about one state of a batch of states, its row ``index``."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+# below this norm the sum of squares of a weight row may have underflowed
+_SMALL_NORM = math.sqrt(np.finfo(float).tiny)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of every row of a complex array, summed like np.linalg.norm of that row."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def unit_rows(weights: np.ndarray) -> np.ndarray:
+    """Every row of a complex (S, M) array divided by its 2-norm: the one
+    normaliser of sector weights, dipole directions and state vectors.
+
+    A row whose squares may underflow (norm below sqrt(tiny)) is first
+    divided by its largest modulus, and one whose squares overflow by its
+    largest real or imaginary part, which is finite where a modulus may
+    not be; any other row is divided by its plain norm.  Refuses an
+    all-zero row and a non-finite entry with a :class:`StateError`
+    naming the first such row.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+        norms = row_norms(weights)
+    small = norms < _SMALL_NORM
+    rescale = small | (norms == math.inf)
+    if rescale.any():
+        rows = weights[rescale]
+        # a zero or non-finite row comes out non-finite and is refused below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            peaks = np.where(small[rescale], np.abs(rows).max(axis=1, initial=0.0),
+                             np.abs(rows.view(float)).max(axis=1, initial=0.0))
+            # real division of each part: a complex one overflows on a subnormal peak
+            scaled = (rows.view(float) / peaks[:, None]).view(complex)
+            norms[rescale] = row_norms(scaled)
+        weights = weights.copy()
+        weights[rescale] = scaled
+    if not np.isfinite(norms).all():
+        row = int(np.argmin(np.isfinite(norms)))
+        raise StateError(row, "all sector weights are zero" if small[row]
+                         else "the sector weights are not finite")
+    return weights / norms[:, None]
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitude vector over a layout.
@@ -299,10 +351,10 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalize(self) -> "StateVector":
-        n = self.norm
-        if not 0.0 < n < math.inf:
-            raise ValueError(f"cannot normalize a vector of norm {n}")
-        return StateVector(self.layout, self.amplitudes / n)
+        """The unit vector along this one; squares may under- or overflow."""
+        if not (self.amplitudes.any() and np.isfinite(self.amplitudes).all()):
+            raise ValueError(f"cannot normalize a vector of norm {self.norm}")
+        return StateVector(self.layout, unit_rows(self.amplitudes[None])[0])
 
     def amplitude(self, k: int, n: int, atom: int = 0) -> complex:
         return complex(self.amplitudes[self.layout.flatten(k, n, atom)])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import monofield as mf
 from monofield.algebra import (
+    RELATIONS,
     algebra_reports_csv,
     fock_lowering,
     full_commutator_reference,
@@ -173,22 +174,14 @@ class TestMomentum:
 class TestVerifyAlgebra:
     def test_default_report_set(self):
         layout = abstract_layout(4, 5)
-        reports = mf.verify_algebra(layout)
-        assert len(reports) == 3 * 16
-        assert all(r.passed for r in reports)
-        for r in reports:
-            if r.k != r.l:
-                assert r.deviation == 0.0
-            elif r.relation == "commutator":
-                assert r.subspace == "interior"
-                assert r.deviation < 1e-13
-
-    def test_boundary_rows(self):
-        layout = abstract_layout(2, 5)
-        reports = mf.verify_algebra(layout, include_boundary=True)
-        boundary = [r for r in reports if r.relation == "commutator_boundary"]
-        assert len(boundary) == 2
-        assert all(r.deviation < 1e-14 for r in boundary)
+        table = mf.verify_algebra(layout)
+        assert len(table) == 3 * 16
+        assert table.deviations.shape == (4, 4, 3)
+        assert table.failed == 0 and table.passed.all()
+        cross = ~np.eye(4, dtype=bool)
+        assert np.all(table.deviations[cross] == 0.0)
+        assert np.all(np.diagonal(table.deviations[:, :, 0]) < 1e-13)
+        assert not table.deviations.flags.writeable
 
     def test_boundary_term_value(self):
         layout = abstract_layout(2, 5)
@@ -208,49 +201,48 @@ class TestVerifyAlgebra:
         bad = ops[0].toarray().copy()
         bad[0, -1] = 1e-3
         ops[0] = mf.Operator(layout, bad)
-        reports = mf.verify_algebra(layout, annihilators=ops)
-        assert any(not r.passed for r in reports)
+        table = mf.verify_algebra(layout, annihilators=ops)
+        assert table.failed > 0 and not table.passed.all()
 
     def test_csv_export(self, tmp_path):
-        layout = abstract_layout(2, 2)
+        layout = abstract_layout(3, 2)
+        ops = [mf.mode_annihilator(layout, k) for k in range(3)]
+        # an entry in mode 2's sector: some cross pairs with mode 2 fail
+        bad = ops[0].toarray()
+        bad[0, -1] = 1e-3
+        ops[0] = mf.Operator(layout, bad)
+        table = mf.verify_algebra(layout, annihilators=ops)
         path = tmp_path / "algebra.csv"
-        algebra_reports_csv(mf.verify_algebra(layout), path)
+        algebra_reports_csv(table, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "relation,k,l,subspace,deviation,pass"
-        assert len(lines) == 1 + 3 * 4
-        assert all(line.endswith(",true") for line in lines[1:])
+        # one row per (k, l, relation), formatted from the table entry by entry
+        assert lines[1:] == [
+            f"{name},{k},{l},{'interior' if k == l and r == 0 else 'full'},"
+            f"{float(table.deviations[k, l, r])!r},{str(bool(table.passed[k, l, r])).lower()}"
+            for k in range(3) for l in range(3) for r, name in enumerate(RELATIONS)]
+        assert not table.passed[0, 2].all() and table.passed[0, 1].all()
 
 
-def dense_verify_algebra(layout, annihilators, tol=1e-12, include_boundary=False):
-    """Reference: every relation from full-space D x D products, pair by pair."""
+def dense_verify_algebra(layout, annihilators):
+    """Reference: the (M, M, 3) deviations from full-space D x D products, pair by pair."""
     mats = [op.toarray() for op in annihilators]
     interior = interior_indices(layout)
     sub = np.ix_(interior, interior)
-    reports = []
+    deviations = np.empty((len(mats), len(mats), 3))
     for k, ak in enumerate(mats):
         for l, al in enumerate(mats):
             comm = ak @ al.conj().T - al.conj().T @ ak
             if k == l:
-                dev = float(np.max(np.abs((comm - mf.mode_projector(layout, k).toarray())[sub])))
-                reports.append(("commutator", k, l, "interior", repr(dev), dev < tol))
-                if include_boundary:
-                    ref = full_commutator_reference(layout, k).toarray()
-                    bdev = float(np.max(np.abs(comm - ref)))
-                    reports.append(("commutator_boundary", k, l, "full", repr(bdev), bdev < tol))
-            else:
-                dev = float(np.max(np.abs(comm)))
-                reports.append(("commutator", k, l, "full", repr(dev), dev < tol))
+                comm = (comm - mf.mode_projector(layout, k).toarray())[sub]
             prod = ak @ al
             if k == l:
                 prod = prod - ak @ ak
-            dev = float(np.max(np.abs(prod)))
-            reports.append(("product_aa", k, l, "full", repr(dev), dev < tol))
             dprod = ak.conj().T @ al.conj().T
             if k == l:
                 dprod = dprod - ak.conj().T @ ak.conj().T
-            dev = float(np.max(np.abs(dprod)))
-            reports.append(("product_adad", k, l, "full", repr(dev), dev < tol))
-    return reports
+            deviations[k, l] = [np.max(np.abs(x)) for x in (comm, prod, dprod)]
+    return deviations
 
 
 def _off_sector(a, b):
@@ -273,18 +265,15 @@ class TestVerifyAlgebraMatchesDense:
     """The support-restricted checks report exactly what full-space products give."""
 
     @staticmethod
-    def assert_matches(layout, ops, include_boundary):
-        got = [(r.relation, r.k, r.l, r.subspace, repr(r.deviation), r.passed)
-               for r in mf.verify_algebra(layout, annihilators=ops,
-                                          include_boundary=include_boundary)]
-        assert got == dense_verify_algebra(layout, ops, include_boundary=include_boundary)
+    def assert_matches(layout, ops):
+        got = mf.verify_algebra(layout, annihilators=ops).deviations
+        assert got.tobytes() == dense_verify_algebra(layout, ops).tobytes()
 
     @pytest.mark.parametrize("with_atom", [False, True])
-    @pytest.mark.parametrize("include_boundary", [False, True])
-    def test_exact_operators(self, with_atom, include_boundary):
+    def test_exact_operators(self, with_atom):
         layout = abstract_layout(5, 4, with_atom)
         ops = [mf.mode_annihilator(layout, k) for k in range(5)]
-        self.assert_matches(layout, ops, include_boundary)
+        self.assert_matches(layout, ops)
 
     @pytest.mark.parametrize("with_atom", [False, True])
     @pytest.mark.parametrize("k, edit", [(0, _off_sector), (2, _in_sector_block),
@@ -295,9 +284,8 @@ class TestVerifyAlgebraMatchesDense:
         a = ops[k].toarray()
         edit(a, layout.fock_dim)
         ops[k] = mf.Operator(layout, a)
-        reports = mf.verify_algebra(layout, annihilators=ops)
-        assert any(not r.passed for r in reports)
-        self.assert_matches(layout, ops, include_boundary=True)
+        assert mf.verify_algebra(layout, annihilators=ops).failed > 0
+        self.assert_matches(layout, ops)
 
     @pytest.mark.parametrize("with_atom", [False, True])
     def test_block_kind_leak_fails(self, with_atom):
@@ -312,9 +300,8 @@ class TestVerifyAlgebraMatchesDense:
         blocks[3] = 2.0 ** -10 * blocks[1]
         ops[1] = mf.Operator(layout, blocks)
         assert ops[1].data.shape == layout.block_shape
-        reports = mf.verify_algebra(layout, annihilators=ops)
-        assert (1, 3) in {(r.k, r.l) for r in reports if not r.passed}
-        self.assert_matches(layout, ops, include_boundary=True)
+        assert not mf.verify_algebra(layout, annihilators=ops).passed[1, 3].all()
+        self.assert_matches(layout, ops)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_annihilator_rejected(self, bad):
@@ -349,23 +336,23 @@ def overwritten_annihilators(draw):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(case=overwritten_annihilators())
 def test_verify_algebra_matches_dense_on_overwritten_entries(case):
-    """The same rows and verdicts as the dense oracle.  A cross pair with
-    disjoint supports reports the oracle's exact 0.0; every other deviation
+    """The same verdicts as the dense oracle.  A cross pair with disjoint
+    supports reports the oracle's exact 0.0; every other deviation
     agrees to rounding, since products restricted to a support group and
     fuse their terms differently from D x D ones.  Entries are at most 2 in
     modulus, so that rounding stays far below 1e-13."""
     layout, ops = case
-    got = mf.verify_algebra(layout, annihilators=ops, include_boundary=True)
-    want = dense_verify_algebra(layout, ops, include_boundary=True)
-    assert [(r.relation, r.k, r.l, r.subspace, r.passed) for r in got] \
-        == [w[:4] + w[5:] for w in want]
+    got = mf.verify_algebra(layout, annihilators=ops)
+    want = dense_verify_algebra(layout, ops)
+    assert np.array_equal(got.passed, want < 1e-12)
     nonzero = [op.toarray() != 0 for op in ops]
     supports = [nz.any(axis=0) | nz.any(axis=1) for nz in nonzero]
-    for r, w in zip(got, want):
-        if r.k != r.l and not np.any(supports[r.k] & supports[r.l]):
-            assert repr(r.deviation) == w[4] == "0.0"
+    for k, l in np.ndindex(got.deviations.shape[:2]):
+        if k != l and not np.any(supports[k] & supports[l]):
+            assert [repr(x) for x in got.deviations[k, l].tolist()] \
+                == [repr(x) for x in want[k, l].tolist()] == ["0.0"] * 3
         else:
-            assert r.deviation == pytest.approx(float(w[4]), rel=0, abs=1e-13)
+            assert np.all(np.abs(got.deviations[k, l] - want[k, l]) <= 1e-13)
 
 
 @pytest.mark.parametrize("with_atom", [False, True])

@@ -306,6 +306,8 @@ class TestVerifyAlgebraCommand:
         # an absurdly tight tolerance turns sqrt-rounding noise into failures
         assert run("verify-algebra", DATA / "config_algebra.json", tmp_path,
                    "--tolerance", "1e-17") == 1
+        assert (tmp_path / "algebra.csv").read_bytes() \
+            == (DATA / "golden_algebra_tight.csv").read_bytes()
 
 
 class TestVacuumEnergyCommand:
@@ -391,6 +393,31 @@ class TestEmissionCommand:
     def test_default_initial_state_is_excited_atom_over_every_vacuum(self, tmp_path):
         cfg, _ = load_config(DATA / "config_emission.json")
         assert cfg.emission_initial == {(k, 0, 1): 1.0 for k in range(3)}
+
+    @staticmethod
+    def initial_config(directory, entries):
+        doc = json.loads((DATA / "config_emission.json").read_text())
+        doc["emission_initial"] = entries
+        p = directory / "initial.json"
+        p.write_text(json.dumps(doc))
+        return p
+
+    @pytest.mark.parametrize("amp", [1e-200, 1e200])
+    def test_amplitudes_whose_squares_under_or_overflow_are_normalised(self, tmp_path, amp):
+        outputs = []
+        for scale in (1.0, amp):
+            config = self.initial_config(tmp_path, [{"mode": 0, "amp": scale},
+                                                    {"mode": 1, "amp": scale}])
+            assert run("emission", config, tmp_path / str(scale)) == 0
+            outputs.append((tmp_path / str(scale) / "emission.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_repeated_entries_whose_sum_overflows_exit_2(self, tmp_path, capsys):
+        config = self.initial_config(tmp_path, [{"mode": 0, "amp": 1e308},
+                                                {"mode": 0, "amp": 1e308}])
+        assert run("emission", config, tmp_path) == 2
+        assert capsys.readouterr().err == \
+            "config error: emission_initial[1]: the amplitudes of mode 0, n 0 sum to (inf+0j)\n"
 
 
 class TestFiniteOutputs:

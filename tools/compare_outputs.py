@@ -16,7 +16,11 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   ``MALFORMED`` configs;
 * the configs of ``tests/data/state_faults.json``: a ``tests/data`` config
   whose "states" or "coherent" section is replaced by the case's raw text;
-* the 52-mode box (``max_index`` 1) with the atom.
+* the 52-mode box (``max_index`` 1) with the atom;
+* the 248-mode box (``max_index`` 2, ``nmax`` 5), where ``verify-algebra``
+  writes 184 512 rows;
+* ``tests/data/config_algebra.json`` with ``tolerances.algebra`` 1e-17, so
+  that some of its relations fail.
 
 A config a command cannot use is still run: its exit code and message
 are compared too.  Everything is written under a temporary directory.
@@ -50,6 +54,7 @@ BOX_WITH_ATOM = {
     "states": [{"label": "vacuum", "weights": [1.0] * 52}],
     "points": [[0.1, 0.2, 0.3]],
 }
+BOX_248 = {"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}
 
 
 def write_configs(directory: Path) -> list[Path]:
@@ -65,8 +70,11 @@ def write_configs(directory: Path) -> list[Path]:
     for name, _, doc in inputs.MALFORMED:
         docs[f"malformed-{name}"] = doc
     docs["box-atom"] = BOX_WITH_ATOM
-    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    docs["box-248"] = BOX_248
     data = ROOT / "tests" / "data"
+    docs["algebra-tight"] = dict(json.loads((data / "config_algebra.json").read_text()),
+                                 tolerances={"algebra": 1e-17})
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
     for case in json.loads((data / "state_faults.json").read_text(encoding="utf-8")):
         # the section as raw text: it may hold numbers json.dumps cannot write
         doc = json.loads((data / case["base"]).read_text(encoding="utf-8"))
