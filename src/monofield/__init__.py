@@ -56,6 +56,7 @@ from .fields import (
     electric_field,
     energy_identity,
     field_average,
+    field_averages,
     magnetic_field,
     polarization,
     polarization_basis,

@@ -277,12 +277,14 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     An operator vanishes outside its support: the kets of its nonzero mode
     blocks, or for a dense operator the indices whose row or column holds a
     nonzero entry.  The table starts as zeros, and a cross pair (k != l)
-    whose supports are disjoint keeps them: every term of its products is
-    0 * x with x finite.  The M diagonal pairs, and any cross pair whose
-    supports overlap, are multiplied on the union of the two supports,
-    which agrees with the full-space product up to how its terms are
-    grouped and fused (bit for bit for the ladders).  So an operator that
-    leaks out of its sector still fails.  Annihilators with non-finite
+    whose supports share no mode block keeps them: every term of its
+    products is 0 * x with x finite.  The M diagonal pairs, and any cross
+    pair whose supports meet in a mode block (an (M, M) overlap of the
+    operators' block masks), are multiplied on the union of the two
+    supports, where disjoint supports still give exact zeros.  That agrees
+    with the full-space product up to how its terms are grouped and fused
+    (bit for bit for the ladders), so an operator that leaks out of its
+    sector still fails.  Annihilators with non-finite
     entries are refused with ValueError (a full-space product would spread
     them as NaN through 0 * inf).
     """
@@ -298,8 +300,10 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
         if not np.all(np.isfinite(op.data)):
             raise ValueError(f"annihilator {k} has non-finite entries")
         pieces.append(_pieces(op))
-    supports = np.array([support for support, _, _ in pieces], dtype=float)
-    multiplied = (supports @ supports.T > 0) | np.eye(m_count, dtype=bool)
+    # two supports can only meet in a mode block where both have kets
+    blocks = np.array([layout.blocks_of(support).any(-1) for support, _, _ in pieces],
+                      dtype=float)
+    multiplied = (blocks @ blocks.T > 0) | np.eye(m_count, dtype=bool)
     interior = _interior_mask(layout)
     deviations = np.zeros((m_count, m_count, len(RELATIONS)))
     for k, l in np.argwhere(multiplied).tolist():

@@ -41,8 +41,8 @@ from .emission import (
     interaction_picture,
     VACUUM_TOL,
 )
-from .fields import (CoherentBatch, StateError, coherent_rows, coherent_state, electric_field,
-                     field_average, magnetic_field, read_states, vector_potential)
+from .fields import (CoherentBatch, StateError, coherent_rows, coherent_state, field_averages,
+                     read_states)
 from .hilbert import (
     FieldConfig,
     HilbertLayout,
@@ -326,8 +326,9 @@ def cmd_verify_algebra(cfg: RunConfig, outdir: Path, tol: float | None, seed: in
     return 1 if table.failed else 0
 
 
-# vacuum-energy builds its states in blocks of about this many bytes of
-# amplitudes, so its working arrays stay small whatever the number of states
+# vacuum-energy builds its states, and field-sweep its field-component
+# blocks, in blocks of about this many bytes, so their working arrays stay
+# small whatever the number of states or grid points
 STATE_BLOCK_BYTES = 1 << 18
 
 
@@ -375,13 +376,14 @@ def cmd_field_sweep(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) 
         state = coherent_state(layout, cfg.coherent)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    grid = [(t, x) for t in cfg.times for x in cfg.points]
+    size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension * layout.block_shape[-1]))
     rows = []
-    for t in cfg.times:
-        for x in cfg.points:
-            a = field_average(vector_potential, state, cfg.field, t, x)
-            e = field_average(electric_field, state, cfg.field, t, x)
-            b = field_average(magnetic_field, state, cfg.field, t, x)
-            rows.append([t, x[0], x[1], x[2], *a.tolist(), *e.tolist(), *b.tolist()])
+    for start in range(0, len(grid), size):
+        times, points = zip(*grid[start:start + size])
+        averages = field_averages(state, cfg.field, times, points)
+        rows += [[t, *x, *avg] for t, x, avg
+                 in zip(times, points, averages.reshape(len(times), 9).tolist())]
     _write_csv(outdir / "field_sweep.csv",
                ["t", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez",
                 "Bx", "By", "Bz"], rows)

@@ -15,7 +15,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "coherent_rows",
     "required_truncation",
     "field_average",
+    "field_averages",
     "classical_formula",
     "FieldIdentityReport",
     "energy_identity",
@@ -98,29 +99,80 @@ def polarization(kappa: Sequence[float], s: int) -> np.ndarray:
 # -- field operator assembly --------------------------------------------
 
 
-def _mode_weights(layout: HilbertLayout, config: FieldConfig, t: float,
-                  x: Sequence[float], kind: str) -> np.ndarray:
-    """Per-mode complex 3-vector w_k such that F_i = sum_k (w_ki a_k + h.c.)."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (3,) or not (np.all(np.isfinite(xv)) and math.isfinite(t)):
-        raise ValueError("field operators need finite t and a finite 3-vector x")
-    weights = np.zeros((layout.n_modes, 3), dtype=complex)
-    for k, m in enumerate(layout.modes):
+class _ModeTable(NamedTuple):
+    """The (t, x)-independent part of every mode's field weight, read-only:
+    (M,) frequencies, (M, 3) wavevectors, polarizations e_s and n_hat x e_s."""
+
+    omega: np.ndarray
+    kappa: np.ndarray
+    e: np.ndarray
+    n_cross_e: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _mode_table(modes: tuple[ModeLabel, ...]) -> _ModeTable:
+    """The table of ``modes``, built once per mode tuple; an abstract mode is refused."""
+    for m in modes:
         if m.abstract:
             raise ValueError(f"field operators require propagating modes; {m} is abstract")
-        basis = polarization_basis(m.kappa)
-        e = basis.vector(m.s)
-        phase = np.exp(-1j * m.omega * t + 1j * np.dot(m.kappa, xv))
-        if kind == "A":
-            weights[k] = math.sqrt(config.hbar / (2.0 * m.omega * config.volume)) * phase * e
-        elif kind == "E":
-            weights[k] = 1j * math.sqrt(config.hbar * m.omega / (2.0 * config.volume)) * phase * e
-        elif kind == "B":
-            ne = np.cross(np.array(basis.n_hat), e)
-            weights[k] = 1j * math.sqrt(config.hbar * m.omega / (2.0 * config.volume)) * phase * ne
-        else:  # pragma: no cover
-            raise ValueError(kind)
-    return weights
+    bases = [polarization_basis(m.kappa) for m in modes]
+    e = np.array([basis.vector(m.s) for basis, m in zip(bases, modes)])
+    table = _ModeTable(np.array([m.omega for m in modes]), np.array([m.kappa for m in modes]),
+                       e, np.cross(np.array([basis.n_hat for basis in bases]), e))
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x, kind: str) -> np.ndarray:
+    """(P, M, 3) complex weights w[p, k] such that field ``kind`` ("A", "E" or
+    "B") at (t[p], x[p]) is F_i = sum_k (w[p, k, i] a_k + h.c.), for P times
+    ``t`` and (P, 3) points ``x``.
+
+    Only the phases depend on (t, x); the rest comes from the cached
+    :func:`_mode_table`.  Each weight is amp * phase * e in that order, with
+    kappa . x taken by ``np.vecdot``, so it is bit for bit the per-mode scalar
+    product of those factors.
+    """
+    t = np.asarray(t, dtype=float)
+    xv = np.asarray(x, dtype=float)
+    if xv.shape != (*t.shape, 3) or t.ndim != 1 \
+            or not (np.isfinite(xv).all() and np.isfinite(t).all()):
+        raise ValueError("field operators need finite t and a finite 3-vector x")
+    table = _mode_table(layout.modes)
+    phase = np.exp(-1j * table.omega * t[:, None] + 1j * np.vecdot(table.kappa, xv[:, None]))
+    if kind == "A":
+        amp = np.sqrt(config.hbar / (2.0 * table.omega * config.volume))
+    else:
+        amp = 1j * np.sqrt(config.hbar * table.omega / (2.0 * config.volume))
+    return (amp * phase)[..., None] * (table.n_cross_e if kind == "B" else table.e)
+
+
+def _mode_weights(layout: HilbertLayout, config: FieldConfig, t: float,
+                  x: Sequence[float], kind: str) -> np.ndarray:
+    """Per-mode complex 3-vector w_k such that F_i = sum_k (w_ki a_k + h.c.):
+    the one-point case of :func:`_grid_weights`."""
+    return _grid_weights(layout, config, [t], [x], kind)[0]
+
+
+def _field_blocks(layout: HilbertLayout, weights: np.ndarray) -> np.ndarray:
+    """The (..., M, A*b, A*b) mode blocks w_k a + conj(w_k) a^dag, on every atom
+    level, of each (..., M) row of weights: one field component's block stack.
+
+    Entry (i, j) is w*a[i, j] + conj(w)*a^dag[i, j].  Off the two bands where a
+    or a^dag is nonzero, every a[i, j] is 0+0j and every a^dag[i, j] is 0-0j,
+    so those entries are one value per weight, signed zeros included.
+    """
+    a = fock_lowering(layout.nmax)
+    ad = a.conj().T
+    w = weights[..., None]
+    cw = np.conj(w)
+    blocks = np.empty((*weights.shape, layout.fock_dim, layout.fock_dim), dtype=complex)
+    blocks[...] = (w * a[0, 0] + cw * ad[0, 0])[..., None]
+    n = np.arange(1, layout.fock_dim)
+    for i, j in ((n - 1, n), (n, n - 1)):
+        blocks[..., i, j] = w * a[i, j] + cw * ad[i, j]
+    return layout.on_each_level(blocks)
 
 
 def _assemble(layout: HilbertLayout, weights: np.ndarray) -> tuple[Operator, Operator, Operator]:
@@ -129,10 +181,7 @@ def _assemble(layout: HilbertLayout, weights: np.ndarray) -> tuple[Operator, Ope
     Each mode contributes only its own block, w_ki a + conj(w_ki) a^dag on
     one truncated ladder, so the sum over modes is the stack of those blocks.
     """
-    a = fock_lowering(layout.nmax)
-    ad = a.conj().T
-    return tuple(Operator(layout, layout.on_each_level(w * a + np.conj(w) * ad))
-                 for w in weights.T[:, :, None, None])
+    return tuple(Operator(layout, _field_blocks(layout, w)) for w in weights.T)
 
 
 def vector_potential(layout: HilbertLayout, config: FieldConfig, t: float,
@@ -359,6 +408,29 @@ def field_average(builder: FieldBuilder, state: StateVector, config: FieldConfig
     """Real 3-vector of expectation values of a field's components."""
     ops = builder(state.layout, config, t, x)
     return np.array([expect(op, state).real for op in ops])
+
+
+def field_averages(state: StateVector, config: FieldConfig, t, x) -> np.ndarray:
+    """The (P, 3, 3) averages <A>, <E>, <B> (axis 1) at the P points
+    (t[p], x[p]) of ``t`` and the (P, 3) array ``x``.
+
+    Entry [p, f] is :func:`field_average` of field f at (t[p], x[p]), bit for
+    bit: per component, one (P, M, A*b, A*b) stack of the blocks
+    :func:`_assemble` builds, one stacked block matvec against the state's
+    :meth:`~HilbertLayout.blocks_of` rows and one ``np.vecdot`` with the
+    state.  A stack takes 16*D*A*b bytes per point, so callers pass a long
+    grid in chunks.
+    """
+    layout = state.layout
+    psi = state.amplitudes
+    rows = layout.blocks_of(psi)[..., None]
+    out = np.empty((len(t), 3, 3))
+    for f, kind in enumerate("AEB"):
+        weights = _grid_weights(layout, config, t, x, kind)
+        for i in range(3):
+            applied = _field_blocks(layout, weights[..., i]) @ rows
+            out[:, f, i] = np.vecdot(psi, layout.from_blocks(applied[..., 0])).real
+    return out
 
 
 def classical_formula(state: CoherentBatch, config: FieldConfig, t: float,

@@ -689,24 +689,49 @@ def load_mode_set(source, config: FieldConfig | None = None) -> tuple[ModeLabel,
     return tuple(out)
 
 
+# the flat basis order of every saved state and operator file, named in its first line
+_BASIS_ORDER = "mode-atom-n"
+
+
+def _layout_line(layout: HilbertLayout) -> str:
+    """The first line of a state or operator file: the layout its indices refer to."""
+    return (f"# monofield layout M={layout.n_modes} nmax={layout.nmax} A={layout.levels} "
+            f"order={_BASIS_ORDER}")
+
+
 def save_state(state: StateVector, path) -> None:
-    """Write amplitudes as columnar text: index, re, im (all entries)."""
+    """Write amplitudes as columnar text under the layout line: index, re, im
+    (all entries)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,re,im\n")
+        fh.write(f"{_layout_line(state.layout)}\nindex,re,im\n")
         for i, z in enumerate(state.amplitudes):
             fh.write(f"{i},{float(z.real)!r},{float(z.imag)!r}\n")
 
 
-def _read_entries(path, what: str, header: str, dimension: int):
-    """(indices, value) of every line of a columnar ``what`` file under
-    ``header``: integer indices in [0, dimension), then a finite re, im.
-    Any other line is refused with a ValueError naming it."""
+def _read_entries(path, what: str, header: str, layout: HilbertLayout):
+    """(indices, value) of every line of a columnar ``what`` file under its
+    layout line and ``header``: integer indices in [0, D), then a finite
+    re, im.  A file written for another layout or basis order, or with no
+    layout line, and any other bad line are refused with a ValueError that
+    names the file."""
     fields = header.count(",") + 1
+    dimension = layout.dimension
+    name = f"{what} file {str(path)!r}"
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise ValueError(f"unexpected {what} header {first!r}")
-        for number, line in enumerate(fh, start=2):
+        first = fh.readline().rstrip("\n")
+        expected = _layout_line(layout)
+        if not first.startswith("# monofield layout "):
+            raise ValueError(
+                f"{name} does not name its layout (first line {first!r}); a file written "
+                f"before the {_BASIS_ORDER} basis order may index other kets: load it with "
+                f"the version that wrote it and write it again with save_{what}")
+        if first != expected:
+            raise ValueError(f"{name} was written for another layout or basis order: its "
+                             f"first line is {first!r}, this layout's is {expected!r}")
+        second = fh.readline().strip()
+        if second != header:
+            raise ValueError(f"unexpected {what} header {second!r} in {name}")
+        for number, line in enumerate(fh, start=3):
             entry = line.rstrip("\n").split(",")
             try:
                 if len(entry) != fields:
@@ -719,21 +744,22 @@ def _read_entries(path, what: str, header: str, dimension: int):
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise ValueError(f"non-finite value {re}, {im}")
             except ValueError as exc:
-                raise ValueError(f"{what} file {str(path)!r}, line {number}: {exc}") from None
+                raise ValueError(f"{name}, line {number}: {exc}") from None
             yield indices, complex(re, im)
 
 
 def load_state(path, layout: HilbertLayout) -> StateVector:
+    """The state :func:`save_state` wrote to ``path`` for ``layout``."""
     amps = np.zeros(layout.dimension, dtype=complex)
-    for (i,), value in _read_entries(path, "state", "index,re,im", layout.dimension):
+    for (i,), value in _read_entries(path, "state", "index,re,im", layout):
         amps[i] = value
     return StateVector(layout, amps)
 
 
 def save_operator(op: Operator, path) -> None:
     """Write the nonzero entries of ``op.toarray()`` in row-major order as
-    columnar text: row, col, re, im, read from the stored kind without a
-    D x D copy.  Every kind is a stack of square blocks on the diagonal
+    columnar text under the layout line: row, col, re, im, read from the
+    stored kind without a D x D copy.  Every kind is a stack of square blocks on the diagonal
     (D 1x1 blocks, M blocks, or one), and place adds the blocks of the
     block kind onto zeros, which turns a -0.0 part into 0.0."""
     data = op.data
@@ -742,13 +768,15 @@ def save_operator(op: Operator, path) -> None:
     values = stack[k, i, j] + 0.0 if data.ndim == 3 else stack[k, i, j]
     rows, cols = k * stack.shape[-1] + i, k * stack.shape[-1] + j
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,re,im\n")
+        fh.write(f"{_layout_line(op.layout)}\nrow,col,re,im\n")
         for r, c, z in zip(rows.tolist(), cols.tolist(), values.tolist()):
             fh.write(f"{r},{c},{z.real!r},{z.imag!r}\n")
 
 
 def load_operator(path, layout: HilbertLayout) -> Operator:
+    """The operator :func:`save_operator` wrote to ``path`` for ``layout``, as
+    a dense matrix."""
     mat = np.zeros((layout.dimension,) * 2, dtype=complex)
-    for (r, c), value in _read_entries(path, "operator", "row,col,re,im", layout.dimension):
+    for (r, c), value in _read_entries(path, "operator", "row,col,re,im", layout):
         mat[r, c] = value
     return Operator(layout, mat)

@@ -346,6 +346,35 @@ def test_field_average_fits_in_blocks_on_a_large_box(tmp_path):
            f"tracemalloc peak {peak / 1e6:.2f} MB")
 
 
+def test_field_sweep_in_chunks_on_a_large_box(tmp_path):
+    """field-sweep on the max_index 2 box (248 modes, nmax 8, D = 2232) over
+    120 grid points.
+
+    The grid is evaluated in chunks of (P, M, b, b) component stacks of about
+    256 kB, so the traced peak of the command stays under 4 MB; the whole
+    grid in one stack would take over 100 MB.
+    """
+    rng = np.random.default_rng(12)
+    count = 248
+    doc = {"box": {"edge": 2.0, "max_index": 2}, "nmax": 8,
+           "coherent": {"weights": rng.normal(size=(count, 2)).tolist(),
+                        "alphas": (0.1 * rng.normal(size=(count, 2))).tolist()},
+           "times": rng.uniform(-1.0, 2.0, size=10).tolist(),
+           "points": rng.uniform(0.0, 2.0, size=(12, 3)).tolist()}
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        rc = main(["field-sweep", "--config", str(config), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "field_sweep.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    report("field-sweep-box", rc == 0 and len(rows) == 120 and peak < 4e6,
+           f"{len(rows)} grid points on {count} modes; tracemalloc peak {peak / 1e6:.2f} MB")
+
+
 def test_single_oscillator_run_fits_in_blocks_on_a_large_box(tmp_path):
     """The single-oscillator side of compare-standard on the max_index 2 box
     (248 modes, nmax 8, D = 2232).

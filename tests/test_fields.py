@@ -1,11 +1,14 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 import monofield as mf
-from monofield.algebra import interior_indices
-from monofield.fields import _poisson_tail
+from monofield.algebra import fock_lowering, interior_indices
+from monofield.cli import _box_modes, main
+from monofield.fields import _field_blocks, _mode_weights, _poisson_tail
 
 
 def unit_sphere_draws(rng, count):
@@ -287,6 +290,187 @@ class TestFieldAverages:
         a_minus = mf.field_average(mf.vector_potential, state, natural, t - h, x)
         e_avg = mf.field_average(mf.electric_field, state, natural, t, x)
         assert np.max(np.abs((a_plus - a_minus) / (2 * h) + e_avg)) < 1e-7
+
+
+def loop_weights(layout, config, t, x, kind):
+    """The field weights as one scalar product per mode, the form the
+    vectorised weights must reproduce bit for bit."""
+    xv = np.asarray(x, dtype=float)
+    weights = np.zeros((layout.n_modes, 3), dtype=complex)
+    for k, m in enumerate(layout.modes):
+        basis = mf.polarization_basis(m.kappa)
+        e = basis.vector(m.s)
+        phase = np.exp(-1j * m.omega * t + 1j * np.dot(m.kappa, xv))
+        if kind == "A":
+            weights[k] = math.sqrt(config.hbar / (2.0 * m.omega * config.volume)) * phase * e
+        elif kind == "E":
+            weights[k] = 1j * math.sqrt(config.hbar * m.omega / (2.0 * config.volume)) * phase * e
+        else:
+            ne = np.cross(np.array(basis.n_hat), e)
+            weights[k] = 1j * math.sqrt(config.hbar * m.omega / (2.0 * config.volume)) * phase * ne
+    return weights
+
+
+def assert_bitwise(got, want):
+    """Equal entry for entry, signed zeros included."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def random_modes(rng, count):
+    """Propagating modes with wavevectors of mixed scales, some along the axes
+    (the fixed-frame polarizations) and some with zero components."""
+    kappas = rng.normal(size=(count, 3)) * rng.choice([0.01, 1.0, 30.0], size=(count, 1))
+    kappas[rng.uniform(size=kappas.shape) < 0.2] = 0.0
+    kappas[:4] = [[0.0, 0.0, 1.5], [0.0, 0.0, -0.5], [2.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    kappas[~kappas.any(axis=1)] = [0.3, -0.2, 0.0]
+    return [mf.mode(int(s), k, j=i)
+            for i, (s, k) in enumerate(zip(rng.choice([-1, 1], size=count), kappas))]
+
+
+def random_grid(rng, count):
+    """``count`` times (negative ones included) and points, of mixed scales."""
+    t = rng.normal(size=count) * rng.choice([1e-3, 1.0, 50.0], size=count)
+    t[0] = 0.0
+    x = rng.normal(size=(count, 3)) * rng.choice([1e-3, 1.0, 50.0], size=(count, 1))
+    x[1] = 0.0
+    return t, x
+
+
+def random_coherent(rng, layout, scale=0.05):
+    count = layout.n_modes
+    spec = mf.CoherentBatch.make(layout.modes,
+                                 [rng.normal(size=count) + 1j * rng.normal(size=count)],
+                                 [scale * (rng.normal(size=count) + 1j * rng.normal(size=count))])
+    return mf.coherent_state(layout, spec)
+
+
+def loop_averages(state, config, t, x):
+    """The (P, 3, 3) averages of A, E, B from one field_average per point and field."""
+    builders = (mf.vector_potential, mf.electric_field, mf.magnetic_field)
+    return np.array([[mf.field_average(b, state, config, tp, xp) for b in builders]
+                     for tp, xp in zip(t.tolist(), x.tolist())])
+
+
+class TestFieldGrid:
+    """The vectorised weights and the batched grid averages against the
+    per-mode and per-point forms, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mode_weights_equal_the_per_mode_loop(self, seed):
+        rng = np.random.default_rng([seed, 18])
+        layout = mf.build_layout(random_modes(rng, 40), 2)
+        config = mf.FieldConfig(hbar=float(rng.uniform(0.1, 3.0)),
+                                volume=float(rng.uniform(0.1, 30.0)))
+        for t, x in zip(*random_grid(rng, 12)):
+            for kind in "AEB":
+                assert_bitwise(_mode_weights(layout, config, float(t), x, kind),
+                               loop_weights(layout, config, float(t), x, kind))
+
+    def test_mode_weights_equal_the_loop_on_random_boxes(self):
+        rng = np.random.default_rng(181)
+        for _ in range(3):
+            modes, volume = _box_modes({"edge": float(rng.uniform(0.5, 4.0)), "max_index": 1},
+                                       float(rng.uniform(0.5, 2.0)))
+            layout = mf.build_layout(modes, 2)
+            config = mf.FieldConfig(hbar=float(rng.uniform(0.1, 3.0)), volume=volume)
+            for t, x in zip(*random_grid(rng, 4)):
+                for kind in "AEB":
+                    assert_bitwise(_mode_weights(layout, config, float(t), x, kind),
+                                   loop_weights(layout, config, float(t), x, kind))
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_field_blocks_equal_the_plain_products(self, with_atom):
+        """Every entry of a component block is w a + conj(w) a^dag as the plain
+        broadcast product gives it, the signed zeros off the bands included."""
+        rng = np.random.default_rng(185)
+        layout = mf.build_layout(random_modes(rng, 6), 4, with_atom=with_atom)
+        parts = rng.normal(size=(3, 6, 2))
+        parts[rng.uniform(size=parts.shape) < 0.3] = 0.0
+        parts[rng.uniform(size=parts.shape) < 0.3] = -0.0
+        w = parts.view(complex)[..., 0]
+        a, col = fock_lowering(layout.nmax), w[..., None, None]
+        want = layout.on_each_level(col * a + np.conj(col) * a.conj().T)
+        assert_bitwise(_field_blocks(layout, w), want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_averages_equal_the_per_point_loop(self, seed):
+        rng = np.random.default_rng([seed, 180])
+        layout = mf.build_layout(random_modes(rng, 12), 6)
+        config = mf.FieldConfig(hbar=float(rng.uniform(0.5, 2.0)),
+                                volume=float(rng.uniform(0.5, 5.0)))
+        state = random_coherent(rng, layout)
+        t, x = random_grid(rng, 9)
+        assert_bitwise(mf.field_averages(state, config, t, x), loop_averages(state, config, t, x))
+        # the vacuum's averages are zeros of either sign
+        vacuum = mf.coherent_state(layout, mf.CoherentBatch.make(
+            layout.modes, [rng.normal(size=layout.n_modes)], [np.zeros(layout.n_modes)]))
+        assert_bitwise(mf.field_averages(vacuum, config, t, x),
+                       loop_averages(vacuum, config, t, x))
+        # with the atom, blocks of 2(nmax+1) kets
+        layout = mf.build_layout(layout.modes, 3, with_atom=True)
+        state = mf.StateVector(layout, rng.normal(size=(layout.dimension, 2)).view(complex)[:, 0])
+        assert_bitwise(mf.field_averages(state, config, t, x), loop_averages(state, config, t, x))
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_field_sweep_over_chunks_equals_the_per_point_loop(self, tmp_path, monkeypatch,
+                                                               block_bytes):
+        """field-sweep on the 52-mode box at nmax 5: 5 times x 4 points, in
+        chunks of 8 points (and of one), every average as the loop gives it."""
+        rng = np.random.default_rng(182)
+        doc = {"box": {"edge": 2.3, "max_index": 1}, "nmax": 5,
+               "coherent": {"weights": rng.normal(size=52).tolist(),
+                            "alphas": (0.05 * rng.normal(size=52)).tolist()},
+               "times": [-1.3, 0.0, 0.4, 2.5, 17.0],
+               "points": [[0.0, 0.0, 0.0], [0.1, -0.7, 2.2], [3.0, 1e-3, -0.4], [-5.0, 2.0, 0.3]]}
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        if block_bytes is not None:
+            monkeypatch.setattr("monofield.cli.STATE_BLOCK_BYTES", block_bytes)
+        assert main(["field-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "field_sweep.csv", encoding="utf-8") as fh:
+            rows = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+        assert len(rows) == 20
+        modes, volume = _box_modes(doc["box"], 1.0)
+        layout = mf.build_layout(modes, 5)
+        state = mf.coherent_state(layout, mf.CoherentBatch.make(
+            modes, [doc["coherent"]["weights"]], [doc["coherent"]["alphas"]]))
+        want = loop_averages(state, mf.FieldConfig(volume=volume), rows[:, 0], rows[:, 1:4])
+        assert_bitwise(rows[:, 4:], want.reshape(20, 9))
+
+    def test_one_point_on_the_large_box(self):
+        modes, volume = _box_modes({"edge": 2.0, "max_index": 2}, 1.0)
+        layout = mf.build_layout(modes, 8)
+        assert layout.n_modes == 248
+        rng = np.random.default_rng(183)
+        state = random_coherent(rng, layout)
+        t, x = np.array([-0.7]), np.array([[0.3, -0.2, 0.5]])
+        config = mf.FieldConfig(volume=volume)
+        assert_bitwise(mf.field_averages(state, config, t, x), loop_averages(state, config, t, x))
+
+    def test_refusals_keep_their_messages(self, natural, two_tone_layout, mixed_modes):
+        layout = mf.build_layout(mixed_modes, 6)
+        state = random_coherent(np.random.default_rng(184), layout)
+        finite = "field operators need finite t and a finite 3-vector x"
+        for t, x in [(math.nan, (0.0, 0.0, 0.0)), (math.inf, (0.0, 0.0, 0.0)),
+                     (0.0, (0.0, math.nan, 0.0)), (0.0, (0.0, 0.0, -math.inf)),
+                     (0.0, (0.0, 0.0))]:
+            with pytest.raises(ValueError) as exc:
+                mf.electric_field(layout, natural, t, x)
+            assert str(exc.value) == finite
+            points = [(0.0, 0.0, 0.0), x] if len(x) == 3 else [x, x]
+            with pytest.raises(ValueError) as exc:
+                mf.field_averages(state, natural, [0.0, t], points)
+            assert str(exc.value) == finite
+        modes = (*mixed_modes[:2], mf.abstract_mode(1.0), mf.abstract_mode(2.0))
+        with pytest.raises(ValueError) as exc:
+            mf.magnetic_field(mf.build_layout(modes, 2), natural, 0.0, (0.0, 0.0, 0.0))
+        assert str(exc.value) == \
+            f"field operators require propagating modes; {modes[2]} is abstract"
+        # finite t and x are checked before the modes
+        with pytest.raises(ValueError) as exc:
+            mf.vector_potential(two_tone_layout, natural, math.nan, (0.0, 0.0, 0.0))
+        assert str(exc.value) == finite
 
 
 class TestEnergyMomentumIdentity:

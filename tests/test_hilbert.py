@@ -214,6 +214,10 @@ class TestOperatorStorage:
             mf.Operator(two_tone_layout, np.eye(3))
 
 
+# the layout line of a file written for two_tone_layout
+LAYOUT_LINE = "# monofield layout M=2 nmax=3 A=1 order=mode-atom-n"
+
+
 class TestSerialization:
     def test_state_roundtrip(self, two_tone_layout, rng, tmp_path):
         psi = random_state(two_tone_layout, rng)
@@ -285,10 +289,10 @@ class TestSerialization:
     ])
     def test_state_file_bad_line_refused(self, two_tone_layout, tmp_path, line, problem):
         path = tmp_path / "state.csv"
-        path.write_text(f"index,re,im\n0,1.0,0.0\n{line}\n")
+        path.write_text(f"{LAYOUT_LINE}\nindex,re,im\n0,1.0,0.0\n{line}\n")
         with pytest.raises(ValueError) as exc:
             mf.hilbert.load_state(path, two_tone_layout)
-        assert str(exc.value).startswith(f"state file {str(path)!r}, line 3: {problem}")
+        assert str(exc.value).startswith(f"state file {str(path)!r}, line 4: {problem}")
 
     @pytest.mark.parametrize("line, problem", [
         ("-1,0,1.0,0.0", "index -1 out of range [0, 8)"),
@@ -301,10 +305,42 @@ class TestSerialization:
     ])
     def test_operator_file_bad_line_refused(self, two_tone_layout, tmp_path, line, problem):
         path = tmp_path / "op.csv"
-        path.write_text(f"row,col,re,im\n0,0,1.0,0.0\n{line}\n")
+        path.write_text(f"{LAYOUT_LINE}\nrow,col,re,im\n0,0,1.0,0.0\n{line}\n")
         with pytest.raises(ValueError) as exc:
             mf.hilbert.load_operator(path, two_tone_layout)
-        assert str(exc.value).startswith(f"operator file {str(path)!r}, line 3: {problem}")
+        assert str(exc.value).startswith(f"operator file {str(path)!r}, line 4: {problem}")
+
+    @pytest.mark.parametrize("what", ["state", "operator"])
+    def test_file_names_its_layout(self, two_tone_layout, rng, tmp_path, what):
+        """The first line names M, nmax, A and the basis order; a file for
+        another layout, or one with no layout line (written before the
+        mode-major basis order, whose kets may differ), is refused."""
+        save, load = getattr(mf.hilbert, f"save_{what}"), getattr(mf.hilbert, f"load_{what}")
+        obj = (random_state if what == "state" else random_hermitian)(two_tone_layout, rng)
+        path = tmp_path / f"{what}.csv"
+        save(obj, path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[0] == f"{LAYOUT_LINE}\n"
+        name = f"{what} file {str(path)!r}"
+        for other in (mf.build_layout(two_tone_layout.modes, 4),
+                      mf.build_layout(two_tone_layout.modes[:1], 3),
+                      mf.build_layout(two_tone_layout.modes, 3, with_atom=True)):
+            with pytest.raises(ValueError) as exc:
+                load(path, other)
+            assert str(exc.value).startswith(
+                f"{name} was written for another layout or basis order: "
+                f"its first line is {LAYOUT_LINE!r}, this layout's is ")
+        path.write_text(LAYOUT_LINE.replace("mode-atom-n", "atom-mode-n") + "\n"
+                        + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="another layout or basis order"):
+            load(path, two_tone_layout)
+        path.write_text("".join(lines[1:]))  # the format before the layout line
+        with pytest.raises(ValueError) as exc:
+            load(path, two_tone_layout)
+        assert str(exc.value) == (
+            f"{name} does not name its layout (first line {lines[1].strip()!r}); a file "
+            f"written before the mode-atom-n basis order may index other kets: load it with "
+            f"the version that wrote it and write it again with save_{what}")
 
     def test_mode_set_from_json(self, tmp_path):
         doc = [

@@ -19,6 +19,9 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
 * the 52-mode box (``max_index`` 1) with the atom;
 * the 248-mode box (``max_index`` 2, ``nmax`` 5), where ``verify-algebra``
   writes 184 512 rows;
+* two ``field-sweep`` grids: the 52-mode box at ``nmax`` 5 with 5 times x 4
+  points (20 points, which ``field-sweep`` takes in chunks of 8), and the
+  248-mode box at ``nmax`` 8 with 10 times x 12 points (120 points);
 * ``tests/data/config_algebra.json`` with ``tolerances.algebra`` 1e-17, so
   that some of its relations fail.
 
@@ -57,6 +60,20 @@ BOX_WITH_ATOM = {
 BOX_248 = {"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}
 
 
+def sweep_config(max_index: int, nmax: int, n_times: int, n_points: int, seed: int) -> dict:
+    """A field-sweep config on the box: n_times x n_points grid points, times
+    below zero included, and a coherent state that nmax truncates."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    count = 2 * ((2 * max_index + 1) ** 3 - 1)
+    return {"box": {"edge": 2.0, "max_index": max_index}, "nmax": nmax,
+            "coherent": {"weights": rng.normal(size=(count, 2)).tolist(),
+                         "alphas": (0.05 * rng.normal(size=(count, 2))).tolist()},
+            "times": rng.uniform(-1.0, 2.0, size=n_times).tolist(),
+            "points": rng.uniform(-2.0, 2.0, size=(n_points, 3)).tolist()}
+
+
 def write_configs(directory: Path) -> list[Path]:
     """Every config of the comparison, written into ``directory``."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -71,6 +88,8 @@ def write_configs(directory: Path) -> list[Path]:
         docs[f"malformed-{name}"] = doc
     docs["box-atom"] = BOX_WITH_ATOM
     docs["box-248"] = BOX_248
+    docs["sweep-52"] = sweep_config(1, 5, 5, 4, seed=52)
+    docs["sweep-248"] = sweep_config(2, 8, 10, 12, seed=248)
     data = ROOT / "tests" / "data"
     docs["algebra-tight"] = dict(json.loads((data / "config_algebra.json").read_text()),
                                  tolerances={"algebra": 1e-17})
