@@ -130,6 +130,45 @@ def _box_modes(box: dict, c: float) -> tuple[tuple[ModeLabel, ...], float]:
     return tuple(modes), edge ** 3
 
 
+def _quotient(a: float, b: float) -> float:
+    """a / b, or inf when b is 0 or inf: a quotient out of the float range."""
+    return a / b if 0.0 < b < math.inf else math.inf
+
+
+def _check_field_scales(modes: tuple[ModeLabel, ...], field: FieldConfig, nmax: int,
+                        with_atom: bool, entries: str) -> None:
+    """Refuse field constants that put a scale the commands compute with out
+    of the float range, before any command computes with it.
+
+    The scales are the energy and momentum quanta omega and |kappa_i| times
+    nmax+1, with and without hbar (the operators form either product
+    first); the squared amplitudes hbar/(2*omega*V) of A and
+    hbar*omega/(2*V) of E and B times nmax+1, whose divisors must be
+    neither 0 nor inf; and with the atom the squared mode coupling
+    1/(2*hbar*omega*V).  Each is monotonic in omega, so the lowest and
+    highest frequencies stand for every mode.  Python floats overflow to
+    inf without a warning, so the check itself warns nothing.
+    """
+    hbar, volume, top = field.hbar, field.volume, nmax + 1
+    omega = max(m.omega for m in modes)
+    kappa = max(abs(v) for m in modes for v in m.kappa)
+    scales = {"energy scale hbar*omega*(nmax+1)": [omega * top, hbar * omega * top],
+              "momentum scale hbar*|kappa_i|*(nmax+1)": [kappa * top, hbar * kappa * top]}
+    waves = [m.omega for m in modes if not m.abstract]
+    if waves:
+        extremes = (min(waves), max(waves))
+        scales["vector-potential scale hbar/(2*omega*V)*(nmax+1)"] = \
+            [_quotient(hbar, 2.0 * w * volume) * top for w in extremes]
+        scales["field scale hbar*omega/(2*V)*(nmax+1)"] = \
+            [_quotient(hbar * w, 2.0 * volume) * top for w in extremes]
+        if with_atom:
+            scales["mode coupling 1/(2*hbar*omega*V)"] = \
+                [_quotient(1.0, 2.0 * hbar * w * volume) for w in extremes]
+    for name, values in scales.items():
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{entries}: the {name} is out of the float range")
+
+
 TOP_LEVEL_KEYS = {
     "modes", "box", "nmax", "field", "atom", "coherent", "states", "times",
     "time_grid", "points", "couplings", "tolerances", "emission_initial",
@@ -180,6 +219,9 @@ def _parse_config(doc) -> RunConfig:
         modes = load_mode_set(_list(doc, "modes"), FieldConfig(hbar, c, volume))
     field = FieldConfig(hbar=hbar, c=c, volume=volume)
     nmax = build_layout(modes, read_int(doc.get("nmax"), "nmax")).nmax
+    _check_field_scales(modes, field, nmax, "atom" in doc,
+                        f"field.hbar = {hbar!r}, field.c = {c!r} and "
+                        f"{'the box volume' if 'box' in doc else 'field.volume'} = {volume!r}")
 
     atom = None
     if "atom" in doc:
@@ -326,8 +368,9 @@ def cmd_verify_algebra(cfg: RunConfig, outdir: Path, tol: float | None, seed: in
     return 1 if table.failed else 0
 
 
-# vacuum-energy builds its states, and field-sweep its field-component
-# blocks, in blocks of about this many bytes, so their working arrays stay
+# vacuum-energy builds its states, and field-sweep the block stack of one
+# field component (16*D*A*b bytes per grid point, built nine times per
+# chunk), in blocks of about this many bytes, so their working arrays stay
 # small whatever the number of states or grid points
 STATE_BLOCK_BYTES = 1 << 18
 

@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 _AXIS_EPS = 1e-14
+# energy_identity's bounds: on the energy and momentum deviations, and on the
+# spread of the integrand E.E + B.B over the samples
+TOL_ENERGY = 1e-10
+TOL_SAMPLE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,13 @@ def polarization(kappa: Sequence[float], s: int) -> np.ndarray:
 
 
 class _ModeTable(NamedTuple):
-    """The (t, x)-independent part of every mode's field weight, read-only:
-    (M,) frequencies, (M, 3) wavevectors, polarizations e_s and n_hat x e_s."""
+    """The (t, x)-independent part of every mode's field weights, read-only:
+    (M,) frequencies, (M, 3) wavevectors and the (3, M, 3) polarization
+    vectors of A, E and B: e_s, e_s and n_hat x e_s."""
 
     omega: np.ndarray
     kappa: np.ndarray
-    e: np.ndarray
-    n_cross_e: np.ndarray
+    vectors: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -117,22 +121,23 @@ def _mode_table(modes: tuple[ModeLabel, ...]) -> _ModeTable:
             raise ValueError(f"field operators require propagating modes; {m} is abstract")
     bases = [polarization_basis(m.kappa) for m in modes]
     e = np.array([basis.vector(m.s) for basis, m in zip(bases, modes)])
+    n_cross_e = np.cross(np.array([basis.n_hat for basis in bases]), e)
     table = _ModeTable(np.array([m.omega for m in modes]), np.array([m.kappa for m in modes]),
-                       e, np.cross(np.array([basis.n_hat for basis in bases]), e))
+                       np.stack([e, e, n_cross_e]))
     for column in table:
         column.setflags(write=False)
     return table
 
 
-def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x, kind: str) -> np.ndarray:
-    """(P, M, 3) complex weights w[p, k] such that field ``kind`` ("A", "E" or
-    "B") at (t[p], x[p]) is F_i = sum_k (w[p, k, i] a_k + h.c.), for P times
-    ``t`` and (P, 3) points ``x``.
+def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarray:
+    """(P, 3, M, 3) complex weights w[p, f, k] such that field f of "AEB" at
+    (t[p], x[p]) is F_i = sum_k (w[p, f, k, i] a_k + h.c.), for P times ``t``
+    and (P, 3) points ``x``.
 
-    Only the phases depend on (t, x); the rest comes from the cached
-    :func:`_mode_table`.  Each weight is amp * phase * e in that order, with
-    kappa . x taken by ``np.vecdot``, so it is bit for bit the per-mode scalar
-    product of those factors.
+    Only the phases depend on (t, x); the rest comes from one lookup of the
+    cached :func:`_mode_table`.  Each weight is amp * phase * e in that
+    order, with kappa . x taken by ``np.vecdot``, so it is bit for bit the
+    per-mode scalar product of those factors.
     """
     t = np.asarray(t, dtype=float)
     xv = np.asarray(x, dtype=float)
@@ -141,18 +146,18 @@ def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x, kind: str) -
         raise ValueError("field operators need finite t and a finite 3-vector x")
     table = _mode_table(layout.modes)
     phase = np.exp(-1j * table.omega * t[:, None] + 1j * np.vecdot(table.kappa, xv[:, None]))
-    if kind == "A":
-        amp = np.sqrt(config.hbar / (2.0 * table.omega * config.volume))
-    else:
-        amp = 1j * np.sqrt(config.hbar * table.omega / (2.0 * config.volume))
-    return (amp * phase)[..., None] * (table.n_cross_e if kind == "B" else table.e)
+    amp = np.empty((3, layout.n_modes), dtype=complex)
+    amp[0] = np.sqrt(config.hbar / (2.0 * table.omega * config.volume))
+    amp[1:] = 1j * np.sqrt(config.hbar * table.omega / (2.0 * config.volume))
+    return (amp * phase[:, None])[..., None] * table.vectors
 
 
 def _mode_weights(layout: HilbertLayout, config: FieldConfig, t: float,
                   x: Sequence[float], kind: str) -> np.ndarray:
-    """Per-mode complex 3-vector w_k such that F_i = sum_k (w_ki a_k + h.c.):
-    the one-point case of :func:`_grid_weights`."""
-    return _grid_weights(layout, config, [t], [x], kind)[0]
+    """Per-mode complex 3-vector w_k such that field ``kind`` ("A", "E" or
+    "B") is F_i = sum_k (w_ki a_k + h.c.): the one-point case of
+    :func:`_grid_weights`."""
+    return _grid_weights(layout, config, [t], [x])[0, "AEB".index(kind)]
 
 
 def _field_blocks(layout: HilbertLayout, weights: np.ndarray) -> np.ndarray:
@@ -415,21 +420,21 @@ def field_averages(state: StateVector, config: FieldConfig, t, x) -> np.ndarray:
     (t[p], x[p]) of ``t`` and the (P, 3) array ``x``.
 
     Entry [p, f] is :func:`field_average` of field f at (t[p], x[p]), bit for
-    bit: per component, one (P, M, A*b, A*b) stack of the blocks
-    :func:`_assemble` builds, one stacked block matvec against the state's
-    :meth:`~HilbertLayout.blocks_of` rows and one ``np.vecdot`` with the
-    state.  A stack takes 16*D*A*b bytes per point, so callers pass a long
-    grid in chunks.
+    bit: one :func:`_grid_weights` table, then per field and component one
+    (P, M, A*b, A*b) stack of the blocks :func:`_assemble` builds, one
+    stacked block matvec against the state's :meth:`~HilbertLayout.blocks_of`
+    rows and one ``np.vecdot`` with the state.  A stack takes 16*D*A*b bytes
+    per point, and the weight table 144*M, so callers pass a long grid in
+    chunks.
     """
     layout = state.layout
     psi = state.amplitudes
     rows = layout.blocks_of(psi)[..., None]
+    weights = _grid_weights(layout, config, t, x)
     out = np.empty((len(t), 3, 3))
-    for f, kind in enumerate("AEB"):
-        weights = _grid_weights(layout, config, t, x, kind)
-        for i in range(3):
-            applied = _field_blocks(layout, weights[..., i]) @ rows
-            out[:, f, i] = np.vecdot(psi, layout.from_blocks(applied[..., 0])).real
+    for f, i in itertools.product(range(3), repeat=2):
+        applied = _field_blocks(layout, weights[:, f, :, i]) @ rows
+        out[:, f, i] = np.vecdot(psi, layout.from_blocks(applied[..., 0])).real
     return out
 
 
@@ -496,71 +501,62 @@ class FieldIdentityReport:
         )
 
 
-def _dot_square(ops: tuple[Operator, Operator, Operator]) -> Operator:
-    return ops[0] @ ops[0] + ops[1] @ ops[1] + ops[2] @ ops[2]
-
-
-def _cross(a: tuple[Operator, ...], b: tuple[Operator, ...]) -> list[Operator]:
-    return [a[1] @ b[2] - a[2] @ b[1],
-            a[2] @ b[0] - a[0] @ b[2],
-            a[0] @ b[1] - a[1] @ b[0]]
-
-
 def energy_identity(layout: HilbertLayout, config: FieldConfig,
-                    samples: Sequence[tuple[float, Sequence[float]]],
-                    tol_energy: float = 1e-10,
-                    tol_sample: float = 1e-12) -> FieldIdentityReport:
+                    samples: Sequence[tuple[float, Sequence[float]]]) -> FieldIdentityReport:
     """Verify H = (V/2) integral(E.E + B.B) and P = V integral(E x B).
 
     Because the integrand is (t, x)-independent, the integrals reduce to a
-    factor V; the check builds E and B at each sample point and compares
-    operators, block by block.  Both Poynting orderings (literal E x B and
-    the symmetrized half-difference) are evaluated and the better one is
-    recorded.
+    factor V.  E and B at all P samples come from one :func:`_grid_weights`
+    table as (P, 3, M, b, b) block stacks, and the products are stacked
+    block matmuls, compared block by block with the mode-ladder H and P
+    diagonals.  Both Poynting orderings (literal E x B and the symmetrized
+    half-difference) are evaluated and the better one is recorded.
     """
     if not samples:
         raise ValueError("need at least one (t, x) sample")
     h_ref = hamiltonian_from_mode_ladders(layout, config)
     p_ref = momentum_from_mode_ladders(layout, config)
-    e2_list, b2_list, literal_list, sym_list = [], [], [], []
-    for t, x in samples:
-        e_ops = electric_field(layout, config, t, x)
-        b_ops = magnetic_field(layout, config, t, x)
-        e2_list.append(_dot_square(e_ops))
-        b2_list.append(_dot_square(b_ops))
-        exb = _cross(e_ops, b_ops)
-        bxe = _cross(b_ops, e_ops)
-        literal_list.append(exb)
-        sym_list.append([0.5 * (f - g) for f, g in zip(exb, bxe)])
+    t, x = zip(*samples)
+    weights = _grid_weights(layout, config, t, x)
+    e, b = (_field_blocks(layout, np.moveaxis(weights[:, f], -1, 1)) for f in (1, 2))
 
-    def pairwise(ops: list[Operator]) -> float:
-        return max([(op - ops[0]).max_abs() for op in ops[1:]], default=0.0)
+    def dot_square(u: np.ndarray) -> np.ndarray:
+        squares = u @ u
+        return squares[:, 0] + squares[:, 1] + squares[:, 2]
 
-    e2_dev = pairwise(e2_list)
-    b2_dev = pairwise(b2_list)
-    integrand_dev = pairwise([e2 + b2 for e2, b2 in zip(e2_list, b2_list)])
-    energy_dev = max((0.5 * config.volume * (e2 + b2) - h_ref).max_abs()
-                     for e2, b2 in zip(e2_list, b2_list))
+    def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # component i is u_j v_k - u_k v_j, (i, j, k) cyclic
+        j, k = [1, 2, 0], [2, 0, 1]
+        return u[:, j] @ v[:, k] - u[:, k] @ v[:, j]
 
-    def momentum_dev(cross_list: list[list[Operator]]) -> float:
-        return max((config.volume * comps[i] - p_ref[i]).max_abs()
-                   for comps in cross_list for i in range(3))
+    def spread(stack: np.ndarray) -> float:
+        return float(np.abs(stack[1:] - stack[0]).max(initial=0.0))
 
-    lit = momentum_dev(literal_list)
-    sym = momentum_dev(sym_list)
+    def deviation(stack: np.ndarray, reference) -> float:
+        # the largest entry of the stack minus the diagonal reference operators
+        i = np.arange(stack.shape[-1])
+        stack[..., i, i] -= layout.blocks_of(reference)
+        return float(np.abs(stack).max())
+
+    e2, b2 = dot_square(e), dot_square(b)
+    integrand = e2 + b2
+    exb = cross(e, b)
+    p_diagonals = np.array([p.data for p in p_ref])
+    lit = deviation(config.volume * exb, p_diagonals)
+    sym = deviation(config.volume * (0.5 * (exb - cross(b, e))), p_diagonals)
     if abs(lit - sym) < 1e-15:
         winner = "tie (orderings coincide); symmetrized exported"
     else:
         winner = "literal" if lit < sym else "symmetrized"
     return FieldIdentityReport(
         n_samples=len(samples),
-        e2_sample_dev=e2_dev,
-        b2_sample_dev=b2_dev,
-        integrand_sample_dev=integrand_dev,
-        energy_dev=energy_dev,
+        e2_sample_dev=spread(e2),
+        b2_sample_dev=spread(b2),
+        integrand_sample_dev=spread(integrand),
+        energy_dev=deviation(0.5 * config.volume * integrand, h_ref.data),
         momentum_dev_literal=lit,
         momentum_dev_symmetrized=sym,
         ordering_winner=winner,
-        tol_energy=tol_energy,
-        tol_sample=tol_sample,
+        tol_energy=TOL_ENERGY,
+        tol_sample=TOL_SAMPLE,
     )

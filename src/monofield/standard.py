@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import fock_lowering, mode_annihilator
 from .dynamics import resonance_kernel
 from .emission import EXCITED, AtomParams, coupling, first_order_emission
-from .hilbert import FieldConfig, ModeLabel, build_layout, superposition
+from .hilbert import FieldConfig, ModeLabel, build_layout, superposition, unit_rows
 
 __all__ = [
     "MAX_MODES",
@@ -218,12 +218,10 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
     layout = build_layout(modes, nmax)
     hbar = config.hbar
     omegas = layout.omegas
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(5):
-        w = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
-        w /= np.linalg.norm(w)
-        samples.append(0.5 * hbar * float(np.sum(np.abs(w) ** 2 * omegas)))
+    # five unit weight rows, each drawn as its real parts, then its imaginary ones
+    draws = np.random.default_rng(seed).normal(size=(5, 2, len(modes)))
+    weights = unit_rows(draws[:, 0] + 1j * draws[:, 1])
+    samples = (0.5 * hbar * np.sum(np.abs(weights) ** 2 * omegas, axis=1)).tolist()
     cross = 0.0
     if layout.n_modes >= 2:
         cross = (mode_annihilator(layout, 0).dag() @ mode_annihilator(layout, 1).dag()).max_abs()

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -432,6 +433,49 @@ class TestFiniteOutputs:
             "config error: atom.omega0 = 1e+200 and atom.dipole = 1e+200 with field.hbar = "
             "1.0: the coupling scale hbar*omega0*dipole overflows\n")
         assert not (tmp_path / "comparison.json").exists()
+
+    @pytest.mark.parametrize("command, base, field, scale", [
+        ("emission", "config_emission.json", {"hbar": 1e-200, "volume": 1e-200},
+         "mode coupling 1/(2*hbar*omega*V)"),
+        ("compare-standard", "config_compare.json", {"hbar": 1e-300, "c": 1e-300},
+         "mode coupling 1/(2*hbar*omega*V)"),
+        ("field-sweep", "config_field.json", {"hbar": 1e300, "c": 1e300},
+         "energy scale hbar*omega*(nmax+1)"),
+        ("vacuum-energy", "config_vac.json", {"hbar": 1e308}, "energy scale hbar*omega*(nmax+1)"),
+        ("emission", "config_emission.json", {"hbar": 1e300, "c": 1e300},
+         "energy scale hbar*omega*(nmax+1)"),
+        ("vacuum-energy", "config_vac.json", {"hbar": 1e308, "c": 1e-10},
+         "momentum scale hbar*|kappa_i|*(nmax+1)"),
+        ("field-sweep", "config_field.json", {"c": 1e300, "volume": 1e300},
+         "vector-potential scale hbar/(2*omega*V)*(nmax+1)"),
+        ("field-sweep", "config_field.json", {"c": 1e-300, "volume": 1e-300},
+         "vector-potential scale hbar/(2*omega*V)*(nmax+1)"),
+    ])
+    def test_field_constants_whose_scale_is_out_of_range_exit_2(self, tmp_path, capsys, command,
+                                                                base, field, scale):
+        # each constant alone is in range; a scale formed from them is not, and
+        # is refused before a command computes with it: no traceback, no warning
+        doc = json.loads((DATA / base).read_text())
+        doc["field"] = field
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, p, tmp_path) == 2
+        assert not caught
+        hbar, c, volume = (field.get(key, 1.0) for key in ("hbar", "c", "volume"))
+        assert capsys.readouterr().err == (
+            f"config error: field.hbar = {hbar!r}, field.c = {c!r} and field.volume = "
+            f"{volume!r}: the {scale} is out of the float range\n")
+
+    def test_box_whose_field_scale_is_out_of_range_is_refused(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"box": {"edge": 1e-103, "max_index": 1}, "nmax": 2}))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value) == (
+            "field.hbar = 1.0, field.c = 1.0 and the box volume = 1e-309: "
+            "the field scale hbar*omega/(2*V)*(nmax+1) is out of the float range")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_writers_refuse_a_non_finite_number(self, tmp_path, value):

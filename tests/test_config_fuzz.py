@@ -2,9 +2,9 @@
 value from a fixed pool, or two numeric leaves of one section with the same
 extreme value, and run the command in-process.  Whatever the values, the
 command must keep the exit contract (0 pass, 1 physics check failed, 2
-config error) and raise nothing, and every file it writes on exit 0 or 1
-must hold finite numbers only: strict JSON, and CSV cells that read as
-finite floats where they read as floats at all."""
+config error), raise nothing and warn nothing, and every file it writes on
+exit 0 or 1 must hold finite numbers only: strict JSON, and CSV cells that
+read as finite floats where they read as floats at all."""
 
 import contextlib
 import csv
@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ COMMANDS = {
     "config_jc.json": "compare-standard",
 }
 POOL = [True, "1", None, [], {}, 0, -1, 2.5, 1e300, 1e-300]
+# the field constants' defaults, written out so that they are paired too
+DEFAULT_FIELD = {"hbar": 1.0, "c": 1.0, "volume": 1.0}
 
 
 def _paths(node, prefix=()):
@@ -68,17 +71,21 @@ def _check_outputs(outdir: Path, where: str) -> None:
 
 def _run(name: str, doc: dict, tmp_path: Path, where: str) -> None:
     """Run the config's command on ``doc`` in a fresh output directory and
-    check the exit contract and, on exit 0 or 1, the files written."""
+    check the exit contract, that nothing warned and, on exit 0 or 1, the
+    files written."""
     config = tmp_path / "mutated.json"
     config.write_text(json.dumps(doc))
     outdir = tmp_path / "out"
     shutil.rmtree(outdir, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main([COMMANDS[name], "--config", str(config), "--out", str(outdir)])
     except Exception as exc:
         raise AssertionError(f"{where} raised {exc!r}") from exc
+    assert not caught, f"{where} warned: {[str(w.message) for w in caught]}"
     assert rc in (0, 1, 2), f"{where} exited {rc!r}"
     if rc == 2:
         assert any(line.startswith("config error:")
@@ -112,12 +119,14 @@ def test_mutated_config_keeps_exit_contract(tmp_path, name, data):
         _run(name, doc, tmp_path, f"{where} = {value!r}")
 
 
-@pytest.mark.parametrize("name", ["config_compare.json", "config_jc.json"])
+@pytest.mark.parametrize("name", COMMANDS)
 @pytest.mark.parametrize("value", [1e300, 1e-300])
 def test_extreme_pairs_keep_outputs_finite(tmp_path, name, value):
     # each leaf alone is in range; two of one section together, such as
-    # atom.omega0 and atom.dipole, may not be
+    # atom.omega0 and atom.dipole or field.hbar and field.c, may not be
     base = json.loads((DATA / name).read_text())
+    assert "box" not in base  # a box would clash with field.volume
+    base.setdefault("field", dict(DEFAULT_FIELD))
     for section in base:
         leaves = [path for path in _paths(base[section], (section,))
                   if type(_leaf(base, path)) in (int, float)]

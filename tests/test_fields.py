@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import monofield as mf
-from monofield.algebra import fock_lowering, interior_indices
+from monofield.algebra import (fock_lowering, hamiltonian_from_mode_ladders, interior_indices,
+                               momentum_from_mode_ladders)
 from monofield.cli import _box_modes, main
-from monofield.fields import _field_blocks, _mode_weights, _poisson_tail
+from monofield.fields import (TOL_ENERGY, TOL_SAMPLE, FieldIdentityReport, _field_blocks,
+                              _mode_weights, _poisson_tail)
 
 
 def unit_sphere_draws(rng, count):
@@ -517,3 +519,93 @@ class TestEnergyMomentumIdentity:
         layout = mf.build_layout(mixed_modes, 2)
         with pytest.raises(ValueError, match="sample"):
             mf.energy_identity(layout, natural, [])
+
+
+def dot_square(ops):
+    return ops[0] @ ops[0] + ops[1] @ ops[1] + ops[2] @ ops[2]
+
+
+def cross(a, b):
+    return [a[1] @ b[2] - a[2] @ b[1],
+            a[2] @ b[0] - a[0] @ b[2],
+            a[0] @ b[1] - a[1] @ b[0]]
+
+
+def loop_identity(layout, config, samples):
+    """The identity report from one Operator product at a time: E and B from
+    the builders at each sample, and the mode-ladder H and P as diagonal
+    Operators.  The stacked energy_identity must return it field by field."""
+    h_ref = hamiltonian_from_mode_ladders(layout, config)
+    p_ref = momentum_from_mode_ladders(layout, config)
+    e2_list, b2_list, literal_list, sym_list = [], [], [], []
+    for t, x in samples:
+        e_ops = mf.electric_field(layout, config, t, x)
+        b_ops = mf.magnetic_field(layout, config, t, x)
+        e2_list.append(dot_square(e_ops))
+        b2_list.append(dot_square(b_ops))
+        exb = cross(e_ops, b_ops)
+        literal_list.append(exb)
+        sym_list.append([0.5 * (f - g) for f, g in zip(exb, cross(b_ops, e_ops))])
+
+    def pairwise(ops):
+        return max([(op - ops[0]).max_abs() for op in ops[1:]], default=0.0)
+
+    def momentum_dev(cross_list):
+        return max((config.volume * comps[i] - p_ref[i]).max_abs()
+                   for comps in cross_list for i in range(3))
+
+    lit, sym = momentum_dev(literal_list), momentum_dev(sym_list)
+    if abs(lit - sym) < 1e-15:
+        winner = "tie (orderings coincide); symmetrized exported"
+    else:
+        winner = "literal" if lit < sym else "symmetrized"
+    return FieldIdentityReport(
+        n_samples=len(samples),
+        e2_sample_dev=pairwise(e2_list),
+        b2_sample_dev=pairwise(b2_list),
+        integrand_sample_dev=pairwise([e2 + b2 for e2, b2 in zip(e2_list, b2_list)]),
+        energy_dev=max((0.5 * config.volume * (e2 + b2) - h_ref).max_abs()
+                       for e2, b2 in zip(e2_list, b2_list)),
+        momentum_dev_literal=lit,
+        momentum_dev_symmetrized=sym,
+        ordering_winner=winner,
+        tol_energy=TOL_ENERGY,
+        tol_sample=TOL_SAMPLE,
+    )
+
+
+class TestEnergyIdentityStacks:
+    """energy_identity on (P, 3, M, b, b) block stacks against the per-sample
+    Operator route, every report field equal by repr."""
+
+    @staticmethod
+    def samples(rng, count):
+        t = rng.normal(size=count) * rng.choice([0.1, 1.0, 20.0], size=count)
+        x = rng.normal(size=(count, 3)) * rng.choice([0.1, 1.0, 5.0], size=(count, 1))
+        return [(tp, tuple(xp)) for tp, xp in zip(t.tolist(), x.tolist())]
+
+    @pytest.mark.parametrize("nmax", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_samples", [1, 2, 4])
+    def test_equals_the_per_sample_route(self, n_samples, nmax):
+        rng = np.random.default_rng([n_samples, nmax, 19])
+        config = mf.FieldConfig(hbar=float(rng.uniform(0.2, 3.0)),
+                                volume=float(rng.uniform(0.1, 20.0)))
+        layout = mf.build_layout(random_modes(rng, int(rng.integers(4, 12))), nmax)
+        samples = self.samples(rng, n_samples)
+        assert repr(mf.energy_identity(layout, config, samples)) == \
+            repr(loop_identity(layout, config, samples))
+        modes, volume = _box_modes({"edge": float(rng.uniform(0.5, 4.0)), "max_index": 1},
+                                   float(rng.uniform(0.5, 2.0)))
+        config = mf.FieldConfig(hbar=float(rng.uniform(0.2, 3.0)), volume=volume)
+        layout = mf.build_layout(modes, nmax)
+        samples = self.samples(rng, n_samples)
+        assert repr(mf.energy_identity(layout, config, samples)) == \
+            repr(loop_identity(layout, config, samples))
+
+    def test_equals_the_per_sample_route_on_the_large_box(self):
+        modes, volume = _box_modes({"edge": 2.0, "max_index": 2}, 1.0)
+        layout = mf.build_layout(modes, 4)
+        config = mf.FieldConfig(volume=volume)
+        samples = self.samples(np.random.default_rng(191), 3)
+        assert repr(mf.energy_identity(layout, config, samples)) == \
+            repr(loop_identity(layout, config, samples))
