@@ -33,6 +33,7 @@ from .dynamics import dyson_first_order, evolve, resonance_kernel, spectrum
 from .emission import (
     EXCITED,
     AtomParams,
+    _mode_couplings,
     atom_field_hamiltonian,
     coupling,
     first_order_emission,
@@ -410,6 +411,27 @@ def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int
     return 0
 
 
+def _check_phases(cfg: RunConfig, layout: HilbertLayout, start: int, times, points) -> None:
+    """Refuse the first grid point, of the chunk that starts at grid index
+    ``start``, where the phase omega*t - kappa.x of some mode is out of the
+    float range: its field weights would be non-finite, and numpy would warn
+    while computing them.  The message names the time or the point whose own
+    phase overflows, else both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_t = np.multiply.outer(times, layout.omegas)
+        kappa_x = np.vecdot(layout.kappas, np.array(points)[:, None])
+        finite = np.isfinite(kappa_x - omega_t).all(axis=1)
+    if finite.all():
+        return
+    p = int(np.argmin(finite))
+    i, j = divmod(start + p, len(cfg.points))
+    entries = {f"times[{i}] = {cfg.times[i]!r}": omega_t[p],
+               f"points[{j}] = {list(cfg.points[j])!r}": kappa_x[p]}
+    named = [entry for entry, phase in entries.items() if not np.isfinite(phase).all()]
+    raise ConfigError(f"{' and '.join(named or entries)}: the phase omega*t - kappa.x of a "
+                      "mode is out of the float range")
+
+
 def cmd_field_sweep(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> int:
     if cfg.coherent is None:
         raise ConfigError("field-sweep needs a 'coherent' section")
@@ -424,6 +446,7 @@ def cmd_field_sweep(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) 
     rows = []
     for start in range(0, len(grid), size):
         times, points = zip(*grid[start:start + size])
+        _check_phases(cfg, layout, start, times, points)
         averages = field_averages(state, cfg.field, times, points)
         rows += [[t, *x, *avg] for t, x, avg
                  in zip(times, points, averages.reshape(len(times), 9).tolist())]
@@ -440,6 +463,12 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     tolerance = cfg.tolerance("emission", tol)
     layout = build_layout(cfg.modes, cfg.nmax, with_atom=True)
     _propagating(layout, "emission")
+    populated = sorted({k for (k, n, _), amp in cfg.emission_initial.items()
+                        if amp and n < cfg.nmax})
+    if not _mode_couplings(layout.modes, cfg.atom, cfg.field)[populated].any():
+        raise ConfigError(f"atom.direction is orthogonal to the polarization of every mode "
+                          f"emission_initial populates below n = nmax = {cfg.nmax} (modes "
+                          f"{populated}), so nothing can be emitted")
     initial = superposition(layout, cfg.emission_initial)
     rows = []
     for i, t in enumerate(cfg.times):
@@ -460,14 +489,19 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     t_ref = cfg.times[-1] if cfg.times else 1.0
     couplings = cfg.couplings or tuple(np.logspace(-3.0, -1.0, 7).tolist())
     deviations = []
+    # the uncoupled part does not depend on the dipole: its spectrum is taken
+    # once, after the first coupled one, which shares its diagonal and so
+    # meets any fault of it first
+    h_free, back = free_hamiltonian_with_atom(layout, cfg.atom, cfg.field), None
     for d in couplings:
         atom_d = replace(cfg.atom, d=float(d))
         psi_pert = first_order_state(initial, atom_d, cfg.field, t_ref)
         h_full = atom_field_hamiltonian(layout, atom_d, cfg.field)
-        h_free = free_hamiltonian_with_atom(layout, atom_d, cfg.field)
         try:
             psi_s = evolve(h_full, initial, t_ref, cfg.field.hbar)
-            psi_i = evolve(h_free, psi_s, -t_ref, cfg.field.hbar)
+            if back is None:
+                back = spectrum(h_free, cfg.field.hbar)
+            psi_i = back.evolve(psi_s, -t_ref)
         except ValueError as exc:
             raise ConfigError(f"coupling {d!r}, t = {t_ref!r}, "
                               f"field.hbar = {cfg.field.hbar!r}: {exc}")

@@ -6,6 +6,12 @@ atom level is the slower index axis, ahead of the photon number (see
 :mod:`monofield.hilbert`); level 0 = ground |->, level 1 = excited |+>,
 sigma3 |+> = +|+>, sigma_minus |+> = |->.  The atom sits at the origin,
 so no spatial phases enter the couplings.
+
+The couplings g_k of all modes are one row, :func:`_mode_couplings`, over
+the polarization table of :func:`monofield.fields.polarization_vectors`;
+:func:`coupling` is its one-mode case.  The coupling blocks of the
+Hamiltonian and of the interaction picture come from one writer,
+s*(g_k*R) + h.c. with R the block of a sigma+.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .algebra import fock_lowering, hamiltonian
 from .dynamics import resonance_kernel
-from .fields import polarization
+from .fields import polarization_vectors
 from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, unit_rows
 
 __all__ = [
@@ -84,12 +90,29 @@ class AtomParams:
 
 
 def coupling(mode: ModeLabel, atom: AtomParams, config: FieldConfig) -> complex:
-    """Mode-atom coupling i*sqrt(1/(2*hbar*omega*V)) * (e_s . u)."""
-    if mode.abstract:
-        raise ValueError(f"coupling requires a propagating mode; {mode} is abstract")
-    e = polarization(mode.kappa, mode.s)
-    return 1j * math.sqrt(1.0 / (2.0 * config.hbar * mode.omega * config.volume)) \
-        * complex(np.dot(e, np.asarray(atom.u)))
+    """Mode-atom coupling i*sqrt(1/(2*hbar*omega*V)) * (e_s . u): the one-mode
+    case of :func:`_mode_couplings`."""
+    return complex(_mode_couplings((mode,), atom, config)[0])
+
+
+def _mode_couplings(modes: Sequence[ModeLabel], atom: AtomParams,
+                    config: FieldConfig) -> np.ndarray:
+    """The (M,) couplings g_k = i*sqrt(1/(2*hbar*omega_k*V)) * (e_s . u) of
+    ``modes``, the one place the formula is written.
+
+    e_s comes from the cached :func:`polarization_vectors` table and e_s . u
+    is one ``np.dot`` per mode; the products are those of the scalar
+    formula, in its order, so each entry is bit for bit the one-mode value.
+    The first abstract mode is refused.
+    """
+    modes = tuple(modes)
+    for m in modes:
+        if m.abstract:
+            raise ValueError(f"coupling requires a propagating mode; {m} is abstract")
+    u = np.asarray(atom.u)
+    dots = np.array([np.dot(e, u) for e in polarization_vectors(modes)[0]], dtype=complex)
+    omegas = np.array([m.omega for m in modes])
+    return _cmul(1j * np.sqrt(1.0 / (2.0 * config.hbar * omegas * config.volume)), dots)
 
 
 def _require_atom(layout: HilbertLayout):
@@ -128,39 +151,21 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
     return Operator.from_diagonal(layout, layout.flat(field_diag + split))
 
 
-def _mode_couplings(layout: HilbertLayout, atom: AtomParams,
-                    config: FieldConfig) -> np.ndarray:
-    """coupling(mode, atom, config) for every mode of the layout."""
-    return np.array([coupling(m, atom, config) for m in layout.modes], dtype=complex)
+def _coupling_blocks(lower: np.ndarray, scale: float, gs: np.ndarray) -> np.ndarray:
+    """scale * sum_k (gs_k a_k sigma+ + h.c.) as (M, 2b, 2b) blocks, where
+    ``lower`` is one mode's block R of a sigma+: :func:`_raise_atom` of the
+    lowering block, the place :func:`sigma_plus` puts the identity.
 
-
-def _coupling_assembler(layout: HilbertLayout, atom: AtomParams,
-                        config: FieldConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """gs -> hbar*omega0*d * sum_k (gs_k a_k sigma+ + h.c.) as (M, 2b, 2b) blocks.
-
-    Mode k's block of a_k sigma+ is its lowering block in the excited-row/
-    ground-column quadrant, scaled by gs_k.  The positions of the sqrt(n)
-    entries are found once; each call writes gs_k*sqrt(n) there and its
-    conjugate at the transposed positions, on zero blocks.
+    Mode k's block is scale*(gs_k*R) on the entries of R, its conjugate at
+    the transposed places and 0.0 elsewhere, as a running sum over the
+    modes has it, signed zeros included.
     """
-    block = _raise_atom(fock_lowering(layout.nmax))
-    rows, cols = np.nonzero(block)
-    sqrt_n = block[rows, cols]
-    # flat positions in the stack of the sqrt(n) entries and of their transposes
-    first = block.size * np.arange(layout.n_modes)[:, None]
-    lower = (first + np.ravel_multi_index((rows, cols), block.shape)).ravel()
-    upper = (first + np.ravel_multi_index((cols, rows), block.shape)).ravel()
-    scale = config.hbar * atom.omega0 * atom.d
-
-    def assemble(gs: np.ndarray) -> np.ndarray:
-        entries = scale * (gs[:, None] * sqrt_n).ravel()
-        blocks = np.zeros(layout.block_shape, dtype=complex)
-        flat = blocks.reshape(-1)
-        flat[lower] = entries
-        flat[upper] = entries.conj()
-        return blocks
-
-    return assemble
+    rows, cols = np.nonzero(lower)
+    entries = scale * (gs[:, None] * lower[rows, cols])
+    blocks = np.zeros((len(gs), *lower.shape), dtype=complex)
+    blocks[:, rows, cols] = entries
+    blocks[:, cols, rows] = entries.conj()
+    return blocks
 
 
 def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
@@ -168,7 +173,9 @@ def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
     """Dipole/RWA Hamiltonian: atom splitting + field + sigma+ a / sigma- a^dag coupling."""
     _require_atom(layout)
     h0 = free_hamiltonian_with_atom(layout, atom, config)
-    coupled = _coupling_assembler(layout, atom, config)(_mode_couplings(layout, atom, config))
+    coupled = _coupling_blocks(_raise_atom(fock_lowering(layout.nmax)),
+                               config.hbar * atom.omega0 * atom.d,
+                               _mode_couplings(layout.modes, atom, config))
     return h0 + Operator(layout, coupled)
 
 
@@ -190,17 +197,18 @@ def interaction_picture(layout: HilbertLayout, atom: AtomParams,
                         config: FieldConfig) -> Callable[[float], Operator]:
     """t -> :func:`interaction_hamiltonian` at time t, for many times.
 
-    The mode couplings and the positions of the coupling entries in the
-    mode blocks do not depend on the time, so they are found once here and
-    each call only multiplies in the detuning phases.
+    The mode couplings and the block of a sigma+ do not depend on the time,
+    so they are found once here and each call only multiplies in the
+    detuning phases.
     """
     _require_atom(layout)
-    gs = _mode_couplings(layout, atom, config)
-    assemble = _coupling_assembler(layout, atom, config)
+    gs = _mode_couplings(layout.modes, atom, config)
+    lower = _raise_atom(fock_lowering(layout.nmax))
+    scale = config.hbar * atom.omega0 * atom.d
     i_detunings = 1j * (atom.omega0 - layout.omegas)
 
     def at(t: float) -> Operator:
-        return Operator(layout, assemble(_cmul(gs, np.exp(i_detunings * t))))
+        return Operator(layout, _coupling_blocks(lower, scale, _cmul(gs, np.exp(i_detunings * t))))
 
     return at
 
@@ -265,7 +273,7 @@ def first_order_emission(initial: StateVector, atom: AtomParams,
     kernels = [resonance_kernel(atom.omega0 - m.omega, t) for m in layout.modes]
     scaled = _cmul(atom.omega0 * atom.d, kernels)[:, None]
     table = _cmul(_cmul(scaled, amps[EXCITED, :, :-1]), np.sqrt(np.arange(1, layout.fock_dim)))
-    g_conj = _mode_couplings(layout, atom, config).conj()[:, None]
+    g_conj = _mode_couplings(layout.modes, atom, config).conj()[:, None]
     return EmissionAmplitudes(layout=layout, time=t, amplitudes=_cmul(table, g_conj))
 
 

@@ -6,6 +6,11 @@ i*s*phi_hat)/sqrt(2) built on the spherical frame of the propagation
 direction, so s = +-1 are genuine circular polarizations satisfying
 n_hat x e_s = -i*s*e_s.  For kappa along +-z the frame degenerates and
 the fixed fallback theta_hat = x_hat, phi_hat = +-y_hat applies.
+
+:func:`polarization_vectors` is the one per-mode table of these vectors,
+built once per mode tuple: the field weights here and the atom couplings
+of :mod:`monofield.emission` read it, with the frequencies and
+wavevectors the layout caches.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +32,7 @@ __all__ = [
     "PolarizationBasis",
     "polarization",
     "polarization_basis",
+    "polarization_vectors",
     "CoherentBatch",
     "StateError",
     "read_states",
@@ -67,14 +73,8 @@ class PolarizationBasis:
 
 
 def polarization_basis(kappa: Sequence[float]) -> PolarizationBasis:
-    """The helicity pair of wavevector ``kappa``, computed once per distinct
-    wavevector (keyed on its exact float bits, so -0.0 and 0.0 differ)."""
-    return _polarization_basis(np.asarray(kappa, dtype=float).tobytes())
-
-
-@functools.lru_cache(maxsize=4096)
-def _polarization_basis(kappa_bytes: bytes) -> PolarizationBasis:
-    kv = np.frombuffer(kappa_bytes)
+    """The helicity pair of wavevector ``kappa``."""
+    kv = np.asarray(kappa, dtype=float)
     norm = np.linalg.norm(kv)
     if norm == 0.0:
         raise ValueError("polarization undefined for zero wavevector")
@@ -103,30 +103,20 @@ def polarization(kappa: Sequence[float], s: int) -> np.ndarray:
 # -- field operator assembly --------------------------------------------
 
 
-class _ModeTable(NamedTuple):
-    """The (t, x)-independent part of every mode's field weights, read-only:
-    (M,) frequencies, (M, 3) wavevectors and the (3, M, 3) polarization
-    vectors of A, E and B: e_s, e_s and n_hat x e_s."""
-
-    omega: np.ndarray
-    kappa: np.ndarray
-    vectors: np.ndarray
-
-
 @functools.lru_cache(maxsize=16)
-def _mode_table(modes: tuple[ModeLabel, ...]) -> _ModeTable:
-    """The table of ``modes``, built once per mode tuple; an abstract mode is refused."""
+def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
+    """The read-only (3, M, 3) polarization vectors of A, E and B of every
+    mode: e_s, e_s and n_hat x e_s.  Built once per mode tuple, so it is
+    the one source of the per-mode polarizations of the field weights and
+    the atom couplings; an abstract mode is refused."""
     for m in modes:
         if m.abstract:
             raise ValueError(f"field operators require propagating modes; {m} is abstract")
     bases = [polarization_basis(m.kappa) for m in modes]
     e = np.array([basis.vector(m.s) for basis, m in zip(bases, modes)])
-    n_cross_e = np.cross(np.array([basis.n_hat for basis in bases]), e)
-    table = _ModeTable(np.array([m.omega for m in modes]), np.array([m.kappa for m in modes]),
-                       np.stack([e, e, n_cross_e]))
-    for column in table:
-        column.setflags(write=False)
-    return table
+    vectors = np.stack([e, e, np.cross(np.array([basis.n_hat for basis in bases]), e)])
+    vectors.setflags(write=False)
+    return vectors
 
 
 def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarray:
@@ -134,8 +124,9 @@ def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarra
     (t[p], x[p]) is F_i = sum_k (w[p, f, k, i] a_k + h.c.), for P times ``t``
     and (P, 3) points ``x``.
 
-    Only the phases depend on (t, x); the rest comes from one lookup of the
-    cached :func:`_mode_table`.  Each weight is amp * phase * e in that
+    Only the phases depend on (t, x); the rest comes from the layout's
+    frequencies and wavevectors and one lookup of the cached
+    :func:`polarization_vectors`.  Each weight is amp * phase * e in that
     order, with kappa . x taken by ``np.vecdot``, so it is bit for bit the
     per-mode scalar product of those factors.
     """
@@ -144,12 +135,13 @@ def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarra
     if xv.shape != (*t.shape, 3) or t.ndim != 1 \
             or not (np.isfinite(xv).all() and np.isfinite(t).all()):
         raise ValueError("field operators need finite t and a finite 3-vector x")
-    table = _mode_table(layout.modes)
-    phase = np.exp(-1j * table.omega * t[:, None] + 1j * np.vecdot(table.kappa, xv[:, None]))
+    vectors = polarization_vectors(layout.modes)
+    omega = layout.omegas
+    phase = np.exp(-1j * omega * t[:, None] + 1j * np.vecdot(layout.kappas, xv[:, None]))
     amp = np.empty((3, layout.n_modes), dtype=complex)
-    amp[0] = np.sqrt(config.hbar / (2.0 * table.omega * config.volume))
-    amp[1:] = 1j * np.sqrt(config.hbar * table.omega / (2.0 * config.volume))
-    return (amp * phase[:, None])[..., None] * table.vectors
+    amp[0] = np.sqrt(config.hbar / (2.0 * omega * config.volume))
+    amp[1:] = 1j * np.sqrt(config.hbar * omega / (2.0 * config.volume))
+    return (amp * phase[:, None])[..., None] * vectors
 
 
 def _mode_weights(layout: HilbertLayout, config: FieldConfig, t: float,

@@ -148,7 +148,8 @@ class HilbertLayout:
         if self.atom_levels not in (0, 2):
             raise ValueError(f"atom_levels must be 0 or 2, got {self.atom_levels}")
 
-    # the sizes are cached: per-call bookkeeping of small operators reads them often
+    # the sizes and the mode constants are cached: per-call bookkeeping of small
+    # operators and the field weights read them often
 
     @cached_property
     def n_modes(self) -> int:
@@ -171,13 +172,19 @@ class HilbertLayout:
     def has_atom(self) -> bool:
         return self.atom_levels == 2
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
-        return np.array([m.omega for m in self.modes])
+        """The read-only (M,) mode frequencies."""
+        omegas = np.array([m.omega for m in self.modes])
+        omegas.setflags(write=False)
+        return omegas
 
-    @property
+    @cached_property
     def kappas(self) -> np.ndarray:
-        return np.array([m.kappa for m in self.modes])
+        """The read-only (M, 3) mode wavevectors."""
+        kappas = np.array([m.kappa for m in self.modes])
+        kappas.setflags(write=False)
+        return kappas
 
     def flatten(self, k: int, n: int, atom: int = 0) -> int:
         """Flat index of |mode k, n photons> (x |atom level>)."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import fock_lowering, mode_annihilator
 from .dynamics import resonance_kernel
-from .emission import EXCITED, AtomParams, coupling, first_order_emission
+from .emission import EXCITED, AtomParams, _mode_couplings, first_order_emission
 from .hilbert import FieldConfig, ModeLabel, build_layout, superposition, unit_rows
 
 __all__ = [
@@ -160,8 +160,7 @@ def standard_atom_field_hamiltonian(layout: StandardLayout, atom: AtomParams,
     h += 0.5 * config.hbar * atom.omega0 * np.diag(atom_diag.astype(complex))
     sp_mat = np.zeros((layout.dimension,) * 2, dtype=complex)
     sp_mat[f:, :f] = np.eye(f)
-    for k, m in enumerate(layout.modes):
-        g = coupling(m, atom, config)
+    for k, g in enumerate(_mode_couplings(layout.modes, atom, config).tolist()):
         term = config.hbar * atom.omega0 * atom.d * g * (
             standard_mode_annihilator(layout, k) @ sp_mat)
         h += term + term.conj().T
@@ -176,9 +175,8 @@ def standard_first_order_emission(atom: AtomParams, modes: Sequence[ModeLabel],
     the one shared vacuum; there is no per-mode weighting.
     """
     rows = []
-    for k, m in enumerate(modes):
-        amp = atom.omega0 * atom.d * np.conj(coupling(m, atom, config)) \
-            * resonance_kernel(atom.omega0 - m.omega, t)
+    for k, (m, g) in enumerate(zip(modes, _mode_couplings(modes, atom, config).tolist())):
+        amp = atom.omega0 * atom.d * np.conj(g) * resonance_kernel(atom.omega0 - m.omega, t)
         rows.append({"mode_index": k, "s": m.s, "kappa": m.kappa, "omega": m.omega,
                      "amplitude": complex(amp)})
     return rows

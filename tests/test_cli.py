@@ -1,12 +1,14 @@
 import json
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monofield import algebra, cli
+import monofield
+from monofield import algebra, cli, emission, fields, standard
 from monofield.cli import load_config, main, ConfigError
 from monofield.fields import CoherentBatch, StateError, coherent_rows, coherent_state, read_states
 from monofield.hilbert import FieldConfig, Operator, build_layout, load_mode_set, parse_complex
@@ -119,13 +121,24 @@ class TestConfigParsing:
         ("emission", "config_emission.json", {"times": [0.0]}),
         ("verify-algebra", "config_algebra.json", {"tolerances": {"algebra": 0.0}}),
         ("emission", "config_emission.json", {"tolerances": {"emission": -1e-10}}),
+        ("field-sweep", "config_field.json", {"field": {"c": 1e10}, "times": [1e300]}),
+        ("field-sweep", "config_field.json", {"points": [[1e308, 1e308, 1e308]]}),
+        ("field-sweep", "config_field.json", {"times": [0.0, -5e307],
+                                              "points": [[0.0, 0.0, 0.0], [0.0, 5e307, 0.0]]}),
+        ("emission", "config_emission.json",
+         {"modes": [{"s": 1, "kappa": [0, 0, 1]}, {"s": 1, "kappa": [1, 0, 0]}], "nmax": 2,
+          "atom": {"omega0": 1, "dipole": 0.01, "direction": [0, 0, 1]}, "times": [1],
+          "emission_initial": [{"mode": 0, "n": 0, "amp": 1}]}),
     ], ids=["emission_initial_not_list", "points_not_numeric", "times_nan",
             "nmax_bool", "single_coupling", "emission_abstract_modes",
             "field_sweep_abstract_modes", "tolerance_string", "tolerance_null",
             "states_not_list", "weights_not_list", "duplicate_mode", "modes_string",
             "modes_empty", "initial_top_rung", "coupling_huge", "hbar_tiny", "time_huge", "time_quadrature",
             "alpha_huge", "jc_omega0_huge", "jc_dipole_tiny",
-            "emission_time_zero", "tolerance_zero", "tolerance_negative"])
+            "emission_time_zero", "tolerance_zero", "tolerance_negative",
+            "sweep_time_phase_huge", "sweep_point_phase_huge", "sweep_phase_sum_huge",
+            "emission_atom_uncoupled"])
+    @pytest.mark.filterwarnings("error")
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, base, change):
         doc = json.loads((DATA / base).read_text())
         doc.update(change)
@@ -412,6 +425,31 @@ class TestEmissionCommand:
             assert run("emission", config, tmp_path / str(scale)) == 0
             outputs.append((tmp_path / str(scale) / "emission.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_warm_run_takes_the_couplings_from_the_cached_table(self, tmp_path, monkeypatch):
+        # 24 modes with the atom, as the benchmark's emission run: the second
+        # run builds no polarization basis and calls no one-mode coupling
+        rng = np.random.default_rng(24)
+        doc = {"modes": [{"s": int(s), "kappa": k.tolist()}
+                         for s, k in zip(rng.choice([-1, 1], size=24), rng.normal(size=(24, 3)))],
+               "nmax": 3, "times": [0.7, 1.1],
+               "atom": {"omega0": 1.2, "dipole": 0.01, "direction": [1.0, [0.0, 0.5], -0.3]},
+               "emission_initial": [{"mode": k, "n": k % 3, "amp": 1.0} for k in range(0, 24, 4)]}
+        p = tmp_path / "modes24.json"
+        p.write_text(json.dumps(doc))
+        assert run("emission", p, tmp_path / "cold") == 0
+        calls = Counter()
+        for owner, name in ((emission, "coupling"), (fields, "polarization_basis")):
+            original = getattr(owner, name)
+
+            def counted(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+            for module in (monofield, cli, emission, fields, standard):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert run("emission", p, tmp_path / "warm") == 0
+        assert (calls["coupling"], calls["polarization_basis"]) == (0, 0)
 
     def test_repeated_entries_whose_sum_overflows_exit_2(self, tmp_path, capsys):
         config = self.initial_config(tmp_path, [{"mode": 0, "amp": 1e308},

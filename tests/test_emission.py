@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monofield as mf
+from monofield.cli import _box_modes
 from monofield.dynamics import resonance_kernel
-from monofield.emission import EXCITED, GROUND, _coupling_assembler, sigma3, sigma_plus
+from monofield.emission import EXCITED, GROUND, _mode_couplings, sigma3, sigma_plus
 
 
 def z_mode(omega=2.0, s=+1):
@@ -27,6 +28,30 @@ def interaction_picture_exact(layout, atom, config, psi0, t):
     h_free = mf.free_hamiltonian_with_atom(layout, atom, config)
     psi_s = mf.evolve(h_full, psi0, t, config.hbar)
     return mf.evolve(h_free, psi_s, -t, config.hbar)
+
+
+def scalar_coupling(mode, atom, config):
+    """The coupling as one product of Python scalars, the form the coupling
+    row must reproduce bit for bit."""
+    e = mf.polarization(mode.kappa, mode.s)
+    return 1j * math.sqrt(1.0 / (2.0 * config.hbar * mode.omega * config.volume)) \
+        * complex(np.dot(e, np.asarray(atom.u)))
+
+
+def scattered_coupling_blocks(layout, atom, config, gs):
+    """hbar*omega0*d * sum_k (gs_k a_k sigma+ + h.c.) written entry by entry
+    onto zero blocks: hbar*omega0*d*(gs_k*sqrt(n)) at the excited row n-1,
+    ground column n of mode k's block, and its conjugate at the transposed
+    place; the reference for the coupling blocks of the interaction picture."""
+    b = layout.fock_dim
+    scale = config.hbar * atom.omega0 * atom.d
+    blocks = np.zeros(layout.block_shape, dtype=complex)
+    for k, g in enumerate(gs):
+        for n in range(1, b):
+            entry = scale * (g * complex(math.sqrt(n)))
+            blocks[k, b + n - 1, n] = entry
+            blocks[k, n, b + n - 1] = entry.conjugate()
+    return blocks
 
 
 class TestCoupling:
@@ -60,8 +85,30 @@ class TestCoupling:
 
     def test_abstract_mode_rejected(self, natural):
         atom = mf.AtomParams(omega0=1.0, d=1.0, u=(1.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="abstract"):
-            mf.coupling(mf.abstract_mode(1.0), atom, natural)
+        abstract = mf.abstract_mode(1.0)
+        message = f"coupling requires a propagating mode; {abstract} is abstract"
+        for couple in (lambda: mf.coupling(abstract, atom, natural),
+                       lambda: _mode_couplings((z_mode(), abstract), atom, natural)):
+            with pytest.raises(ValueError) as exc:
+                couple()
+            assert str(exc.value) == message
+
+    def test_row_matches_the_scalar_formula_bit_for_bit(self, rng):
+        # box modes include kappa along +-z (the fixed fallback frame) and the
+        # directions are complex, real or along z, some with zero components
+        for trial in range(40):
+            modes, volume = _box_modes({"edge": float(rng.uniform(0.5, 5.0)),
+                                        "max_index": 1 + trial % 2}, float(rng.uniform(0.5, 2.0)))
+            modes = [modes[i] for i in rng.permutation(len(modes))]
+            u = rng.normal(size=3) + 1j * rng.normal(size=3) * rng.choice([0.0, 1.0])
+            u[rng.uniform(size=3) < 0.3] = 0.0
+            atom = mf.AtomParams.make(1.0, 0.1, u if u.any() else (0.0, 0.0, 1.0))
+            config = mf.FieldConfig(hbar=float(rng.uniform(0.5, 2.0)), volume=volume)
+            want = np.array([scalar_coupling(m, atom, config) for m in modes])
+            got = _mode_couplings(modes, atom, config)
+            assert got.tobytes() == want.tobytes()
+            k = int(rng.integers(len(modes)))
+            assert mf.coupling(modes[k], atom, config) == want[k]
 
     def test_atom_params_validation(self):
         with pytest.raises(ValueError, match="unit"):
@@ -339,7 +386,7 @@ class TestAmplitudeTable:
             # (gr*pr - gi*pi, gr*pi + gi*pr) on the (re, im) pairs of the phases
             phases = np.exp(i_detunings * t).view(float).reshape(-1, 2)
             pairs = g_re * phases + g_im * phases[:, ::-1]
-            want = _coupling_assembler(layout, atom, config)(pairs.view(complex).ravel())
+            want = scattered_coupling_blocks(layout, atom, config, pairs.view(complex).ravel())
             got = mf.interaction_picture(layout, atom, config)(t).data
             assert got.tobytes() == want.tobytes()
 

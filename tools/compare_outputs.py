@@ -16,7 +16,9 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   ``MALFORMED`` configs;
 * the configs of ``tests/data/state_faults.json``: a ``tests/data`` config
   whose "states" or "coherent" section is replaced by the case's raw text;
-* the 52-mode box (``max_index`` 1) with the atom;
+* the 52-mode box (``max_index`` 1) and the 248-mode box (``max_index`` 2)
+  with the atom, both at ``nmax`` 3; the larger one runs the atom's
+  coupling row and coupling blocks at the largest mode count;
 * the 248-mode box (``max_index`` 2, ``nmax`` 5), where ``verify-algebra``
   writes 184 512 rows;
 * two ``field-sweep`` grids: the 52-mode box at ``nmax`` 5 with 5 times x 4
@@ -57,6 +59,13 @@ BOX_WITH_ATOM = {
     "states": [{"label": "vacuum", "weights": [1.0] * 52}],
     "points": [[0.1, 0.2, 0.3]],
 }
+BOX_248_WITH_ATOM = {
+    **BOX_WITH_ATOM, "box": {"edge": 2.0, "max_index": 2},
+    "emission_initial": [*BOX_WITH_ATOM["emission_initial"],
+                         {"mode": 201, "n": 1, "amp": [0.2, -0.4]}],
+    "coherent": {"weights": [1.0] * 248, "alphas": [0.05] * 248},
+    "states": [{"label": "vacuum", "weights": [1.0] * 248}],
+}
 BOX_248 = {"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}
 
 
@@ -87,6 +96,7 @@ def write_configs(directory: Path) -> list[Path]:
     for name, _, doc in inputs.MALFORMED:
         docs[f"malformed-{name}"] = doc
     docs["box-atom"] = BOX_WITH_ATOM
+    docs["box-248-atom"] = BOX_248_WITH_ATOM
     docs["box-248"] = BOX_248
     docs["sweep-52"] = sweep_config(1, 5, 5, 4, seed=52)
     docs["sweep-248"] = sweep_config(2, 8, 10, 12, seed=248)
