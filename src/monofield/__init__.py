@@ -20,17 +20,14 @@ from .algebra import (
     mode_projector,
     momentum,
     momentum_from_mode_ladders,
-    number_operator,
     verify_algebra,
 )
 from .dynamics import (
-    Propagator,
     Spectrum,
     dyson_first_order,
     evolve,
     heisenberg,
     matrix_exp,
-    propagator,
     resonance_kernel,
     spectrum,
 )

@@ -26,7 +26,6 @@ __all__ = [
     "ladder",
     "mode_projector",
     "mode_annihilator",
-    "number_operator",
     "frequency_operator",
     "hamiltonian",
     "hamiltonian_from_frequency_operator",
@@ -89,11 +88,6 @@ def mode_annihilator(layout: HilbertLayout, k: int) -> Operator:
     return Operator(layout, blocks)
 
 
-def number_operator(layout: HilbertLayout, k: int) -> Operator:
-    """a_k^dag a_k: photon number on mode k's sector, zero elsewhere."""
-    return _sector_diagonal(layout, k, np.arange(layout.fock_dim))
-
-
 def frequency_operator(layout: HilbertLayout) -> Operator:
     """Diagonal operator with eigenvalue omega_k on every |k, n> ket."""
     return Operator.from_diagonal(layout, layout.flat(layout.omegas[:, None]))
@@ -141,7 +135,7 @@ def hamiltonian_from_mode_ladders(layout: HilbertLayout,
 
     Mode k's sector holds (hbar*omega_k/2) times the diagonal of the
     symmetrized product on one ladder, the same value a sum over the
-    dense mode annihilators gives.
+    mode annihilators gives.
     """
     if layout.has_atom:
         raise ValueError("free-field hamiltonian requires a layout without atom factor")
@@ -205,30 +199,21 @@ def _max_abs(values: np.ndarray) -> float:
 def _pieces(op: Operator):
     """``op`` as (support, kets, blocks): ``op`` is the sum of blocks[i] on
     kets[i] x kets[i] over its nonzero mode blocks (a diagonal is a stack of
-    1 x 1 blocks), and ``support`` masks those kets.  A dense operator gives
-    (support, None, matrix), its support scanned from the matrix: the
-    indices whose row or column holds a nonzero entry."""
-    data = op.data
-    if data.ndim == 2:
-        nonzero = data != 0
-        return nonzero.any(axis=0) | nonzero.any(axis=1), None, data
-    if data.ndim == 1:
-        kets = np.flatnonzero(data)[:, None]
-        blocks = data[kets[:, 0], None, None]
+    1 x 1 blocks), and ``support`` masks those kets."""
+    flat = np.arange(op.layout.dimension)
+    if op.diagonal:
+        stack, kets = op.data[:, None, None], flat[:, None]
     else:
-        nonzero = np.any(data != 0, axis=(1, 2))
-        kets = op.layout.blocks_of(np.arange(op.layout.dimension))[nonzero]
-        blocks = data[nonzero]
+        stack, kets = op.data, op.layout.blocks_of(flat)
+    nonzero = np.any(stack != 0, axis=(1, 2))
     support = np.zeros(op.layout.dimension, dtype=bool)
-    support[kets] = True
-    return support, kets, blocks
+    support[kets[nonzero]] = True
+    return support, kets[nonzero], stack[nonzero]
 
 
 def _on_support(pieces, support: np.ndarray) -> np.ndarray:
     """The matrix of a :func:`_pieces` result on the indices ``support`` masks."""
     _, kets, data = pieces
-    if kets is None:
-        return data[np.ix_(support, support)]
     rank = np.cumsum(support) - 1
     out = np.zeros((np.count_nonzero(support),) * 2, dtype=complex)
     at = rank[kets]
@@ -275,18 +260,17 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     mode operators; by default they are built from the layout.
 
     An operator vanishes outside its support: the kets of its nonzero mode
-    blocks, or for a dense operator the indices whose row or column holds a
-    nonzero entry.  The table starts as zeros, and a cross pair (k != l)
-    whose supports share no mode block keeps them: every term of its
-    products is 0 * x with x finite.  The M diagonal pairs, and any cross
-    pair whose supports meet in a mode block (an (M, M) overlap of the
-    operators' block masks), are multiplied on the union of the two
-    supports, where disjoint supports still give exact zeros.  That agrees
-    with the full-space product up to how its terms are grouped and fused
-    (bit for bit for the ladders), so an operator that leaks out of its
-    sector still fails.  Annihilators with non-finite
-    entries are refused with ValueError (a full-space product would spread
-    them as NaN through 0 * inf).
+    blocks (of its nonzero entries for a diagonal one).  The table starts
+    as zeros, and a cross pair (k != l) whose supports share no mode block
+    keeps them: every term of its products is 0 * x with x finite.  The M
+    diagonal pairs, and any cross pair whose supports meet in a mode block
+    (an (M, M) overlap of the operators' block masks), are multiplied on
+    the union of the two supports, where disjoint supports still give exact
+    zeros.  That agrees with the full-space product up to how its terms are
+    grouped and fused (bit for bit for the ladders), so an annihilator with
+    entries in another mode's block still fails.  Annihilators with
+    non-finite entries are refused with ValueError (a full-space product
+    would spread them as NaN through 0 * inf).
     """
     m_count = layout.n_modes
     if annihilators is not None and len(annihilators) != m_count:

@@ -32,8 +32,6 @@ __all__ = [
     "matrix_exp",
     "Spectrum",
     "spectrum",
-    "Propagator",
-    "propagator",
     "evolve",
     "heisenberg",
     "dyson_first_order",
@@ -178,25 +176,7 @@ def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
     if h.diagonal:
         return Spectrum(h, float(hbar), h.data.real, None)
     energies, vectors = np.linalg.eigh(h.data)
-    if h.kind == "block":
-        energies = h.layout.from_blocks(energies)
-    return Spectrum(h, float(hbar), energies, Operator(h.layout, vectors))
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Unitary exp(-i*H*t/hbar) together with its generator and time."""
-
-    u: Operator
-    generator: Operator
-    time: float
-
-    def unitarity_deviation(self) -> float:
-        return (self.u.dag() @ self.u - Operator.identity(self.u.layout)).max_abs()
-
-
-def propagator(h: Operator, t: float, hbar: float = 1.0) -> Propagator:
-    return Propagator(u=spectrum(h, hbar).unitary(t), generator=h, time=t)
+    return Spectrum(h, float(hbar), h.layout.from_blocks(energies), Operator(h.layout, vectors))
 
 
 def evolve(h: Operator, psi0: StateVector, t: float, hbar: float = 1.0) -> StateVector:

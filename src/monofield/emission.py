@@ -4,7 +4,7 @@ interaction picture, and first-order spontaneous/stimulated amplitudes.
 Atom conventions (this library's choice): within each mode's sector the
 atom level is the slower index axis, ahead of the photon number (see
 :mod:`monofield.hilbert`); level 0 = ground |->, level 1 = excited |+>,
-sigma3 |+> = +|+>, sigma_minus |+> = |->.  The atom sits at the origin,
+sigma3 |+> = +|+>, sigma- |+> = |->.  The atom sits at the origin,
 so no spatial phases enter the couplings.
 
 The couplings g_k of all modes are one row, :func:`_mode_couplings`, over
@@ -32,7 +32,6 @@ __all__ = [
     "coupling",
     "sigma3",
     "sigma_plus",
-    "sigma_minus",
     "free_hamiltonian_with_atom",
     "atom_field_hamiltonian",
     "interaction_picture",
@@ -134,10 +133,6 @@ def sigma_plus(layout: HilbertLayout) -> Operator:
     _require_atom(layout)
     return Operator(layout, np.broadcast_to(_raise_atom(np.eye(layout.fock_dim)),
                                             layout.block_shape))
-
-
-def sigma_minus(layout: HilbertLayout) -> Operator:
-    return sigma_plus(layout).dag()
 
 
 def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,

@@ -128,7 +128,9 @@ def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarra
     frequencies and wavevectors and one lookup of the cached
     :func:`polarization_vectors`.  Each weight is amp * phase * e in that
     order, with kappa . x taken by ``np.vecdot``, so it is bit for bit the
-    per-mode scalar product of those factors.
+    per-mode scalar product of those factors.  A non-finite time or point,
+    and a phase omega*t - kappa.x out of the float range, are refused with
+    ValueError.
     """
     t = np.asarray(t, dtype=float)
     xv = np.asarray(x, dtype=float)
@@ -137,7 +139,11 @@ def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarra
         raise ValueError("field operators need finite t and a finite 3-vector x")
     vectors = polarization_vectors(layout.modes)
     omega = layout.omegas
-    phase = np.exp(-1j * omega * t[:, None] + 1j * np.vecdot(layout.kappas, xv[:, None]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        angle = -1j * omega * t[:, None] + 1j * np.vecdot(layout.kappas, xv[:, None])
+    if not np.isfinite(angle).all():
+        raise ValueError("the phase omega*t - kappa.x of a mode is out of the float range")
+    phase = np.exp(angle)
     amp = np.empty((3, layout.n_modes), dtype=complex)
     amp[0] = np.sqrt(config.hbar / (2.0 * omega * config.volume))
     amp[1:] = 1j * np.sqrt(config.hbar * omega / (2.0 * config.volume))
@@ -417,7 +423,7 @@ def field_averages(state: StateVector, config: FieldConfig, t, x) -> np.ndarray:
     stacked block matvec against the state's :meth:`~HilbertLayout.blocks_of`
     rows and one ``np.vecdot`` with the state.  A stack takes 16*D*A*b bytes
     per point, and the weight table 144*M, so callers pass a long grid in
-    chunks.
+    chunks.  A grid point whose phase overflows is refused with ValueError.
     """
     layout = state.layout
     psi = state.amplitudes

@@ -198,14 +198,6 @@ class HilbertLayout:
             raise IndexError(f"atom level {atom} out of range [0, 2)")
         return (k * self.levels + atom) * self.fock_dim + n
 
-    def unflatten(self, i: int) -> tuple[int, int, int]:
-        """Inverse of :meth:`flatten`; returns (k, n, atom)."""
-        if not 0 <= i < self.dimension:
-            raise IndexError(f"flat index {i} out of range [0, {self.dimension})")
-        rest, n = divmod(i, self.fock_dim)
-        k, atom = divmod(rest, self.levels)
-        return k, n, atom
-
     def view(self, values: np.ndarray) -> np.ndarray:
         """The (atom levels, modes, n) view of a length-D state or diagonal,
         after any leading axes of a stack of them; writing through it writes
@@ -367,13 +359,8 @@ class StateVector:
         return complex(self.amplitudes[self.layout.flatten(k, n, atom)])
 
 
-# promotion order of the storage kinds, keyed by data.ndim
-_KINDS = {1: "diagonal", 3: "block", 2: "dense"}
-_RANK = {ndim: rank for rank, ndim in enumerate(_KINDS)}
-
-
 class Operator:
-    """Square complex operator tied to a layout, in one of three storage kinds.
+    """Square complex operator tied to a layout, in one of two storage kinds.
 
     The kind is the shape of the read-only ``data`` array:
 
@@ -381,15 +368,13 @@ class Operator:
     * ``block``: the (M, A*b, A*b) stack of :attr:`HilbertLayout.block_shape`,
       one (atom, n)-square block per mode on that mode's contiguous kets
       (:meth:`HilbertLayout.blocks_of`), zero between sectors (``toarray``
-      is ``layout.place(data)``);
-    * ``dense``: a (D, D) array, the fallback for sector-mixing operators.
+      is ``layout.place(data)``).
 
-    Every operator built from the mode operators commutes with the
-    frequency operator, so it is diagonal or block.  An operation keeps its
-    operands' kind when they agree.  A product with a diagonal operand
-    scales the rows or columns of the other one; in a sum, a diagonal
-    operand joins a block one as a stack of diagonal blocks, and any
-    operand meeting a dense one is written out dense.
+    Both kinds are block-diagonal over the mode sectors, so every operator
+    commutes with the frequency operator; a (D, D) matrix is refused.  An
+    operation keeps its operands' kind when they agree.  A product with a
+    diagonal operand scales the rows or columns of the other one; in a sum,
+    a diagonal operand joins a block one as a stack of diagonal blocks.
     """
 
     __slots__ = ("layout", "data")
@@ -397,10 +382,10 @@ class Operator:
     def __init__(self, layout: HilbertLayout, data):
         data = np.asarray(data, dtype=complex)
         data.setflags(write=False)
-        dim = layout.dimension
-        if data.shape not in ((dim,), layout.block_shape, (dim, dim)):
-            raise ValueError(f"operator shape {data.shape} does not match layout "
-                             f"dimension {dim}")
+        if data.shape not in ((layout.dimension,), layout.block_shape):
+            raise ValueError(f"operator shape {data.shape} is neither the diagonal "
+                             f"({layout.dimension},) nor the block stack "
+                             f"{layout.block_shape} of the layout")
         self.layout = layout
         self.data = data
 
@@ -425,8 +410,8 @@ class Operator:
 
     @property
     def kind(self) -> str:
-        """``"diagonal"``, ``"block"`` or ``"dense"``."""
-        return _KINDS[self.data.ndim]
+        """``"diagonal"`` or ``"block"``."""
+        return "diagonal" if self.diagonal else "block"
 
     @property
     def diagonal(self) -> bool:
@@ -434,30 +419,21 @@ class Operator:
         return self.data.ndim == 1
 
     def toarray(self) -> np.ndarray:
-        if self.data.ndim == 3:
-            return self.layout.place(self.data)
-        return np.diag(self.data) if self.diagonal else np.array(self.data)
+        return np.diag(self.data) if self.diagonal else self.layout.place(self.data)
 
     def diag(self) -> np.ndarray:
-        if self.data.ndim == 3:
-            return self.layout.from_blocks(np.diagonal(self.data, axis1=1, axis2=2).copy())
-        return self.data.copy() if self.diagonal else np.diagonal(self.data).copy()
+        if self.diagonal:
+            return self.data.copy()
+        return self.layout.from_blocks(np.diagonal(self.data, axis1=1, axis2=2).copy())
 
-    def _stored_as(self, ndim: int) -> np.ndarray:
-        """The stored array written out as the (more general) kind ``ndim``."""
-        if self.data.ndim == ndim:
+    def _blocks(self) -> np.ndarray:
+        """The stored array as a block stack: a diagonal as diagonal blocks."""
+        if not self.diagonal:
             return self.data
-        if ndim == 2:
-            return self.toarray()
         blocks = np.zeros(self.layout.block_shape, dtype=complex)
         i = np.arange(blocks.shape[-1])
         blocks[:, i, i] = self.layout.blocks_of(self.data)
         return blocks
-
-    def _diagonal_like(self, diag: np.ndarray) -> np.ndarray:
-        """A diagonal arranged along this operator's rows: (M, A*b) rows for a
-        block operator, the vector itself for a dense one."""
-        return self.layout.blocks_of(diag) if self.data.ndim == 3 else diag
 
     def matvec(self, amplitudes: np.ndarray) -> np.ndarray:
         """This operator times every length-D vector of a ``(..., D)`` stack.
@@ -467,11 +443,9 @@ class Operator:
         product with that row alone; a block operator multiplies the (M, A*b)
         :meth:`HilbertLayout.blocks_of` rows by their blocks.
         """
-        a = self.data
-        if a.ndim == 1:
-            return a * amplitudes
-        rows = amplitudes if a.ndim == 2 else self.layout.blocks_of(amplitudes)
-        return (a @ rows[..., None]).reshape(amplitudes.shape)
+        if self.diagonal:
+            return self.data * amplitudes
+        return (self.data @ self.layout.blocks_of(amplitudes)[..., None]).reshape(amplitudes.shape)
 
     # -- algebra ------------------------------------------------------
 
@@ -480,10 +454,11 @@ class Operator:
             raise ValueError("operators live on different layouts")
 
     def _same_kind(self, other: "Operator") -> tuple[np.ndarray, np.ndarray]:
-        """Both operands' arrays, written out as the more general of their kinds."""
+        """Both operands' arrays, as block stacks unless both are diagonal."""
         self._check_layout(other)
-        ndim = max(self.data.ndim, other.data.ndim, key=_RANK.__getitem__)
-        return self._stored_as(ndim), other._stored_as(ndim)
+        if self.diagonal and other.diagonal:
+            return self.data, other.data
+        return self._blocks(), other._blocks()
 
     def __add__(self, other: "Operator") -> "Operator":
         a, b = self._same_kind(other)
@@ -507,11 +482,10 @@ class Operator:
         if self.diagonal and other.diagonal:
             product = a * b
         elif self.diagonal:
-            product = other._diagonal_like(a)[..., :, None] * b
+            product = self.layout.blocks_of(a)[..., :, None] * b
         elif other.diagonal:
-            product = a * self._diagonal_like(b)[..., None, :]
+            product = a * self.layout.blocks_of(b)[..., None, :]
         else:
-            a, b = self._same_kind(other)
             product = a @ b
         return Operator(self.layout, product)
 
@@ -715,15 +689,17 @@ def save_state(state: StateVector, path) -> None:
             fh.write(f"{i},{float(z.real)!r},{float(z.imag)!r}\n")
 
 
-def _read_entries(path, what: str, header: str, layout: HilbertLayout):
+def _read_entries(path, what: str, header: str, layout: HilbertLayout, block: int):
     """(indices, value) of every line of a columnar ``what`` file under its
-    layout line and ``header``: integer indices in [0, D), then a finite
+    layout line and ``header``: integer indices in [0, D) that lie in one
+    block of ``block`` kets and that no earlier line repeats, then a finite
     re, im.  A file written for another layout or basis order, or with no
     layout line, and any other bad line are refused with a ValueError that
     names the file."""
     fields = header.count(",") + 1
     dimension = layout.dimension
     name = f"{what} file {str(path)!r}"
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         expected = _layout_line(layout)
@@ -743,13 +719,21 @@ def _read_entries(path, what: str, header: str, layout: HilbertLayout):
             try:
                 if len(entry) != fields:
                     raise ValueError(f"expected {fields} fields, got {len(entry)}")
-                indices = [int(i) for i in entry[:-2]]
+                indices = tuple(int(i) for i in entry[:-2])
                 for i in indices:
                     if not 0 <= i < dimension:
                         raise ValueError(f"index {i} out of range [0, {dimension})")
                 re, im = float(entry[-2]), float(entry[-1])
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise ValueError(f"non-finite value {re}, {im}")
+                if indices[0] // block != indices[-1] // block:
+                    raise ValueError(f"entry {indices} lies between the blocks of modes "
+                                     f"{indices[0] // block} and {indices[-1] // block}; an "
+                                     "operator is block-diagonal over the modes")
+                if indices in seen:
+                    raise ValueError(f"{header.rsplit(',', 2)[0]} "
+                                     f"{','.join(map(str, indices))} repeats an earlier line")
+                seen.add(indices)
             except ValueError as exc:
                 raise ValueError(f"{name}, line {number}: {exc}") from None
             yield indices, complex(re, im)
@@ -758,7 +742,7 @@ def _read_entries(path, what: str, header: str, layout: HilbertLayout):
 def load_state(path, layout: HilbertLayout) -> StateVector:
     """The state :func:`save_state` wrote to ``path`` for ``layout``."""
     amps = np.zeros(layout.dimension, dtype=complex)
-    for (i,), value in _read_entries(path, "state", "index,re,im", layout):
+    for (i,), value in _read_entries(path, "state", "index,re,im", layout, layout.dimension):
         amps[i] = value
     return StateVector(layout, amps)
 
@@ -766,13 +750,12 @@ def load_state(path, layout: HilbertLayout) -> StateVector:
 def save_operator(op: Operator, path) -> None:
     """Write the nonzero entries of ``op.toarray()`` in row-major order as
     columnar text under the layout line: row, col, re, im, read from the
-    stored kind without a D x D copy.  Every kind is a stack of square blocks on the diagonal
-    (D 1x1 blocks, M blocks, or one), and place adds the blocks of the
-    block kind onto zeros, which turns a -0.0 part into 0.0."""
-    data = op.data
-    stack = data.reshape(-1, 1, 1) if op.diagonal else data.reshape(-1, *data.shape[-2:])
+    stored kind without a D x D copy.  Both kinds are a stack of square
+    blocks on the diagonal (D 1x1 blocks or M blocks), and place adds the
+    blocks of the block kind onto zeros, which turns a -0.0 part into 0.0."""
+    stack = op.data.reshape(-1, 1, 1) if op.diagonal else op.data
     k, i, j = np.nonzero(stack)
-    values = stack[k, i, j] + 0.0 if data.ndim == 3 else stack[k, i, j]
+    values = stack[k, i, j] if op.diagonal else stack[k, i, j] + 0.0
     rows, cols = k * stack.shape[-1] + i, k * stack.shape[-1] + j
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_layout_line(op.layout)}\nrow,col,re,im\n")
@@ -782,8 +765,11 @@ def save_operator(op: Operator, path) -> None:
 
 def load_operator(path, layout: HilbertLayout) -> Operator:
     """The operator :func:`save_operator` wrote to ``path`` for ``layout``, as
-    a dense matrix."""
-    mat = np.zeros((layout.dimension,) * 2, dtype=complex)
-    for (r, c), value in _read_entries(path, "operator", "row,col,re,im", layout):
-        mat[r, c] = value
-    return Operator(layout, mat)
+    a block stack.  An entry between two mode blocks, which no operator
+    holds, and a repeated (row, col) are refused with a ValueError that
+    names the file and line."""
+    blocks = np.zeros(layout.block_shape, dtype=complex)
+    size = layout.block_shape[-1]
+    for (r, c), value in _read_entries(path, "operator", "row,col,re,im", layout, size):
+        blocks[r // size, r % size, c % size] = value
+    return Operator(layout, blocks)

@@ -32,9 +32,41 @@ def random_state(layout, rng):
 
 
 def random_hermitian(layout, rng):
-    m = rng.normal(size=(layout.dimension,) * 2) \
-        + 1j * rng.normal(size=(layout.dimension,) * 2)
-    return mf.Operator(layout, 0.5 * (m + m.conj().T))
+    """Hermitian block operator with random complex blocks."""
+    shape = layout.block_shape
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return mf.Operator(layout, 0.5 * (m + np.swapaxes(m.conj(), 1, 2)))
+
+
+def block_operator(layout, matrix):
+    """The block operator whose ``toarray()`` is ``matrix``, a D x D array
+    that is zero between the mode blocks."""
+    m, size, _ = layout.block_shape
+    k = np.arange(m)
+    op = mf.Operator(layout, matrix.reshape(m, size, m, size)[k, :, k, :])
+    assert np.array_equal(op.toarray(), matrix, equal_nan=True)
+    return op
+
+
+def dense_verify_algebra(layout, annihilators):
+    """Reference: the (M, M, 3) deviations from full-space D x D products, pair by pair."""
+    mats = [op.toarray() for op in annihilators]
+    interior = mf.algebra.interior_indices(layout)
+    sub = np.ix_(interior, interior)
+    deviations = np.empty((len(mats), len(mats), 3))
+    for k, ak in enumerate(mats):
+        for l, al in enumerate(mats):
+            comm = ak @ al.conj().T - al.conj().T @ ak
+            if k == l:
+                comm = (comm - mf.mode_projector(layout, k).toarray())[sub]
+            prod = ak @ al
+            if k == l:
+                prod = prod - ak @ ak
+            dprod = ak.conj().T @ al.conj().T
+            if k == l:
+                dprod = dprod - ak.conj().T @ ak.conj().T
+            deviations[k, l] = [np.max(np.abs(x)) for x in (comm, prod, dprod)]
+    return deviations
 
 
 @pytest.fixture

@@ -309,8 +309,8 @@ class TestVerifyAlgebraCommand:
             op = build(layout, k)
             if k != 0:
                 return op
-            bad = op.toarray()
-            bad[0, -1] += 1e-3
+            bad = op.data.copy()
+            bad[0, 0, -1] += 1e-3
             return Operator(layout, bad)
 
         monkeypatch.setattr(algebra, "mode_annihilator", corrupted)

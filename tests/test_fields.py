@@ -1,16 +1,20 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import monofield as mf
 from monofield.algebra import (fock_lowering, hamiltonian_from_mode_ladders, interior_indices,
                                momentum_from_mode_ladders)
-from monofield.cli import _box_modes, main
+from monofield.cli import _box_modes, load_config, main
 from monofield.fields import (TOL_ENERGY, TOL_SAMPLE, FieldIdentityReport, _field_blocks,
                               _mode_weights, _poisson_tail)
+
+DATA = Path(__file__).parent / "data"
 
 
 def unit_sphere_draws(rng, count):
@@ -92,7 +96,7 @@ class TestFieldOperators:
                 gen = t * h.toarray()
                 for xi, p in zip(x, p_ops):
                     gen = gen - xi * p.toarray()
-                u = mf.matrix_exp(mf.Operator(layout, 1j * gen)).toarray()
+                u = scipy.linalg.expm(1j * gen)
                 moved = builder(layout, natural, t, x)
                 for f0, ftx in zip(ref, moved):
                     conj = u @ f0.toarray() @ u.conj().T
@@ -473,6 +477,27 @@ class TestFieldGrid:
         with pytest.raises(ValueError) as exc:
             mf.vector_potential(two_tone_layout, natural, math.nan, (0.0, 0.0, 0.0))
         assert str(exc.value) == finite
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_refused_without_warnings(self):
+        """A time or point whose phase omega*t - kappa.x leaves the float range
+        is refused with ValueError before any arithmetic warns (it gave
+        [nan nan nan] and two RuntimeWarnings); a large phase that stays
+        finite is still evaluated."""
+        cfg, _ = load_config(DATA / "config_field.json")
+        layout = mf.build_layout(cfg.modes, cfg.nmax)
+        state = mf.coherent_state(layout, cfg.coherent)
+        phase = "the phase omega*t - kappa.x of a mode is out of the float range"
+        for t, x in [(1e308, (0.0, 0.0, 0.0)), (-1e308, (0.0, 0.0, 0.0)),
+                     (0.0, (0.0, 1e308, 0.0)), (1e308, (1e308, 1e308, 1e308))]:
+            with pytest.raises(ValueError) as exc:
+                mf.field_averages(state, cfg.field, [0.0, t], [(0.0, 0.0, 0.0), x])
+            assert str(exc.value) == phase
+            with pytest.raises(ValueError) as exc:
+                mf.electric_field(layout, cfg.field, t, x)
+            assert str(exc.value) == phase
+        assert np.isfinite(mf.field_averages(state, cfg.field, [1e300], [(0.0, 0.0, 0.0)])).all()
 
 
 class TestEnergyMomentumIdentity:

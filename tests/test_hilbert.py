@@ -87,7 +87,8 @@ class TestBuildLayout:
             for n in range(nmax + 1):
                 for a in range(2 if atom else 1):
                     i = layout.flatten(k, n, a)
-                    assert layout.unflatten(i) == (k, n, a)
+                    rest, photons = divmod(i, layout.fock_dim)
+                    assert (*divmod(rest, layout.levels), photons) == (k, a, n)
                     assert layout.view(np.arange(layout.dimension))[a, k, n] == i
                     assert layout.blocks_of(np.arange(layout.dimension))[
                         k, a * (nmax + 1) + n] == i
@@ -206,12 +207,17 @@ class TestOperatorStorage:
     def test_hermitian_predicate(self, two_tone_layout, rng):
         a = random_hermitian(two_tone_layout, rng)
         assert a.is_hermitian()
-        skew = mf.Operator(two_tone_layout, 1j * a.toarray())
+        skew = 1j * a
         assert not skew.is_hermitian()
 
     def test_shape_mismatch_rejected(self, two_tone_layout):
         with pytest.raises(ValueError, match="shape"):
             mf.Operator(two_tone_layout, np.eye(3))
+
+    def test_dense_matrix_rejected(self, two_tone_layout):
+        """A (D, D) array is no storage kind, even the zero matrix."""
+        with pytest.raises(ValueError, match=r"shape \(8, 8\) is neither"):
+            mf.Operator(two_tone_layout, np.zeros((two_tone_layout.dimension,) * 2))
 
 
 # the layout line of a file written for two_tone_layout
@@ -233,12 +239,12 @@ class TestSerialization:
         back = mf.hilbert.load_operator(path, two_tone_layout)
         assert np.array_equal(back.toarray(), a.toarray())
 
-    @pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
+    @pytest.mark.parametrize("kind", ["diagonal", "block"])
     def test_operator_file_is_that_of_its_dense_array(self, kind, rng, tmp_path):
-        """Each kind writes the bytes its toarray() writes, signed zeros included."""
+        """Each kind writes the nonzero entries of its toarray() in row-major
+        order, signed zeros included."""
         layout = abstract_layout(3, 2, atom=True)
-        shape = {"diagonal": (layout.dimension,), "block": layout.block_shape,
-                 "dense": (layout.dimension,) * 2}[kind]
+        shape = {"diagonal": (layout.dimension,), "block": layout.block_shape}[kind]
         parts = rng.normal(size=(*shape, 2))
         # exact zeros of either sign in either part, some whole entries zero
         parts[rng.uniform(size=parts.shape) < 0.3] = 0.0
@@ -246,8 +252,12 @@ class TestSerialization:
         op = mf.Operator(layout, parts.view(complex)[..., 0])
         assert op.kind == kind
         mf.hilbert.save_operator(op, tmp_path / "stored.csv")
-        mf.hilbert.save_operator(mf.Operator(layout, op.toarray()), tmp_path / "dense.csv")
-        assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+        matrix = op.toarray()
+        rows, cols = np.nonzero(matrix)
+        want = "# monofield layout M=3 nmax=2 A=2 order=mode-atom-n\nrow,col,re,im\n" + "".join(
+            f"{r},{c},{z.real!r},{z.imag!r}\n"
+            for r, c, z in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
+        assert (tmp_path / "stored.csv").read_text() == want
 
     def test_block_operator_is_saved_without_a_dense_copy(self, tmp_path):
         """The RWA Hamiltonian on the 52-mode box with the atom at nmax 5
@@ -268,6 +278,55 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_operator_is_loaded_without_a_dense_copy(self, tmp_path):
+        """The RWA Hamiltonian on the 248-mode box with the atom at nmax 8
+        (D = 4 464) goes through save and load within 16 MB traced peak; a
+        dense D x D copy would take 319 MB."""
+        import tracemalloc
+
+        from monofield.cli import _box_modes
+
+        modes, volume = _box_modes({"edge": 2.0, "max_index": 2}, 1.0)
+        layout = mf.build_layout(modes, 8, with_atom=True)
+        atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.3j, 0.2))
+        h = mf.atom_field_hamiltonian(layout, atom, mf.FieldConfig(volume=volume))
+        assert layout.dimension == 4464
+        tracemalloc.start()
+        try:
+            mf.hilbert.save_operator(h, tmp_path / "h.csv")
+            back = mf.hilbert.load_operator(tmp_path / "h.csv", layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert back.kind == "block" and np.array_equal(back.data, h.data)
+
+    def test_operator_entry_between_mode_blocks_refused(self, two_tone_layout, tmp_path):
+        path = tmp_path / "op.csv"
+        path.write_text(f"{LAYOUT_LINE}\nrow,col,re,im\n0,0,1.0,0.0\n1,5,0.5,0.0\n")
+        with pytest.raises(ValueError) as exc:
+            mf.hilbert.load_operator(path, two_tone_layout)
+        assert str(exc.value) == (
+            f"operator file {str(path)!r}, line 4: entry (1, 5) lies between the blocks "
+            "of modes 0 and 1; an operator is block-diagonal over the modes")
+
+    def test_operator_repeated_entry_refused(self, two_tone_layout, tmp_path):
+        path = tmp_path / "op.csv"
+        path.write_text(f"{LAYOUT_LINE}\nrow,col,re,im\n0,1,1.0,0.0\n5,5,2.0,0.0\n"
+                        "0,1,3.0,0.0\n")
+        with pytest.raises(ValueError) as exc:
+            mf.hilbert.load_operator(path, two_tone_layout)
+        assert str(exc.value) == \
+            f"operator file {str(path)!r}, line 5: row,col 0,1 repeats an earlier line"
+
+    def test_state_repeated_index_refused(self, two_tone_layout, tmp_path):
+        path = tmp_path / "state.csv"
+        path.write_text(f"{LAYOUT_LINE}\nindex,re,im\n3,1.0,0.0\n3,0.5,0.0\n")
+        with pytest.raises(ValueError) as exc:
+            mf.hilbert.load_state(path, two_tone_layout)
+        assert str(exc.value) == \
+            f"state file {str(path)!r}, line 4: index 3 repeats an earlier line"
 
     def test_state_roundtrip_keeps_signed_zeros(self, two_tone_layout, tmp_path):
         amps = np.zeros(two_tone_layout.dimension, dtype=complex)

@@ -31,7 +31,8 @@ A config a command cannot use is still run: its exit code and message
 are compared too.  Everything is written under a temporary directory.
 The script compares the exit codes, stdout, stderr (with the tree path
 masked) and every output file, prints each difference, and exits 1 if
-there is any, else 0.
+there is any, else 0.  It also prints the ``wc -l`` line count of every
+``src/monofield/*.py`` module in both trees, their total and the change.
 """
 
 from __future__ import annotations
@@ -140,11 +141,28 @@ def files(directory: Path) -> dict[str, bytes]:
             for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
+def line_counts(tree: Path) -> dict[str, int]:
+    """Lines (newlines, as ``wc -l`` counts them) of each ``src/monofield/*.py``."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((tree / "src" / "monofield").glob("*.py"))}
+
+
+def print_line_counts(trees: list[Path]) -> None:
+    """One row per module and a total: parent lines, change lines, difference."""
+    old, new = (line_counts(tree) for tree in trees)
+    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    print(f"{'src/monofield':<16}{'parent':>8}{'change':>8}{'diff':>8}")
+    for name, a, b in rows:
+        print(f"{name:<16}{a:>8}{b:>8}{b - a:>+8}")
+
+
 def main(argv: list[str]) -> int:
     if not 1 <= len(argv) <= 2:
         print(__doc__, file=sys.stderr)
         return 2
     trees = [Path(a).resolve() for a in argv] + [ROOT] * (2 - len(argv))
+    print_line_counts(trees)
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
         configs = write_configs(tmp / "configs")
