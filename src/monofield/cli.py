@@ -17,7 +17,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,16 @@ from .algebra import (
     momentum,
     verify_algebra,
 )
-from .dynamics import dyson_first_order, evolve, resonance_kernel, spectrum
+from .dynamics import dyson_first_order, resonance_kernel, spectrum
 from .emission import (
     EXCITED,
     AtomParams,
     _mode_couplings,
     atom_field_hamiltonian,
+    convergence_sweep,
     coupling,
-    first_order_emission,
     first_order_state,
-    free_hamiltonian_with_atom,
+    first_order_table,
     interaction_picture,
     VACUUM_TOL,
 )
@@ -308,31 +308,26 @@ def _parse_config(doc) -> RunConfig:
 # -- output helpers -------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write the rows; a non-finite float is a config error naming file and column."""
-    non_finite = {"nan", "inf", "-inf"}
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write a table from its columns, each one sequence of one kind: floats
+    as ``repr`` over ``.tolist()``, bools as true/false, ints by ``str``,
+    strings as they are (csv-quoted where needed).  A non-finite float is a
+    config error naming the file and the column of the first such cell in
+    row-major order, found by one ``np.isfinite`` per float column before
+    the file is opened."""
+    columns = [np.asarray(column) for column in columns]
+    bad = [(int(np.argmin(finite)), j) for j, column in enumerate(columns)
+           if column.dtype.kind == "f" and not (finite := np.isfinite(column)).all()]
+    if bad:
+        raise ConfigError(f"{path}: column {header[min(bad)[1]]!r} would hold "
+                          "a non-finite number")
+    cells = [map(repr, column.tolist()) if column.dtype.kind == "f"
+             else np.where(column, "true", "false").tolist() if column.dtype.kind == "b"
+             else map(str, column.tolist()) for column in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            cells = [_fmt(v) for v in row]
-            if non_finite.intersection(cells):  # a label may read "nan" too
-                for column, value, cell in zip(header, row, cells):
-                    if cell in non_finite and not isinstance(value, str):
-                        path.unlink()  # no half-written table is left behind
-                        raise ConfigError(f"{path}: column {column!r} would hold "
-                                          "a non-finite number")
-            writer.writerow(cells)
+        writer.writerows(zip(*cells))
 
 
 def _json_default(value):
@@ -385,7 +380,7 @@ def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int
     p_ops = momentum(layout, cfg.field) if propagating else None
     contrast = standard_vacuum_energy(cfg.modes, cfg.field)
     labels = cfg.state_labels
-    rows = []
+    vacuum, energies, momenta = [], [], []
     size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension))
     for start in range(0, len(labels), size):
         block = cfg.states.rows(start, start + size)
@@ -394,19 +389,16 @@ def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int
         except StateError as exc:
             raise ConfigError(f"state {labels[start + exc.index]!r}: {exc}")
         # zero-photon: every n > 0 amplitude below the vacuum_subspace_check tolerance
-        is_vacuum = np.abs(layout.view(psi)[..., 1:]).max(axis=(-3, -2, -1)) < VACUUM_TOL
-        energy = expect_rows(h, psi).real
+        vacuum.append(np.abs(layout.view(psi)[..., 1:]).max(axis=(-3, -2, -1)) < VACUUM_TOL)
+        energies.append(expect_rows(h, psi).real)
         if p_ops is not None:
-            p = zip(*(expect_rows(op, psi).real.tolist() for op in p_ops))
-        else:
-            p = [("", "", "")] * len(psi)
-        rows += [[label, vac, e, *pk, contrast] for label, vac, e, pk
-                 in zip(labels[start:start + size], is_vacuum.tolist(),
-                        energy.tolist(), p)]
+            momenta.append([expect_rows(op, psi).real for op in p_ops])
+    p = np.concatenate(momenta, axis=1) if p_ops is not None else [[""] * len(labels)] * 3
     _write_csv(outdir / "vacuum.csv",
-               ["label", "is_vacuum", "energy", "px", "py", "pz",
-                "standard_vacuum_energy"], rows)
-    print(f"vacuum-energy: {len(rows)} states "
+               ["label", "is_vacuum", "energy", "px", "py", "pz", "standard_vacuum_energy"],
+               [labels, np.concatenate(vacuum), np.concatenate(energies), *p,
+                [contrast] * len(labels)])
+    print(f"vacuum-energy: {len(labels)} states "
           f"(standard-scheme contrast {contrast!r})")
     return 0
 
@@ -443,17 +435,18 @@ def cmd_field_sweep(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) 
         raise ConfigError(str(exc))
     grid = [(t, x) for t in cfg.times for x in cfg.points]
     size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension * layout.block_shape[-1]))
-    rows = []
+    columns = np.empty((len(grid), 13))
+    columns[:, 0] = np.repeat(cfg.times, len(cfg.points))
+    columns[:, 1:4] = np.tile(np.reshape(cfg.points, (-1, 3)), (len(cfg.times), 1))
     for start in range(0, len(grid), size):
         times, points = zip(*grid[start:start + size])
         _check_phases(cfg, layout, start, times, points)
         averages = field_averages(state, cfg.field, times, points)
-        rows += [[t, *x, *avg] for t, x, avg
-                 in zip(times, points, averages.reshape(len(times), 9).tolist())]
+        columns[start:start + size, 4:] = averages.reshape(len(times), 9)
     _write_csv(outdir / "field_sweep.csv",
                ["t", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez",
-                "Bx", "By", "Bz"], rows)
-    print(f"field-sweep: {len(rows)} grid points")
+                "Bx", "By", "Bz"], columns.T)
+    print(f"field-sweep: {len(grid)} grid points")
     return 0
 
 
@@ -470,48 +463,36 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
                           f"emission_initial populates below n = nmax = {cfg.nmax} (modes "
                           f"{populated}), so nothing can be emitted")
     initial = superposition(layout, cfg.emission_initial)
-    rows = []
-    for i, t in enumerate(cfg.times):
-        table = first_order_emission(initial, cfg.atom, cfg.field, t).amplitudes
-        for m, amps in zip(layout.modes, table.tolist()):
-            for n, amp in enumerate(amps):
-                try:
-                    prob = abs(amp) ** 2
-                except OverflowError:
-                    raise ConfigError(f"times[{i}] = {t!r}: the emission probability overflows")
-                rows.append([t, m.s, m.kappa[0], m.kappa[1], m.kappa[2], m.omega,
-                             n, amp.real, amp.imag,
-                             "spontaneous" if n == 0 else "stimulated", prob])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with the time
+        table = first_order_table(initial, cfg.atom, cfg.field, cfg.times, [cfg.atom.d])[0]
+    probs = []
+    for i, (t, amps) in enumerate(zip(cfg.times, table.tolist())):
+        try:
+            probs += [abs(amp) ** 2 for row in amps for amp in row]
+        except OverflowError:
+            raise ConfigError(f"times[{i}] = {t!r}: the emission probability overflows")
+    times, modes, sources = table.shape  # rows in (time, mode, n) order
+    k = np.tile(np.repeat(np.arange(modes), sources), times)
+    n = np.tile(np.arange(sources), times * modes)
     _write_csv(outdir / "emission.csv",
                ["t", "s", "kx", "ky", "kz", "omega", "n_initial",
-                "amp_re", "amp_im", "channel", "prob"], rows)
+                "amp_re", "amp_im", "channel", "prob"],
+               [np.repeat(cfg.times, modes * sources), np.array([m.s for m in layout.modes])[k],
+                *layout.kappas[k].T, layout.omegas[k], n, table.real.ravel(), table.imag.ravel(),
+                np.where(n == 0, "spontaneous", "stimulated"), probs])
 
     t_ref = cfg.times[-1] if cfg.times else 1.0
     couplings = cfg.couplings or tuple(np.logspace(-3.0, -1.0, 7).tolist())
-    deviations = []
-    # the uncoupled part does not depend on the dipole: its spectrum is taken
-    # once, after the first coupled one, which shares its diagonal and so
-    # meets any fault of it first
-    h_free, back = free_hamiltonian_with_atom(layout, cfg.atom, cfg.field), None
-    for d in couplings:
-        atom_d = replace(cfg.atom, d=float(d))
-        psi_pert = first_order_state(initial, atom_d, cfg.field, t_ref)
-        h_full = atom_field_hamiltonian(layout, atom_d, cfg.field)
-        try:
-            psi_s = evolve(h_full, initial, t_ref, cfg.field.hbar)
-            if back is None:
-                back = spectrum(h_free, cfg.field.hbar)
-            psi_i = back.evolve(psi_s, -t_ref)
-        except ValueError as exc:
-            raise ConfigError(f"coupling {d!r}, t = {t_ref!r}, "
-                              f"field.hbar = {cfg.field.hbar!r}: {exc}")
-        deviations.append(float(np.linalg.norm(psi_i.amplitudes - psi_pert.amplitudes)))
+    try:
+        deviations = convergence_sweep(initial, cfg.atom, cfg.field, t_ref, couplings).tolist()
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if not all(0.0 < dev < math.inf for dev in deviations):
         raise ConfigError(f"t = {t_ref!r}: no convergence slope fits deviations {deviations!r}")
     slope = float(np.polyfit(np.log(np.asarray(couplings)),
                              np.log(np.asarray(deviations)), 1)[0])
     _write_csv(outdir / "emission_convergence.csv", ["coupling", "deviation"],
-               [[d, dev] for d, dev in zip(couplings, deviations)])
+               [couplings, deviations])
 
     psi_closed = first_order_state(initial, cfg.atom, cfg.field, t_ref)
     try:
@@ -588,16 +569,16 @@ def cmd_compare_standard(cfg: RunConfig, outdir: Path, tol: float | None, seed: 
 
     _write_json(outdir / "comparison.json", report)
     if "emission" in report:
-        rows = []
-        for r in report["emission"]:
-            amp_p = r["single_oscillator_amplitude"]
-            amp_s = r["standard_amplitude"]
-            w = r["weight"] if r["weight"] is not None else 0.0
-            rows.append([r["mode_index"], r["omega"], amp_p.real, amp_p.imag,
-                         amp_s.real, amp_s.imag, complex(w).real, complex(w).imag])
+        rows = report["emission"]
+        single, standard, weights = (
+            np.array([0.0 if r[key] is None else r[key] for r in rows], dtype=complex)
+            for key in ("single_oscillator_amplitude", "standard_amplitude", "weight"))
         _write_csv(outdir / "comparison_emission.csv",
                    ["mode_index", "omega", "single_re", "single_im",
-                    "standard_re", "standard_im", "weight_re", "weight_im"], rows)
+                    "standard_re", "standard_im", "weight_re", "weight_im"],
+                   [[r["mode_index"] for r in rows], [r["omega"] for r in rows],
+                    single.real, single.imag, standard.real, standard.imag,
+                    weights.real, weights.imag])
     print(f"compare-standard: dimensions {report['dimensions']['single_oscillator']} "
           f"vs {report['dimensions']['standard']}")
     return 0 if ok else 1

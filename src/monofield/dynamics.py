@@ -8,10 +8,10 @@ a diagonal generator is its own eigenbasis, so its evolution is the phase
 vector alone, and it moves a diagonal operator in the Heisenberg picture
 to a diagonal one; a block generator is diagonalised by one batched
 ``eigh`` over its mode blocks, and V is a block operator.
-:meth:`Spectrum.trajectory` evolves one state to a whole array of times
-through one stacked :meth:`Operator.matvec` of the (times, D) phases, with
-each time's row the same arithmetic as a single step;
-:meth:`Spectrum.evolve` is the trajectory at one time.
+Every step is one formula, :func:`_step`, and every refusal one of
+:func:`_generator_faults` and :func:`_phase_fault`: :meth:`Spectrum.apply`
+evolves a stack of states over the times, and :func:`evolve_stack` one
+state under a stack of block generators, each row bit for bit a step alone.
 :func:`matrix_exp` is the general Pade exponential; no evolution path
 calls it.  scipy is imported only inside :func:`matrix_exp`
 (``scipy.linalg``) and :func:`dyson_first_order` (``quad_vec``), so
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import Operator, StateVector
+from .hilbert import Operator, StateVector, block_matvec
 
 __all__ = [
     "resonance_kernel",
@@ -33,6 +33,7 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "evolve",
+    "evolve_stack",
     "heisenberg",
     "dyson_first_order",
 ]
@@ -77,10 +78,49 @@ def matrix_exp(a: Operator) -> Operator:
     return Operator(a.layout, result)
 
 
-def _check_hermitian(h: Operator):
-    dev = h.hermitian_deviation()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
+def _generator_faults(data: np.ndarray, diagonal: bool) -> list[str | None]:
+    """Why :func:`spectrum` refuses each generator of a stack of stored
+    arrays (leading axis), or None; one check of each kind covers the stack."""
+    axes = tuple(range(1, data.ndim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(data).all(axis=axes).tolist()
+        adjoint = data.conj() if diagonal else np.swapaxes(data.conj(), -1, -2)
+        deviations = np.abs(data - adjoint).max(axis=axes).tolist()
+    return [None if ok and dev <= HERMITICITY_TOL else "generator has non-finite entries"
+            if not ok else f"generator is not Hermitian (deviation {dev:.3e})"
+            for ok, dev in zip(finite, deviations)]
+
+
+def _phases(energies: np.ndarray, largest, times, hbar: float):
+    """The largest phases |lambda*t/hbar| and the angles -i*lambda*t/hbar of
+    (..., D) ``energies`` of largest moduli ``largest``, at ``times``
+    broadcast against those; a refused step's angles are formed but unused."""
+    times = np.asarray(times, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return largest * np.abs(times) / hbar, -1j * energies * times[..., None] / hbar
+
+
+def _phase_fault(phase: float) -> str | None:
+    """``eigh`` cannot overflow, so a phase with no digit left below 2*pi is refused."""
+    if phase < _PHASE_LIMIT:
+        return None
+    return (f"matrix exponential overflowed (largest phase |lambda*t/hbar| = {phase:.3e}, "
+            f"limit {_PHASE_LIMIT:.3e}; rescale the generator or the time)")
+
+
+def _step(amplitudes: np.ndarray, angles: np.ndarray, still: np.ndarray,
+          vectors: np.ndarray | None) -> np.ndarray:
+    """exp(-i*H*t/hbar) times (..., D) ``amplitudes``, leading axes
+    broadcast: the phases times them for a diagonal H, else them plus
+    V diag(expm1(angles)) V^dag times them for the block stack V, so a short
+    step is as accurate as it is small; a ``still`` row is them exactly."""
+    if vectors is None:
+        out = np.exp(angles) * amplitudes
+    else:
+        adjoint = np.swapaxes(vectors.conj(), -1, -2)
+        out = amplitudes + block_matvec(vectors, np.expm1(angles)
+                                        * block_matvec(adjoint, amplitudes))
+    return np.where(still[..., None], amplitudes, out)
 
 
 @dataclass(frozen=True)
@@ -101,78 +141,55 @@ class Spectrum:
     hbar: float
     energies: np.ndarray = field(repr=False)
     vectors: Operator | None = field(repr=False)
-    adjoint: Operator | None = field(repr=False, init=False)
     largest: float = field(repr=False, init=False)  # max |lambda|
 
     def __post_init__(self):
-        adjoint = None if self.vectors is None else self.vectors.dag()
-        object.__setattr__(self, "adjoint", adjoint)
         object.__setattr__(self, "largest", float(np.max(np.abs(self.energies))))
 
-    def _angles(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """-i*lambda*t/hbar per time (rows) and eigenvalue, and which times
-        have every phase exactly 0.
-
-        ``eigh`` cannot overflow, so the times are refused when a largest
-        phase has no digit left below 2*pi (or is not finite); the message
-        names the first such time's phase.
-        """
-        largest = self.largest * np.abs(times) / self.hbar
-        refused = ~(largest < _PHASE_LIMIT)
+    def _angles(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """The angles at ``times`` and which have every phase 0; the first
+        refused time raises."""
+        phases, angles = _phases(self.energies, self.largest, times, self.hbar)
+        refused = ~(phases < _PHASE_LIMIT)
         if refused.any():
-            raise ValueError(
-                f"matrix exponential overflowed (largest phase |lambda*t/hbar| = "
-                f"{largest[refused][0]:.3e}, limit {_PHASE_LIMIT:.3e}; rescale the generator "
-                "or the time)"
-            )
-        return -1j * self.energies * times[:, None] / self.hbar, largest == 0.0
+            raise ValueError(_phase_fault(phases[refused][0]))
+        return angles, phases == 0.0
 
     def unitary(self, t: float) -> Operator:
         """exp(-i*H*t/hbar); exactly the identity when every phase is 0."""
         layout = self.generator.layout
-        (angles,), (still,) = self._angles(np.array([float(t)]))
+        angles, still = self._angles(float(t))
         if still:
             return Operator.identity(layout)
         if self.vectors is None:
             return Operator.from_diagonal(layout, np.exp(angles))
-        step = self.vectors @ Operator.from_diagonal(layout, np.expm1(angles)) @ self.adjoint
-        return step + Operator.identity(layout)
+        step = self.vectors @ Operator.from_diagonal(layout, np.expm1(angles))
+        return step @ self.vectors.dag() + Operator.identity(layout)
+
+    def apply(self, amplitudes: np.ndarray, times) -> np.ndarray:
+        """exp(-i*H*t/hbar) times (..., D) ``amplitudes`` at ``times``
+        broadcast against their leading axes, in one :func:`_step`."""
+        angles, still = self._angles(times)
+        vectors = None if self.vectors is None else self.vectors.data
+        return _step(amplitudes, angles, still, vectors)
 
     def trajectory(self, psi: StateVector, times) -> np.ndarray:
-        """The (T, D) amplitudes of exp(-i*H*t/hbar)|psi> at each of the T
-        ``times`` (1-D), in one batched product; a time whose phases are all
-        0 gets the amplitudes of ``psi`` exactly.
-
-        Row t is the same arithmetic as a step on its own: the phase vector
-        times ``psi`` for a diagonal generator, else ``psi`` plus
-        V diag(expm1(angles)) V^dag ``psi`` with V^dag ``psi`` formed once and
-        V applied to the (T, D) stack by one :meth:`Operator.matvec`.
-        """
+        """The (T, D) amplitudes of exp(-i*H*t/hbar)|psi> at the T ``times``."""
         if psi.layout != self.generator.layout:
             raise ValueError("layout mismatch between generator and state")
-        angles, still = self._angles(np.asarray(times, dtype=float))
-        amplitudes = psi.amplitudes
-        if self.vectors is None:
-            out = np.exp(angles) * amplitudes
-        else:
-            out = amplitudes + self.vectors.matvec(
-                np.expm1(angles) * self.adjoint.matvec(amplitudes))
-        out[still] = amplitudes
-        return out
+        return self.apply(psi.amplitudes, times)
 
     def evolve(self, psi: StateVector, t: float) -> StateVector:
-        """exp(-i*H*t/hbar)|psi>: the :meth:`trajectory` at the one time
-        ``t``, so the amplitudes of ``psi`` exactly when every phase is 0."""
-        (amplitudes,) = self.trajectory(psi, [t])
-        return StateVector(psi.layout, amplitudes)
+        """exp(-i*H*t/hbar)|psi>: the :meth:`trajectory` at the one time ``t``."""
+        return StateVector(psi.layout, self.trajectory(psi, float(t)))
 
 
 def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
     """The :class:`Spectrum` of a finite Hermitian generator ``h``; one
     batched ``eigh`` over the blocks of a block generator."""
-    if not np.all(np.isfinite(h.data)):
-        raise ValueError("generator has non-finite entries")
-    _check_hermitian(h)
+    fault = _generator_faults(h.data[None], h.diagonal)[0]
+    if fault:
+        raise ValueError(fault)
     if h.diagonal:
         return Spectrum(h, float(hbar), h.data.real, None)
     energies, vectors = np.linalg.eigh(h.data)
@@ -182,6 +199,22 @@ def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
 def evolve(h: Operator, psi0: StateVector, t: float, hbar: float = 1.0) -> StateVector:
     """Schroedinger evolution exp(-i*H*t/hbar)|psi0>."""
     return spectrum(h, hbar).evolve(psi0, t)
+
+
+def evolve_stack(blocks: np.ndarray, amplitudes: np.ndarray, t: float,
+                 hbar: float = 1.0) -> tuple[np.ndarray, list[str | None]]:
+    """:func:`evolve` of one state under each block generator of a (C, M, s, s)
+    stack by one batched ``eigh`` and one :func:`_step`, each row bit for bit
+    its own: the (C, D) amplitudes and each generator's refusal or None (its
+    row then meaningless).  Nothing warns."""
+    faults = _generator_faults(blocks, diagonal=False)
+    passed = np.array([fault is None for fault in faults])[:, None, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies, vectors = np.linalg.eigh(np.where(passed, blocks, 0.0))
+        energies = energies.reshape(len(blocks), -1)
+        phases, angles = _phases(energies, np.abs(energies).max(axis=-1), t, hbar)
+        out = _step(amplitudes, angles, phases == 0.0, vectors)
+    return out, [fault or _phase_fault(phase) for fault, phase in zip(faults, phases.tolist())]
 
 
 def heisenberg(h: Operator, a: Operator, t: float, hbar: float = 1.0) -> Operator:

@@ -23,9 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import fock_lowering, hamiltonian
-from .dynamics import resonance_kernel
+from .dynamics import evolve_stack, resonance_kernel, spectrum
 from .fields import polarization_vectors
-from .hilbert import FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, unit_rows
+from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, row_norms,
+                      unit_rows)
 
 __all__ = [
     "AtomParams",
@@ -37,8 +38,10 @@ __all__ = [
     "interaction_picture",
     "interaction_hamiltonian",
     "EmissionAmplitudes",
+    "first_order_table",
     "first_order_emission",
     "first_order_state",
+    "convergence_sweep",
     "VacuumCheck",
     "vacuum_subspace_check",
 ]
@@ -146,32 +149,41 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
     return Operator.from_diagonal(layout, layout.flat(field_diag + split))
 
 
-def _coupling_blocks(lower: np.ndarray, scale: float, gs: np.ndarray) -> np.ndarray:
-    """scale * sum_k (gs_k a_k sigma+ + h.c.) as (M, 2b, 2b) blocks, where
-    ``lower`` is one mode's block R of a sigma+: :func:`_raise_atom` of the
-    lowering block, the place :func:`sigma_plus` puts the identity.
+def _coupling_blocks(lower: np.ndarray, scale, gs: np.ndarray) -> np.ndarray:
+    """scale * sum_k (gs_k a_k sigma+ + h.c.) as (M, 2b, 2b) blocks, after the
+    axes of a ``scale`` array, where ``lower`` is one mode's block R of a
+    sigma+: :func:`_raise_atom` of the lowering block, the place
+    :func:`sigma_plus` puts the identity.
 
     Mode k's block is scale*(gs_k*R) on the entries of R, its conjugate at
     the transposed places and 0.0 elsewhere, as a running sum over the
     modes has it, signed zeros included.
     """
     rows, cols = np.nonzero(lower)
-    entries = scale * (gs[:, None] * lower[rows, cols])
-    blocks = np.zeros((len(gs), *lower.shape), dtype=complex)
-    blocks[:, rows, cols] = entries
-    blocks[:, cols, rows] = entries.conj()
+    entries = np.asarray(scale)[..., None, None] * (gs[:, None] * lower[rows, cols])
+    blocks = np.zeros((*entries.shape[:-1], *lower.shape), dtype=complex)
+    blocks[..., rows, cols] = entries
+    blocks[..., cols, rows] = entries.conj()
     return blocks
 
 
 def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
                            config: FieldConfig) -> Operator:
     """Dipole/RWA Hamiltonian: atom splitting + field + sigma+ a / sigma- a^dag coupling."""
+    return Operator(layout, _rwa_blocks(layout, atom, config, [atom.d])[1][0])
+
+
+def _rwa_blocks(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
+                dipoles: Sequence[float]) -> tuple[Operator, np.ndarray]:
+    """The uncoupled part and the (C, M, 2b, 2b) blocks of the RWA
+    Hamiltonians of C dipole scales d: its blocks plus the coupling blocks
+    of the scales hbar*omega0*d, each bit for bit that of one scale."""
     _require_atom(layout)
     h0 = free_hamiltonian_with_atom(layout, atom, config)
     coupled = _coupling_blocks(_raise_atom(fock_lowering(layout.nmax)),
-                               config.hbar * atom.omega0 * atom.d,
+                               config.hbar * atom.omega0 * np.asarray(dipoles, dtype=float),
                                _mode_couplings(layout.modes, atom, config))
-    return h0 + Operator(layout, coupled)
+    return h0, h0.as_blocks() + coupled
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -243,18 +255,18 @@ class EmissionAmplitudes:
         return dict(enumerate(self._row(k)[1:].tolist(), start=1))
 
 
-def first_order_emission(initial: StateVector, atom: AtomParams,
-                         config: FieldConfig, t: float) -> EmissionAmplitudes:
-    """First-order amplitudes from an excited-atom state with photon weights Psi.
+def first_order_table(initial: StateVector, atom: AtomParams, config: FieldConfig,
+                      times: Sequence[float], dipoles: Sequence[float]) -> np.ndarray:
+    """The (C, T, M, nmax) first-order amplitudes from an excited-atom state
+    with photon weights Psi, for C dipole scales d and T ``times``.
 
-    Entry [k, n] of the table is omega0*d * kernel(omega0-omega_k, t)
+    Entry [c, i, k, n] is omega0*d_c * kernel(omega0-omega_k, t_i)
     * Psi_(k,n) * sqrt(n+1) * conj(g_k), multiplied left to right, feeding
-    |k, n+1, ground>.  Sectors the initial superposition does not populate
-    come out exactly zero: the raising operator of one mode annihilates
-    every other sector instead of creating a two-mode excitation.  The
-    n = nmax sector has no in-layout target (the truncated raising operator
-    drops it), matching exact truncated evolution.  A ground-atom norm
-    above 1e-14 is refused.
+    |k, n+1, ground>; omega0*d is a column of the chain, so each entry is
+    that of one scale and one time alone.  Sectors Psi leaves empty come out
+    exactly zero (the raising operator of one mode annihilates the others),
+    and n = nmax has no in-layout target, matching exact truncated
+    evolution.  A ground-atom norm above 1e-14 is refused.
     """
     layout = initial.layout
     _require_atom(layout)
@@ -265,11 +277,19 @@ def first_order_emission(initial: StateVector, atom: AtomParams,
             f"initial state has ground-atom components (norm {ground_norm:.3e}); "
             "first-order emission starts from the excited sector"
         )
-    kernels = [resonance_kernel(atom.omega0 - m.omega, t) for m in layout.modes]
-    scaled = _cmul(atom.omega0 * atom.d, kernels)[:, None]
+    kernels = np.array([[resonance_kernel(atom.omega0 - w, t) for w in layout.omegas.tolist()]
+                        for t in times], dtype=complex).reshape(len(times), layout.n_modes)
+    strengths = atom.omega0 * np.asarray(dipoles, dtype=float)
+    scaled = _cmul(strengths[:, None, None], kernels)[..., None]
     table = _cmul(_cmul(scaled, amps[EXCITED, :, :-1]), np.sqrt(np.arange(1, layout.fock_dim)))
-    g_conj = _mode_couplings(layout.modes, atom, config).conj()[:, None]
-    return EmissionAmplitudes(layout=layout, time=t, amplitudes=_cmul(table, g_conj))
+    return _cmul(table, _mode_couplings(layout.modes, atom, config).conj()[:, None])
+
+
+def first_order_emission(initial: StateVector, atom: AtomParams,
+                         config: FieldConfig, t: float) -> EmissionAmplitudes:
+    """The :func:`first_order_table` of the atom's own dipole at time t."""
+    table = first_order_table(initial, atom, config, [t], [atom.d])[0, 0]
+    return EmissionAmplitudes(layout=initial.layout, time=t, amplitudes=table)
 
 
 def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfig,
@@ -279,6 +299,32 @@ def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfi
     out = initial.amplitudes.copy()
     initial.layout.view(out)[GROUND, :, 1:] += amps.amplitudes
     return StateVector(initial.layout, out)
+
+
+def convergence_sweep(initial: StateVector, atom: AtomParams, config: FieldConfig,
+                      t: float, dipoles: Sequence[float]) -> np.ndarray:
+    """|exact - first order| of the interaction-picture state at time t for
+    each dipole scale, bit for bit as for one scale alone, from one
+    :func:`evolve_stack`, one back-evolution and one :func:`first_order_table`.
+    The first refused scale raises ``ValueError``, a fault of the uncoupled
+    part after the first scale's own checks; nothing warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_free, blocks = _rwa_blocks(initial.layout, atom, config, dipoles)
+        exact, faults = evolve_stack(blocks, initial.amplitudes, t, config.hbar)
+        first_order = np.tile(initial.amplitudes, (len(dipoles), 1))
+        initial.layout.view(first_order)[:, GROUND, :, 1:] += \
+            first_order_table(initial, atom, config, [t], dipoles)[:, 0]
+        fault = faults[0]
+        if fault is None:
+            try:
+                exact = spectrum(h_free, config.hbar).apply(exact, -t)
+            except ValueError as exc:  # met with the first scale, after its own checks
+                fault = str(exc)
+        first = 0 if fault else next((c for c, f in enumerate(faults) if f), None)
+        if first is not None:
+            raise ValueError(f"coupling {dipoles[first]!r}, t = {t!r}, "
+                             f"field.hbar = {config.hbar!r}: {fault or faults[first]}")
+        return row_norms(exact - first_order)
 
 
 @dataclass(frozen=True)

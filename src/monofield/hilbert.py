@@ -426,7 +426,7 @@ class Operator:
             return self.data.copy()
         return self.layout.from_blocks(np.diagonal(self.data, axis1=1, axis2=2).copy())
 
-    def _blocks(self) -> np.ndarray:
+    def as_blocks(self) -> np.ndarray:
         """The stored array as a block stack: a diagonal as diagonal blocks."""
         if not self.diagonal:
             return self.data
@@ -445,7 +445,7 @@ class Operator:
         """
         if self.diagonal:
             return self.data * amplitudes
-        return (self.data @ self.layout.blocks_of(amplitudes)[..., None]).reshape(amplitudes.shape)
+        return block_matvec(self.data, amplitudes)
 
     # -- algebra ------------------------------------------------------
 
@@ -458,7 +458,7 @@ class Operator:
         self._check_layout(other)
         if self.diagonal and other.diagonal:
             return self.data, other.data
-        return self._blocks(), other._blocks()
+        return self.as_blocks(), other.as_blocks()
 
     def __add__(self, other: "Operator") -> "Operator":
         a, b = self._same_kind(other)
@@ -509,6 +509,14 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.layout.dimension}, kind={self.kind})"
+
+
+def block_matvec(blocks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """(..., M, s, s) mode blocks times (..., D) vectors, leading axes
+    broadcast, one vector at a time: each mode's s kets by its block."""
+    m, s = blocks.shape[-3], blocks.shape[-1]
+    out = blocks @ amplitudes.reshape(*amplitudes.shape[:-1], m, s)[..., None]
+    return out.reshape(*out.shape[:-3], m * s)
 
 
 # -- state construction and brackets -----------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 import time
 import warnings
@@ -8,11 +10,13 @@ import numpy as np
 import pytest
 
 import monofield
-from monofield import algebra, cli, emission, fields, standard
+from monofield import algebra, cli, dynamics, emission, fields, standard
 from monofield.cli import load_config, main, ConfigError
 from monofield.fields import CoherentBatch, StateError, coherent_rows, coherent_state, read_states
-from monofield.hilbert import FieldConfig, Operator, build_layout, load_mode_set, parse_complex
+from monofield.hilbert import (FieldConfig, Operator, build_layout, load_mode_set, parse_complex,
+                               superposition)
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 # configs with one bad "states" or "coherent" section (or two bad states),
 # each with the exact error line its command must print
@@ -112,6 +116,7 @@ class TestConfigParsing:
         ("emission", "config_emission.json", {"field": {"hbar": 1e-300}}),
         ("emission", "config_emission.json", {"times": [1e300]}),
         ("emission", "config_emission.json", {"times": [1e10]}),
+        ("emission", "config_emission.json", {"times": [1e160]}),
         ("vacuum-energy", "config_vac.json",
          replaced("config_vac.json", ["states", 2, "alphas"], [1e300, 0])),
         ("compare-standard", "config_jc.json",
@@ -134,6 +139,7 @@ class TestConfigParsing:
             "field_sweep_abstract_modes", "tolerance_string", "tolerance_null",
             "states_not_list", "weights_not_list", "duplicate_mode", "modes_string",
             "modes_empty", "initial_top_rung", "coupling_huge", "hbar_tiny", "time_huge", "time_quadrature",
+            "probability_overflow",
             "alpha_huge", "jc_omega0_huge", "jc_dipole_tiny",
             "emission_time_zero", "tolerance_zero", "tolerance_negative",
             "sweep_time_phase_huge", "sweep_point_phase_huge", "sweep_phase_sum_huge",
@@ -386,6 +392,16 @@ class TestEmissionCommand:
         assert (tmp_path / "emission.csv").read_bytes() \
             == (DATA / "golden_emission.csv").read_bytes()
 
+    @pytest.mark.filterwarnings("error")
+    def test_probability_overflow_names_the_time_and_leaves_no_table(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**json.loads((DATA / "config_emission.json").read_text()),
+                                 "times": [0.5, 1e160, 1e300]}))
+        assert run("emission", p, tmp_path / "out") == 2
+        assert capsys.readouterr().err == \
+            "config error: times[1] = 1e+160: the emission probability overflows\n"
+        assert not (tmp_path / "out" / "emission.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         run("emission", DATA / "config_emission.json", tmp_path / "a")
         run("emission", DATA / "config_emission.json", tmp_path / "b")
@@ -524,13 +540,142 @@ class TestFiniteOutputs:
         assert not (tmp_path / "r.json").exists()
         with pytest.raises(ConfigError) as exc:
             cli._write_csv(tmp_path / "r.csv", ["label", "x", "y"],
-                           [["nan", 1.0, 2.0], ["a", 3.0, np.float64(value)]])
+                           [["nan", "a"], [1.0, 3.0], np.array([2.0, value])])
         assert str(exc.value) == f"{tmp_path / 'r.csv'}: column 'y' would hold a non-finite number"
         assert not (tmp_path / "r.csv").exists()
 
     def test_a_label_may_read_nan(self, tmp_path):
-        cli._write_csv(tmp_path / "r.csv", ["label", "x"], [["nan", 1.0], ["inf", 0.5]])
+        cli._write_csv(tmp_path / "r.csv", ["label", "x"], [["nan", "inf"], [1.0, 0.5]])
         assert (tmp_path / "r.csv").read_text() == "label,x\nnan,1.0\ninf,0.5\n"
+
+
+class TestCsvWriter:
+    def test_a_refusal_opens_no_file(self, tmp_path):
+        # the directory does not exist: opening the file first would raise OSError
+        path = tmp_path / "missing" / "r.csv"
+        with pytest.raises(ConfigError):
+            cli._write_csv(path, ["x"], [np.array([1.0, np.nan])])
+        assert not path.parent.exists()
+
+    def test_the_first_non_finite_cell_in_row_major_order_is_named(self, tmp_path):
+        x = np.arange(8.0)
+        y = np.arange(8.0)
+        x[5], y[3] = np.inf, np.nan
+        with pytest.raises(ConfigError) as exc:
+            cli._write_csv(tmp_path / "r.csv", ["x", "y"], [x, y])
+        assert str(exc.value) == f"{tmp_path / 'r.csv'}: column 'y' would hold a non-finite number"
+        x[1] = -np.inf  # now x's row 1 comes first
+        with pytest.raises(ConfigError) as exc:
+            cli._write_csv(tmp_path / "r.csv", ["x", "y"], [x, y])
+        assert "column 'x'" in str(exc.value)
+
+    def test_each_kind_of_column_is_formatted_as_a_whole(self, tmp_path):
+        cli._write_csv(tmp_path / "r.csv", ["b", "i", "s", "f", "g"],
+                       [np.array([True, False]), np.array([3, -7]), ["a,b", ""],
+                        np.array([0.1, -0.0]), [1e-320, 1.5e300]])
+        assert (tmp_path / "r.csv").read_text() == \
+            'b,i,s,f,g\ntrue,3,"a,b",0.1,1e-320\nfalse,-7,,-0.0,1.5e+300\n'
+
+    def test_python_bools_and_ints_keep_their_kind(self, tmp_path):
+        cli._write_csv(tmp_path / "r.csv", ["b", "i"], [[False, True], [0, 12]])
+        assert (tmp_path / "r.csv").read_text() == "b,i\nfalse,0\ntrue,12\n"
+
+    def test_emission_without_times_writes_the_header_alone(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**json.loads((DATA / "config_emission.json").read_text()),
+                                 "times": []}))
+        assert run("emission", p, tmp_path) == 0
+        assert (tmp_path / "emission.csv").read_bytes() == \
+            b"t,s,kx,ky,kz,omega,n_initial,amp_re,amp_im,channel,prob\n"
+
+
+def bench_emission_config(seed):
+    """The emission config of the benchmark's input generator for ``seed``."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.emission_inputs(seed)["emission"]
+
+
+def loop_sweep(cfg, t, couplings):
+    """The convergence sweep one coupling at a time, the reference for the
+    stacked one: per coupling one RWA Hamiltonian, one evolution, one
+    first-order state, and the uncoupled spectrum taken after the first
+    coupling's own checks.  The deviations, or the refusal line."""
+    layout = build_layout(cfg.modes, cfg.nmax, with_atom=True)
+    initial = superposition(layout, cfg.emission_initial)
+    h_free, back = emission.free_hamiltonian_with_atom(layout, cfg.atom, cfg.field), None
+    deviations = []
+    for d in couplings:
+        atom_d = dataclasses.replace(cfg.atom, d=float(d))
+        psi_pert = emission.first_order_state(initial, atom_d, cfg.field, t)
+        h_full = emission.atom_field_hamiltonian(layout, atom_d, cfg.field)
+        try:
+            psi_s = dynamics.evolve(h_full, initial, t, cfg.field.hbar)
+            if back is None:
+                back = dynamics.spectrum(h_free, cfg.field.hbar)
+            psi_i = back.evolve(psi_s, -t)
+        except ValueError as exc:
+            return (f"config error: coupling {d!r}, t = {t!r}, "
+                    f"field.hbar = {cfg.field.hbar!r}: {exc}\n")
+        deviations.append(float(np.linalg.norm(psi_i.amplitudes - psi_pert.amplitudes)))
+    return deviations
+
+
+class TestConvergenceSweep:
+    """The stacked sweep against the per-coupling loop: every deviation
+    repr-equal, every refusal the same line, no warning."""
+
+    BASE = json.loads((DATA / "config_emission.json").read_text())
+
+    def sweep(self, tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        cfg, _ = load_config(p)
+        t = cfg.times[-1] if cfg.times else 1.0
+        couplings = cfg.couplings or tuple(np.logspace(-3.0, -1.0, 7).tolist())
+        with warnings.catch_warnings():
+            # the loop warns on a non-finite generator; the command must not
+            warnings.simplefilter("ignore")
+            return p, loop_sweep(cfg, t, couplings)
+
+    @pytest.mark.parametrize("doc", [
+        BASE,
+        bench_emission_config(11),
+        bench_emission_config(3),
+        {**BASE, "couplings": [0.001, 0.01]},
+        {**BASE, "couplings": np.logspace(-4.0, -0.5, 12).tolist()},
+        {**BASE, "couplings": [0.05, 0.001, 0.02, 0.003, 0.2]},
+    ], ids=["config_emission", "bench_11", "bench_3", "two", "twelve", "non_monotone"])
+    @pytest.mark.filterwarnings("error")
+    def test_deviations_are_those_of_the_loop(self, tmp_path, doc):
+        p, want = self.sweep(tmp_path, doc)
+        assert run("emission", p, tmp_path) in (0, 1)
+        report = json.loads((tmp_path / "emission_report.json").read_text())
+        assert list(map(repr, report["deviations"])) == list(map(repr, want))
+        rows = (tmp_path / "emission_convergence.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == list(map(repr, want))
+
+    @pytest.mark.parametrize("change", [
+        {"couplings": [1e300, 0.001, 0.002]},
+        {"couplings": [0.001, 1e300, 0.002]},
+        {"field": {"hbar": 1e-300}},
+        {"couplings": [0.001, 1e300, 0.002],
+         "atom": {"omega0": 1e10, "dipole": 0.01, "direction": [1.0, [0.0, 0.3], 0.0]}},
+    ], ids=["huge_first", "huge_middle", "hbar_tiny", "non_finite_middle"])
+    @pytest.mark.filterwarnings("error")
+    def test_refusal_is_the_line_of_the_loop(self, tmp_path, capsys, change):
+        p, want = self.sweep(tmp_path, {**self.BASE, **change})
+        assert isinstance(want, str)
+        assert run("emission", p, tmp_path) == 2
+        assert capsys.readouterr().err == want
+
+    def test_non_finite_generator_is_named(self, tmp_path):
+        doc = {**self.BASE, "couplings": [0.001, 1e300, 0.002],
+               "atom": {"omega0": 1e10, "dipole": 0.01, "direction": [1.0, [0.0, 0.3], 0.0]}}
+        _, want = self.sweep(tmp_path, doc)
+        assert want.endswith("coupling 1e+300, t = 1.0, field.hbar = 1.0: "
+                             "generator has non-finite entries\n")
 
 
 class TestCompareStandardCommand:

@@ -25,7 +25,12 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   points (20 points, which ``field-sweep`` takes in chunks of 8), and the
   248-mode box at ``nmax`` 8 with 10 times x 12 points (120 points);
 * ``tests/data/config_algebra.json`` with ``tolerances.algebra`` 1e-17, so
-  that some of its relations fail.
+  that some of its relations fail;
+* ``tests/data/config_emission.json`` with the edge cases of the stacked
+  coupling sweep and the columnar ``emission.csv``: a 1e300 coupling first
+  and one in the middle (refused by its phase), 12 couplings in a
+  non-monotone order, ``times: [1e160]`` (the probability overflows) and
+  ``times: []`` (a header-only table).
 
 A config a command cannot use is still run: its exit code and message
 are compared too.  Everything is written under a temporary directory.
@@ -88,6 +93,7 @@ def write_configs(directory: Path) -> list[Path]:
     """Every config of the comparison, written into ``directory``."""
     sys.path.insert(0, str(ROOT / "bench"))
     import inputs
+    import numpy as np
 
     docs = {}
     for seed in SEEDS:
@@ -104,6 +110,15 @@ def write_configs(directory: Path) -> list[Path]:
     data = ROOT / "tests" / "data"
     docs["algebra-tight"] = dict(json.loads((data / "config_algebra.json").read_text()),
                                  tolerances={"algebra": 1e-17})
+    emission = json.loads((data / "config_emission.json").read_text())
+    twelve = np.logspace(-4.0, -0.5, 12)[[3, 0, 7, 1, 11, 2, 9, 4, 10, 5, 8, 6]].tolist()
+    for name, change in {
+            "coupling-huge-first": {"couplings": [1e300, 0.001, 0.002]},
+            "coupling-huge-middle": {"couplings": [0.001, 1e300, 0.002]},
+            "couplings-12": {"couplings": twelve},
+            "probability-overflow": {"times": [1e160]},
+            "no-times": {"times": []}}.items():
+        docs[f"emission-{name}"] = {**emission, **change}
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     for case in json.loads((data / "state_faults.json").read_text(encoding="utf-8")):
         # the section as raw text: it may hold numbers json.dumps cannot write
