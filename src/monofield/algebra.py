@@ -176,49 +176,15 @@ def momentum_from_mode_ladders(layout: HilbertLayout,
                  for kappa in layout.kappas.T)
 
 
-def _interior_mask(layout: HilbertLayout) -> np.ndarray:
-    """Boolean mask over flat indices: photon number n <= nmax - 1."""
-    return layout.flat(np.arange(layout.fock_dim) < layout.nmax)
-
-
 def interior_indices(layout: HilbertLayout) -> np.ndarray:
     """Flat indices of all basis kets with photon number n <= nmax - 1."""
-    return np.flatnonzero(_interior_mask(layout))
+    return np.flatnonzero(layout.flat(np.arange(layout.fock_dim) < layout.nmax))
 
 
 def full_commutator_reference(layout: HilbertLayout, k: int) -> Operator:
     """Exact full-space [a_k, a_k^dag]: the sector projector minus (N+1)|N><N|."""
     # diagonal is (1, ..., 1, -N) on the sector: identity minus (N+1) at n = N
     return _sector_diagonal(layout, k, np.r_[np.ones(layout.nmax), -layout.nmax])
-
-
-def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values))) if values.size else 0.0
-
-
-def _pieces(op: Operator):
-    """``op`` as (support, kets, blocks): ``op`` is the sum of blocks[i] on
-    kets[i] x kets[i] over its nonzero mode blocks (a diagonal is a stack of
-    1 x 1 blocks), and ``support`` masks those kets."""
-    flat = np.arange(op.layout.dimension)
-    if op.diagonal:
-        stack, kets = op.data[:, None, None], flat[:, None]
-    else:
-        stack, kets = op.data, op.layout.blocks_of(flat)
-    nonzero = np.any(stack != 0, axis=(1, 2))
-    support = np.zeros(op.layout.dimension, dtype=bool)
-    support[kets[nonzero]] = True
-    return support, kets[nonzero], stack[nonzero]
-
-
-def _on_support(pieces, support: np.ndarray) -> np.ndarray:
-    """The matrix of a :func:`_pieces` result on the indices ``support`` masks."""
-    _, kets, data = pieces
-    rank = np.cumsum(support) - 1
-    out = np.zeros((np.count_nonzero(support),) * 2, dtype=complex)
-    at = rank[kets]
-    out[at[:, :, None], at[:, None, :]] = data
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,54 +223,53 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     * ``product_adad``: a_k^dag a_l^dag = delta_kl (a_k^dag)^2.
 
     ``annihilators`` may inject precomputed (or deliberately corrupted)
-    mode operators; by default they are built from the layout.
-
-    An operator vanishes outside its support: the kets of its nonzero mode
-    blocks (of its nonzero entries for a diagonal one).  The table starts
-    as zeros, and a cross pair (k != l) whose supports share no mode block
-    keeps them: every term of its products is 0 * x with x finite.  The M
-    diagonal pairs, and any cross pair whose supports meet in a mode block
-    (an (M, M) overlap of the operators' block masks), are multiplied on
-    the union of the two supports, where disjoint supports still give exact
-    zeros.  That agrees with the full-space product up to how its terms are
-    grouped and fused (bit for bit for the ladders), so an annihilator with
-    entries in another mode's block still fails.  Annihilators with
-    non-finite entries are refused with ValueError (a full-space product
-    would spread them as NaN through 0 * inf).
+    mode operators; by default they are built from the layout.  Each one
+    is kept as mode blocks: its own mode's block and every other nonzero
+    one (a diagonal operator as diagonal blocks).  Products are blockwise,
+    so a pair is multiplied as one stack of blocks on the modes both keep,
+    and agrees with the full-space product up to how its terms are fused
+    (bit for bit for the ladders); a cross pair (k != l) with no nonzero
+    block on a common mode keeps the table's exact zeros.  Non-finite
+    entries are refused with ValueError (a full-space product would spread
+    them as NaN through 0 * inf).
     """
     m_count = layout.n_modes
     if annihilators is not None and len(annihilators) != m_count:
         raise ValueError("need one annihilator per mode")
-    pieces = []
+    occupied = np.zeros((m_count, m_count))
+    modes, blocks = [], []
     for k in range(m_count):
-        # built one at a time, so only its nonzero blocks stay, not M full stacks
+        # built one at a time, so only its kept blocks stay, not M full stacks
         op = mode_annihilator(layout, k) if annihilators is None else annihilators[k]
         if op.layout != layout:
             raise ValueError(f"annihilator {k} lives on a different layout")
         if not np.all(np.isfinite(op.data)):
             raise ValueError(f"annihilator {k} has non-finite entries")
-        pieces.append(_pieces(op))
-    # two supports can only meet in a mode block where both have kets
-    blocks = np.array([layout.blocks_of(support).any(-1) for support, _, _ in pieces],
-                      dtype=float)
-    multiplied = (blocks @ blocks.T > 0) | np.eye(m_count, dtype=bool)
-    interior = _interior_mask(layout)
+        stack = op.as_blocks()
+        nonzero = np.any(stack != 0, axis=(1, 2))
+        occupied[k] = nonzero
+        nonzero[k] = True  # its own block, where P_k lives, is kept even if zero
+        modes.append(np.flatnonzero(nonzero))
+        blocks.append(stack[modes[k]])
+    multiplied = (occupied @ occupied.T > 0) | np.eye(m_count, dtype=bool)
+    eye = np.eye(layout.block_shape[-1])
+    # the interior kets (n <= nmax - 1) of a block, in its (atom, n) order
+    inner = np.flatnonzero(np.arange(len(eye)) % layout.fock_dim < layout.nmax)
     deviations = np.zeros((m_count, m_count, len(RELATIONS)))
     for k, l in np.argwhere(multiplied).tolist():
-        support = pieces[k][0] | pieces[l][0]
-        ak, al = _on_support(pieces[k], support), _on_support(pieces[l], support)
-        comm = ak @ al.conj().T - al.conj().T @ ak
+        shared, ik, il = (modes[k], slice(None), slice(None)) if k == l else \
+            np.intersect1d(modes[k], modes[l], return_indices=True)
+        ak, al = blocks[k][ik], blocks[l][il]
+        akd, ald = ak.conj().swapaxes(1, 2), al.conj().swapaxes(1, 2)
+        comm = ak @ ald - ald @ ak
         prod = ak @ al
-        dprod = ak.conj().T @ al.conj().T
-        if k == l:  # max |comm - P_k| on the interior; comm is zero off support x support
-            ref, inside = mode_projector(layout, k).diag(), interior[support]
-            comm_dev = max(_max_abs((comm - np.diag(ref[support]))[np.ix_(inside, inside)]),
-                           _max_abs(ref[interior & ~support]))
+        dprod = akd @ ald
+        if k == l:  # P_k is the identity on mode k's block
+            comm[shared == k] -= eye
+            comm = comm[:, inner[:, None], inner]
             prod = prod - ak @ ak
-            dprod = dprod - ak.conj().T @ ak.conj().T
-        else:
-            comm_dev = _max_abs(comm)
-        deviations[k, l] = comm_dev, _max_abs(prod), _max_abs(dprod)
+            dprod = dprod - akd @ akd
+        deviations[k, l] = [np.max(np.abs(x)) for x in (comm, prod, dprod)]
     return AlgebraTable(tol, deviations)
 
 

@@ -688,9 +688,23 @@ def _layout_line(layout: HilbertLayout) -> str:
             f"order={_BASIS_ORDER}")
 
 
+def _refuse_non_finite(what: str, path, values: np.ndarray, **indices: np.ndarray) -> None:
+    """Refuse a non-finite value, which the ``what`` loader would refuse, with
+    a ValueError that names the file and the first such value's ``indices``;
+    called before the file is opened, so no file is made or changed."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        at = ", ".join(f"{name} {int(index[i])}" for name, index in indices.items())
+        raise ValueError(f"{what} file {str(path)!r}: non-finite value {values[i]} at {at}; "
+                         f"load_{what} would refuse it")
+
+
 def save_state(state: StateVector, path) -> None:
     """Write amplitudes as columnar text under the layout line: index, re, im
-    (all entries)."""
+    (all entries).  A non-finite amplitude is refused."""
+    _refuse_non_finite("state", path, state.amplitudes,
+                       index=np.arange(state.layout.dimension))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_layout_line(state.layout)}\nindex,re,im\n")
         for i, z in enumerate(state.amplitudes):
@@ -760,11 +774,13 @@ def save_operator(op: Operator, path) -> None:
     columnar text under the layout line: row, col, re, im, read from the
     stored kind without a D x D copy.  Both kinds are a stack of square
     blocks on the diagonal (D 1x1 blocks or M blocks), and place adds the
-    blocks of the block kind onto zeros, which turns a -0.0 part into 0.0."""
+    blocks of the block kind onto zeros, which turns a -0.0 part into 0.0.
+    A non-finite entry is refused."""
     stack = op.data.reshape(-1, 1, 1) if op.diagonal else op.data
     k, i, j = np.nonzero(stack)
     values = stack[k, i, j] if op.diagonal else stack[k, i, j] + 0.0
     rows, cols = k * stack.shape[-1] + i, k * stack.shape[-1] + j
+    _refuse_non_finite("operator", path, values, row=rows, col=cols)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_layout_line(op.layout)}\nrow,col,re,im\n")
         for r, c, z in zip(rows.tolist(), cols.tolist(), values.tolist()):

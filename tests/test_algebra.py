@@ -240,7 +240,8 @@ def _all_zero(a, b):
 
 
 class TestVerifyAlgebraMatchesDense:
-    """The support-restricted checks report exactly what full-space products give."""
+    """The products of stacked mode blocks report exactly what full-space
+    products give."""
 
     @staticmethod
     def assert_matches(layout, ops):
@@ -281,6 +282,21 @@ class TestVerifyAlgebraMatchesDense:
         assert not mf.verify_algebra(layout, annihilators=ops).passed[1, 3].all()
         self.assert_matches(layout, ops)
 
+    def test_overflowing_products_give_the_dense_nan(self):
+        """Finite entries whose products overflow: inf - inf in the diagonal
+        pair's commutator and in both product differences is NaN on either
+        route, so those differences are taken, not assumed zero."""
+        layout = abstract_layout(3, 3)
+        ops = [mf.mode_annihilator(layout, i) for i in range(3)]
+        blocks = 1e200 * ops[1].data
+        blocks[1, 0, 1] = -3e200
+        ops[1] = mf.Operator(layout, blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = mf.verify_algebra(layout, annihilators=ops).deviations
+            want = dense_verify_algebra(layout, ops)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[1, 1]).all()
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_annihilator_rejected(self, bad):
         layout = abstract_layout(3, 2)
@@ -294,8 +310,9 @@ class TestVerifyAlgebraMatchesDense:
 
 @st.composite
 def overwritten_annihilators(draw):
-    """2-4 abstract modes at nmax 2-3, with or without the atom, and one
-    block annihilator with a few entries overwritten."""
+    """2-4 abstract modes at nmax 2-3, with or without the atom, one block
+    annihilator with a few entries overwritten and, maybe, one annihilator
+    replaced by a diagonal one with some zero entries."""
     m = draw(st.integers(2, 4), label="modes")
     layout = abstract_layout(m, draw(st.integers(2, 3), label="nmax"),
                              draw(st.booleans(), label="with_atom"))
@@ -308,17 +325,24 @@ def overwritten_annihilators(draw):
                       label="entries"):
         data[at] = x
     ops[k] = mf.Operator(layout, data)
+    d = draw(st.none() | st.integers(0, m - 1), label="diagonal")
+    if d is not None:
+        diag = draw(st.lists(st.just(0j) | value, min_size=layout.dimension,
+                             max_size=layout.dimension), label="diagonal entries")
+        diag[draw(st.integers(0, layout.dimension - 1), label="zero entry")] = 0j
+        ops[d] = mf.Operator.from_diagonal(layout, diag)
     return layout, ops
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(case=overwritten_annihilators())
 def test_verify_algebra_matches_dense_on_overwritten_entries(case):
-    """The same verdicts as the dense oracle.  A cross pair with disjoint
-    supports reports the oracle's exact 0.0; every other deviation
-    agrees to rounding, since products restricted to a support group and
-    fuse their terms differently from D x D ones.  Entries are at most 2 in
-    modulus, so that rounding stays far below 1e-13."""
+    """The same verdicts as the dense oracle.  A cross pair whose kets
+    meet nowhere reports the oracle's exact 0.0, even where the two share
+    a mode block; every other deviation agrees to rounding, since stacked
+    block products group and fuse their terms differently from D x D
+    ones.  Entries are at most 2 in modulus, so that rounding stays far
+    below 1e-13."""
     layout, ops = case
     got = mf.verify_algebra(layout, annihilators=ops)
     want = dense_verify_algebra(layout, ops)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import monofield as mf
 from monofield.cli import ConfigError, load_config
 from monofield.fields import read_states
-from conftest import random_hermitian, random_state
+from conftest import block_operator, random_hermitian, random_state
 
 
 def abstract_layout(m, nmax, atom=False):
@@ -319,6 +319,44 @@ class TestSerialization:
             mf.hilbert.load_operator(path, two_tone_layout)
         assert str(exc.value) == \
             f"operator file {str(path)!r}, line 5: row,col 0,1 repeats an earlier line"
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, -np.inf)])
+    def test_non_finite_state_is_not_saved(self, two_tone_layout, bad, tmp_path):
+        """save_state refuses what load_state would refuse, before it opens
+        the file: a new path stays absent and an existing file unchanged."""
+        amps = np.arange(two_tone_layout.dimension, dtype=complex)
+        amps[[4, 6]] = bad
+        state = mf.StateVector(two_tone_layout, amps)
+        path, kept = tmp_path / "state.csv", tmp_path / "kept.csv"
+        kept.write_text("earlier contents\n")
+        for target in (path, kept):
+            with pytest.raises(ValueError) as exc:
+                mf.hilbert.save_state(state, target)
+            assert str(exc.value) == (f"state file {str(target)!r}: non-finite value "
+                                      f"{amps[4]} at index 4; load_state would refuse it")
+        assert not path.exists() and kept.read_text() == "earlier contents\n"
+
+    @pytest.mark.parametrize("kind", ["diagonal", "block"])
+    def test_non_finite_operator_is_not_saved(self, two_tone_layout, kind, tmp_path):
+        """save_operator names the row and col of the first non-finite entry
+        in file order, and writes nothing."""
+        layout, col = two_tone_layout, {"diagonal": 5, "block": 6}[kind]
+        matrix = np.diag(np.arange(1.0, layout.dimension + 1)).astype(complex)
+        matrix[5, col] = np.inf
+        matrix[6, 6] = np.nan
+        op = mf.Operator.from_diagonal(layout, np.diag(matrix)) if kind == "diagonal" \
+            else block_operator(layout, matrix)
+        assert op.kind == kind
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier contents\n")
+        for target in (tmp_path / "op.csv", kept):
+            with pytest.raises(ValueError) as exc:
+                mf.hilbert.save_operator(op, target)
+            assert str(exc.value) == (f"operator file {str(target)!r}: non-finite value "
+                                      f"(inf+0j) at row 5, col {col}; load_operator would "
+                                      "refuse it")
+        assert not (tmp_path / "op.csv").exists()
+        assert kept.read_text() == "earlier contents\n"
 
     def test_state_repeated_index_refused(self, two_tone_layout, tmp_path):
         path = tmp_path / "state.csv"

@@ -20,7 +20,9 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   with the atom, both at ``nmax`` 3; the larger one runs the atom's
   coupling row and coupling blocks at the largest mode count;
 * the 248-mode box (``max_index`` 2, ``nmax`` 5), where ``verify-algebra``
-  writes 184 512 rows;
+  writes 184 512 rows, and the 684-mode box (``max_index`` 3, ``nmax`` 2),
+  where it checks its largest set of mode pairs and writes 1 403 568 rows
+  (45 MB);
 * two ``field-sweep`` grids: the 52-mode box at ``nmax`` 5 with 5 times x 4
   points (20 points, which ``field-sweep`` takes in chunks of 8), and the
   248-mode box at ``nmax`` 8 with 10 times x 12 points (120 points);
@@ -73,6 +75,7 @@ BOX_248_WITH_ATOM = {
     "states": [{"label": "vacuum", "weights": [1.0] * 248}],
 }
 BOX_248 = {"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}
+BOX_684 = {"box": {"edge": 2.0, "max_index": 3}, "nmax": 2}
 
 
 def sweep_config(max_index: int, nmax: int, n_times: int, n_points: int, seed: int) -> dict:
@@ -105,6 +108,7 @@ def write_configs(directory: Path) -> list[Path]:
     docs["box-atom"] = BOX_WITH_ATOM
     docs["box-248-atom"] = BOX_248_WITH_ATOM
     docs["box-248"] = BOX_248
+    docs["box-684"] = BOX_684
     docs["sweep-52"] = sweep_config(1, 5, 5, 4, seed=52)
     docs["sweep-248"] = sweep_config(2, 8, 10, 12, seed=248)
     data = ROOT / "tests" / "data"
