@@ -104,11 +104,7 @@ def polarization(kappa: Sequence[float], s: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
-    """The read-only (3, M, 3) polarization vectors of A, E and B of every
-    mode: e_s, e_s and n_hat x e_s.  Built once per mode tuple, so it is
-    the one source of the per-mode polarizations of the field weights and
-    the atom couplings; an abstract mode is refused."""
+def _polarization_table(modes: tuple[ModeLabel, ...], signs: tuple[float, ...]) -> np.ndarray:
     for m in modes:
         if m.abstract:
             raise ValueError(f"field operators require propagating modes; {m} is abstract")
@@ -117,6 +113,19 @@ def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
     vectors = np.stack([e, e, np.cross(np.array([basis.n_hat for basis in bases]), e)])
     vectors.setflags(write=False)
     return vectors
+
+
+def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
+    """The read-only (3, M, 3) polarization vectors of A, E and B of every
+    mode: e_s, e_s and n_hat x e_s.  Built once per mode tuple, so it is
+    the one source of the per-mode polarizations of the field weights and
+    the atom couplings; an abstract mode is refused.  The cache key also
+    holds the sign of each wavevector component, as -0.0 == 0.0 but their
+    tables differ in the sign bits of their zeros."""
+    return _polarization_table(modes, tuple(math.copysign(1.0, x) for m in modes for x in m.kappa))
+
+
+polarization_vectors.cache_clear = _polarization_table.cache_clear
 
 
 def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarray:

@@ -168,18 +168,16 @@ def standard_atom_field_hamiltonian(layout: StandardLayout, atom: AtomParams,
 
 
 def standard_first_order_emission(atom: AtomParams, modes: Sequence[ModeLabel],
-                                  config: FieldConfig, t: float) -> list[dict]:
-    """Textbook first-order amplitudes from |vac> x |excited>.
+                                  config: FieldConfig, t: float) -> np.ndarray:
+    """The (M,) textbook first-order amplitudes from |vac> x |excited>.
 
-    Every mode receives omega0*d*conj(g_k)*kernel(omega0-omega_k, t) from
-    the one shared vacuum; there is no per-mode weighting.
+    Mode k receives omega0*d*conj(g_k)*kernel(omega0-omega_k, t) from the
+    one shared vacuum, a product of Python scalars in that order; there is
+    no per-mode weighting.
     """
-    rows = []
-    for k, (m, g) in enumerate(zip(modes, _mode_couplings(modes, atom, config).tolist())):
-        amp = atom.omega0 * atom.d * np.conj(g) * resonance_kernel(atom.omega0 - m.omega, t)
-        rows.append({"mode_index": k, "s": m.s, "kappa": m.kappa, "omega": m.omega,
-                     "amplitude": complex(amp)})
-    return rows
+    return np.array([atom.omega0 * atom.d * np.conj(g) * resonance_kernel(atom.omega0 - m.omega, t)
+                     for m, g in zip(modes, _mode_couplings(modes, atom, config).tolist())],
+                    dtype=complex)
 
 
 # -- Jaynes-Cummings closed forms ----------------------------------------
@@ -211,39 +209,31 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
                           atom: AtomParams | None = None, t: float = 1.0,
                           seed: int = 0) -> dict:
     """Summary of the single-oscillator scheme for the comparison report: five
-    sampled vacuum energies and, with an atom, the emission amplitudes from
-    the excited atom in the equal-weight superposition of the vacuum sectors."""
+    sampled vacuum energies and, with an atom, the (M,) emission amplitudes
+    from the excited atom in the equal-weight superposition of the vacuum
+    sectors, with those weights and the mode frequencies."""
     layout = build_layout(modes, nmax)
     hbar = config.hbar
     omegas = layout.omegas
     # five unit weight rows, each drawn as its real parts, then its imaginary ones
     draws = np.random.default_rng(seed).normal(size=(5, 2, len(modes)))
     weights = unit_rows(draws[:, 0] + 1j * draws[:, 1])
-    samples = (0.5 * hbar * np.sum(np.abs(weights) ** 2 * omegas, axis=1)).tolist()
-    cross = 0.0
-    if layout.n_modes >= 2:
-        cross = (mode_annihilator(layout, 0).dag() @ mode_annihilator(layout, 1).dag()).max_abs()
     run = {
-        "scheme": "single-oscillator",
         "dimension": layout.dimension,
         "vacuum_energy_min": 0.5 * hbar * float(omegas.min()),
         "vacuum_energy_max": 0.5 * hbar * float(omegas.max()),
-        "vacuum_energy_samples": samples,
-        "vacuum_state_dependent": True,
-        "cross_mode_double_creation": cross,
+        "vacuum_energy_samples":
+            (0.5 * hbar * np.sum(np.abs(weights) ** 2 * omegas, axis=1)).tolist(),
+        "cross_mode_double_creation": 0.0 if layout.n_modes < 2 else (
+            mode_annihilator(layout, 0).dag() @ mode_annihilator(layout, 1).dag()).max_abs(),
     }
     if atom is not None:
         emit_layout = build_layout(modes, nmax, with_atom=True)
-        weights = [1.0 / math.sqrt(len(modes))] * len(modes)
-        initial = superposition(emit_layout,
-                                {(k, 0, EXCITED): w for k, w in enumerate(weights)})
-        spontaneous = first_order_emission(initial, atom, config, t).amplitudes[:, 0]
-        run["emission"] = [
-            {"mode_index": k, "omega": m.omega, "amplitude": amp, "channel": "spontaneous"}
-            for k, (m, amp) in enumerate(zip(emit_layout.modes, spontaneous.tolist()))
-        ]
-        run["emission_weights"] = [complex(w) for w in weights]
-        run["emission_dimension"] = emit_layout.dimension
+        weight = 1.0 / math.sqrt(len(modes))
+        initial = superposition(emit_layout, {(k, 0, EXCITED): weight for k in range(len(modes))})
+        run["emission"] = first_order_emission(initial, atom, config, t).amplitudes[:, 0]
+        run["emission_weights"] = np.full(len(modes), weight, dtype=complex)
+        run["omegas"] = omegas
     return run
 
 
@@ -253,27 +243,21 @@ def standard_scheme_run(modes: Sequence[ModeLabel], nmax: int, config: FieldConf
     its closed forms at any number of modes; no tensor-product space is built."""
     layout = build_layout(modes, nmax)  # the mode-set and nmax checks
     modes = layout.modes
-    dimension = layout.fock_dim ** layout.n_modes  # an exact Python int
     run = {
-        "scheme": "standard",
-        "dimension": dimension,
+        "dimension": layout.fock_dim ** layout.n_modes,  # an exact Python int
         "vacuum_energy": standard_vacuum_energy(modes, config),
-        "vacuum_state_dependent": False,
         # a_0^dag a_1^dag |0> is the unit ket |1, 1, 0, ...>
         "cross_mode_double_creation": 1.0 if len(modes) >= 2 else 0.0,
     }
     if atom is not None:
-        run["emission"] = [
-            {"mode_index": r["mode_index"], "omega": r["omega"],
-             "amplitude": r["amplitude"], "channel": "spontaneous"}
-            for r in standard_first_order_emission(atom, modes, config, t)
-        ]
-        run["emission_dimension"] = 2 * dimension
+        run["emission"] = standard_first_order_emission(atom, modes, config, t)
     return run
 
 
 def compare_report(single_run: dict, standard_run: dict) -> dict:
-    """Structured diff of the two schemes: dimensions, vacua, algebra, emission."""
+    """Structured diff of the two schemes: dimensions, vacua, algebra and, with
+    emission amplitudes in both runs, one row per mode by position: the two
+    amplitudes, the weight and the Python complex ratio (None over a zero)."""
     report = {
         "dimensions": {
             "single_oscillator": single_run["dimension"],
@@ -296,20 +280,11 @@ def compare_report(single_run: dict, standard_run: dict) -> dict:
         },
     }
     if "emission" in single_run and "emission" in standard_run:
-        rows = []
-        std_by_mode = {r["mode_index"]: r for r in standard_run["emission"]}
-        weights = single_run.get("emission_weights")
-        for r in single_run["emission"]:
-            srow = std_by_mode[r["mode_index"]]
-            w = weights[r["mode_index"]] if weights else None
-            ratio = r["amplitude"] / srow["amplitude"] if srow["amplitude"] != 0 else None
-            rows.append({
-                "mode_index": r["mode_index"],
-                "omega": r["omega"],
-                "single_oscillator_amplitude": r["amplitude"],
-                "standard_amplitude": srow["amplitude"],
-                "weight": w,
-                "amplitude_ratio": ratio,
-            })
-        report["emission"] = rows
+        columns = (single_run["omegas"], single_run["emission"], standard_run["emission"],
+                   single_run["emission_weights"])
+        report["emission"] = [
+            {"mode_index": k, "omega": omega, "single_oscillator_amplitude": amp,
+             "standard_amplitude": std, "weight": w,
+             "amplitude_ratio": amp / std if std != 0 else None}
+            for k, (omega, amp, std, w) in enumerate(zip(*(c.tolist() for c in columns)))]
     return report

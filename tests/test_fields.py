@@ -12,7 +12,7 @@ from monofield.algebra import (fock_lowering, hamiltonian_from_mode_ladders, int
                                momentum_from_mode_ladders)
 from monofield.cli import _box_modes, load_config, main
 from monofield.fields import (TOL_ENERGY, TOL_SAMPLE, FieldIdentityReport, _field_blocks,
-                              _mode_weights, _poisson_tail)
+                              _mode_weights, _poisson_tail, polarization_vectors)
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,6 +55,20 @@ class TestPolarization:
     def test_zero_wavevector_rejected(self):
         with pytest.raises(ValueError, match="zero wavevector"):
             mf.polarization((0.0, 0.0, 0.0), +1)
+
+    def test_cached_table_of_a_negative_zero_twin(self):
+        # equal mode tuples whose wavevectors differ only in the sign of a zero
+        mate = (mf.mode(+1, (0.0, 1.0, 1.0)),)
+        twin = (mf.mode(+1, (-0.0, 1.0, 1.0)),)
+        assert mate == twin and hash(mate) == hash(twin)
+        polarization_vectors.cache_clear()
+        mate_table = polarization_vectors(mate).tobytes()
+        twin_table = polarization_vectors(twin).tobytes()
+        polarization_vectors.cache_clear()
+        fresh = polarization_vectors(twin).tobytes()
+        assert twin_table == fresh  # bit for bit, sign bits of zeros included
+        assert mate_table != fresh
+        assert polarization_vectors(mate).tobytes() == mate_table
 
 
 class TestFieldOperators:

@@ -1,10 +1,12 @@
+import csv
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import monofield as mf
-from monofield.cli import load_config
+from monofield.cli import load_config, main
 from monofield.dynamics import resonance_kernel
 from monofield.emission import EXCITED
 from monofield.standard import (
@@ -109,19 +111,18 @@ class TestClosedFormsAgainstTensorProduct:
             assert "emission" not in run
             return
         emit_layout = mf.build_standard_layout(modes, nmax, with_atom=True)
-        assert run["emission_dimension"] == emit_layout.dimension
-        rows = standard_first_order_emission(atom, emit_layout.modes, config, 0.9)
-        assert [r["amplitude"] for r in run["emission"]] == [r["amplitude"] for r in rows]
+        amps = standard_first_order_emission(atom, emit_layout.modes, config, 0.9)
+        assert run["emission"].tolist() == amps.tolist()
         # first order from |vac, excited>: <1_k, ground|H|vac, excited>/hbar
         # times the resonance kernel, with H the tensor-product oracle's
         h = mf.standard_atom_field_hamiltonian(emit_layout, atom, config)
         start = emit_layout.flatten((0,) * n_modes, atom=EXCITED)
-        for k, (row, m) in enumerate(zip(run["emission"], modes)):
+        for k, (amp, m) in enumerate(zip(run["emission"].tolist(), modes)):
             photon = [0] * n_modes
             photon[k] = 1
             element = h[emit_layout.flatten(photon), start] / config.hbar
             want = element * resonance_kernel(atom.omega0 - m.omega, 0.9)
-            assert abs(row["amplitude"] - want) <= 1e-12 * abs(want)
+            assert abs(amp - want) <= 1e-12 * abs(want)
 
     def test_no_tensor_product_beyond_the_cap(self, natural):
         modes = z_modes(0.8, 1.3, 2.1, 2.9) + (mf.abstract_mode(3.7),)
@@ -138,13 +139,13 @@ class TestStandardEmission:
         modes = z_modes(0.8, 1.3)
         layout = mf.build_standard_layout(modes, 2, with_atom=True)
         atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.5j, 0.0))
-        rows = standard_first_order_emission(atom, layout.modes, natural, 0.9)
-        for row, mode in zip(rows, modes):
+        amps = standard_first_order_emission(atom, layout.modes, natural, 0.9)
+        for amp, mode in zip(amps.tolist(), modes):
             g = mf.coupling(mode, atom, natural)
             expected = atom.omega0 * atom.d * np.conj(g) \
                 * resonance_kernel(atom.omega0 - mode.omega, 0.9)
-            assert row["amplitude"] == pytest.approx(expected, abs=1e-15)
-            assert abs(row["amplitude"]) > 0  # both modes populated from one vacuum
+            assert amp == pytest.approx(expected, abs=1e-15)
+            assert abs(amp) > 0  # both modes populated from one vacuum
 
     def test_single_mode_schemes_coincide(self, natural):
         mode = z_modes(1.1)[0]
@@ -156,7 +157,7 @@ class TestStandardEmission:
         amps[layout.flatten(0, 0, EXCITED)] = 1.0
         ours = mf.first_order_emission(mf.StateVector(layout, amps),
                                        atom, natural, 1.4)
-        assert ours.spontaneous(0) == pytest.approx(std[0]["amplitude"], abs=1e-12)
+        assert ours.spontaneous(0) == pytest.approx(std[0], abs=1e-12)
 
     def test_two_mode_weighting_is_the_only_difference(self, natural):
         modes = z_modes(0.9, 1.2)
@@ -172,7 +173,7 @@ class TestStandardEmission:
                                        atom, natural, 1.0)
         for k, w in enumerate(weights):
             assert ours.spontaneous(k) == pytest.approx(
-                w * std[k]["amplitude"], abs=1e-14)
+                w * std[k], abs=1e-14)
 
 
 class TestJaynesCummingsOracle:
@@ -246,3 +247,73 @@ class TestCompareReport:
         for row in rows:
             # the amplitude ratio is exactly the vacuum weight of that mode
             assert row["amplitude_ratio"] == pytest.approx(row["weight"], abs=1e-12)
+
+
+def random_compare_config(seed: int) -> dict:
+    """1-6 random modes and a complex dipole direction.  At even seeds the
+    direction is (1, i, 0) and mode 0 runs along +z with s = +1: its
+    polarization (1, i, 0)/sqrt(2) gives e . u = 0 exactly, so that mode's
+    standard amplitude is exactly zero."""
+    rng = np.random.default_rng(seed)
+    modes = [{"s": int(rng.choice([-1, 1])), "kappa": rng.uniform(-2.0, 2.0, 3).tolist()}
+             for _ in range(int(rng.integers(1, 7)))]
+    direction = rng.normal(size=(3, 2)).tolist()
+    if seed % 2 == 0:
+        modes[0] = {"s": 1, "kappa": [0.0, 0.0, float(rng.uniform(0.5, 2.0))]}
+        direction = [1.0, [0.0, 1.0], 0.0]
+    return {"modes": modes, "nmax": int(rng.integers(1, 4)),
+            "atom": {"omega0": float(rng.uniform(0.5, 2.0)), "dipole": 0.02,
+                     "direction": direction},
+            "times": [float(rng.uniform(0.1, 3.0))]}
+
+
+class TestComparisonOutputs:
+    """comparison.json's emission rows and comparison_emission.csv are written
+    from the same amplitude arrays."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_json_rows_and_csv_agree(self, tmp_path, seed):
+        doc = random_compare_config(seed)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(["compare-standard", "--config", str(config), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "comparison.json").read_text())
+        check = report.get("jaynes_cummings_check")
+        assert code == (1 if check and not check["ok"] else 0)
+        rows = report["emission"]
+        with open(tmp_path / "comparison_emission.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(rows) == len(table) == len(doc["modes"])
+        for k, (row, line) in enumerate(zip(rows, table)):
+            assert row["mode_index"] == k and line["mode_index"] == str(k)
+            assert repr(row["omega"]) == line["omega"]
+            for key, column in [("single_oscillator_amplitude", "single"),
+                                ("standard_amplitude", "standard"), ("weight", "weight")]:
+                assert [repr(x) for x in row[key]] == \
+                    [line[f"{column}_re"], line[f"{column}_im"]]
+            single = complex(*row["single_oscillator_amplitude"])
+            standard = complex(*row["standard_amplitude"])
+            if standard == 0:
+                assert row["amplitude_ratio"] is None
+            else:
+                ratio = single / standard
+                assert [repr(x) for x in row["amplitude_ratio"]] == \
+                    [repr(ratio.real), repr(ratio.imag)]
+        # the mode orthogonal to the dipole, and only it, has no ratio
+        assert [row["amplitude_ratio"] is None for row in rows] == \
+            [seed % 2 == 0 and row["omega"] == doc["modes"][0]["kappa"][2] for row in rows]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_standard_amplitudes_are_the_scalar_formula(self, seed):
+        doc = random_compare_config(seed)
+        modes = tuple(mf.mode(m["s"], m["kappa"]) for m in doc["modes"])
+        direction = [complex(*x) if isinstance(x, list) else x
+                     for x in doc["atom"]["direction"]]
+        atom = mf.AtomParams.make(doc["atom"]["omega0"], 0.02, direction)
+        config = mf.FieldConfig(hbar=0.7, volume=2.0)
+        t = doc["times"][0]
+        amps = standard_first_order_emission(atom, modes, config, t)
+        want = [complex(atom.omega0 * atom.d * np.conj(mf.coupling(m, atom, config))
+                        * resonance_kernel(atom.omega0 - m.omega, t)) for m in modes]
+        assert [(repr(a.real), repr(a.imag)) for a in amps.tolist()] == \
+            [(repr(a.real), repr(a.imag)) for a in want]

@@ -32,14 +32,26 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   coupling sweep and the columnar ``emission.csv``: a 1e300 coupling first
   and one in the middle (refused by its phase), 12 couplings in a
   non-monotone order, ``times: [1e160]`` (the probability overflows) and
-  ``times: []`` (a header-only table).
+  ``times: []`` (a header-only table);
+* twins of ``tests/data/config_emission.json`` and ``config_field.json``
+  whose wavevector zeros are ``-0.0``: their mode tuples equal their
+  mates', which run before them.
 
 A config a command cannot use is still run: its exit code and message
 are compared too.  Everything is written under a temporary directory.
 The script compares the exit codes, stdout, stderr (with the tree path
-masked) and every output file, prints each difference, and exits 1 if
-there is any, else 0.  It also prints the ``wc -l`` line count of every
-``src/monofield/*.py`` module in both trees, their total and the change.
+masked) and every output file between the trees.
+
+A second, in-process pass runs every (command, config) pair of the same
+list, in the same order, through ``monofield.cli.main`` in one
+interpreter per tree, and compares each run with that tree's
+fresh-interpreter run: state one run leaves behind (a cache, a warning
+filter) must not change a later run's output, since the benchmark runs
+its commands in one process too.
+
+The script prints each difference, and exits 1 if there is any, else 0.
+It also prints the ``wc -l`` line count of every ``src/monofield/*.py``
+module in both trees, their total and the change.
 """
 
 from __future__ import annotations
@@ -76,6 +88,25 @@ BOX_248_WITH_ATOM = {
 }
 BOX_248 = {"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}
 BOX_684 = {"box": {"edge": 2.0, "max_index": 3}, "nmax": 2}
+# the in-process pass: read [command, config, out] jobs from stdin, run
+# each through cli.main, print one JSON list of [code, stdout, stderr]
+IN_PROCESS = """
+import contextlib, io, json, sys, traceback
+from monofield import cli
+results = []
+for command, config, out in json.load(sys.stdin):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([command, "--config", config, "--out", out])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    results.append([code, stdout.getvalue(), stderr.getvalue()])
+json.dump(results, sys.stdout)
+"""
 
 
 def sweep_config(max_index: int, nmax: int, n_times: int, n_points: int, seed: int) -> dict:
@@ -123,6 +154,11 @@ def write_configs(directory: Path) -> list[Path]:
             "probability-overflow": {"times": [1e160]},
             "no-times": {"times": []}}.items():
         docs[f"emission-{name}"] = {**emission, **change}
+    for name in ("config_emission", "config_field"):
+        doc = json.loads((data / f"{name}.json").read_text())
+        doc["modes"] = [{**m, "kappa": [-0.0 if x == 0 else x for x in m["kappa"]]}
+                        for m in doc["modes"]]
+        docs[f"negative-zero-{name}"] = doc
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     for case in json.loads((data / "state_faults.json").read_text(encoding="utf-8")):
         # the section as raw text: it may hold numbers json.dumps cannot write
@@ -141,18 +177,60 @@ def write_configs(directory: Path) -> list[Path]:
     return paths
 
 
+def tree_env(tree: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+                PYTHONDONTWRITEBYTECODE="1")
+
+
+def out_dir(config: Path, command: str) -> str:
+    """Where one run writes, relative to its working directory, so that
+    messages naming it agree between trees and passes."""
+    return str(Path("out") / config.stem / command)
+
+
 def run(tree: Path, workdir: Path, config: Path, command: str) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one command; its files go to
-    ``workdir/out/<config>/<command>``, named relative to ``workdir`` so
-    that messages naming them agree between trees."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               PYTHONDONTWRITEBYTECODE="1")
-    out = Path("out") / config.stem / command
+    """(exit code, stdout, stderr) of one command in a fresh interpreter;
+    its files go to ``workdir/out/<config>/<command>``."""
     proc = subprocess.run(
         [sys.executable, "-m", "monofield.cli", command, "--config", str(config),
-         "--out", str(out)],
-        cwd=workdir, env=env, capture_output=True, text=True)
+         "--out", out_dir(config, command)],
+        cwd=workdir, env=tree_env(tree), capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr.replace(str(tree), "<tree>")
+
+
+def run_in_process(tree: Path, workdir: Path,
+                   pairs: list[tuple[Path, str]]) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of every (config, command) pair, run in
+    order by one interpreter through ``cli.main``; files go where
+    :func:`run` puts them, under ``workdir``."""
+    todo = [[command, str(config), out_dir(config, command)] for config, command in pairs]
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS], input=json.dumps(todo),
+                          cwd=workdir, env=tree_env(tree), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"in-process pass on {tree} failed:\n{proc.stderr}")
+    return [(code, out, err.replace(str(tree), "<tree>"))
+            for code, out, err in json.loads(proc.stdout)]
+
+
+def compare_runs(labels: tuple[str, str], pairs: list[tuple[Path, str]], old: list, new: list,
+                 old_dir: Path, new_dir: Path) -> list[str]:
+    """Each difference between two passes over the (config, command)
+    ``pairs``: exit codes, stdout, stderr, and the files under
+    ``old_dir/out`` and ``new_dir/out``."""
+    differences = []
+    for (config, command), a_run, b_run in zip(pairs, old, new):
+        for what, a, b in zip(("exit code", "stdout", "stderr"), a_run, b_run):
+            if a != b:
+                differences.append(f"{config.name} {command}: {what} differs:\n"
+                                   f"  {labels[0]}: {a!r}\n  {labels[1]}: {b!r}")
+    old_files, new_files = files(old_dir / "out"), files(new_dir / "out")
+    for name in sorted(old_files.keys() | new_files.keys()):
+        if name not in new_files or name not in old_files:
+            side = labels[0] if name in old_files else labels[1]
+            differences.append(f"{name}: written only by the {side}")
+        elif old_files[name] != new_files[name]:
+            differences.append(f"{name}: contents differ between {labels[0]} and {labels[1]}")
+    return differences
 
 
 def files(directory: Path) -> dict[str, bytes]:
@@ -185,33 +263,30 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
         configs = write_configs(tmp / "configs")
-        workdirs = [tmp / "parent", tmp / "change"]
-        for w in workdirs:
+        sides = ("parent", "change")
+        workdirs = [tmp / side for side in sides]
+        in_process_dirs = [tmp / f"{side}-in-process" for side in sides]
+        for w in workdirs + in_process_dirs:
             w.mkdir()
-        jobs = [(side, config, command) for side in (0, 1)
-                for config in configs for command in COMMANDS]
+        pairs = [(config, command) for config in configs for command in COMMANDS]
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(
-                lambda job: run(trees[job[0]], workdirs[job[0]], job[1], job[2]), jobs))
-        half = len(jobs) // 2
-        differences = []
-        for (_, config, command), old, new in zip(jobs, results[:half], results[half:]):
-            for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
-                if a != b:
-                    differences.append(f"{config.name} {command}: {what} differs:\n"
-                                       f"  parent: {a!r}\n  change: {b!r}")
-        old_files, new_files = (files(w / "out") for w in workdirs)
-        for name in sorted(old_files.keys() | new_files.keys()):
-            if name not in new_files or name not in old_files:
-                side = "parent" if name in old_files else "change"
-                differences.append(f"{name}: written only by the {side} tree")
-            elif old_files[name] != new_files[name]:
-                differences.append(f"{name}: contents differ")
+                lambda job: run(trees[job[0]], workdirs[job[0]], *job[1]),
+                [(side, pair) for side in (0, 1) for pair in pairs]))
+            in_process = list(pool.map(
+                lambda side: run_in_process(trees[side], in_process_dirs[side], pairs), (0, 1)))
+        fresh = [results[:len(pairs)], results[len(pairs):]]
+        differences = compare_runs(sides, pairs, *fresh, *workdirs)
+        for side, label in enumerate(sides):
+            differences += compare_runs(
+                (f"{label} fresh", f"{label} in-process"), pairs,
+                fresh[side], in_process[side], workdirs[side], in_process_dirs[side])
+        counts = [len(files(w / "out")) for w in workdirs]
     for line in differences:
         print(line)
-    codes = Counter(code for code, _, _ in results[:half])
-    print(f"{half} runs per tree (parent exit codes {dict(sorted(codes.items()))}), "
-          f"{len(old_files)} parent files, {len(new_files)} change files: "
+    codes = Counter(code for code, _, _ in fresh[0])
+    print(f"{len(pairs)} runs per tree and pass (parent exit codes {dict(sorted(codes.items()))}), "
+          f"{counts[0]} parent files, {counts[1]} change files: "
           f"{len(differences)} differences")
     return 1 if differences else 0
 
