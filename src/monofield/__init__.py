@@ -33,7 +33,6 @@ from .dynamics import (
 )
 from .emission import (
     AtomParams,
-    EmissionAmplitudes,
     VacuumCheck,
     atom_field_hamiltonian,
     coupling,

@@ -42,6 +42,7 @@ from .emission import (
     interaction_picture,
     VACUUM_TOL,
 )
+from . import fields
 from .fields import (CoherentBatch, StateError, coherent_rows, coherent_state, field_averages,
                      read_states)
 from .hilbert import (
@@ -194,7 +195,7 @@ def load_config(path) -> tuple[RunConfig, dict]:
         doc = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     try:
         return _parse_config(doc), doc
@@ -364,13 +365,6 @@ def cmd_verify_algebra(cfg: RunConfig, outdir: Path, tol: float | None, seed: in
     return 1 if table.failed else 0
 
 
-# vacuum-energy builds its states, and field-sweep the block stack of one
-# field component (16*D*A*b bytes per grid point, built nine times per
-# chunk), in blocks of about this many bytes, so their working arrays stay
-# small whatever the number of states or grid points
-STATE_BLOCK_BYTES = 1 << 18
-
-
 def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> int:
     if not cfg.states:
         raise ConfigError("vacuum-energy needs a 'states' list")
@@ -381,7 +375,7 @@ def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int
     contrast = standard_vacuum_energy(cfg.modes, cfg.field)
     labels = cfg.state_labels
     vacuum, energies, momenta = [], [], []
-    size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension))
+    size = max(1, fields.STATE_BLOCK_BYTES // (16 * layout.dimension))
     for start in range(0, len(labels), size):
         block = cfg.states.rows(start, start + size)
         try:
@@ -403,25 +397,18 @@ def cmd_vacuum_energy(cfg: RunConfig, outdir: Path, tol: float | None, seed: int
     return 0
 
 
-def _check_phases(cfg: RunConfig, layout: HilbertLayout, start: int, times, points) -> None:
-    """Refuse the first grid point, of the chunk that starts at grid index
-    ``start``, where the phase omega*t - kappa.x of some mode is out of the
-    float range: its field weights would be non-finite, and numpy would warn
-    while computing them.  The message names the time or the point whose own
-    phase overflows, else both."""
+def _phase_refusal(cfg: RunConfig, layout: HilbertLayout, index: int) -> ConfigError:
+    """The refusal of field-sweep grid point ``index``, where the phase
+    omega*t - kappa.x of some mode is out of the float range.  The message
+    names the time or the point whose own phase overflows, else both."""
+    i, j = divmod(index, len(cfg.points))
     with np.errstate(over="ignore", invalid="ignore"):
-        omega_t = np.multiply.outer(times, layout.omegas)
-        kappa_x = np.vecdot(layout.kappas, np.array(points)[:, None])
-        finite = np.isfinite(kappa_x - omega_t).all(axis=1)
-    if finite.all():
-        return
-    p = int(np.argmin(finite))
-    i, j = divmod(start + p, len(cfg.points))
-    entries = {f"times[{i}] = {cfg.times[i]!r}": omega_t[p],
-               f"points[{j}] = {list(cfg.points[j])!r}": kappa_x[p]}
+        entries = {f"times[{i}] = {cfg.times[i]!r}": cfg.times[i] * layout.omegas,
+                   f"points[{j}] = {list(cfg.points[j])!r}":
+                       np.vecdot(layout.kappas, np.array(cfg.points[j]))}
     named = [entry for entry, phase in entries.items() if not np.isfinite(phase).all()]
-    raise ConfigError(f"{' and '.join(named or entries)}: the phase omega*t - kappa.x of a "
-                      "mode is out of the float range")
+    return ConfigError(f"{' and '.join(named or entries)}: the phase omega*t - kappa.x of a "
+                       "mode is out of the float range")
 
 
 def cmd_field_sweep(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> int:
@@ -433,20 +420,16 @@ def cmd_field_sweep(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) 
         state = coherent_state(layout, cfg.coherent)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    grid = [(t, x) for t in cfg.times for x in cfg.points]
-    size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension * layout.block_shape[-1]))
-    columns = np.empty((len(grid), 13))
-    columns[:, 0] = np.repeat(cfg.times, len(cfg.points))
-    columns[:, 1:4] = np.tile(np.reshape(cfg.points, (-1, 3)), (len(cfg.times), 1))
-    for start in range(0, len(grid), size):
-        times, points = zip(*grid[start:start + size])
-        _check_phases(cfg, layout, start, times, points)
-        averages = field_averages(state, cfg.field, times, points)
-        columns[start:start + size, 4:] = averages.reshape(len(times), 9)
+    t = np.repeat(cfg.times, len(cfg.points))
+    x = np.tile(np.reshape(cfg.points, (-1, 3)), (len(cfg.times), 1))
+    try:
+        averages = field_averages(state, cfg.field, t, x)
+    except StateError as exc:
+        raise _phase_refusal(cfg, layout, exc.index) from None
     _write_csv(outdir / "field_sweep.csv",
                ["t", "x", "y", "z", "Ax", "Ay", "Az", "Ex", "Ey", "Ez",
-                "Bx", "By", "Bz"], columns.T)
-    print(f"field-sweep: {len(grid)} grid points")
+                "Bx", "By", "Bz"], [t, *x.T, *averages.reshape(-1, 9).T])
+    print(f"field-sweep: {len(t)} grid points")
     return 0
 
 

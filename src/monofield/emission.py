@@ -37,7 +37,6 @@ __all__ = [
     "atom_field_hamiltonian",
     "interaction_picture",
     "interaction_hamiltonian",
-    "EmissionAmplitudes",
     "first_order_table",
     "first_order_emission",
     "first_order_state",
@@ -226,35 +225,6 @@ def interaction_hamiltonian(layout: HilbertLayout, atom: AtomParams,
     return interaction_picture(layout, atom, config)(t)
 
 
-@dataclass(frozen=True, eq=False)
-class EmissionAmplitudes:
-    """All first-order transition amplitudes for one initial state and time.
-
-    ``amplitudes`` is the read-only (M, nmax) table whose entry [k, n] is
-    the amplitude from |k, n, excited> into |k, n+1, ground>: column 0 is
-    spontaneous emission, the others stimulated emission.
-    """
-
-    layout: HilbertLayout
-    time: float
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes.setflags(write=False)
-
-    def _row(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.layout.n_modes:
-            raise IndexError(f"mode index {k} out of range [0, {self.layout.n_modes})")
-        return self.amplitudes[k]
-
-    def spontaneous(self, k: int) -> complex:
-        return complex(self._row(k)[0])
-
-    def stimulated(self, k: int) -> dict[int, complex]:
-        """n -> amplitude from n >= 1 photons in mode k."""
-        return dict(enumerate(self._row(k)[1:].tolist(), start=1))
-
-
 def first_order_table(initial: StateVector, atom: AtomParams, config: FieldConfig,
                       times: Sequence[float], dipoles: Sequence[float]) -> np.ndarray:
     """The (C, T, M, nmax) first-order amplitudes from an excited-atom state
@@ -286,18 +256,21 @@ def first_order_table(initial: StateVector, atom: AtomParams, config: FieldConfi
 
 
 def first_order_emission(initial: StateVector, atom: AtomParams,
-                         config: FieldConfig, t: float) -> EmissionAmplitudes:
-    """The :func:`first_order_table` of the atom's own dipole at time t."""
+                         config: FieldConfig, t: float) -> np.ndarray:
+    """The read-only (M, nmax) :func:`first_order_table` of the atom's own
+    dipole at time t.  Entry [k, n] is the amplitude from |k, n, excited>
+    into |k, n+1, ground>: column 0 is spontaneous emission, the others
+    stimulated emission."""
     table = first_order_table(initial, atom, config, [t], [atom.d])[0, 0]
-    return EmissionAmplitudes(layout=initial.layout, time=t, amplitudes=table)
+    table.setflags(write=False)
+    return table
 
 
 def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfig,
                       t: float) -> StateVector:
     """Interaction-picture state through first order (not normalized)."""
-    amps = first_order_emission(initial, atom, config, t)
     out = initial.amplitudes.copy()
-    initial.layout.view(out)[GROUND, :, 1:] += amps.amplitudes
+    initial.layout.view(out)[GROUND, :, 1:] += first_order_emission(initial, atom, config, t)
     return StateVector(initial.layout, out)
 
 

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _AXIS_EPS = 1e-14
+# field_averages builds one field component's block stack (16*D*A*b bytes per
+# grid point), and vacuum-energy its states, in chunks of about this many bytes
+STATE_BLOCK_BYTES = 1 << 18
 # energy_identity's bounds: on the energy and momentum deviations, and on the
 # spread of the integrand E.E + B.B over the samples
 TOL_ENERGY = 1e-10
@@ -128,6 +131,14 @@ def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
 polarization_vectors.cache_clear = _polarization_table.cache_clear
 
 
+def _grid(t, x) -> tuple[np.ndarray, np.ndarray]:
+    """P times and (P, 3) points as float arrays; a misshapen or non-finite grid is refused."""
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    if x.shape != (*t.shape, 3) or t.ndim != 1 or not np.isfinite(np.append(t, x)).all():
+        raise ValueError("field operators need finite t and a finite 3-vector x")
+    return t, x
+
+
 def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarray:
     """(P, 3, M, 3) complex weights w[p, f, k] such that field f of "AEB" at
     (t[p], x[p]) is F_i = sum_k (w[p, f, k, i] a_k + h.c.), for P times ``t``
@@ -137,21 +148,19 @@ def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarra
     frequencies and wavevectors and one lookup of the cached
     :func:`polarization_vectors`.  Each weight is amp * phase * e in that
     order, with kappa . x taken by ``np.vecdot``, so it is bit for bit the
-    per-mode scalar product of those factors.  A non-finite time or point,
-    and a phase omega*t - kappa.x out of the float range, are refused with
-    ValueError.
+    per-mode scalar product of those factors.  :func:`_grid` checks the grid;
+    the first point where the phase omega*t - kappa.x of a mode is out of
+    the float range is refused with a :class:`StateError` of its index.
     """
-    t = np.asarray(t, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (*t.shape, 3) or t.ndim != 1 \
-            or not (np.isfinite(xv).all() and np.isfinite(t).all()):
-        raise ValueError("field operators need finite t and a finite 3-vector x")
+    t, x = _grid(t, x)
     vectors = polarization_vectors(layout.modes)
     omega = layout.omegas
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        angle = -1j * omega * t[:, None] + 1j * np.vecdot(layout.kappas, xv[:, None])
-    if not np.isfinite(angle).all():
-        raise ValueError("the phase omega*t - kappa.x of a mode is out of the float range")
+        angle = -1j * omega * t[:, None] + 1j * np.vecdot(layout.kappas, x[:, None])
+    finite = np.isfinite(angle).all(axis=1)
+    if not finite.all():
+        raise StateError(int(np.argmin(finite)),
+                         "the phase omega*t - kappa.x of a mode is out of the float range")
     phase = np.exp(angle)
     amp = np.empty((3, layout.n_modes), dtype=complex)
     amp[0] = np.sqrt(config.hbar / (2.0 * omega * config.volume))
@@ -427,21 +436,28 @@ def field_averages(state: StateVector, config: FieldConfig, t, x) -> np.ndarray:
     (t[p], x[p]) of ``t`` and the (P, 3) array ``x``.
 
     Entry [p, f] is :func:`field_average` of field f at (t[p], x[p]), bit for
-    bit: one :func:`_grid_weights` table, then per field and component one
-    (P, M, A*b, A*b) stack of the blocks :func:`_assemble` builds, one
-    stacked block matvec against the state's :meth:`~HilbertLayout.blocks_of`
-    rows and one ``np.vecdot`` with the state.  A stack takes 16*D*A*b bytes
-    per point, and the weight table 144*M, so callers pass a long grid in
-    chunks.  A grid point whose phase overflows is refused with ValueError.
+    bit.  Per chunk of :data:`STATE_BLOCK_BYTES` of blocks: one
+    :func:`_grid_weights` table, then per field and component one
+    (P, M, A*b, A*b) stack of the blocks :func:`_assemble` builds, one stacked
+    block matvec against the state's :meth:`~HilbertLayout.blocks_of` rows and
+    one ``np.vecdot`` with the state.  The first grid point whose phase
+    overflows is refused with a :class:`StateError` of its index in the grid.
     """
     layout = state.layout
     psi = state.amplitudes
     rows = layout.blocks_of(psi)[..., None]
-    weights = _grid_weights(layout, config, t, x)
+    t, x = _grid(t, x)
+    size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension * layout.block_shape[-1]))
     out = np.empty((len(t), 3, 3))
-    for f, i in itertools.product(range(3), repeat=2):
-        applied = _field_blocks(layout, weights[:, f, :, i]) @ rows
-        out[:, f, i] = np.vecdot(psi, layout.from_blocks(applied[..., 0])).real
+    for start in range(0, len(t), size):
+        chunk = slice(start, start + size)
+        try:
+            weights = _grid_weights(layout, config, t[chunk], x[chunk])
+        except StateError as exc:
+            raise StateError(start + exc.index, str(exc)) from None
+        for f, i in itertools.product(range(3), repeat=2):
+            applied = _field_blocks(layout, weights[:, f, :, i]) @ rows
+            out[chunk, f, i] = np.vecdot(psi, layout.from_blocks(applied[..., 0])).real
     return out
 
 

@@ -116,12 +116,15 @@ def mode(s: int, kappa: Sequence[float], j: int = 0, *, c: float = 1.0,
 
     If ``omega`` is supplied it must match c*|kappa| to 1e-12 relative;
     otherwise it is computed.  A zero wavevector is rejected here: use
-    :func:`abstract_mode` for direction-free modes.
+    :func:`abstract_mode` for direction-free modes.  So is a finite one whose
+    norm under- or overflows, as the polarization vectors divide by it.
     """
     kv = tuple(float(x) for x in kappa)
     norm = math.sqrt(sum(x * x for x in kv))
-    if norm == 0.0:
+    if not any(kv):
         raise ValueError("mode() requires a nonzero wavevector; use abstract_mode()")
+    if norm in (0.0, math.inf) and all(map(math.isfinite, kv)):
+        raise ValueError(f"the norm of wavevector {kv!r} is out of the float range")
     computed = c * norm
     if omega is not None and abs(omega - computed) > _OMEGA_RTOL * computed:
         raise ValueError(
@@ -268,13 +271,13 @@ def build_layout(modes: Sequence[ModeLabel], nmax: int,
         if m in seen:
             raise ValueError(f"duplicate mode in mode set: {m}")
         seen.add(m)
-    if not isinstance(nmax, (int, np.integer)) or nmax < 1:
+    if not isinstance(nmax, (int, np.integer)) or isinstance(nmax, bool) or nmax < 1:
         raise ValueError(f"nmax must be an integer >= 1, got {nmax!r}")
     return HilbertLayout(modes=modes, nmax=int(nmax), atom_levels=2 if with_atom else 0)
 
 
 class StateError(ValueError):
-    """A ValueError about one state of a batch of states, its row ``index``."""
+    """A ValueError about one row of a batch, a state or a grid point: its ``index``."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)

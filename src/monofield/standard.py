@@ -109,14 +109,10 @@ class StandardLayout:
 
 def build_standard_layout(modes: Sequence[ModeLabel], nmax: int,
                           with_atom: bool = False) -> StandardLayout:
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("mode set must be nonempty")
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate modes in mode set")
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    return StandardLayout(modes, int(nmax), 2 if with_atom else 0)
+    """The tensor-product layout, after :func:`build_layout`'s checks of the
+    mode set and nmax."""
+    layout = build_layout(modes, nmax, with_atom)
+    return StandardLayout(layout.modes, layout.nmax, layout.atom_levels)
 
 
 def standard_mode_annihilator(layout: StandardLayout, k: int) -> np.ndarray:
@@ -231,7 +227,7 @@ def single_oscillator_run(modes: Sequence[ModeLabel], nmax: int, config: FieldCo
         emit_layout = build_layout(modes, nmax, with_atom=True)
         weight = 1.0 / math.sqrt(len(modes))
         initial = superposition(emit_layout, {(k, 0, EXCITED): weight for k in range(len(modes))})
-        run["emission"] = first_order_emission(initial, atom, config, t).amplitudes[:, 0]
+        run["emission"] = first_order_emission(initial, atom, config, t)[:, 0]
         run["emission_weights"] = np.full(len(modes), weight, dtype=complex)
         run["omegas"] = omegas
     return run

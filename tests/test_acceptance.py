@@ -153,7 +153,7 @@ def test_criterion_7_first_order_emission(natural):
 
     absent_zero = all(
         amplitude == 0.0
-        for amplitude in mf.first_order_emission(initial, atom, natural, t).amplitudes[2])
+        for amplitude in mf.first_order_emission(initial, atom, natural, t)[2])
 
     devs = []
     couplings = np.logspace(-3, -1, 7)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import time
 import warnings
 from collections import Counter
@@ -48,6 +49,27 @@ def replaced(base, path, value):
 
 
 class TestConfigParsing:
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "modes"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, wrap):
+        """JSON nested deeper than the parser can recurse is a config error,
+        not a traceback with exit code 1."""
+        nested = "[" * 100_000 + "]" * 100_000
+        p = tmp_path / "c.json"
+        p.write_text(f'{{"modes": {nested}, "nmax": 2}}' if wrap else nested)
+        assert run("verify-algebra", p, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("edge", [1e300, 1e-300])
+    def test_box_whose_wavevector_norm_leaves_the_float_range(self, tmp_path, capsys, edge):
+        unit = -2.0 * math.pi / edge  # the first mode is (nx, ny, nz) = (-1, -1, -1)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"box": {"edge": edge, "max_index": 1}, "nmax": 2}))
+        assert run("verify-algebra", p, tmp_path) == 2
+        assert capsys.readouterr().err == (f"config error: the norm of wavevector "
+                                           f"{(unit, unit, unit)!r} is out of the float range\n")
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"modes": [{"omega": 1.0}], "nmax": 2, "bogus": 1}))
@@ -374,6 +396,27 @@ class TestFieldSweepCommand:
         p = tmp_path / "hot.json"
         p.write_text(json.dumps(doc))
         assert run("field-sweep", p, tmp_path) == 2
+
+    @pytest.mark.parametrize("times, points, named", [
+        ([0.0, 0.5, 1.0, 1e308], [[0.1, 0.2, 0.3]] * 4, "times[3] = 1e+308"),
+        ([0.0, 0.5, -1.0], [[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.4, -0.2, 0.0]] * 3
+         + [[0.0, -1e308, 0.0]], "points[9] = [0.0, -1e+308, 0.0]"),
+        ([-0.5, 0.7, 3e307], [[0.0, 0.0, 0.0], [0.3, 0.1, -0.2], [3e307, 0.0, 0.0], [1.0] * 3],
+         "times[2] = 3e+307 and points[2] = [3e+307, 0.0, 0.0]"),
+    ], ids=["time", "point", "both"])
+    @pytest.mark.filterwarnings("error")
+    def test_phase_refused_in_a_later_chunk(self, tmp_path, capsys, times, points, named):
+        """On the 52-mode box field-sweep takes chunks of 8 points; a phase
+        that first overflows at grid point 12, 9 or 10 names its own time,
+        point or both."""
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"box": {"edge": 2.0, "max_index": 1}, "nmax": 5,
+                                 "coherent": {"weights": [1.0] * 52, "alphas": [0.05] * 52},
+                                 "times": times, "points": points}))
+        assert run("field-sweep", p, tmp_path) == 2
+        assert capsys.readouterr().err == (f"config error: {named}: the phase omega*t - kappa.x "
+                                           "of a mode is out of the float range\n")
+        assert not (tmp_path / "field_sweep.csv").exists()
 
 
 class TestEmissionCommand:
@@ -943,8 +986,12 @@ class TestVacuumEnergyBatch:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert run("vacuum-energy", p, tmp_path / "whole") == 0
-        monkeypatch.setattr(monofield.cli, "STATE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(monofield.fields, "STATE_BLOCK_BYTES", block_bytes)
+        blocks = []
+        monkeypatch.setattr(monofield.cli, "coherent_rows",
+                            lambda *args: blocks.append(len(args[1])) or coherent_rows(*args))
         assert run("vacuum-energy", p, tmp_path / "blocks") == 0
+        assert blocks == ([1] * 10 if block_bytes == 1 else [3, 3, 3, 1])
         assert (tmp_path / "blocks" / "vacuum.csv").read_bytes() \
             == (tmp_path / "whole" / "vacuum.csv").read_bytes()
         doc["states"][7]["alphas"][2] = 3.0

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import monofield as mf
 from monofield.cli import _box_modes
 from monofield.dynamics import resonance_kernel
-from monofield.emission import EXCITED, GROUND, _mode_couplings, sigma3, sigma_plus
+from monofield.emission import (EXCITED, GROUND, _mode_couplings, first_order_table, sigma3,
+                                sigma_plus)
 
 
 def z_mode(omega=2.0, s=+1):
@@ -230,7 +231,7 @@ class TestFirstOrderEmission:
             expected = self.atom.omega0 * self.atom.d \
                 * resonance_kernel(self.atom.omega0 - mode.omega, t) \
                 * psi * np.sqrt(n + 1) * np.conj(g)
-            got = result.amplitudes[k, n]
+            got = result[k, n]
             assert got == pytest.approx(expected, abs=1e-15)
 
     def test_resonant_mode_kernel_is_minus_it(self, natural):
@@ -239,23 +240,23 @@ class TestFirstOrderEmission:
         g = mf.coupling(self.modes[1], self.atom, natural)
         # mode 1 sits exactly at omega0: kernel -> -i*t = -i
         expected = self.atom.omega0 * self.atom.d * (-1j) * np.conj(g)
-        assert result.spontaneous(1) == pytest.approx(expected, abs=1e-14)
+        assert result[1, 0] == pytest.approx(expected, abs=1e-14)
 
     def test_absent_modes_get_exactly_zero(self, natural):
         initial = excited_state(self.layout, {(0, 0): 1.0})
         result = mf.first_order_emission(initial, self.atom, natural, 0.7)
-        for amplitude in result.amplitudes[1:].ravel():
+        for amplitude in result[1:].ravel():
             assert amplitude == 0.0
 
     def test_channel_split_and_enhancement(self, natural):
         initial = excited_state(self.layout, {(0, 0): 0.6, (0, 2): 0.8})
         result = mf.first_order_emission(initial, self.atom, natural, 0.5)
-        spont = result.spontaneous(0)
-        stim = result.stimulated(0)
-        assert set(stim) == {1, 2, 3}
-        assert stim[1] == 0.0
+        # column 0 is spontaneous emission, columns n = 1, 2, 3 stimulated
+        spont, stim = result[0, 0], result[0, 1:]
+        assert stim.shape == (3,)
+        assert stim[0] == 0.0
         # same kernel and coupling: ratio reduces to sqrt(n+1) * Psi ratio
-        ratio = stim[2] / spont
+        ratio = stim[1] / spont
         psi0 = initial.amplitude(0, 0, EXCITED)
         psi2 = initial.amplitude(0, 2, EXCITED)
         assert ratio == pytest.approx(np.sqrt(3) * psi2 / psi0, abs=1e-12)
@@ -278,7 +279,7 @@ class TestFirstOrderEmission:
         atom2 = mf.AtomParams(self.atom.omega0, self.atom.d * dscale, self.atom.u)
         r1 = mf.first_order_emission(base, self.atom, natural, 1.0)
         r2 = mf.first_order_emission(scaled, atom2, natural, 1.0)
-        for a, b in zip(r1.amplitudes.ravel(), r2.amplitudes.ravel()):
+        for a, b in zip(r1.ravel(), r2.ravel()):
             assert b == pytest.approx(scale * dscale * a, rel=1e-12, abs=1e-18)
 
     def test_closed_form_vs_quadrature(self, natural):
@@ -363,14 +364,14 @@ class TestAmplitudeTable:
     def test_matches_the_amplitude_loop_bit_for_bit(self, rng):
         for _ in range(300):
             initial, atom, config, t = random_emission_case(rng)
-            got = mf.first_order_emission(initial, atom, config, t).amplitudes
+            got = mf.first_order_emission(initial, atom, config, t)
             assert got.shape == (initial.layout.n_modes, initial.layout.nmax)
             assert got.tobytes() == emission_loop(initial, atom, config, t).tobytes()
 
     def test_first_order_state_adds_one_amplitude_at_a_time(self, rng):
         for _ in range(50):
             initial, atom, config, t = random_emission_case(rng)
-            table = mf.first_order_emission(initial, atom, config, t).amplitudes
+            table = mf.first_order_emission(initial, atom, config, t)
             want = initial.amplitudes.copy()
             for (k, n), amp in np.ndenumerate(table):
                 want[initial.layout.flatten(k, n + 1, GROUND)] += amp
@@ -395,24 +396,14 @@ class TestAmplitudeTable:
         layout = mf.build_layout([z_mode(0.8), z_mode(1.0), z_mode(1.3)], 3, with_atom=True)
         initial = excited_state(layout, {(0, 0): 0.6, (1, 2): 0.8j, (2, 1): 0.1})
         atom = mf.AtomParams.make(1.0, 0.01, (1.0, 0.3j, 0.0))
-        result = mf.first_order_emission(initial, atom, natural, 0.9)
-        table = result.amplitudes
+        table = mf.first_order_emission(initial, atom, natural, 0.9)
         assert not table.flags.writeable
-        for k in range(layout.n_modes):
-            assert result.spontaneous(k) == table[k, 0]
-            assert type(result.spontaneous(k)) is complex
-            assert result.stimulated(k) == {1: table[k, 1], 2: table[k, 2]}
-
-    @pytest.mark.parametrize("k", [-1, 3, 7])
-    def test_mode_outside_the_layout_refused(self, natural, k):
-        layout = mf.build_layout([z_mode(0.8), z_mode(1.0), z_mode(1.3)], 2, with_atom=True)
-        initial = excited_state(layout, {(0, 0): 1.0})
-        atom = mf.AtomParams.make(1.0, 0.01, (1.0, 0.3j, 0.0))
-        result = mf.first_order_emission(initial, atom, natural, 1.0)
-        with pytest.raises(IndexError, match="mode index"):
-            result.spontaneous(k)
-        with pytest.raises(IndexError, match="mode index"):
-            result.stimulated(k)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert table.tobytes() == \
+            first_order_table(initial, atom, natural, [0.9], [atom.d])[0, 0].tobytes()
+        # a spontaneous amplitude from (0, 0), stimulated ones from (1, 2) and (2, 1)
+        assert [tuple(kn) for kn in np.argwhere(table)] == [(0, 0), (1, 2), (2, 1)]
 
 
 class TestExcitationNumber:

@@ -11,8 +11,9 @@ import monofield as mf
 from monofield.algebra import (fock_lowering, hamiltonian_from_mode_ladders, interior_indices,
                                momentum_from_mode_ladders)
 from monofield.cli import _box_modes, load_config, main
-from monofield.fields import (TOL_ENERGY, TOL_SAMPLE, FieldIdentityReport, _field_blocks,
-                              _mode_weights, _poisson_tail, polarization_vectors)
+from monofield import fields as fields_module
+from monofield.fields import (TOL_ENERGY, TOL_SAMPLE, FieldIdentityReport, StateError,
+                              _field_blocks, _mode_weights, _poisson_tail, polarization_vectors)
 
 DATA = Path(__file__).parent / "data"
 
@@ -436,7 +437,8 @@ class TestFieldGrid:
     def test_field_sweep_over_chunks_equals_the_per_point_loop(self, tmp_path, monkeypatch,
                                                                block_bytes):
         """field-sweep on the 52-mode box at nmax 5: 5 times x 4 points, in
-        chunks of 8 points (and of one), every average as the loop gives it."""
+        chunks of 8 points (and of one), every average as the loop gives it;
+        the chunks are counted by the weight tables built."""
         rng = np.random.default_rng(182)
         doc = {"box": {"edge": 2.3, "max_index": 1}, "nmax": 5,
                "coherent": {"weights": rng.normal(size=52).tolist(),
@@ -446,8 +448,13 @@ class TestFieldGrid:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(doc))
         if block_bytes is not None:
-            monkeypatch.setattr("monofield.cli.STATE_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr("monofield.fields.STATE_BLOCK_BYTES", block_bytes)
+        chunks = []
+        grid_weights = fields_module._grid_weights
+        monkeypatch.setattr(fields_module, "_grid_weights",
+                            lambda *args: chunks.append(len(args[2])) or grid_weights(*args))
         assert main(["field-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert chunks == ([8, 8, 4] if block_bytes is None else [1] * 20)
         with open(tmp_path / "field_sweep.csv", encoding="utf-8") as fh:
             rows = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
         assert len(rows) == 20
@@ -512,6 +519,33 @@ class TestFieldGrid:
                 mf.electric_field(layout, cfg.field, t, x)
             assert str(exc.value) == phase
         assert np.isfinite(mf.field_averages(state, cfg.field, [1e300], [(0.0, 0.0, 0.0)])).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_named_by_its_index_in_the_whole_grid(self):
+        """On the 52-mode box at nmax 5 field_averages takes chunks of 8
+        points; the first point whose phase overflows, in the second or
+        third chunk, is refused by its position in the whole grid."""
+        modes, volume = _box_modes({"edge": 2.0, "max_index": 1}, 1.0)
+        layout = mf.build_layout(modes, 5)
+        state = random_coherent(np.random.default_rng(185), layout)
+        t, x = random_grid(np.random.default_rng(186), 20)
+        phase = "the phase omega*t - kappa.x of a mode is out of the float range"
+        for first, later in [(9, 13), (16, 19), (8, 8)]:
+            bad_t, bad_x = t.copy(), x.copy()
+            bad_t[first] = 1e308
+            bad_x[later] = (0.0, -1e308, 1e308)
+            with pytest.raises(StateError) as exc:
+                mf.field_averages(state, mf.FieldConfig(volume=volume), bad_t, bad_x)
+            assert (exc.value.index, str(exc.value)) == (first, phase)
+
+    def test_misshapen_grid_refused_before_any_chunk(self):
+        """A point array longer than the times is refused, also where every
+        chunk of the times would find its points."""
+        layout = mf.build_layout(_box_modes({"edge": 2.0, "max_index": 1}, 1.0)[0], 5)
+        state = random_coherent(np.random.default_rng(187), layout)
+        t, x = random_grid(np.random.default_rng(188), 20)
+        with pytest.raises(ValueError, match="finite t and a finite 3-vector x"):
+            mf.field_averages(state, mf.FieldConfig(), t[:12], x)
 
 
 class TestEnergyMomentumIdentity:

@@ -52,6 +52,22 @@ class TestModeLabel:
         assert mf.abstract_mode(1.5).abstract
         assert not mf.mode(+1, (1.0, 0.0, 0.0)).abstract
 
+    @pytest.mark.parametrize("kappa", [(1e-200, 0.0, 0.0), (1e200, 1e200, 0.0),
+                                       (0.0, -1e-170, 1e-170), (-1e160, 0.0, 1e160)])
+    def test_wavevector_norm_out_of_the_float_range_refused(self, kappa):
+        """A finite nonzero wavevector whose squared norm under- or overflows
+        is named, not called zero or given an infinite frequency."""
+        with pytest.raises(ValueError) as err:
+            mf.mode(1, kappa)
+        assert str(err.value) == f"the norm of wavevector {kappa!r} is out of the float range"
+
+    def test_zero_and_non_finite_wavevectors_keep_their_refusals(self):
+        with pytest.raises(ValueError, match="nonzero wavevector; use abstract_mode"):
+            mf.mode(1, (0.0, -0.0, 0.0))
+        for kappa in [(np.inf, 1.0, 0.0), (np.nan, 1e-200, 0.0)]:
+            with pytest.raises(ValueError, match="kappa must be a finite 3-vector"):
+                mf.mode(1, kappa)
+
 
 class TestBuildLayout:
     def test_dimension_four_modes(self):
@@ -63,6 +79,15 @@ class TestBuildLayout:
     def test_nmax_zero_rejected(self):
         with pytest.raises(ValueError, match="nmax"):
             abstract_layout(1, 0)
+
+    @pytest.mark.parametrize("nmax", [True, False, 2.5, 2.0, np.bool_(True)])
+    def test_nmax_bool_or_fractional_rejected(self, nmax):
+        modes = [mf.abstract_mode(1.0), mf.abstract_mode(2.0)]
+        for build in (mf.build_layout, mf.build_standard_layout):
+            with pytest.raises(ValueError) as err:
+                build(modes, nmax)
+            assert str(err.value) == f"nmax must be an integer >= 1, got {nmax!r}"
+        assert mf.build_standard_layout(modes, np.int64(2)).nmax == 2
 
     def test_duplicate_mode_rejected_with_label(self):
         dup = mf.abstract_mode(1.0)

@@ -24,8 +24,12 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   where it checks its largest set of mode pairs and writes 1 403 568 rows
   (45 MB);
 * two ``field-sweep`` grids: the 52-mode box at ``nmax`` 5 with 5 times x 4
-  points (20 points, which ``field-sweep`` takes in chunks of 8), and the
+  points (20 points, which ``field_averages`` takes in chunks of 8), and the
   248-mode box at ``nmax`` 8 with 10 times x 12 points (120 points);
+* the 52-mode grid with 3 times x 4 points whose first overflowing phase
+  omega*t - kappa.x is at grid point 10, in the second chunk: only the sum
+  of the time's and the point's finite phases overflows, so the refusal
+  names both;
 * ``tests/data/config_algebra.json`` with ``tolerances.algebra`` 1e-17, so
   that some of its relations fail;
 * ``tests/data/config_emission.json`` with the edge cases of the stacked
@@ -37,8 +41,8 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   whose wavevector zeros are ``-0.0``: their mode tuples equal their
   mates', which run before them.
 
-A config a command cannot use is still run: its exit code and message
-are compared too.  Everything is written under a temporary directory.
+That is 71 configs, so 355 runs per tree and pass.  A config a command
+cannot use is still run: its exit code and message are compared too.  Everything is written under a temporary directory.
 The script compares the exit codes, stdout, stderr (with the tree path
 masked) and every output file between the trees.
 
@@ -142,6 +146,9 @@ def write_configs(directory: Path) -> list[Path]:
     docs["box-684"] = BOX_684
     docs["sweep-52"] = sweep_config(1, 5, 5, 4, seed=52)
     docs["sweep-248"] = sweep_config(2, 8, 10, 12, seed=248)
+    docs["sweep-52-phase-overflow"] = {
+        **sweep_config(1, 5, 3, 4, seed=53), "times": [-0.5, 0.7, 3e307],
+        "points": [[0.0, 0.0, 0.0], [0.3, 0.1, -0.2], [3e307, 0.0, 0.0], [1.0, 1.0, 1.0]]}
     data = ROOT / "tests" / "data"
     docs["algebra-tight"] = dict(json.loads((data / "config_algebra.json").read_text()),
                                  tolerances={"algebra": 1e-17})
