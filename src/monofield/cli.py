@@ -511,12 +511,17 @@ def cmd_compare_standard(cfg: RunConfig, outdir: Path, tol: float | None, seed: 
     tolerance = cfg.tolerance("comparison", tol)
     t_ref = cfg.times[-1] if cfg.times else 1.0
     try:
-        single = single_oscillator_run(cfg.modes, cfg.nmax, cfg.field, cfg.atom,
-                                       t=t_ref, seed=seed)
-        standard = standard_scheme_run(cfg.modes, cfg.standard_nmax, cfg.field,
-                                       cfg.atom, t=t_ref)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with the time
+            single = single_oscillator_run(cfg.modes, cfg.nmax, cfg.field, cfg.atom,
+                                           t=t_ref, seed=seed)
+            standard = standard_scheme_run(cfg.modes, cfg.standard_nmax, cfg.field,
+                                           cfg.atom, t=t_ref)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if not all(np.isfinite(run["emission"]).all() for run in (single, standard)
+               if "emission" in run):
+        raise ConfigError(f"t = {t_ref!r}: the first-order emission amplitudes are out of "
+                          "the float range")
     report = compare_report(single, standard)
 
     g = coupling(cfg.modes[0], cfg.atom, cfg.field) \
@@ -527,7 +532,12 @@ def cmd_compare_standard(cfg: RunConfig, outdir: Path, tol: float | None, seed: 
         layout = build_layout(cfg.modes, cfg.nmax, with_atom=True)
         h = atom_field_hamiltonian(layout, cfg.atom, cfg.field)
         psi0 = basis_state(layout, 0, 0, EXCITED)
+        refusal = (f"Jaynes-Cummings check: atom.omega0 = {cfg.atom.omega0!r} and "
+                   f"atom.dipole = {cfg.atom.d!r} give half-Rabi frequency {lam!r}: ")
         horizon = 10.0 / lam
+        if not math.isfinite(horizon):
+            raise ConfigError(refusal + f"the horizon 10/lambda = {horizon!r} is out of the "
+                              "float range")
         times = np.linspace(0.0, horizon, 101)
         dev = 0.0
         try:
@@ -537,9 +547,7 @@ def cmd_compare_standard(cfg: RunConfig, outdir: Path, tol: float | None, seed: 
                 ref = jc_excited_population(cfg.atom, g, 0, t, detuning)
                 dev = max(dev, abs(pop - ref))
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"Jaynes-Cummings check: atom.omega0 = {cfg.atom.omega0!r} and "
-                              f"atom.dipole = {cfg.atom.d!r} give half-Rabi frequency "
-                              f"{lam!r}: {exc}")
+            raise ConfigError(refusal + str(exc))
         report["jaynes_cummings_check"] = {
             "half_rabi_frequency": lam,
             "horizon": horizon,

@@ -6,7 +6,7 @@ total dimension is M*(nmax+1)*(2 if atom else 1) and grows linearly in the
 number of modes: each mode is a sector of one oscillator, not an extra
 tensor factor.
 
-Flat index convention (fixed, so serialized matrices are reproducible):
+Flat index convention:
 mode index is the slowest axis, then atom level, then photon number::
 
     flat = (k * A + atom) * (nmax+1) + n,    A = 2 with the atom, else 1
@@ -55,10 +55,6 @@ __all__ = [
     "parse_complex",
     "parse_complex_list",
     "load_mode_set",
-    "save_state",
-    "load_state",
-    "save_operator",
-    "load_operator",
 ]
 
 _OMEGA_RTOL = 1e-12
@@ -574,7 +570,7 @@ def expect_rows(a: Operator, rows: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, a.matvec(rows))
 
 
-# -- serialization ------------------------------------------------------
+# -- JSON readers ------------------------------------------------------
 
 
 def _reject_constant(name: str):
@@ -679,124 +675,3 @@ def load_mode_set(source, config: FieldConfig | None = None) -> tuple[ModeLabel,
         else:
             raise ValueError(f"{where} needs 'kappa' or 'omega': {entry!r}")
     return tuple(out)
-
-
-# the flat basis order of every saved state and operator file, named in its first line
-_BASIS_ORDER = "mode-atom-n"
-
-
-def _layout_line(layout: HilbertLayout) -> str:
-    """The first line of a state or operator file: the layout its indices refer to."""
-    return (f"# monofield layout M={layout.n_modes} nmax={layout.nmax} A={layout.levels} "
-            f"order={_BASIS_ORDER}")
-
-
-def _refuse_non_finite(what: str, path, values: np.ndarray, **indices: np.ndarray) -> None:
-    """Refuse a non-finite value, which the ``what`` loader would refuse, with
-    a ValueError that names the file and the first such value's ``indices``;
-    called before the file is opened, so no file is made or changed."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
-        at = ", ".join(f"{name} {int(index[i])}" for name, index in indices.items())
-        raise ValueError(f"{what} file {str(path)!r}: non-finite value {values[i]} at {at}; "
-                         f"load_{what} would refuse it")
-
-
-def save_state(state: StateVector, path) -> None:
-    """Write amplitudes as columnar text under the layout line: index, re, im
-    (all entries).  A non-finite amplitude is refused."""
-    _refuse_non_finite("state", path, state.amplitudes,
-                       index=np.arange(state.layout.dimension))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_layout_line(state.layout)}\nindex,re,im\n")
-        for i, z in enumerate(state.amplitudes):
-            fh.write(f"{i},{float(z.real)!r},{float(z.imag)!r}\n")
-
-
-def _read_entries(path, what: str, header: str, layout: HilbertLayout, block: int):
-    """(indices, value) of every line of a columnar ``what`` file under its
-    layout line and ``header``: integer indices in [0, D) that lie in one
-    block of ``block`` kets and that no earlier line repeats, then a finite
-    re, im.  A file written for another layout or basis order, or with no
-    layout line, and any other bad line are refused with a ValueError that
-    names the file."""
-    fields = header.count(",") + 1
-    dimension = layout.dimension
-    name = f"{what} file {str(path)!r}"
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        expected = _layout_line(layout)
-        if not first.startswith("# monofield layout "):
-            raise ValueError(
-                f"{name} does not name its layout (first line {first!r}); a file written "
-                f"before the {_BASIS_ORDER} basis order may index other kets: load it with "
-                f"the version that wrote it and write it again with save_{what}")
-        if first != expected:
-            raise ValueError(f"{name} was written for another layout or basis order: its "
-                             f"first line is {first!r}, this layout's is {expected!r}")
-        second = fh.readline().strip()
-        if second != header:
-            raise ValueError(f"unexpected {what} header {second!r} in {name}")
-        for number, line in enumerate(fh, start=3):
-            entry = line.rstrip("\n").split(",")
-            try:
-                if len(entry) != fields:
-                    raise ValueError(f"expected {fields} fields, got {len(entry)}")
-                indices = tuple(int(i) for i in entry[:-2])
-                for i in indices:
-                    if not 0 <= i < dimension:
-                        raise ValueError(f"index {i} out of range [0, {dimension})")
-                re, im = float(entry[-2]), float(entry[-1])
-                if not (math.isfinite(re) and math.isfinite(im)):
-                    raise ValueError(f"non-finite value {re}, {im}")
-                if indices[0] // block != indices[-1] // block:
-                    raise ValueError(f"entry {indices} lies between the blocks of modes "
-                                     f"{indices[0] // block} and {indices[-1] // block}; an "
-                                     "operator is block-diagonal over the modes")
-                if indices in seen:
-                    raise ValueError(f"{header.rsplit(',', 2)[0]} "
-                                     f"{','.join(map(str, indices))} repeats an earlier line")
-                seen.add(indices)
-            except ValueError as exc:
-                raise ValueError(f"{name}, line {number}: {exc}") from None
-            yield indices, complex(re, im)
-
-
-def load_state(path, layout: HilbertLayout) -> StateVector:
-    """The state :func:`save_state` wrote to ``path`` for ``layout``."""
-    amps = np.zeros(layout.dimension, dtype=complex)
-    for (i,), value in _read_entries(path, "state", "index,re,im", layout, layout.dimension):
-        amps[i] = value
-    return StateVector(layout, amps)
-
-
-def save_operator(op: Operator, path) -> None:
-    """Write the nonzero entries of ``op.toarray()`` in row-major order as
-    columnar text under the layout line: row, col, re, im, read from the
-    stored kind without a D x D copy.  Both kinds are a stack of square
-    blocks on the diagonal (D 1x1 blocks or M blocks), and place adds the
-    blocks of the block kind onto zeros, which turns a -0.0 part into 0.0.
-    A non-finite entry is refused."""
-    stack = op.data.reshape(-1, 1, 1) if op.diagonal else op.data
-    k, i, j = np.nonzero(stack)
-    values = stack[k, i, j] if op.diagonal else stack[k, i, j] + 0.0
-    rows, cols = k * stack.shape[-1] + i, k * stack.shape[-1] + j
-    _refuse_non_finite("operator", path, values, row=rows, col=cols)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_layout_line(op.layout)}\nrow,col,re,im\n")
-        for r, c, z in zip(rows.tolist(), cols.tolist(), values.tolist()):
-            fh.write(f"{r},{c},{z.real!r},{z.imag!r}\n")
-
-
-def load_operator(path, layout: HilbertLayout) -> Operator:
-    """The operator :func:`save_operator` wrote to ``path`` for ``layout``, as
-    a block stack.  An entry between two mode blocks, which no operator
-    holds, and a repeated (row, col) are refused with a ValueError that
-    names the file and line."""
-    blocks = np.zeros(layout.block_shape, dtype=complex)
-    size = layout.block_shape[-1]
-    for (r, c), value in _read_entries(path, "operator", "row,col,re,im", layout, size):
-        blocks[r // size, r % size, c % size] = value
-    return Operator(layout, blocks)

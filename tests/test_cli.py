@@ -771,6 +771,43 @@ class TestCompareStandardCommand:
         assert run("compare-standard", p, tmp_path) == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_overflowing_emission_names_the_time(self, tmp_path, capsys, t):
+        # the kernel exp(i*delta*t) overflows; refused before any file is written
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**json.loads((DATA / "config_compare.json").read_text()),
+                                 "times": [t]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("compare-standard", p, tmp_path / "out") == 2
+        assert not caught
+        assert capsys.readouterr().err == (f"config error: t = {t!r}: the first-order emission "
+                                           "amplitudes are out of the float range\n")
+        assert not (tmp_path / "out" / "comparison.json").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (["atom", "omega0"], 1e-320),
+        (["atom", "dipole"], 1e-320),
+        (["atom", "dipole"], 5e-324),
+        (["atom", "direction", 2], 1e308),
+        (["atom", "direction", 2], -1e308),
+    ], ids=["omega0_1e-320", "dipole_1e-320", "dipole_5e-324", "direction_z_1e308",
+            "direction_z_-1e308"])
+    def test_subnormal_half_rabi_frequency_names_the_horizon(self, tmp_path, capsys, path,
+                                                             value):
+        # lambda in [5e-324, 3.5e-310] makes the horizon 10/lambda overflow
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**json.loads((DATA / "config_jc.json").read_text()),
+                                 **replaced("config_jc.json", path, value)}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("compare-standard", p, tmp_path) == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nan" not in err
+        assert err.startswith("config error: Jaynes-Cummings check: atom.omega0 = ")
+        assert err.endswith(": the horizon 10/lambda = inf is out of the float range\n")
+
     def test_deterministic_given_seed(self, tmp_path):
         run("compare-standard", DATA / "config_compare.json", tmp_path / "a",
             "--seed", "9")

@@ -1,6 +1,7 @@
 """Config fuzzing: replace one leaf or one section of a valid config with a
-value from a fixed pool, or two numeric leaves of one section with the same
-extreme value, and run the command in-process.  Whatever the values, the
+value from a fixed pool, two numeric leaves of one section with the same
+extreme value, or one numeric leaf with a value at the edge of the float
+range, and run the command in-process.  Whatever the values, the
 command must keep the exit contract (0 pass, 1 physics check failed, 2
 config error), raise nothing and warn nothing, and every file it writes on
 exit 0 or 1 must hold finite numbers only: strict JSON, and CSV cells that
@@ -136,3 +137,20 @@ def test_extreme_pairs_keep_outputs_finite(tmp_path, name, value):
                 _replaced(doc, path, value)
             _run(name, doc, tmp_path,
                  " and ".join(".".join(map(str, path)) for path in pair) + f" = {value!r}")
+
+
+@pytest.mark.parametrize("name", [name for name, command in COMMANDS.items()
+                                  if command != "emission"])
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e-320, 5e-324])
+def test_extreme_leaf_alone_keeps_outputs_finite(tmp_path, name, value):
+    # the edge of the float range and subnormals, which POOL does not hold,
+    # in each numeric leaf alone (nmax and standard_nmax are refused as
+    # floats); emission stays out, as each of its runs pays for the Dyson
+    # quadrature
+    base = json.loads((DATA / name).read_text())
+    for path in _paths(base):
+        if path[-1] in ("nmax", "standard_nmax") or type(_leaf(base, path)) not in (int, float):
+            continue
+        doc = json.loads(json.dumps(base))
+        _replaced(doc, path, value)
+        _run(name, doc, tmp_path, ".".join(map(str, path)) + f" = {value!r}")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import monofield as mf
 from monofield.cli import ConfigError, load_config
 from monofield.fields import read_states
-from conftest import block_operator, random_hermitian, random_state
+from conftest import random_hermitian, random_state
 
 
 def abstract_layout(m, nmax, atom=False):
@@ -245,225 +245,7 @@ class TestOperatorStorage:
             mf.Operator(two_tone_layout, np.zeros((two_tone_layout.dimension,) * 2))
 
 
-# the layout line of a file written for two_tone_layout
-LAYOUT_LINE = "# monofield layout M=2 nmax=3 A=1 order=mode-atom-n"
-
-
-class TestSerialization:
-    def test_state_roundtrip(self, two_tone_layout, rng, tmp_path):
-        psi = random_state(two_tone_layout, rng)
-        path = tmp_path / "state.csv"
-        mf.hilbert.save_state(psi, path)
-        back = mf.hilbert.load_state(path, two_tone_layout)
-        assert np.array_equal(back.amplitudes, psi.amplitudes)
-
-    def test_operator_roundtrip(self, two_tone_layout, rng, tmp_path):
-        a = random_hermitian(two_tone_layout, rng)
-        path = tmp_path / "op.csv"
-        mf.hilbert.save_operator(a, path)
-        back = mf.hilbert.load_operator(path, two_tone_layout)
-        assert np.array_equal(back.toarray(), a.toarray())
-
-    @pytest.mark.parametrize("kind", ["diagonal", "block"])
-    def test_operator_file_is_that_of_its_dense_array(self, kind, rng, tmp_path):
-        """Each kind writes the nonzero entries of its toarray() in row-major
-        order, signed zeros included."""
-        layout = abstract_layout(3, 2, atom=True)
-        shape = {"diagonal": (layout.dimension,), "block": layout.block_shape}[kind]
-        parts = rng.normal(size=(*shape, 2))
-        # exact zeros of either sign in either part, some whole entries zero
-        parts[rng.uniform(size=parts.shape) < 0.3] = 0.0
-        parts[rng.uniform(size=parts.shape) < 0.3] = -0.0
-        op = mf.Operator(layout, parts.view(complex)[..., 0])
-        assert op.kind == kind
-        mf.hilbert.save_operator(op, tmp_path / "stored.csv")
-        matrix = op.toarray()
-        rows, cols = np.nonzero(matrix)
-        want = "# monofield layout M=3 nmax=2 A=2 order=mode-atom-n\nrow,col,re,im\n" + "".join(
-            f"{r},{c},{z.real!r},{z.imag!r}\n"
-            for r, c, z in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
-        assert (tmp_path / "stored.csv").read_text() == want
-
-    def test_block_operator_is_saved_without_a_dense_copy(self, tmp_path):
-        """The RWA Hamiltonian on the 52-mode box with the atom at nmax 5
-        (D = 624) is a 120 kB block stack; a dense copy would take 6.2 MB."""
-        import tracemalloc
-
-        from monofield.cli import _box_modes
-
-        modes, volume = _box_modes({"edge": 2.0, "max_index": 1}, 1.0)
-        layout = mf.build_layout(modes, 5, with_atom=True)
-        atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.3j, 0.2))
-        h = mf.atom_field_hamiltonian(layout, atom, mf.FieldConfig(volume=volume))
-        assert h.kind == "block"
-        tracemalloc.start()
-        try:
-            mf.hilbert.save_operator(h, tmp_path / "h.csv")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-
-    def test_operator_is_loaded_without_a_dense_copy(self, tmp_path):
-        """The RWA Hamiltonian on the 248-mode box with the atom at nmax 8
-        (D = 4 464) goes through save and load within 16 MB traced peak; a
-        dense D x D copy would take 319 MB."""
-        import tracemalloc
-
-        from monofield.cli import _box_modes
-
-        modes, volume = _box_modes({"edge": 2.0, "max_index": 2}, 1.0)
-        layout = mf.build_layout(modes, 8, with_atom=True)
-        atom = mf.AtomParams.make(1.0, 0.02, (1.0, 0.3j, 0.2))
-        h = mf.atom_field_hamiltonian(layout, atom, mf.FieldConfig(volume=volume))
-        assert layout.dimension == 4464
-        tracemalloc.start()
-        try:
-            mf.hilbert.save_operator(h, tmp_path / "h.csv")
-            back = mf.hilbert.load_operator(tmp_path / "h.csv", layout)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16_000_000
-        assert back.kind == "block" and np.array_equal(back.data, h.data)
-
-    def test_operator_entry_between_mode_blocks_refused(self, two_tone_layout, tmp_path):
-        path = tmp_path / "op.csv"
-        path.write_text(f"{LAYOUT_LINE}\nrow,col,re,im\n0,0,1.0,0.0\n1,5,0.5,0.0\n")
-        with pytest.raises(ValueError) as exc:
-            mf.hilbert.load_operator(path, two_tone_layout)
-        assert str(exc.value) == (
-            f"operator file {str(path)!r}, line 4: entry (1, 5) lies between the blocks "
-            "of modes 0 and 1; an operator is block-diagonal over the modes")
-
-    def test_operator_repeated_entry_refused(self, two_tone_layout, tmp_path):
-        path = tmp_path / "op.csv"
-        path.write_text(f"{LAYOUT_LINE}\nrow,col,re,im\n0,1,1.0,0.0\n5,5,2.0,0.0\n"
-                        "0,1,3.0,0.0\n")
-        with pytest.raises(ValueError) as exc:
-            mf.hilbert.load_operator(path, two_tone_layout)
-        assert str(exc.value) == \
-            f"operator file {str(path)!r}, line 5: row,col 0,1 repeats an earlier line"
-
-    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, -np.inf)])
-    def test_non_finite_state_is_not_saved(self, two_tone_layout, bad, tmp_path):
-        """save_state refuses what load_state would refuse, before it opens
-        the file: a new path stays absent and an existing file unchanged."""
-        amps = np.arange(two_tone_layout.dimension, dtype=complex)
-        amps[[4, 6]] = bad
-        state = mf.StateVector(two_tone_layout, amps)
-        path, kept = tmp_path / "state.csv", tmp_path / "kept.csv"
-        kept.write_text("earlier contents\n")
-        for target in (path, kept):
-            with pytest.raises(ValueError) as exc:
-                mf.hilbert.save_state(state, target)
-            assert str(exc.value) == (f"state file {str(target)!r}: non-finite value "
-                                      f"{amps[4]} at index 4; load_state would refuse it")
-        assert not path.exists() and kept.read_text() == "earlier contents\n"
-
-    @pytest.mark.parametrize("kind", ["diagonal", "block"])
-    def test_non_finite_operator_is_not_saved(self, two_tone_layout, kind, tmp_path):
-        """save_operator names the row and col of the first non-finite entry
-        in file order, and writes nothing."""
-        layout, col = two_tone_layout, {"diagonal": 5, "block": 6}[kind]
-        matrix = np.diag(np.arange(1.0, layout.dimension + 1)).astype(complex)
-        matrix[5, col] = np.inf
-        matrix[6, 6] = np.nan
-        op = mf.Operator.from_diagonal(layout, np.diag(matrix)) if kind == "diagonal" \
-            else block_operator(layout, matrix)
-        assert op.kind == kind
-        kept = tmp_path / "kept.csv"
-        kept.write_text("earlier contents\n")
-        for target in (tmp_path / "op.csv", kept):
-            with pytest.raises(ValueError) as exc:
-                mf.hilbert.save_operator(op, target)
-            assert str(exc.value) == (f"operator file {str(target)!r}: non-finite value "
-                                      f"(inf+0j) at row 5, col {col}; load_operator would "
-                                      "refuse it")
-        assert not (tmp_path / "op.csv").exists()
-        assert kept.read_text() == "earlier contents\n"
-
-    def test_state_repeated_index_refused(self, two_tone_layout, tmp_path):
-        path = tmp_path / "state.csv"
-        path.write_text(f"{LAYOUT_LINE}\nindex,re,im\n3,1.0,0.0\n3,0.5,0.0\n")
-        with pytest.raises(ValueError) as exc:
-            mf.hilbert.load_state(path, two_tone_layout)
-        assert str(exc.value) == \
-            f"state file {str(path)!r}, line 4: index 3 repeats an earlier line"
-
-    def test_state_roundtrip_keeps_signed_zeros(self, two_tone_layout, tmp_path):
-        amps = np.zeros(two_tone_layout.dimension, dtype=complex)
-        amps[0], amps[1], amps[2] = complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)
-        path = tmp_path / "state.csv"
-        mf.hilbert.save_state(mf.StateVector(two_tone_layout, amps), path)
-        back = mf.hilbert.load_state(path, two_tone_layout)
-        assert back.amplitudes.tobytes() == amps.tobytes()
-
-    @pytest.mark.parametrize("line, problem", [
-        ("-1,1.0,0.0", "index -1 out of range [0, 8)"),
-        ("8,1.0,0.0", "index 8 out of range [0, 8)"),
-        ("1.5,1.0,0.0", "invalid literal for int()"),
-        ("0,nan,0.0", "non-finite value"),
-        ("0,1.0,inf", "non-finite value"),
-        ("0,1.0", "expected 3 fields, got 2"),
-        ("0,1.0,0.0,0.0", "expected 3 fields, got 4"),
-        ("", "expected 3 fields, got 1"),
-    ])
-    def test_state_file_bad_line_refused(self, two_tone_layout, tmp_path, line, problem):
-        path = tmp_path / "state.csv"
-        path.write_text(f"{LAYOUT_LINE}\nindex,re,im\n0,1.0,0.0\n{line}\n")
-        with pytest.raises(ValueError) as exc:
-            mf.hilbert.load_state(path, two_tone_layout)
-        assert str(exc.value).startswith(f"state file {str(path)!r}, line 4: {problem}")
-
-    @pytest.mark.parametrize("line, problem", [
-        ("-1,0,1.0,0.0", "index -1 out of range [0, 8)"),
-        ("0,-1,1.0,0.0", "index -1 out of range [0, 8)"),
-        ("0,8,1.0,0.0", "index 8 out of range [0, 8)"),
-        ("0,0,-inf,0.0", "non-finite value"),
-        ("0,0,1.0,nan", "non-finite value"),
-        ("0,0,1.0", "expected 4 fields, got 3"),
-        ("0,x,1.0,0.0", "invalid literal for int()"),
-    ])
-    def test_operator_file_bad_line_refused(self, two_tone_layout, tmp_path, line, problem):
-        path = tmp_path / "op.csv"
-        path.write_text(f"{LAYOUT_LINE}\nrow,col,re,im\n0,0,1.0,0.0\n{line}\n")
-        with pytest.raises(ValueError) as exc:
-            mf.hilbert.load_operator(path, two_tone_layout)
-        assert str(exc.value).startswith(f"operator file {str(path)!r}, line 4: {problem}")
-
-    @pytest.mark.parametrize("what", ["state", "operator"])
-    def test_file_names_its_layout(self, two_tone_layout, rng, tmp_path, what):
-        """The first line names M, nmax, A and the basis order; a file for
-        another layout, or one with no layout line (written before the
-        mode-major basis order, whose kets may differ), is refused."""
-        save, load = getattr(mf.hilbert, f"save_{what}"), getattr(mf.hilbert, f"load_{what}")
-        obj = (random_state if what == "state" else random_hermitian)(two_tone_layout, rng)
-        path = tmp_path / f"{what}.csv"
-        save(obj, path)
-        lines = path.read_text().splitlines(keepends=True)
-        assert lines[0] == f"{LAYOUT_LINE}\n"
-        name = f"{what} file {str(path)!r}"
-        for other in (mf.build_layout(two_tone_layout.modes, 4),
-                      mf.build_layout(two_tone_layout.modes[:1], 3),
-                      mf.build_layout(two_tone_layout.modes, 3, with_atom=True)):
-            with pytest.raises(ValueError) as exc:
-                load(path, other)
-            assert str(exc.value).startswith(
-                f"{name} was written for another layout or basis order: "
-                f"its first line is {LAYOUT_LINE!r}, this layout's is ")
-        path.write_text(LAYOUT_LINE.replace("mode-atom-n", "atom-mode-n") + "\n"
-                        + "".join(lines[1:]))
-        with pytest.raises(ValueError, match="another layout or basis order"):
-            load(path, two_tone_layout)
-        path.write_text("".join(lines[1:]))  # the format before the layout line
-        with pytest.raises(ValueError) as exc:
-            load(path, two_tone_layout)
-        assert str(exc.value) == (
-            f"{name} does not name its layout (first line {lines[1].strip()!r}); a file "
-            f"written before the mode-atom-n basis order may index other kets: load it with "
-            f"the version that wrote it and write it again with save_{what}")
-
+class TestModeSet:
     def test_mode_set_from_json(self, tmp_path):
         doc = [
             {"s": 1, "kappa": [0.0, 0.0, 1.0], "j": 0},
