@@ -12,14 +12,23 @@ Every step is one formula, :func:`_step`, and every refusal one of
 :func:`_generator_faults` and :func:`_phase_fault`: :meth:`Spectrum.apply`
 evolves a stack of states over the times, and :func:`evolve_stack` one
 state under a stack of block generators, each row bit for bit a step alone.
+
+:func:`dyson_first_order` integrates the first-order Dyson term with
+:mod:`monofield.quadrature`, ``scipy.integrate.quad_vec``'s adaptive
+Gauss-Kronrod 21 rule written in numpy, bit for bit ``quad_vec``'s integral
+and error estimate.  Each round evaluates the nodes of all the intervals it
+bisects in as few builder calls as :data:`DYSON_BLOCK_BYTES` of coupling
+blocks allows, where ``quad_vec`` made one Python call per node.
+
 :func:`matrix_exp` is the general Pade exponential; no evolution path
 calls it.  scipy is imported only inside :func:`matrix_exp`
-(``scipy.linalg``) and :func:`dyson_first_order` (``quad_vec``), so
-importing this module, and every command but ``emission``, loads none of it.
+(``scipy.linalg``), so importing this module, and every command, loads
+none of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +51,9 @@ HERMITICITY_TOL = 1e-10
 _KERNEL_SERIES_CUTOFF = 1e-6
 # a phase |lambda*t/hbar| this large keeps no digit below 2*pi
 _PHASE_LIMIT = 1.0 / np.finfo(float).eps
+# bytes of coupling blocks one call of a Dyson builder returns, and of node
+# values one group of quadrature rules holds
+DYSON_BLOCK_BYTES = 1 << 20
 
 
 def resonance_kernel(delta: float, t: float) -> complex:
@@ -225,24 +237,43 @@ def heisenberg(h: Operator, a: Operator, t: float, hbar: float = 1.0) -> Operato
     return u @ a @ u.dag()
 
 
-def dyson_first_order(h_builder: Callable[[float], Operator], psi0: StateVector,
+def dyson_first_order(h_builder: Callable[[np.ndarray], np.ndarray], psi0: StateVector,
                       t: float, hbar: float = 1.0) -> StateVector:
     """|psi0> + (i*hbar)^-1 integral_0^t H_I(t')|psi0> dt' by adaptive quadrature.
 
-    The result is the raw first-order sum (not normalized).  Quadrature
-    that fails to converge to an absolute 1e-12 is rejected.
+    ``h_builder`` takes a 1-D array of N times and returns the (N, M, s, s)
+    mode blocks of H_I at each of them, as the callable of
+    :func:`monofield.emission.interaction_picture` does.  The integral is
+    :func:`monofield.quadrature.adaptive_gk21`, bit for bit that of
+    ``scipy.integrate.quad_vec`` on the one-time integrand H_I(t')|psi0>, and
+    so is its error estimate.  Each round of the quadrature evaluates the
+    nodes of every interval it bisects together, in groups of at most
+    :data:`DYSON_BLOCK_BYTES` of node values and builder calls of at most
+    that many bytes of blocks (at least one node a call), so a round is one
+    call until its nodes outgrow the budget.  The result is the raw
+    first-order sum (not normalized).  Quadrature that does not converge is
+    refused with its error estimate.
     """
-    from scipy.integrate import quad_vec
+    from .quadrature import adaptive_gk21
 
-    def integrand(tp: float) -> np.ndarray:
-        h = h_builder(tp)
-        if h.layout != psi0.layout:
-            raise ValueError("layout mismatch")
-        return h.matvec(psi0.amplitudes)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    layout = psi0.layout
+    per_call = max(1, DYSON_BLOCK_BYTES // (16 * math.prod(layout.block_shape)))
 
-    integral, err, info = quad_vec(integrand, 0.0, t, epsabs=1e-12,
-                                   full_output=True)
-    if not info.success:
+    def integrand(times: np.ndarray) -> np.ndarray:
+        values = np.empty((len(times), layout.dimension), dtype=complex)
+        for start in range(0, len(times), per_call):
+            chunk = times[start:start + per_call]
+            blocks = h_builder(chunk)
+            if np.shape(blocks) != (len(chunk), *layout.block_shape):
+                raise ValueError("layout mismatch")
+            values[start:start + per_call] = block_matvec(blocks, psi0.amplitudes)
+        return values
+
+    integral, err, converged = adaptive_gk21(integrand, t, DYSON_BLOCK_BYTES)
+    if not converged:
         raise ValueError(f"quadrature did not converge (error estimate {err:.3e})")
     amps = psi0.amplitudes + integral / (1j * hbar)
     return StateVector(psi0.layout, amps)

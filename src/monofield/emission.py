@@ -150,16 +150,16 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
 
 def _coupling_blocks(lower: np.ndarray, scale, gs: np.ndarray) -> np.ndarray:
     """scale * sum_k (gs_k a_k sigma+ + h.c.) as (M, 2b, 2b) blocks, after the
-    axes of a ``scale`` array, where ``lower`` is one mode's block R of a
-    sigma+: :func:`_raise_atom` of the lowering block, the place
-    :func:`sigma_plus` puts the identity.
+    leading axes of a ``scale`` array or of ``gs``, where ``lower`` is one
+    mode's block R of a sigma+: :func:`_raise_atom` of the lowering block,
+    the place :func:`sigma_plus` puts the identity.
 
     Mode k's block is scale*(gs_k*R) on the entries of R, its conjugate at
     the transposed places and 0.0 elsewhere, as a running sum over the
     modes has it, signed zeros included.
     """
     rows, cols = np.nonzero(lower)
-    entries = np.asarray(scale)[..., None, None] * (gs[:, None] * lower[rows, cols])
+    entries = np.asarray(scale)[..., None, None] * (gs[..., None] * lower[rows, cols])
     blocks = np.zeros((*entries.shape[:-1], *lower.shape), dtype=complex)
     blocks[..., rows, cols] = entries
     blocks[..., cols, rows] = entries.conj()
@@ -200,12 +200,15 @@ def _cmul(a, b) -> np.ndarray:
 
 
 def interaction_picture(layout: HilbertLayout, atom: AtomParams,
-                        config: FieldConfig) -> Callable[[float], Operator]:
+                        config: FieldConfig) -> Callable[[float | np.ndarray],
+                                                         Operator | np.ndarray]:
     """t -> :func:`interaction_hamiltonian` at time t, for many times.
 
     The mode couplings and the block of a sigma+ do not depend on the time,
     so they are found once here and each call only multiplies in the
-    detuning phases.
+    detuning phases.  A 1-D array of N times gives the (N, M, 2b, 2b)
+    block stack of the N couplings, each bit for bit the blocks of its
+    time alone; a scalar time gives the :class:`Operator`.
     """
     _require_atom(layout)
     gs = _mode_couplings(layout.modes, atom, config)
@@ -213,7 +216,9 @@ def interaction_picture(layout: HilbertLayout, atom: AtomParams,
     scale = config.hbar * atom.omega0 * atom.d
     i_detunings = 1j * (atom.omega0 - layout.omegas)
 
-    def at(t: float) -> Operator:
+    def at(t):
+        if np.ndim(t):
+            return _coupling_blocks(lower, scale, _cmul(gs, np.exp(i_detunings * t[:, None])))
         return Operator(layout, _coupling_blocks(lower, scale, _cmul(gs, np.exp(i_detunings * t))))
 
     return at

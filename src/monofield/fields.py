@@ -147,21 +147,20 @@ def _grid(t, x) -> tuple[np.ndarray, np.ndarray]:
     return t, x
 
 
-def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x) -> np.ndarray:
+def _grid_weights(layout: HilbertLayout, config: FieldConfig, t, x,
+                  vectors: np.ndarray) -> np.ndarray:
     """(P, 3, M, 3) complex weights w[p, f, k] such that field f of "AEB" at
     (t[p], x[p]) is F_i = sum_k (w[p, f, k, i] a_k + h.c.), for P times ``t``
-    and (P, 3) points ``x``.
+    and (P, 3) points ``x`` as :func:`_grid` returns them.
 
     Only the phases depend on (t, x); the rest comes from the layout's
-    frequencies and wavevectors and one lookup of the cached
-    :func:`polarization_vectors`.  Each weight is amp * phase * e in that
-    order, with kappa . x taken by ``np.vecdot``, so it is bit for bit the
-    per-mode scalar product of those factors.  :func:`_grid` checks the grid;
-    the first point where the phase omega*t - kappa.x of a mode is out of
-    the float range is refused with a :class:`StateError` of its index.
+    frequencies and wavevectors and ``vectors``, the layout's
+    :func:`polarization_vectors` table, which each caller looks up once.
+    Each weight is amp * phase * e in that order, with kappa . x taken by
+    ``np.vecdot``, so it is bit for bit the per-mode scalar product of those
+    factors.  The first point where the phase omega*t - kappa.x of a mode is
+    out of the float range is refused with a :class:`StateError` of its index.
     """
-    t, x = _grid(t, x)
-    vectors = polarization_vectors(layout.modes)
     omega = layout.omegas
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         angle = -1j * omega * t[:, None] + 1j * np.vecdot(layout.kappas, x[:, None])
@@ -181,7 +180,9 @@ def _mode_weights(layout: HilbertLayout, config: FieldConfig, t: float,
     """Per-mode complex 3-vector w_k such that field ``kind`` ("A", "E" or
     "B") is F_i = sum_k (w_ki a_k + h.c.): the one-point case of
     :func:`_grid_weights`."""
-    return _grid_weights(layout, config, [t], [x])[0, "AEB".index(kind)]
+    t, x = _grid([t], [x])
+    return _grid_weights(layout, config, t, x,
+                         polarization_vectors(layout.modes))[0, "AEB".index(kind)]
 
 
 def _field_blocks(layout: HilbertLayout, weights: np.ndarray) -> np.ndarray:
@@ -444,23 +445,25 @@ def field_averages(state: StateVector, config: FieldConfig, t, x) -> np.ndarray:
     (t[p], x[p]) of ``t`` and the (P, 3) array ``x``.
 
     Entry [p, f] is :func:`field_average` of field f at (t[p], x[p]), bit for
-    bit.  Per chunk of :data:`STATE_BLOCK_BYTES` of blocks: one
-    :func:`_grid_weights` table, then per field and component one
-    (P, M, A*b, A*b) stack of the blocks :func:`_assemble` builds, one stacked
-    block matvec against the state's :meth:`~HilbertLayout.blocks_of` rows and
-    one ``np.vecdot`` with the state.  The first grid point whose phase
-    overflows is refused with a :class:`StateError` of its index in the grid.
+    bit.  One :func:`polarization_vectors` lookup for the whole grid, then per
+    chunk of :data:`STATE_BLOCK_BYTES` of blocks: one :func:`_grid_weights`
+    table, then per field and component one (P, M, A*b, A*b) stack of the
+    blocks :func:`_assemble` builds, one stacked block matvec against the
+    state's :meth:`~HilbertLayout.blocks_of` rows and one ``np.vecdot`` with
+    the state.  The first grid point whose phase overflows is refused with a
+    :class:`StateError` of its index in the grid.
     """
     layout = state.layout
     psi = state.amplitudes
     rows = layout.blocks_of(psi)[..., None]
     t, x = _grid(t, x)
+    vectors = polarization_vectors(layout.modes)
     size = max(1, STATE_BLOCK_BYTES // (16 * layout.dimension * layout.block_shape[-1]))
     out = np.empty((len(t), 3, 3))
     for start in range(0, len(t), size):
         chunk = slice(start, start + size)
         try:
-            weights = _grid_weights(layout, config, t[chunk], x[chunk])
+            weights = _grid_weights(layout, config, t[chunk], x[chunk], vectors)
         except StateError as exc:
             raise StateError(start + exc.index, str(exc)) from None
         for f, i in itertools.product(range(3), repeat=2):
@@ -547,8 +550,8 @@ def energy_identity(layout: HilbertLayout, config: FieldConfig,
         raise ValueError("need at least one (t, x) sample")
     h_ref = hamiltonian_from_mode_ladders(layout, config)
     p_ref = momentum_from_mode_ladders(layout, config)
-    t, x = zip(*samples)
-    weights = _grid_weights(layout, config, t, x)
+    t, x = _grid(*zip(*samples))
+    weights = _grid_weights(layout, config, t, x, polarization_vectors(layout.modes))
     e, b = (_field_blocks(layout, np.moveaxis(weights[:, f], -1, 1)) for f in (1, 2))
 
     def dot_square(u: np.ndarray) -> np.ndarray:

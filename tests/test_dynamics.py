@@ -9,6 +9,7 @@ import scipy.linalg
 
 import monofield as mf
 from conftest import random_hermitian, random_state
+from monofield import dynamics
 from monofield.cli import load_config, main
 from monofield.dynamics import resonance_kernel
 from monofield.emission import EXCITED
@@ -439,7 +440,7 @@ class TestDysonFirstOrder:
     def test_zero_coupling_returns_initial(self, two_tone_layout, rng):
         psi = random_state(two_tone_layout, rng)
         out = mf.dyson_first_order(
-            lambda t: mf.Operator.zero(two_tone_layout), psi, 3.0)
+            lambda ts: np.zeros((len(ts), *two_tone_layout.block_shape)), psi, 3.0)
         assert np.array_equal(out.amplitudes, psi.amplitudes)
 
     def test_separable_time_dependence_oracle(self, two_tone_layout, rng):
@@ -447,6 +448,34 @@ class TestDysonFirstOrder:
         c = random_hermitian(two_tone_layout, rng)
         psi = random_state(two_tone_layout, rng)
         w, t = 1.7, 2.1
-        out = mf.dyson_first_order(lambda tp: np.cos(w * tp) * c, psi, t)
+        out = mf.dyson_first_order(
+            lambda ts: np.cos(w * ts)[:, None, None, None] * c.data, psi, t)
         expected = psi.amplitudes + (np.sin(w * t) / w) * (c.toarray() @ psi.amplitudes) / 1j
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
+
+    @pytest.mark.parametrize("budget_nodes", [0, 1, 5, 21, 64, 10 ** 6])
+    def test_builder_calls_stay_within_the_block_budget(self, two_tone_layout, rng,
+                                                        monkeypatch, budget_nodes):
+        c = random_hermitian(two_tone_layout, rng)
+        psi = random_state(two_tone_layout, rng)
+        node_bytes = 16 * math.prod(two_tone_layout.block_shape)
+        calls = []
+
+        def builder(ts):
+            calls.append(len(ts))
+            return np.cos(1.7 * ts + 0.3 * ts ** 2)[:, None, None, None] * c.data
+
+        want = mf.dyson_first_order(builder, psi, 40.0)
+        assert calls[0] == 21 and all(n % 21 == 0 for n in calls)  # one call a round
+        calls.clear()
+        monkeypatch.setattr(dynamics, "DYSON_BLOCK_BYTES", budget_nodes * node_bytes)
+        got = mf.dyson_first_order(builder, psi, 40.0)
+        assert min(calls) >= 1
+        assert max(calls) <= max(1, budget_nodes)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_builder_of_another_layout_is_refused(self, two_tone_layout, rng):
+        psi = random_state(two_tone_layout, rng)
+        other = mf.build_layout([mf.abstract_mode(1.0)], 3)
+        with pytest.raises(ValueError, match="layout mismatch"):
+            mf.dyson_first_order(lambda ts: np.zeros((len(ts), *other.block_shape)), psi, 1.0)

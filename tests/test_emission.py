@@ -1,16 +1,21 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
 import monofield as mf
-from monofield.cli import _box_modes
+from monofield import quadrature
+from monofield.cli import _box_modes, load_config
 from monofield.dynamics import resonance_kernel
 from monofield.emission import (EXCITED, GROUND, _mode_couplings, first_order_table, sigma3,
                                 sigma_plus)
+
+DATA = Path(__file__).parent / "data"
 
 
 def z_mode(omega=2.0, s=+1):
@@ -392,6 +397,14 @@ class TestAmplitudeTable:
             got = mf.interaction_picture(layout, atom, config)(t).data
             assert got.tobytes() == want.tobytes()
 
+    def test_interaction_picture_at_many_times_is_each_time_alone(self, rng):
+        for _ in range(50):
+            initial, atom, config, t = random_emission_case(rng)
+            at = mf.interaction_picture(initial.layout, atom, config)
+            times = np.array([t, 0.0, -0.0, -t, 3.7 * t, 1e10])
+            want = np.stack([at(float(s)).data for s in times])
+            assert at(times).tobytes() == want.tobytes()
+
     def test_channels_read_the_read_only_table(self, natural):
         layout = mf.build_layout([z_mode(0.8), z_mode(1.0), z_mode(1.3)], 3, with_atom=True)
         initial = excited_state(layout, {(0, 0): 0.6, (1, 2): 0.8j, (2, 1): 0.1})
@@ -404,6 +417,56 @@ class TestAmplitudeTable:
             first_order_table(initial, atom, natural, [0.9], [atom.d])[0, 0].tobytes()
         # a spontaneous amplitude from (0, 0), stimulated ones from (1, 2) and (2, 1)
         assert [tuple(kn) for kn in np.argwhere(table)] == [(0, 0), (1, 2), (2, 1)]
+
+
+def quad_vec_dyson(initial, atom, config, t, limit=10000):
+    """The first-order Dyson integral by scipy's quad_vec, one scalar-time
+    interaction picture per node: (integral, error estimate, converged)."""
+    at = mf.interaction_picture(initial.layout, atom, config)
+    integral, err, info = quad_vec(lambda tp: at(tp).matvec(initial.amplitudes), 0.0, t,
+                                   epsabs=1e-12, limit=limit, full_output=True)
+    return integral, err, info.success
+
+
+class TestDysonQuadrature:
+    """The numpy Gauss-Kronrod quadrature against scipy's quad_vec."""
+
+    def test_matches_quad_vec_on_random_cases(self, rng):
+        for _ in range(60):
+            initial, atom, config, t = random_emission_case(rng)
+            integral, _, converged = quad_vec_dyson(initial, atom, config, t)
+            assert converged
+            want = initial.amplitudes + integral / (1j * config.hbar)
+            at = mf.interaction_picture(initial.layout, atom, config)
+            got = mf.dyson_first_order(at, initial, t, hbar=config.hbar).amplitudes
+            ulp = np.spacing(np.linalg.norm(integral))
+            assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
+
+    @pytest.mark.parametrize("t, limit", [(1e10, 300), (1e300, 10000)],
+                             ids=["interval_limit", "not_a_number"])
+    def test_refusal_matches_quad_vec(self, monkeypatch, t, limit):
+        cfg, _ = load_config(DATA / "config_emission.json")
+        layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
+        initial = mf.superposition(layout, cfg.emission_initial)
+        # an interval limit lowered on both sides keeps quad_vec's run short
+        monkeypatch.setattr(quadrature, "_INTERVAL_LIMIT", limit)
+        at = mf.interaction_picture(layout, cfg.atom, cfg.field)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, err, converged = quad_vec_dyson(initial, cfg.atom, cfg.field, t, limit=limit)
+            with pytest.raises(ValueError) as refused:
+                mf.dyson_first_order(at, initial, t, hbar=cfg.field.hbar)
+        assert not converged
+        assert str(refused.value) == f"quadrature did not converge (error estimate {err:.3e})"
+
+    def test_refusal_at_the_interval_limit(self):
+        # quad_vec's error estimate on this config and time (13 s of scipy)
+        cfg, _ = load_config(DATA / "config_emission.json")
+        layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
+        initial = mf.superposition(layout, cfg.emission_initial)
+        at = mf.interaction_picture(layout, cfg.atom, cfg.field)
+        with pytest.raises(ValueError) as refused:
+            mf.dyson_first_order(at, initial, 1e10, hbar=cfg.field.hbar)
+        assert str(refused.value) == "quadrature did not converge (error estimate 2.237e+07)"
 
 
 class TestExcitationNumber:
