@@ -44,14 +44,14 @@ DEFAULT_ALGEBRA_TOL = 1e-12
 # the relations verify_algebra checks, in the order of its table's last axis
 RELATIONS = ("commutator", "product_aa", "product_adad")
 _VERDICTS = {True: "true", False: "false"}
+# verify_algebra stacks the annihilators' block stacks, and multiplies its
+# block pairs, in chunks of about this many bytes
+ALGEBRA_BLOCK_BYTES = 1 << 18
 
 
 def fock_lowering(nmax: int) -> np.ndarray:
     """(N+1) x (N+1) lowering matrix with <n-1|a|n> = sqrt(n)."""
-    a = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    for n in range(1, nmax + 1):
-        a[n - 1, n] = np.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1, nmax + 1)), 1).astype(complex)
 
 
 def _lowering_block(layout: HilbertLayout) -> np.ndarray:
@@ -223,54 +223,117 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     * ``product_adad``: a_k^dag a_l^dag = delta_kl (a_k^dag)^2.
 
     ``annihilators`` may inject precomputed (or deliberately corrupted)
-    mode operators; by default they are built from the layout.  Each one
-    is kept as mode blocks: its own mode's block and every other nonzero
-    one (a diagonal operator as diagonal blocks).  Products are blockwise,
-    so a pair is multiplied as one stack of blocks on the modes both keep,
-    and agrees with the full-space product up to how its terms are fused
-    (bit for bit for the ladders); a cross pair (k != l) with no nonzero
-    block on a common mode keeps the table's exact zeros.  Non-finite
-    entries are refused with ValueError (a full-space product would spread
-    them as NaN through 0 * inf).
+    mode operators; by default each is built by :func:`mode_annihilator`
+    when its turn comes.  They are taken in k order and their block
+    stacks (a diagonal operator as diagonal blocks) stacked into chunks
+    of about :data:`ALGEBRA_BLOCK_BYTES`; each chunk gets one finiteness
+    and one nonzero-block reduction, and keeps of each operator its own
+    mode's block and every other nonzero one.  Non-finite entries are
+    refused with ValueError naming the first such annihilator (a
+    full-space product would spread them as NaN through 0 * inf), and an
+    operator of another layout only after those before it passed.
+
+    Products are blockwise, so a pair (k, l) is multiplied on the modes
+    both keep: the diagonal pairs are all the kept blocks, and each cross
+    pair that keeps a common mode appends its shared blocks.  Each
+    product is one stacked matmul over all those blocks (in chunks of the
+    same byte budget), and each pair's deviation the largest block
+    maximum of its segment.  That agrees with the full-space product up
+    to how its terms are fused (bit for bit for the ladders); a cross
+    pair with no nonzero block on a common mode keeps the table's exact
+    zeros, and overflowing products give NaN as the full-space ones do.
     """
-    m_count = layout.n_modes
+    m_count, size = layout.n_modes, layout.block_shape[-1]
     if annihilators is not None and len(annihilators) != m_count:
         raise ValueError("need one annihilator per mode")
-    occupied = np.zeros((m_count, m_count))
-    modes, blocks = [], []
-    for k in range(m_count):
-        # built one at a time, so only its kept blocks stay, not M full stacks
-        op = mode_annihilator(layout, k) if annihilators is None else annihilators[k]
-        if op.layout != layout:
-            raise ValueError(f"annihilator {k} lives on a different layout")
-        if not np.all(np.isfinite(op.data)):
-            raise ValueError(f"annihilator {k} has non-finite entries")
-        stack = op.as_blocks()
-        nonzero = np.any(stack != 0, axis=(1, 2))
-        occupied[k] = nonzero
-        nonzero[k] = True  # its own block, where P_k lives, is kept even if zero
-        modes.append(np.flatnonzero(nonzero))
-        blocks.append(stack[modes[k]])
-    multiplied = (occupied @ occupied.T > 0) | np.eye(m_count, dtype=bool)
-    eye = np.eye(layout.block_shape[-1])
+    per_chunk = max(1, ALGEBRA_BLOCK_BYTES // (16 * m_count * size * size))
+    # kept[k, j]: a_k's block on mode j is kept, being nonzero or a_k's own
+    kept = np.eye(m_count, dtype=bool)
+    blocks = []
+    for first in range(0, m_count, per_chunk):
+        stacks = []
+        for k in range(first, min(first + per_chunk, m_count)):
+            # built one at a time, so at most a chunk of full stacks is held
+            op = mode_annihilator(layout, k) if annihilators is None else annihilators[k]
+            if op.layout != layout:
+                if stacks:  # the operators before k are refused first
+                    _finite_chunk(stacks, first)
+                raise ValueError(f"annihilator {k} lives on a different layout")
+            stacks.append(np.ascontiguousarray(op.as_blocks()))
+        chunk = _finite_chunk(stacks, first)
+        rows = kept[first:first + len(stacks)]
+        rows |= chunk.view(float).reshape(len(stacks), m_count, -1).any(axis=2)
+        blocks.append(chunk[rows])
+    blocks = np.concatenate(blocks)
+    owner, modes = np.nonzero(kept)  # of each kept block, in k order
+    starts = np.searchsorted(owner, np.arange(m_count + 1))
     # the interior kets (n <= nmax - 1) of a block, in its (atom, n) order
-    inner = np.flatnonzero(np.arange(len(eye)) % layout.fock_dim < layout.nmax)
+    inner = np.flatnonzero(np.arange(size) % layout.fock_dim < layout.nmax)
     deviations = np.zeros((m_count, m_count, len(RELATIONS)))
-    for k, l in np.argwhere(multiplied).tolist():
-        shared, ik, il = (modes[k], slice(None), slice(None)) if k == l else \
-            np.intersect1d(modes[k], modes[l], return_indices=True)
-        ak, al = blocks[k][ik], blocks[l][il]
-        akd, ald = ak.conj().swapaxes(1, 2), al.conj().swapaxes(1, 2)
-        comm = ak @ ald - ald @ ak
-        prod = ak @ al
-        dprod = akd @ ald
-        if k == l:  # P_k is the identity on mode k's block
-            comm[shared == k] -= eye
-            comm = comm[:, inner[:, None], inner]
-            prod = prod - ak @ ak
-            dprod = dprod - akd @ akd
-        deviations[k, l] = [np.max(np.abs(x)) for x in (comm, prod, dprod)]
+    every = np.arange(len(blocks))
+    deviations[np.arange(m_count), np.arange(m_count)] = np.maximum.reduceat(
+        _pair_maxima(blocks, every, every, inner, modes == owner), starts[:-1])
+    pairs = _cross_pairs(kept)
+    if len(pairs):
+        left, right = [], []
+        for k, l in pairs.tolist():
+            _, ik, il = np.intersect1d(modes[starts[k]:starts[k + 1]],
+                                       modes[starts[l]:starts[l + 1]], return_indices=True)
+            left.append(starts[k] + ik)
+            right.append(starts[l] + il)
+        segments = np.cumsum([0] + [len(ik) for ik in left[:-1]])
+        deviations[pairs[:, 0], pairs[:, 1]] = np.maximum.reduceat(
+            _pair_maxima(blocks, np.concatenate(left), np.concatenate(right)), segments)
     return AlgebraTable(tol, deviations)
+
+
+def _finite_chunk(stacks: list[np.ndarray], first: int) -> np.ndarray:
+    """The block stacks of annihilators first, first+1, ... as one
+    (c, M, s, s) array (a view of the one stack when c = 1), after one
+    finiteness reduction; the first with a non-finite entry is refused."""
+    chunk = stacks[0][None] if len(stacks) == 1 else np.stack(stacks)
+    values = chunk.view(float).reshape(len(stacks), -1)
+    if not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values).all(axis=1)))
+        raise ValueError(f"annihilator {first + bad} has non-finite entries")
+    return chunk
+
+
+def _cross_pairs(kept: np.ndarray) -> np.ndarray:
+    """The (P, 2) ordered pairs (k, l), k != l, whose kept modes meet, in
+    row-major order; only the modes two or more operators keep are looked at."""
+    shared = kept[:, np.count_nonzero(kept, axis=0) > 1]
+    rows = np.flatnonzero(shared.any(axis=1))
+    meet = shared[rows].astype(float)
+    meet = meet @ meet.T > 0
+    np.fill_diagonal(meet, False)
+    return rows[np.argwhere(meet)]
+
+
+def _pair_maxima(blocks: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 inner: np.ndarray | None = None, own: np.ndarray | None = None) -> np.ndarray:
+    """The (n, 3) largest moduli of the ``RELATIONS`` deviations on the
+    block pairs (blocks[left[i]], blocks[right[i]]), multiplied as stacks
+    of about :data:`ALGEBRA_BLOCK_BYTES`.  For the diagonal pairs (left
+    is right) ``inner`` holds a block's interior kets and ``own`` marks the
+    blocks where P_k is the identity; the products subtract a_k^2 and
+    (a_k^dag)^2, so that an overflow gives NaN."""
+    maxima = np.empty((len(left), len(RELATIONS)))
+    eye = np.eye(blocks.shape[-1])
+    step = max(1, ALGEBRA_BLOCK_BYTES // blocks[0].nbytes)
+    for first in range(0, len(left), step):
+        part = slice(first, first + step)
+        a, b = blocks[left[part]], blocks[right[part]]
+        ad, bd = a.conj().swapaxes(1, 2), b.conj().swapaxes(1, 2)
+        comm, prod, dprod = a @ bd - bd @ a, a @ b, ad @ bd
+        if own is not None:
+            comm[own[part]] -= eye
+            comm = comm[:, inner[:, None], inner]
+            prod -= a @ a
+            dprod -= ad @ ad
+        for r, x in enumerate((comm, prod, dprod)):
+            maxima[part, r] = np.abs(x).max(axis=(1, 2))
+    return maxima
 
 
 def algebra_reports_csv(table: AlgebraTable, path) -> None:

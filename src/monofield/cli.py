@@ -224,6 +224,10 @@ def _parse_config(doc) -> RunConfig:
     _check_field_scales(modes, field, nmax, "atom" in doc,
                         f"field.hbar = {hbar!r}, field.c = {c!r} and "
                         f"{'the box volume' if 'box' in doc else 'field.volume'} = {volume!r}")
+    size = (2 if "atom" in doc else 1) * (nmax + 1)
+    if 16 * len(modes) * size * size > sys.maxsize:  # Python ints: no overflow
+        raise ConfigError(f"nmax = {nmax} with {len(modes)} modes: the layout's mode blocks "
+                          f"would take more than sys.maxsize = {sys.maxsize} bytes")
 
     atom = None
     if "atom" in doc:
@@ -619,7 +623,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out {str(outdir)!r} is not a usable output directory: "
                               f"{exc.strerror or exc}") from None
-        return COMMANDS[args.command](cfg, outdir, args.tolerance, args.seed)
+        try:
+            return COMMANDS[args.command](cfg, outdir, args.tolerance, args.seed)
+        except MemoryError:
+            raise ConfigError(f"nmax = {cfg.nmax} with {len(cfg.modes)} modes: the run does "
+                              "not fit in memory") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

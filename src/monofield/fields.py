@@ -107,7 +107,8 @@ def polarization(kappa: Sequence[float], s: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _polarization_table(modes: tuple[ModeLabel, ...], signs: tuple[float, ...]) -> np.ndarray:
+def _polarization_table(modes: tuple[ModeLabel, ...],
+                        signs: tuple[tuple[float, float, float], ...]) -> np.ndarray:
     for m in modes:
         if m.abstract:
             raise ValueError(f"field operators require propagating modes; {m} is abstract")
@@ -133,7 +134,7 @@ def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
     of 60 runs, two rounds), clearing the cache before each run took
     field-sweep on the 52-mode bench box from 4.7-5.3 to 6.6-6.9 ms and
     energy_identity from 3.4-3.6 to 5.1-5.9 ms."""
-    return _polarization_table(modes, tuple(math.copysign(1.0, x) for m in modes for x in m.kappa))
+    return _polarization_table(modes, tuple(m.kappa_signs for m in modes))
 
 
 polarization_vectors.cache_clear = _polarization_table.cache_clear

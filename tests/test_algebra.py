@@ -40,6 +40,17 @@ class TestLadder:
         dev = np.max(np.abs(comm[np.ix_(idx, idx)] - np.eye(layout.dimension)[np.ix_(idx, idx)]))
         assert dev < 1e-13
 
+    @pytest.mark.parametrize("nmax", range(65))
+    def test_lowering_matrix_matches_the_loop(self, nmax):
+        loop = np.zeros((nmax + 1, nmax + 1), dtype=complex)
+        for n in range(1, nmax + 1):
+            loop[n - 1, n] = np.sqrt(n)
+        got = fock_lowering(nmax)
+        assert got.dtype == loop.dtype and got.shape == loop.shape
+        # equal bits, so equal signs of every zero too
+        assert got.tobytes() == loop.tobytes()
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(loop.view(float)))
+
     def test_full_commutator_boundary_term(self):
         nmax = 4
         a = fock_lowering(nmax)
@@ -306,6 +317,126 @@ class TestVerifyAlgebraMatchesDense:
         ops[1] = block_operator(layout, a)
         with pytest.raises(ValueError, match="non-finite"):
             mf.verify_algebra(layout, annihilators=ops)
+
+
+def _axis_values(rng, size):
+    """Random entries, each real or imaginary, about a quarter of them zero."""
+    values = rng.normal(size=size) * rng.choice([1.0, -1.0, 1j, -1j], size=size)
+    values[rng.random(size) < 0.25] = 0.0
+    return values
+
+
+def _monomial_block(rng, size):
+    """A block with at most one nonzero per row and column, each real or
+    imaginary: every entry of a product of such blocks is one real product,
+    which rounds the same in any matmul, so the stacked pass and the dense
+    oracle agree bit for bit."""
+    return np.eye(size)[rng.permutation(size)] * _axis_values(rng, size)[:, None]
+
+
+def _mixed_annihilators(layout, rng):
+    """The ladders, with one to three of them corrupted: one or two random
+    mode blocks replaced by monomial blocks (sector mixing where one is
+    another mode's), or the whole operator replaced by a diagonal one or
+    by zero."""
+    m, size, _ = layout.block_shape
+    ops = [mf.mode_annihilator(layout, k) for k in range(m)]
+    for k in rng.choice(m, size=rng.integers(1, 4), replace=False).tolist():
+        kind = rng.integers(4)
+        if kind < 2:  # sector mixing
+            blocks = ops[k].data.copy()
+            for j in rng.choice(m, size=kind + 1, replace=False).tolist():
+                blocks[j] = _monomial_block(rng, size)
+            ops[k] = mf.Operator(layout, blocks)
+        elif kind == 2:
+            ops[k] = mf.Operator.from_diagonal(layout, _axis_values(rng, layout.dimension))
+        else:
+            ops[k] = mf.Operator.zero(layout)
+    return ops
+
+
+class TestStackedPass:
+    """The annihilators taken in chunks and every mode pair multiplied as one
+    stack give, field by field, the dense oracle's deviations."""
+
+    @staticmethod
+    def assert_repr_equal(layout, ops):
+        got = mf.verify_algebra(layout, annihilators=ops)
+        want = dense_verify_algebra(layout, ops)
+        assert [repr(x) for x in got.deviations.ravel().tolist()] \
+            == [repr(x) for x in want.ravel().tolist()]
+        return got
+
+    @staticmethod
+    def budget(layout, operators):
+        """A byte budget whose chunks hold ``operators`` block stacks."""
+        m, size, _ = layout.block_shape
+        return operators * 16 * m * size * size
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_ladders(self, m, with_atom):
+        layout = abstract_layout(m, 3, with_atom)
+        table = self.assert_repr_equal(layout, [mf.mode_annihilator(layout, k)
+                                                for k in range(m)])
+        assert table.failed == 0
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_corruptions(self, seed, with_atom):
+        rng = np.random.default_rng([seed, with_atom])
+        layout = abstract_layout(int(rng.integers(5, 8)), int(rng.integers(1, 5)), with_atom)
+        assert self.assert_repr_equal(layout, _mixed_annihilators(layout, rng)).failed > 0
+
+    def test_diagonal_and_zero_annihilators(self):
+        layout = abstract_layout(6, 3, with_atom=True)
+        rng = np.random.default_rng(5)
+        ops = [mf.mode_annihilator(layout, k) for k in range(6)]
+        ops[1] = mf.Operator.from_diagonal(layout, _axis_values(rng, layout.dimension))
+        ops[4] = mf.Operator.zero(layout)
+        table = self.assert_repr_equal(layout, ops)
+        # a zero own block reads |0 - 1| on the interior kets
+        assert table.deviations[4, 4, 0] == 1.0
+
+    @pytest.mark.parametrize("operators", [1, 3])
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_chunks_of_one_and_three_operators(self, monkeypatch, operators, with_atom):
+        rng = np.random.default_rng([operators, with_atom])
+        layout = abstract_layout(7, 3, with_atom)
+        ops = _mixed_annihilators(layout, rng)
+        whole = mf.verify_algebra(layout, annihilators=ops).deviations
+        monkeypatch.setattr(mf.algebra, "ALGEBRA_BLOCK_BYTES", self.budget(layout, operators))
+        assert self.assert_repr_equal(layout, ops).deviations.tobytes() == whole.tobytes()
+        defaults = mf.verify_algebra(layout).deviations
+        monkeypatch.undo()
+        assert defaults.tobytes() == mf.verify_algebra(layout).deviations.tobytes()
+
+    @staticmethod
+    def faults(layout, bad, other):
+        """The ladders with annihilator ``bad`` holding an inf and ``other``
+        living on another layout of the same shape."""
+        ops = [mf.mode_annihilator(layout, k) for k in range(layout.n_modes)]
+        blocks = ops[bad].data.copy()
+        blocks[bad, 0, 1] = np.inf
+        ops[bad] = mf.Operator(layout, blocks)
+        shifted = mf.build_layout([mf.abstract_mode(m.omega + 1.0) for m in layout.modes],
+                                  layout.nmax)
+        ops[other] = mf.Operator(shifted, ops[other].data)
+        return ops
+
+    @pytest.mark.parametrize("operators", [1, 3, 7])
+    def test_non_finite_before_a_later_layout_mismatch(self, monkeypatch, operators):
+        layout = abstract_layout(7, 2)
+        monkeypatch.setattr(mf.algebra, "ALGEBRA_BLOCK_BYTES", self.budget(layout, operators))
+        with pytest.raises(ValueError, match="^annihilator 1 has non-finite entries$"):
+            mf.verify_algebra(layout, annihilators=self.faults(layout, bad=1, other=2))
+
+    @pytest.mark.parametrize("operators", [1, 3, 7])
+    def test_layout_mismatch_before_later_non_finite_entries(self, monkeypatch, operators):
+        layout = abstract_layout(7, 2)
+        monkeypatch.setattr(mf.algebra, "ALGEBRA_BLOCK_BYTES", self.budget(layout, operators))
+        with pytest.raises(ValueError, match="^annihilator 1 lives on a different layout$"):
+            mf.verify_algebra(layout, annihilators=self.faults(layout, bad=2, other=1))
 
 
 @st.composite

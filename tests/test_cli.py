@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import sys
 import time
 import warnings
 from collections import Counter
@@ -69,6 +70,39 @@ class TestConfigParsing:
         assert run("verify-algebra", p, tmp_path) == 2
         assert capsys.readouterr().err == (f"config error: the norm of wavevector "
                                            f"{(unit, unit, unit)!r} is out of the float range\n")
+
+    COMMAND_CONFIGS = [("verify-algebra", "config_algebra.json"),
+                       ("vacuum-energy", "config_vac.json"),
+                       ("field-sweep", "config_field.json"),
+                       ("emission", "config_emission.json"),
+                       ("compare-standard", "config_compare.json")]
+
+    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
+    def test_layout_past_any_array_size_exits_2(self, tmp_path, capsys, command, config):
+        """nmax = 2**40 puts one mode's block past sys.maxsize bytes; the parser
+        refuses it, naming nmax and the mode count.  (Every array such a run
+        could reach is at least 8 TiB, so without the refusal it would fail at
+        once, not fill the memory.)"""
+        doc = json.loads((DATA / config).read_text())
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**doc, "nmax": 2 ** 40}))
+        assert run(command, p, tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"config error: nmax = {2 ** 40} with {len(doc['modes'])} modes: the layout's mode "
+            f"blocks would take more than sys.maxsize = {sys.maxsize} bytes\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, command, exhausted)
+        assert run(command, DATA / config, tmp_path) == 2
+        modes = len(json.loads((DATA / config).read_text())["modes"])
+        nmax = load_config(DATA / config)[0].nmax
+        assert capsys.readouterr().err == (f"config error: nmax = {nmax} with {modes} modes: "
+                                           "the run does not fit in memory\n")
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"

@@ -39,9 +39,14 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   ``times: []`` (a header-only table);
 * twins of ``tests/data/config_emission.json`` and ``config_field.json``
   whose wavevector zeros are ``-0.0``: their mode tuples equal their
-  mates', which run before them.
+  mates', which run before them;
+* ``tests/data`` configs ``config_algebra``, ``config_vac``,
+  ``config_field``, ``config_emission`` and ``config_compare`` at ``nmax``
+  2**40, a layout too large for any array: every command must refuse it
+  with a config error (every allocation such a run could reach is at
+  least 8 TiB, so it fails at once).
 
-That is 71 configs, so 355 runs per tree and pass.  A config a command
+That is 76 configs, so 380 runs per tree and pass.  A config a command
 cannot use is still run: its exit code and message are compared too.  Everything is written under a temporary directory.
 The script compares the exit codes, stdout, stderr (with the tree path
 masked) and every output file between the trees.
@@ -166,6 +171,10 @@ def write_configs(directory: Path) -> list[Path]:
         doc["modes"] = [{**m, "kappa": [-0.0 if x == 0 else x for x in m["kappa"]]}
                         for m in doc["modes"]]
         docs[f"negative-zero-{name}"] = doc
+    for name in ("config_algebra", "config_vac", "config_field", "config_emission",
+                 "config_compare"):
+        docs[f"huge-nmax-{name}"] = dict(json.loads((data / f"{name}.json").read_text()),
+                                         nmax=2 ** 40)
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     for case in json.loads((data / "state_faults.json").read_text(encoding="utf-8")):
         # the section as raw text: it may hold numbers json.dumps cannot write
