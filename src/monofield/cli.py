@@ -251,9 +251,19 @@ def _parse_config(doc) -> RunConfig:
         grid = doc["time_grid"]
         _require_keys(grid, {"start", "stop", "num"}, "time_grid")
         num = read_int(grid.get("num"), "time_grid.num")
-        times = np.linspace(read_real(grid.get("start"), "time_grid.start"),
-                            read_real(grid.get("stop"), "time_grid.stop"),
-                            num).tolist() if num > 0 else []
+        start = read_real(grid.get("start"), "time_grid.start")
+        stop = read_real(grid.get("stop"), "time_grid.stop")
+        if not math.isfinite(stop - start):  # Python floats: no warning
+            raise ConfigError(f"time_grid.start = {start!r} and time_grid.stop = {stop!r}: "
+                              "stop - start is out of the float range")
+        if 8 * num > sys.maxsize:
+            raise ConfigError(f"time_grid.num = {num}: the grid's times would take more "
+                              f"than sys.maxsize = {sys.maxsize} bytes")
+        try:
+            times = np.linspace(start, stop, num).tolist() if num > 0 else []
+        except MemoryError:
+            raise ConfigError(f"time_grid.num = {num}: the grid's times do not fit "
+                              "in memory") from None
     else:
         times = _list(doc, "times")
     times = tuple(read_real(t, f"times[{i}]") for i, t in enumerate(times))

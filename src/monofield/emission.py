@@ -102,7 +102,7 @@ def _mode_couplings(modes: Sequence[ModeLabel], atom: AtomParams,
     ``modes``, the one place the formula is written.
 
     e_s comes from the cached :func:`polarization_vectors` table and e_s . u
-    is one ``np.dot`` per mode; the products are those of the scalar
+    is one ``np.vecdot`` over all modes; the products are those of the scalar
     formula, in its order, so each entry is bit for bit the one-mode value.
     The first abstract mode is refused.
     """
@@ -111,7 +111,7 @@ def _mode_couplings(modes: Sequence[ModeLabel], atom: AtomParams,
         if m.abstract:
             raise ValueError(f"coupling requires a propagating mode; {m} is abstract")
     u = np.asarray(atom.u)
-    dots = np.array([np.dot(e, u) for e in polarization_vectors(modes)[0]], dtype=complex)
+    dots = np.vecdot(polarization_vectors(modes)[0].conj(), u)
     omegas = np.array([m.omega for m in modes])
     return _cmul(1j * np.sqrt(1.0 / (2.0 * config.hbar * omegas * config.volume)), dots)
 

@@ -8,9 +8,9 @@ n_hat x e_s = -i*s*e_s.  For kappa along +-z the frame degenerates and
 the fixed fallback theta_hat = x_hat, phi_hat = +-y_hat applies.
 
 :func:`polarization_vectors` is the one per-mode table of these vectors,
-built once per mode tuple: the field weights here and the atom couplings
-of :mod:`monofield.emission` read it, with the frequencies and
-wavevectors the layout caches.
+cached on the bits of each mode's s and kappa: the field weights here and
+the atom couplings of :mod:`monofield.emission` read it, with the
+frequencies and wavevectors the layout caches.
 """
 
 from __future__ import annotations
@@ -107,13 +107,10 @@ def polarization(kappa: Sequence[float], s: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _polarization_table(modes: tuple[ModeLabel, ...],
-                        signs: tuple[tuple[float, float, float], ...]) -> np.ndarray:
-    for m in modes:
-        if m.abstract:
-            raise ValueError(f"field operators require propagating modes; {m} is abstract")
-    bases = [polarization_basis(m.kappa) for m in modes]
-    e = np.array([basis.vector(m.s) for basis, m in zip(bases, modes)])
+def _polarization_table(key: bytes) -> np.ndarray:
+    rows = np.frombuffer(key).reshape(-1, 4)
+    bases = [polarization_basis(kappa) for kappa in rows[:, 1:]]
+    e = np.array([basis.vector(s) for basis, s in zip(bases, rows[:, 0])])
     vectors = np.stack([e, e, np.cross(np.array([basis.n_hat for basis in bases]), e)])
     vectors.setflags(write=False)
     return vectors
@@ -121,11 +118,12 @@ def _polarization_table(modes: tuple[ModeLabel, ...],
 
 def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
     """The read-only (3, M, 3) polarization vectors of A, E and B of every
-    mode: e_s, e_s and n_hat x e_s.  Built once per mode tuple, so it is
-    the one source of the per-mode polarizations of the field weights and
-    the atom couplings; an abstract mode is refused.  The cache key also
-    holds the sign of each wavevector component, as -0.0 == 0.0 but their
-    tables differ in the sign bits of their zeros.
+    mode: e_s, e_s and n_hat x e_s, the one source of the per-mode
+    polarizations of the field weights and the atom couplings; an abstract
+    mode is refused.  The table is cached on the float64 bits of each
+    mode's (s, kappa), so modes whose wavevector zeros differ in sign
+    (-0.0 == 0.0, but their tables differ in the sign bits of their zeros)
+    each get their own.
 
     The cache is shared across layouts, not held by each one, because
     in-process callers (the bench, the second pass of compare_outputs.py,
@@ -134,7 +132,10 @@ def polarization_vectors(modes: tuple[ModeLabel, ...]) -> np.ndarray:
     of 60 runs, two rounds), clearing the cache before each run took
     field-sweep on the 52-mode bench box from 4.7-5.3 to 6.6-6.9 ms and
     energy_identity from 3.4-3.6 to 5.1-5.9 ms."""
-    return _polarization_table(modes, tuple(m.kappa_signs for m in modes))
+    for m in modes:
+        if m.abstract:
+            raise ValueError(f"field operators require propagating modes; {m} is abstract")
+    return _polarization_table(np.array([(m.s, *m.kappa) for m in modes], dtype=float).tobytes())
 
 
 polarization_vectors.cache_clear = _polarization_table.cache_clear

@@ -101,24 +101,6 @@ class ModeLabel:
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
         object.__setattr__(self, "kappa", tuple(float(x) for x in self.kappa))
 
-    # mode tuples key caches, so a mode keeps its hash and its wavevector
-    # signs from their first use on; building a mode computes neither
-    _hash = None
-    _kappa_signs = None
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self.__dict__["_hash"] = hash((self.s, self.kappa, self.omega, self.j))
-        return self._hash
-
-    @property
-    def kappa_signs(self) -> tuple[float, float, float]:
-        """The sign of each wavevector component, -1.0 for -0.0: what parts
-        equal modes whose wavevector zeros differ in sign."""
-        if self._kappa_signs is None:
-            self.__dict__["_kappa_signs"] = tuple(map(math.copysign, (1.0, 1.0, 1.0), self.kappa))
-        return self._kappa_signs
-
     @property
     def abstract(self) -> bool:
         return self.kappa == (0.0, 0.0, 0.0)

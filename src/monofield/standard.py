@@ -31,7 +31,6 @@ from .hilbert import FieldConfig, ModeLabel, build_layout, superposition, unit_r
 __all__ = [
     "MAX_MODES",
     "MAX_NMAX",
-    "MAX_DIMENSION",
     "StandardLayout",
     "build_standard_layout",
     "standard_mode_annihilator",
@@ -48,7 +47,6 @@ __all__ = [
 
 MAX_MODES = 4
 MAX_NMAX = 3
-MAX_DIMENSION = 4096
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,6 @@ class StandardLayout:
             raise ValueError(f"standard layout capped at {MAX_MODES} modes")
         if self.nmax > MAX_NMAX:
             raise ValueError(f"standard layout capped at nmax = {MAX_NMAX}")
-        if self.dimension > MAX_DIMENSION:
-            raise ValueError(f"standard layout dimension exceeds {MAX_DIMENSION}")
 
     @property
     def n_modes(self) -> int:

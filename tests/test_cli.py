@@ -141,6 +141,38 @@ class TestConfigParsing:
         cfg, _ = load_config(p)
         assert cfg.times == (0.0, 0.25, 0.5, 0.75, 1.0)
 
+    TIME_GRID_FAULTS = [
+        ({"start": 0.0, "stop": 1.0, "num": 10 ** 12},
+         "time_grid.num = 1000000000000: the grid's times do not fit in memory"),
+        ({"start": 0.0, "stop": 1.0, "num": 2 ** 63},
+         f"time_grid.num = {2 ** 63}: the grid's times would take more than "
+         f"sys.maxsize = {sys.maxsize} bytes"),
+        ({"start": 0.0, "stop": 1.0, "num": 10 ** 20},
+         f"time_grid.num = {10 ** 20}: the grid's times would take more than "
+         f"sys.maxsize = {sys.maxsize} bytes"),
+        ({"start": -1e308, "stop": 1e308, "num": 5},
+         "time_grid.start = -1e+308 and time_grid.stop = 1e+308: "
+         "stop - start is out of the float range"),
+    ]
+
+    @pytest.mark.parametrize("grid, error", TIME_GRID_FAULTS,
+                             ids=["num_out_of_memory", "num_2_63", "num_1e20", "span_overflows"])
+    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
+    def test_time_grid_refusal_names_the_entry(self, tmp_path, capsys, command, config, grid,
+                                               error):
+        """Each fault is refused while parsing, so every command prints the
+        same line; num = 10**12 asks numpy for 7.28 TiB, which fails at once."""
+        doc = json.loads((DATA / config).read_text())
+        doc.pop("times", None)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**doc, "time_grid": grid}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, p, tmp_path / "out") == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_json_maps_to_exit_2(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         for content in (b'{"nmax": ', b'\xff\xfe{}'):  # truncated, not UTF-8

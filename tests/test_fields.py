@@ -71,6 +71,33 @@ class TestPolarization:
         assert mate_table != fresh
         assert polarization_vectors(mate).tobytes() == mate_table
 
+    def test_cached_table_of_a_positive_zero_mate(self):
+        # the twin's table is cached first: its mate still gets its own
+        mate = (mf.mode(+1, (0.0, 1.0, 1.0)),)
+        twin = (mf.mode(+1, (-0.0, 1.0, 1.0)),)
+        polarization_vectors.cache_clear()
+        twin_table = polarization_vectors(twin).tobytes()
+        mate_table = polarization_vectors(mate).tobytes()
+        polarization_vectors.cache_clear()
+        assert polarization_vectors(mate).tobytes() == mate_table != twin_table
+        assert polarization_vectors(twin).tobytes() == twin_table
+
+    def test_a_freshly_parsed_equal_mode_tuple_is_a_cache_hit(self):
+        first = load_config(DATA / "config_field.json")[0].modes
+        table = polarization_vectors(first)
+        hits = fields_module._polarization_table.cache_info().hits
+        again = load_config(DATA / "config_field.json")[0].modes
+        assert again == first and again is not first
+        assert polarization_vectors(again) is table
+        assert fields_module._polarization_table.cache_info().hits == hits + 1
+
+    def test_mode_label_keeps_no_sign_cache(self):
+        assert not hasattr(mf.mode(+1, (-0.0, 1.0, 1.0)), "kappa_signs")
+
+    def test_negative_zero_twin_is_still_a_duplicate_mode(self):
+        with pytest.raises(ValueError, match="duplicate mode in mode set"):
+            mf.build_layout([mf.mode(+1, (0.0, 1.0, 1.0)), mf.mode(+1, (-0.0, 1.0, 1.0))], 1)
+
 
 class TestFieldOperators:
     def test_single_mode_electric_matches_hand_matrix(self, natural):
