@@ -233,15 +233,15 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     full-space product would spread them as NaN through 0 * inf), and an
     operator of another layout only after those before it passed.
 
-    Products are blockwise, so a pair (k, l) is multiplied on the modes
-    both keep: the diagonal pairs are all the kept blocks, and each cross
-    pair that keeps a common mode appends its shared blocks.  Each
-    product is one stacked matmul over all those blocks (in chunks of the
-    same byte budget), and each pair's deviation the largest block
-    maximum of its segment.  That agrees with the full-space product up
-    to how its terms are fused (bit for bit for the ladders); a cross
-    pair with no nonzero block on a common mode keeps the table's exact
-    zeros, and overflowing products give NaN as the full-space ones do.
+    Products are blockwise: a relation between a_k and a_l sums products
+    of their blocks on each mode, so every ordered pair of kept blocks on
+    one mode is multiplied, each block with itself included (the self pairs
+    make up the pairs (k, k)), as one stack in chunks of the same byte
+    budget.  Each pair's deviations go into the (k, l) cell of its blocks'
+    owners by a maximum, exact in any order.  That agrees with the
+    full-space product up to how its terms are fused (bit for bit for the
+    ladders); a cross pair with no nonzero block on a common mode keeps the
+    table's exact zeros, and overflowing products give NaN as the full-space ones do.
     """
     m_count, size = layout.n_modes, layout.block_shape[-1]
     if annihilators is not None and len(annihilators) != m_count:
@@ -266,24 +266,12 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
         blocks.append(chunk[rows])
     blocks = np.concatenate(blocks)
     owner, modes = np.nonzero(kept)  # of each kept block, in k order
-    starts = np.searchsorted(owner, np.arange(m_count + 1))
+    left, right = _sector_pairs(modes)
     # the interior kets (n <= nmax - 1) of a block, in its (atom, n) order
-    inner = np.flatnonzero(np.arange(size) % layout.fock_dim < layout.nmax)
+    inner = np.arange(size) % layout.fock_dim < layout.nmax
     deviations = np.zeros((m_count, m_count, len(RELATIONS)))
-    every = np.arange(len(blocks))
-    deviations[np.arange(m_count), np.arange(m_count)] = np.maximum.reduceat(
-        _pair_maxima(blocks, every, every, inner, modes == owner), starts[:-1])
-    pairs = _cross_pairs(kept)
-    if len(pairs):
-        left, right = [], []
-        for k, l in pairs.tolist():
-            _, ik, il = np.intersect1d(modes[starts[k]:starts[k + 1]],
-                                       modes[starts[l]:starts[l + 1]], return_indices=True)
-            left.append(starts[k] + ik)
-            right.append(starts[l] + il)
-        segments = np.cumsum([0] + [len(ik) for ik in left[:-1]])
-        deviations[pairs[:, 0], pairs[:, 1]] = np.maximum.reduceat(
-            _pair_maxima(blocks, np.concatenate(left), np.concatenate(right)), segments)
+    np.maximum.at(deviations, (owner[left], owner[right]),
+                  _pair_maxima(blocks, left, right, inner, modes == owner))
     return AlgebraTable(tol, deviations)
 
 
@@ -299,38 +287,41 @@ def _finite_chunk(stacks: list[np.ndarray], first: int) -> np.ndarray:
     return chunk
 
 
-def _cross_pairs(kept: np.ndarray) -> np.ndarray:
-    """The (P, 2) ordered pairs (k, l), k != l, whose kept modes meet, in
-    row-major order; only the modes two or more operators keep are looked at."""
-    shared = kept[:, np.count_nonzero(kept, axis=0) > 1]
-    rows = np.flatnonzero(shared.any(axis=1))
-    meet = shared[rows].astype(float)
-    meet = meet @ meet.T > 0
-    np.fill_diagonal(meet, False)
-    return rows[np.argwhere(meet)]
+def _sector_pairs(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (left, right) indices of every ordered pair of kept blocks on
+    the same mode, each block paired with itself included."""
+    order = np.argsort(modes, kind="stable")
+    ranked = modes[order]
+    start = np.searchsorted(ranked, ranked)
+    count = np.searchsorted(ranked, ranked, side="right") - start
+    left = np.repeat(order, count)
+    # block order[p] meets ranked positions start[p], ..., start[p] + count[p] - 1
+    shift = np.repeat(start - np.cumsum(count) + count, count)
+    return left, order[shift + np.arange(len(left))]
 
 
 def _pair_maxima(blocks: np.ndarray, left: np.ndarray, right: np.ndarray,
-                 inner: np.ndarray | None = None, own: np.ndarray | None = None) -> np.ndarray:
+                 inner: np.ndarray, own: np.ndarray) -> np.ndarray:
     """The (n, 3) largest moduli of the ``RELATIONS`` deviations on the
     block pairs (blocks[left[i]], blocks[right[i]]), multiplied as stacks
-    of about :data:`ALGEBRA_BLOCK_BYTES`.  For the diagonal pairs (left
-    is right) ``inner`` holds a block's interior kets and ``own`` marks the
-    blocks where P_k is the identity; the products subtract a_k^2 and
-    (a_k^dag)^2, so that an overflow gives NaN."""
+    of about :data:`ALGEBRA_BLOCK_BYTES`.  A self pair (left is right), a
+    block of a pair (k, k), subtracts P_k where ``own`` marks a_k's own
+    block and reads its commutator on the ``inner`` kets; its products
+    subtract themselves (a_k^2, (a_k^dag)^2), leaving 0, or NaN on overflow."""
     maxima = np.empty((len(left), len(RELATIONS)))
     eye = np.eye(blocks.shape[-1])
+    outside = ~(inner[:, None] & inner)
     step = max(1, ALGEBRA_BLOCK_BYTES // blocks[0].nbytes)
     for first in range(0, len(left), step):
         part = slice(first, first + step)
         a, b = blocks[left[part]], blocks[right[part]]
         ad, bd = a.conj().swapaxes(1, 2), b.conj().swapaxes(1, 2)
         comm, prod, dprod = a @ bd - bd @ a, a @ b, ad @ bd
-        if own is not None:
-            comm[own[part]] -= eye
-            comm = comm[:, inner[:, None], inner]
-            prod -= a @ a
-            dprod -= ad @ ad
+        same = (left[part] == right[part])[:, None, None]
+        np.subtract(comm, eye, out=comm, where=same & own[left[part], None, None])
+        np.copyto(comm, 0.0, where=same & outside)
+        np.subtract(prod, prod, out=prod, where=same)
+        np.subtract(dprod, dprod, out=dprod, where=same)
         for r, x in enumerate((comm, prod, dprod)):
             maxima[part, r] = np.abs(x).max(axis=(1, 2))
     return maxima

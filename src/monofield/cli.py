@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import (
+    DEFAULT_ALGEBRA_TOL,
     _require_field_modes,
     algebra_reports_csv,
     hamiltonian,
@@ -73,7 +74,7 @@ from .standard import (
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
-DEFAULT_TOLERANCES = {"algebra": 1e-12, "emission": 1e-10, "comparison": 1e-10}
+DEFAULT_TOLERANCES = {"algebra": DEFAULT_ALGEBRA_TOL, "emission": 1e-10, "comparison": 1e-10}
 SLOPE_BAND = (1.9, 2.1)
 
 
@@ -102,7 +103,7 @@ class RunConfig:
     def tolerance(self, name: str, override: float | None = None) -> float:
         if override is not None:
             return override
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+        return self.tolerances[name]
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str):
@@ -120,6 +121,10 @@ def _box_modes(box: dict, c: float) -> tuple[tuple[ModeLabel, ...], float]:
     max_index = read_int(box.get("max_index"), "box.max_index")
     if edge <= 0 or max_index < 1:
         raise ConfigError("box edge must be > 0 and max_index >= 1")
+    count = 2 * ((2 * max_index + 1) ** 3 - 1)
+    if 16 * count * 2 * 2 > sys.maxsize:  # the smallest blocks: nmax 1, no atom
+        raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "
+                          f"blocks would take more than sys.maxsize = {sys.maxsize} bytes")
     unit = 2.0 * math.pi / edge
     modes = []
     for nx in range(-max_index, max_index + 1):
@@ -201,6 +206,9 @@ def load_config(path) -> tuple[RunConfig, dict]:
         return _parse_config(doc), doc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc))
+    except MemoryError:
+        pass  # refused below, once what the parse held is freed
+    raise ConfigError("parsing the config ran out of memory")
 
 
 def _parse_config(doc) -> RunConfig:

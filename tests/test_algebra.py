@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import monofield as mf
 from monofield.algebra import (
     RELATIONS,
+    _sector_pairs,
     algebra_reports_csv,
     fock_lowering,
     full_commutator_reference,
@@ -355,6 +356,36 @@ def _mixed_annihilators(layout, rng):
     return ops
 
 
+class TestSectorPairs:
+    """_sector_pairs gives every ordered pair of kept blocks on one mode, a
+    block with itself included, once: the pairs a double loop finds."""
+
+    @staticmethod
+    def kept_modes(kept):
+        """The mode of each kept block, in the (owner, mode) order of
+        verify_algebra; every operator keeps its own mode."""
+        return np.nonzero(kept | np.eye(len(kept), dtype=bool))[1]
+
+    @staticmethod
+    def assert_pairs(modes):
+        left, right = _sector_pairs(modes)
+        pairs = sorted(zip(left.tolist(), right.tolist()))
+        assert pairs == [(i, j) for i in range(len(modes)) for j in range(len(modes))
+                         if modes[i] == modes[j]]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_kept_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 9))
+        kept = rng.random((m, m)) < rng.random()
+        kept[:, rng.integers(m)] = True  # a mode every operator keeps
+        self.assert_pairs(self.kept_modes(kept))
+
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    def test_identity_layout_pairs_each_block_with_itself(self, m):
+        self.assert_pairs(self.kept_modes(np.zeros((m, m), dtype=bool)))
+
+
 class TestStackedPass:
     """The annihilators taken in chunks and every mode pair multiplied as one
     stack give, field by field, the dense oracle's deviations."""
@@ -398,15 +429,20 @@ class TestStackedPass:
         # a zero own block reads |0 - 1| on the interior kets
         assert table.deviations[4, 4, 0] == 1.0
 
-    @pytest.mark.parametrize("operators", [1, 3])
+    @pytest.mark.parametrize("operators", [1, 3, pytest.param(None, id="one_block")])
     @pytest.mark.parametrize("with_atom", [False, True])
     def test_chunks_of_one_and_three_operators(self, monkeypatch, operators, with_atom):
-        rng = np.random.default_rng([operators, with_atom])
+        """``None`` is a budget of one block, 16 s^2 bytes: every chunk of
+        block pairs holds a single pair, a self pair or a cross pair."""
+        rng = np.random.default_rng([operators or 7, with_atom])
         layout = abstract_layout(7, 3, with_atom)
         ops = _mixed_annihilators(layout, rng)
         whole = mf.verify_algebra(layout, annihilators=ops).deviations
-        monkeypatch.setattr(mf.algebra, "ALGEBRA_BLOCK_BYTES", self.budget(layout, operators))
+        size = layout.block_shape[-1]
+        budget = 16 * size * size if operators is None else self.budget(layout, operators)
+        monkeypatch.setattr(mf.algebra, "ALGEBRA_BLOCK_BYTES", budget)
         assert self.assert_repr_equal(layout, ops).deviations.tobytes() == whole.tobytes()
+        assert (whole[~np.eye(7, dtype=bool)] > 0).any()  # some cross pair meets
         defaults = mf.verify_algebra(layout).deviations
         monkeypatch.undo()
         assert defaults.tobytes() == mf.verify_algebra(layout).deviations.tobytes()

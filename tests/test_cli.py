@@ -104,6 +104,46 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (f"config error: nmax = {nmax} with {modes} modes: "
                                            "the run does not fit in memory\n")
 
+    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
+    def test_box_past_any_array_size_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                             config):
+        """max_index = 10**8 gives 1.6e25 modes, past sys.maxsize bytes at any
+        nmax: the parser refuses it before it builds a single mode (building
+        them would run until the memory is exhausted)."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a mode of the refused box was built")
+
+        monkeypatch.setattr(cli, "mode", refused)
+        doc = json.loads((DATA / config).read_text())
+        doc.pop("modes")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**doc, "box": {"edge": 2.0, "max_index": 10 ** 8}}))
+        start = time.perf_counter()
+        assert run(command, p, tmp_path / "out") == 2
+        assert time.perf_counter() - start < 1.0
+        count = 2 * ((2 * 10 ** 8 + 1) ** 3 - 1)
+        assert capsys.readouterr().err == (
+            f"config error: box.max_index = {10 ** 8} gives {count} modes: the layout's mode "
+            f"blocks would take more than sys.maxsize = {sys.maxsize} bytes\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
+    def test_memory_error_while_parsing_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                                config):
+        """A box too large for the memory but within sys.maxsize fails while
+        its modes are built; that is a config error, with no traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "mode", exhausted)
+        doc = json.loads((DATA / config).read_text())
+        doc.pop("modes")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**doc, "box": {"edge": 2.0, "max_index": 1}}))
+        assert run(command, p, tmp_path / "out") == 2
+        assert capsys.readouterr().err == "config error: parsing the config ran out of memory\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"modes": [{"omega": 1.0}], "nmax": 2, "bogus": 1}))
