@@ -16,6 +16,7 @@ separate constructors for identity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -222,14 +223,15 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     * ``product_aa``: a_k a_l = delta_kl a_k^2.
     * ``product_adad``: a_k^dag a_l^dag = delta_kl (a_k^dag)^2.
 
-    ``annihilators`` may inject precomputed (or deliberately corrupted)
-    mode operators; by default each is built by :func:`mode_annihilator`
-    when its turn comes.  They are taken in k order and their block
-    stacks (a diagonal operator as diagonal blocks) stacked into chunks
-    of about :data:`ALGEBRA_BLOCK_BYTES`; each chunk gets one finiteness
-    and one nonzero-block reduction, and keeps of each operator its own
-    mode's block and every other nonzero one.  Non-finite entries are
-    refused with ValueError naming the first such annihilator (a
+    By default the blocks are :func:`ladder`'s (M, s, s) stack, block k owned
+    by a_k: :func:`mode_annihilator` is that block on mode k and exact zeros
+    elsewhere, so nothing is built or scanned.  Injected ``annihilators``
+    (precomputed or deliberately corrupted) are taken in k order and their
+    block stacks (a diagonal operator as diagonal blocks) stacked into
+    chunks of about :data:`ALGEBRA_BLOCK_BYTES`; each chunk gets one
+    finiteness and one nonzero-block reduction, and keeps of each operator
+    its own mode's block and every other nonzero one.  Non-finite entries
+    are refused with ValueError naming the first such annihilator (a
     full-space product would spread them as NaN through 0 * inf), and an
     operator of another layout only after those before it passed.
 
@@ -243,18 +245,34 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
     ladders); a cross pair with no nonzero block on a common mode keeps the
     table's exact zeros, and overflowing products give NaN as the full-space ones do.
     """
+    if annihilators is None:
+        blocks, kept = ladder(layout).as_blocks(), np.eye(layout.n_modes, dtype=bool)
+    else:
+        blocks, kept = _kept_blocks(layout, annihilators)
+    owner, modes = np.nonzero(kept)  # of each kept block, in k order
+    left, right = _sector_pairs(modes)
+    # the interior kets (n <= nmax - 1) of a block, in its (atom, n) order
+    inner = np.arange(blocks.shape[-1]) % layout.fock_dim < layout.nmax
+    deviations = np.zeros((*kept.shape, len(RELATIONS)))
+    np.maximum.at(deviations, (owner[left], owner[right]),
+                  _pair_maxima(blocks, left, right, inner, modes == owner))
+    return AlgebraTable(tol, deviations)
+
+
+def _kept_blocks(layout: HilbertLayout,
+                 annihilators: list[Operator]) -> tuple[np.ndarray, np.ndarray]:
+    """Injected annihilators' kept blocks in (k, mode) order, and the (M, M) mask
+    ``kept[k, j]``: a_k's block on mode j is kept, being nonzero or a_k's own."""
     m_count, size = layout.n_modes, layout.block_shape[-1]
-    if annihilators is not None and len(annihilators) != m_count:
+    if len(annihilators) != m_count:
         raise ValueError("need one annihilator per mode")
     per_chunk = max(1, ALGEBRA_BLOCK_BYTES // (16 * m_count * size * size))
-    # kept[k, j]: a_k's block on mode j is kept, being nonzero or a_k's own
     kept = np.eye(m_count, dtype=bool)
     blocks = []
     for first in range(0, m_count, per_chunk):
         stacks = []
         for k in range(first, min(first + per_chunk, m_count)):
-            # built one at a time, so at most a chunk of full stacks is held
-            op = mode_annihilator(layout, k) if annihilators is None else annihilators[k]
+            op = annihilators[k]
             if op.layout != layout:
                 if stacks:  # the operators before k are refused first
                     _finite_chunk(stacks, first)
@@ -264,15 +282,7 @@ def verify_algebra(layout: HilbertLayout, tol: float = DEFAULT_ALGEBRA_TOL,
         rows = kept[first:first + len(stacks)]
         rows |= chunk.view(float).reshape(len(stacks), m_count, -1).any(axis=2)
         blocks.append(chunk[rows])
-    blocks = np.concatenate(blocks)
-    owner, modes = np.nonzero(kept)  # of each kept block, in k order
-    left, right = _sector_pairs(modes)
-    # the interior kets (n <= nmax - 1) of a block, in its (atom, n) order
-    inner = np.arange(size) % layout.fock_dim < layout.nmax
-    deviations = np.zeros((m_count, m_count, len(RELATIONS)))
-    np.maximum.at(deviations, (owner[left], owner[right]),
-                  _pair_maxima(blocks, left, right, inner, modes == owner))
-    return AlgebraTable(tol, deviations)
+    return np.concatenate(blocks), kept
 
 
 def _finite_chunk(stacks: list[np.ndarray], first: int) -> np.ndarray:
@@ -332,27 +342,27 @@ def algebra_reports_csv(table: AlgebraTable, path) -> None:
 
     One row per (k, l, relation) in that order.  The diagonal commutator's
     subspace is ``interior``, every other row's ``full``; a deviation is
-    its shortest round-trip ``repr``.  Rows are written one k at a time,
-    and every cross pair whose three deviations are 0.0 from one template.
-    The table does not go through the CLI's columnar ``_write_csv``: most
-    of its rows are such zero pairs, and the columns gave the same bytes
-    7 to 9 times slower (best of 5 on 2 cores: 337-481 ms against 36-64 ms
-    for the 184 512 rows of the 248-mode box at nmax 5).
+    its shortest round-trip ``repr``.  The text of every l's three zero
+    rows (``0.0``, for a zero of either sign) is split once where each row's
+    ``,k,`` goes; per k, the pieces of the diagonal and of every nonzero cross
+    pair (one ``np.nonzero`` finds them) are formatted, and all are joined on
+    ``,k,``: many times faster than the CLI's columnar ``_write_csv``.
     """
-    zero_tail = f",full,0.0,{_VERDICTS[0.0 < table.tol]}\n"
-    labels = [str(l) for l in range(len(table.deviations))]
+    m_count = len(table.deviations)
+    zero = f",full,0.0,{_VERDICTS[0.0 < table.tol]}\n"
+    # piece 3l + 1 + r: the tail of (l, RELATIONS[r])'s row, then the next row's name
+    pieces = "".join(f"{r}\0{l}{zero}" for l in range(m_count) for r in RELATIONS).split("\0")
+    comm, aa, adad = np.moveaxis(table.deviations != 0, 2, 0)
+    ks, ls = np.nonzero(comm | aa | adad | np.eye(m_count, dtype=bool))
+    devs = table.deviations[ks, ls]  # the rows that are formatted
+    cells = zip(ks.tolist(), ls.tolist(), devs.tolist(), (devs < table.tol).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("relation,k,l,subspace,deviation,pass\n")
-        for k, (devs, verdicts) in enumerate(zip(table.deviations, table.passed)):
-            heads = [f"{name},{k}," for name in RELATIONS]
-            comm, aa, adad = heads
-            diagonal = labels[k]
-            lines = []
-            for l, dev, verdict in zip(labels, devs.tolist(), verdicts.tolist()):
-                if dev == [0.0, 0.0, 0.0] and l != diagonal:
-                    lines.append(f"{comm}{l}{zero_tail}{aa}{l}{zero_tail}{adad}{l}{zero_tail}")
-                    continue
-                subspaces = ("interior" if l == diagonal else "full", "full", "full")
-                lines += [f"{head}{l},{subspace},{d!r},{_VERDICTS[v]}\n"
-                          for head, subspace, d, v in zip(heads, subspaces, dev, verdict)]
-            fh.write("".join(lines))
+        for k, row in groupby(cells, key=lambda cell: cell[0]):
+            filled = pieces.copy()
+            for _, l, dev, verdict in row:
+                subspaces = ("interior" if l == k else "full", "full", "full")
+                for i, subspace, d, v in zip(range(3 * l + 1, 3 * l + 4), subspaces, dev, verdict):
+                    filled[i] = f"{l},{subspace},{d!r},{_VERDICTS[v]}\n" \
+                        + pieces[i].partition("\n")[2]
+            fh.write(f",{k},".join(filled))

@@ -283,12 +283,12 @@ def test_vacuum_energy_stays_finite_on_a_large_box(tmp_path):
 def test_verify_algebra_on_a_large_box(tmp_path, monkeypatch):
     """verify-algebra on the max_index 2 box (248 modes, nmax 5, D = 1488).
 
-    All 3 M^2 relations hold.  Each annihilator is kept as its one nonzero
-    mode block, one full block stack (143 kB) at a time, and no cross pair
-    shares a mode, so the traced peak of the verify_algebra call stays near
-    its (M, M, 3) deviation table (1.5 MB) and the temporaries of one stacked
-    product pass over the M kept blocks: 3.1 MB measured.  M full
-    block stacks alone would take 35 MB.
+    All 3 M^2 relations hold.  The default annihilators are taken as the
+    ladder's M blocks, each its owner's own, with no full block stack built,
+    and no cross pair shares a mode, so the traced peak of the verify_algebra
+    call stays near its (M, M, 3) deviation table (1.5 MB) and the
+    temporaries of one stacked product pass over the M blocks: 2.7 MB
+    measured.  M full block stacks alone would take 35 MB.
     """
     config = tmp_path / "box.json"
     config.write_text(json.dumps({"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import monofield as mf
 from monofield.algebra import (
     RELATIONS,
+    _lowering_block,
     _sector_pairs,
     algebra_reports_csv,
     fock_lowering,
@@ -473,6 +474,122 @@ class TestStackedPass:
         monkeypatch.setattr(mf.algebra, "ALGEBRA_BLOCK_BYTES", self.budget(layout, operators))
         with pytest.raises(ValueError, match="^annihilator 1 lives on a different layout$"):
             mf.verify_algebra(layout, annihilators=self.faults(layout, bad=2, other=1))
+
+
+def _random_layout(rng, with_atom):
+    """1-40 modes, propagating ones of random wavevector and abstract ones,
+    at nmax 1-6."""
+    modes = [mf.mode(int(rng.choice([1, -1])), rng.normal(size=3)) if rng.random() < 0.7
+             else mf.abstract_mode(float(rng.uniform(0.5, 3.0)), j=j)
+             for j in range(int(rng.integers(1, 41)))]
+    return mf.build_layout(modes, int(rng.integers(1, 7)), with_atom=with_atom)
+
+
+class TestStructuralDefault:
+    """The default check takes its blocks from the ladder's stack by
+    structure: that verifies the operators mode_annihilator builds, since
+    each is the lowering block on its own mode and exact zeros elsewhere."""
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    @pytest.mark.parametrize("nmax", range(1, 7))
+    def test_mode_annihilator_is_its_own_lowering_block(self, nmax, with_atom):
+        layout = abstract_layout(4, nmax, with_atom)
+        for k in range(4):
+            blocks = mf.mode_annihilator(layout, k).as_blocks()
+            assert blocks.shape == layout.block_shape
+            assert np.array_equal(blocks[k], _lowering_block(layout))
+            others = np.delete(blocks, k, axis=0)
+            assert not others.view(float).any() and not np.signbit(others.view(float)).any()
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_equals_the_injected_library_operators(self, seed, with_atom):
+        layout = _random_layout(np.random.default_rng([seed, with_atom]), with_atom)
+        injected = [mf.mode_annihilator(layout, k) for k in range(layout.n_modes)]
+        want = mf.verify_algebra(layout, annihilators=injected).deviations
+        assert np.array_equal(mf.verify_algebra(layout).deviations, want)
+
+    @pytest.mark.parametrize("with_atom", [False, True])
+    def test_one_stack_per_chunk(self, monkeypatch, with_atom):
+        layout = abstract_layout(40, 6, with_atom)
+        m, size, _ = layout.block_shape
+        monkeypatch.setattr(mf.algebra, "ALGEBRA_BLOCK_BYTES", 16 * m * size * size)
+        injected = [mf.mode_annihilator(layout, k) for k in range(m)]
+        want = mf.verify_algebra(layout, annihilators=injected).deviations
+        assert np.array_equal(mf.verify_algebra(layout).deviations, want)
+
+    def test_builds_no_mode_annihilator(self, monkeypatch):
+        def refused(layout, k):
+            raise AssertionError("the default check built a mode annihilator")
+
+        layout = abstract_layout(6, 3, with_atom=True)
+        want = mf.verify_algebra(layout).deviations
+        monkeypatch.setattr(mf.algebra, "mode_annihilator", refused)
+        assert mf.verify_algebra(layout).deviations.tobytes() == want.tobytes()
+
+
+def _reference_reports_csv(table, path):
+    """The writer that formatted every row, one (k, l) pair at a time, kept
+    as the oracle of the template writer."""
+    verdicts = {True: "true", False: "false"}
+    zero_tail = f",full,0.0,{verdicts[0.0 < table.tol]}\n"
+    labels = [str(l) for l in range(len(table.deviations))]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("relation,k,l,subspace,deviation,pass\n")
+        for k, (devs, passed) in enumerate(zip(table.deviations, table.passed)):
+            heads = [f"{name},{k}," for name in RELATIONS]
+            comm, aa, adad = heads
+            diagonal = labels[k]
+            lines = []
+            for l, dev, verdict in zip(labels, devs.tolist(), passed.tolist()):
+                if dev == [0.0, 0.0, 0.0] and l != diagonal:
+                    lines.append(f"{comm}{l}{zero_tail}{aa}{l}{zero_tail}{adad}{l}{zero_tail}")
+                    continue
+                subspaces = ("interior" if l == diagonal else "full", "full", "full")
+                lines += [f"{head}{l},{subspace},{d!r},{verdicts[v]}\n"
+                          for head, subspace, d, v in zip(heads, subspaces, dev, verdict)]
+            fh.write("".join(lines))
+
+
+class TestReportsCsvBytes:
+    """algebra_reports_csv writes, byte for byte, what the row-by-row writer did."""
+
+    VALUES = [np.nan, -0.0, 1e-300, 5e-18, 3e-13, 0.25, 7.0, np.inf]
+
+    @staticmethod
+    def assert_same_bytes(table, tmp_path):
+        algebra_reports_csv(table, tmp_path / "got.csv")
+        _reference_reports_csv(table, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("m, seed", [(1, 0), (1, 1), (2, 2), (3, 3), (7, 4), (7, 5),
+                                         (16, 6), (101, 7), (130, 8)])
+    def test_random_tables(self, tmp_path, m, seed):
+        rng = np.random.default_rng(seed)
+        deviations = np.zeros((m, m, 3))
+        hits = rng.random(deviations.shape) < rng.choice([0.02, 0.3, 1.0])
+        deviations[hits] = rng.choice(self.VALUES, size=int(hits.sum()))
+        deviations[rng.integers(m)] = 0.0  # an all-zero row of pairs
+        for k in range(m):  # nonzero cross cells at the first and the last l
+            deviations[k, 0 if k else -1, rng.integers(3)] = rng.choice(self.VALUES[2:])
+            deviations[k, -1 if k < m - 1 else 0, rng.integers(3)] = rng.choice(self.VALUES[2:])
+        for tol in (1e-12, 1e-17, 0.5, 0.0):
+            self.assert_same_bytes(mf.AlgebraTable(tol, deviations.copy()), tmp_path)
+
+    @pytest.mark.parametrize("value", [np.nan, -0.0, 1e-300])
+    @pytest.mark.parametrize("m", [1, 2, 5, 120])
+    def test_one_kind_of_value_everywhere(self, tmp_path, m, value):
+        """Cross pairs of negative zeros read 0.0 as pairs of zeros do; NaN
+        fails, and the diagonal keeps its repr."""
+        self.assert_same_bytes(mf.AlgebraTable(1e-12, np.full((m, m, 3), value)), tmp_path)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-17])
+    def test_verified_layout(self, tmp_path, tol):
+        """A table verify_algebra fills: the diagonal alone is formatted,
+        and at 1e-17 some of its relations fail."""
+        table = mf.verify_algebra(abstract_layout(103, 3, with_atom=True), tol=tol)
+        assert (table.failed > 0) == (tol < 1e-12)
+        self.assert_same_bytes(table, tmp_path)
 
 
 @st.composite

@@ -437,17 +437,15 @@ class TestVerifyAlgebraCommand:
         assert len(lines) == 1 + 3 * 16
 
     def test_injected_fault_exits_1(self, tmp_path, monkeypatch):
-        build = algebra.mode_annihilator
+        # the default check reads its blocks from the ladder: corrupt mode 0's
+        build = algebra.ladder
 
-        def corrupted(layout, k):
-            op = build(layout, k)
-            if k != 0:
-                return op
-            bad = op.data.copy()
+        def corrupted(layout):
+            bad = build(layout).as_blocks().copy()
             bad[0, 0, -1] += 1e-3
             return Operator(layout, bad)
 
-        monkeypatch.setattr(algebra, "mode_annihilator", corrupted)
+        monkeypatch.setattr(algebra, "ladder", corrupted)
         assert run("verify-algebra", DATA / "config_algebra.json", tmp_path) == 1
 
     def test_tolerance_override(self, tmp_path):
