@@ -34,13 +34,13 @@ from .dynamics import dyson_first_order, resonance_kernel, spectrum
 from .emission import (
     EXCITED,
     AtomParams,
+    _convergence_sweep,
+    _first_order_state,
+    _first_order_table,
+    _interaction_picture,
     _mode_couplings,
     atom_field_hamiltonian,
-    convergence_sweep,
     coupling,
-    first_order_state,
-    first_order_table,
-    interaction_picture,
     VACUUM_TOL,
 )
 from . import fields
@@ -463,13 +463,14 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     _propagating(layout, "emission")
     populated = sorted({k for (k, n, _), amp in cfg.emission_initial.items()
                         if amp and n < cfg.nmax})
-    if not _mode_couplings(layout.modes, cfg.atom, cfg.field)[populated].any():
+    gs = _mode_couplings(layout.modes, cfg.atom, cfg.field)  # one row for the whole run
+    if not gs[populated].any():
         raise ConfigError(f"atom.direction is orthogonal to the polarization of every mode "
                           f"emission_initial populates below n = nmax = {cfg.nmax} (modes "
                           f"{populated}), so nothing can be emitted")
     initial = superposition(layout, cfg.emission_initial)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with the time
-        table = first_order_table(initial, cfg.atom, cfg.field, cfg.times, [cfg.atom.d])[0]
+        table = _first_order_table(initial, cfg.atom, cfg.times, [cfg.atom.d], gs)[0]
     probs = []
     for i, (t, amps) in enumerate(zip(cfg.times, table.tolist())):
         try:
@@ -489,7 +490,8 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     t_ref = cfg.times[-1] if cfg.times else 1.0
     couplings = cfg.couplings or tuple(np.logspace(-3.0, -1.0, 7).tolist())
     try:
-        deviations = convergence_sweep(initial, cfg.atom, cfg.field, t_ref, couplings).tolist()
+        deviations = _convergence_sweep(initial, cfg.atom, cfg.field, t_ref, couplings,
+                                        gs).tolist()
     except ValueError as exc:
         raise ConfigError(str(exc))
     if not all(0.0 < dev < math.inf for dev in deviations):
@@ -499,9 +501,9 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     _write_csv(outdir / "emission_convergence.csv", ["coupling", "deviation"],
                [couplings, deviations])
 
-    psi_closed = first_order_state(initial, cfg.atom, cfg.field, t_ref)
+    psi_closed = _first_order_state(initial, cfg.atom, t_ref, gs)
     try:
-        psi_quad = dyson_first_order(interaction_picture(layout, cfg.atom, cfg.field),
+        psi_quad = dyson_first_order(_interaction_picture(layout, cfg.atom, cfg.field, gs),
                                      initial, t_ref, hbar=cfg.field.hbar)
     except ValueError as exc:
         raise ConfigError(f"t = {t_ref!r}: first-order Dyson integral: {exc}")

@@ -8,10 +8,10 @@ a diagonal generator is its own eigenbasis, so its evolution is the phase
 vector alone, and it moves a diagonal operator in the Heisenberg picture
 to a diagonal one; a block generator is diagonalised by one batched
 ``eigh`` over its mode blocks, and V is a block operator.
-Every step is one formula, :func:`_step`, and every refusal one of
-:func:`_generator_faults` and :func:`_phase_fault`: :meth:`Spectrum.apply`
-evolves a stack of states over the times, and :func:`evolve_stack` one
-state under a stack of block generators, each row bit for bit a step alone.
+Every step is one formula, :meth:`Spectrum.apply`, which evolves a stack
+of states over the times, each row bit for bit a step alone.  The
+emission convergence sweep needs no spectrum: it evolves the 2x2 RWA
+doublets in closed form and refuses a phase with :func:`_phase_fault`'s line.
 
 :func:`dyson_first_order` integrates the first-order Dyson term with
 :mod:`monofield.quadrature`, ``scipy.integrate.quad_vec``'s adaptive
@@ -42,7 +42,6 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "evolve",
-    "evolve_stack",
     "heisenberg",
     "dyson_first_order",
 ]
@@ -90,49 +89,12 @@ def matrix_exp(a: Operator) -> Operator:
     return Operator(a.layout, result)
 
 
-def _generator_faults(data: np.ndarray, diagonal: bool) -> list[str | None]:
-    """Why :func:`spectrum` refuses each generator of a stack of stored
-    arrays (leading axis), or None; one check of each kind covers the stack."""
-    axes = tuple(range(1, data.ndim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(data).all(axis=axes).tolist()
-        adjoint = data.conj() if diagonal else np.swapaxes(data.conj(), -1, -2)
-        deviations = np.abs(data - adjoint).max(axis=axes).tolist()
-    return [None if ok and dev <= HERMITICITY_TOL else "generator has non-finite entries"
-            if not ok else f"generator is not Hermitian (deviation {dev:.3e})"
-            for ok, dev in zip(finite, deviations)]
-
-
-def _phases(energies: np.ndarray, largest, times, hbar: float):
-    """The largest phases |lambda*t/hbar| and the angles -i*lambda*t/hbar of
-    (..., D) ``energies`` of largest moduli ``largest``, at ``times``
-    broadcast against those; a refused step's angles are formed but unused."""
-    times = np.asarray(times, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return largest * np.abs(times) / hbar, -1j * energies * times[..., None] / hbar
-
-
 def _phase_fault(phase: float) -> str | None:
     """``eigh`` cannot overflow, so a phase with no digit left below 2*pi is refused."""
     if phase < _PHASE_LIMIT:
         return None
     return (f"matrix exponential overflowed (largest phase |lambda*t/hbar| = {phase:.3e}, "
             f"limit {_PHASE_LIMIT:.3e}; rescale the generator or the time)")
-
-
-def _step(amplitudes: np.ndarray, angles: np.ndarray, still: np.ndarray,
-          vectors: np.ndarray | None) -> np.ndarray:
-    """exp(-i*H*t/hbar) times (..., D) ``amplitudes``, leading axes
-    broadcast: the phases times them for a diagonal H, else them plus
-    V diag(expm1(angles)) V^dag times them for the block stack V, so a short
-    step is as accurate as it is small; a ``still`` row is them exactly."""
-    if vectors is None:
-        out = np.exp(angles) * amplitudes
-    else:
-        adjoint = np.swapaxes(vectors.conj(), -1, -2)
-        out = amplitudes + block_matvec(vectors, np.expm1(angles)
-                                        * block_matvec(adjoint, amplitudes))
-    return np.where(still[..., None], amplitudes, out)
 
 
 @dataclass(frozen=True)
@@ -160,8 +122,11 @@ class Spectrum:
 
     def _angles(self, times) -> tuple[np.ndarray, np.ndarray]:
         """The angles at ``times`` and which have every phase 0; the first
-        refused time raises."""
-        phases, angles = _phases(self.energies, self.largest, times, self.hbar)
+        refused time raises; a refused step's angles are formed but unused."""
+        times = np.asarray(times, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = self.largest * np.abs(times) / self.hbar
+            angles = -1j * self.energies * times[..., None] / self.hbar
         refused = ~(phases < _PHASE_LIMIT)
         if refused.any():
             raise ValueError(_phase_fault(phases[refused][0]))
@@ -180,10 +145,19 @@ class Spectrum:
 
     def apply(self, amplitudes: np.ndarray, times) -> np.ndarray:
         """exp(-i*H*t/hbar) times (..., D) ``amplitudes`` at ``times``
-        broadcast against their leading axes, in one :func:`_step`."""
+        broadcast against their leading axes: the phases times them for a
+        diagonal H, else them plus V diag(expm1(angles)) V^dag times them,
+        so a short step is as accurate as it is small; a step whose every
+        phase is 0 leaves them exactly."""
         angles, still = self._angles(times)
-        vectors = None if self.vectors is None else self.vectors.data
-        return _step(amplitudes, angles, still, vectors)
+        if self.vectors is None:
+            out = np.exp(angles) * amplitudes
+        else:
+            vectors = self.vectors.data
+            adjoint = np.swapaxes(vectors.conj(), -1, -2)
+            out = amplitudes + block_matvec(vectors, np.expm1(angles)
+                                            * block_matvec(adjoint, amplitudes))
+        return np.where(still[..., None], amplitudes, out)
 
     def trajectory(self, psi: StateVector, times) -> np.ndarray:
         """The (T, D) amplitudes of exp(-i*H*t/hbar)|psi> at the T ``times``."""
@@ -199,9 +173,13 @@ class Spectrum:
 def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
     """The :class:`Spectrum` of a finite Hermitian generator ``h``; one
     batched ``eigh`` over the blocks of a block generator."""
-    fault = _generator_faults(h.data[None], h.diagonal)[0]
-    if fault:
-        raise ValueError(fault)
+    if not np.isfinite(h.data).all():
+        raise ValueError("generator has non-finite entries")
+    adjoint = h.data.conj() if h.diagonal else np.swapaxes(h.data.conj(), -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = float(np.abs(h.data - adjoint).max())
+    if deviation > HERMITICITY_TOL:
+        raise ValueError(f"generator is not Hermitian (deviation {deviation:.3e})")
     if h.diagonal:
         return Spectrum(h, float(hbar), h.data.real, None)
     energies, vectors = np.linalg.eigh(h.data)
@@ -211,22 +189,6 @@ def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
 def evolve(h: Operator, psi0: StateVector, t: float, hbar: float = 1.0) -> StateVector:
     """Schroedinger evolution exp(-i*H*t/hbar)|psi0>."""
     return spectrum(h, hbar).evolve(psi0, t)
-
-
-def evolve_stack(blocks: np.ndarray, amplitudes: np.ndarray, t: float,
-                 hbar: float = 1.0) -> tuple[np.ndarray, list[str | None]]:
-    """:func:`evolve` of one state under each block generator of a (C, M, s, s)
-    stack by one batched ``eigh`` and one :func:`_step`, each row bit for bit
-    its own: the (C, D) amplitudes and each generator's refusal or None (its
-    row then meaningless).  Nothing warns."""
-    faults = _generator_faults(blocks, diagonal=False)
-    passed = np.array([fault is None for fault in faults])[:, None, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies, vectors = np.linalg.eigh(np.where(passed, blocks, 0.0))
-        energies = energies.reshape(len(blocks), -1)
-        phases, angles = _phases(energies, np.abs(energies).max(axis=-1), t, hbar)
-        out = _step(amplitudes, angles, phases == 0.0, vectors)
-    return out, [fault or _phase_fault(phase) for fault, phase in zip(faults, phases.tolist())]
 
 
 def heisenberg(h: Operator, a: Operator, t: float, hbar: float = 1.0) -> Operator:

@@ -12,6 +12,12 @@ the polarization table of :func:`monofield.fields.polarization_vectors`;
 :func:`coupling` is its one-mode case.  The coupling blocks of the
 Hamiltonian and of the interaction picture come from one writer,
 s*(g_k*R) + h.c. with R the block of a sigma+.
+
+Under the RWA each mode block is nmax doublets {|k, n, e>, |k, n+1, g>}
+and two singlets; :func:`convergence_sweep` evolves each doublet by the
+n-photon Jaynes-Cummings Rabi formula, with no block built.  The
+functions the ``emission`` command calls have private twins that take the
+coupling row, so the command finds it once.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import fock_lowering, hamiltonian
-from .dynamics import evolve_stack, resonance_kernel, spectrum
+from .dynamics import _phase_fault, resonance_kernel
 from .fields import polarization_vectors
 from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVector, row_norms,
                       unit_rows)
@@ -31,8 +37,6 @@ from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVect
 __all__ = [
     "AtomParams",
     "coupling",
-    "sigma3",
-    "sigma_plus",
     "free_hamiltonian_with_atom",
     "atom_field_hamiltonian",
     "interaction_picture",
@@ -126,17 +130,6 @@ def _raise_atom(field_block: np.ndarray) -> np.ndarray:
     return np.kron([[0.0, 0.0], [1.0, 0.0]], field_block)
 
 
-def sigma3(layout: HilbertLayout) -> Operator:
-    _require_atom(layout)
-    return Operator.from_diagonal(layout, layout.flat(np.array([-1.0, 1.0])[:, None, None]))
-
-
-def sigma_plus(layout: HilbertLayout) -> Operator:
-    _require_atom(layout)
-    return Operator(layout, np.broadcast_to(_raise_atom(np.eye(layout.fock_dim)),
-                                            layout.block_shape))
-
-
 def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
                                config: FieldConfig) -> Operator:
     """Uncoupled part: atom splitting plus the spectral field Hamiltonian."""
@@ -148,18 +141,17 @@ def free_hamiltonian_with_atom(layout: HilbertLayout, atom: AtomParams,
     return Operator.from_diagonal(layout, layout.flat(field_diag + split))
 
 
-def _coupling_blocks(lower: np.ndarray, scale, gs: np.ndarray) -> np.ndarray:
+def _coupling_blocks(lower: np.ndarray, scale: float, gs: np.ndarray) -> np.ndarray:
     """scale * sum_k (gs_k a_k sigma+ + h.c.) as (M, 2b, 2b) blocks, after the
-    leading axes of a ``scale`` array or of ``gs``, where ``lower`` is one
-    mode's block R of a sigma+: :func:`_raise_atom` of the lowering block,
-    the place :func:`sigma_plus` puts the identity.
+    leading axes of ``gs``, where ``lower`` is one mode's block R of a
+    sigma+: :func:`_raise_atom` of the lowering block.
 
     Mode k's block is scale*(gs_k*R) on the entries of R, its conjugate at
     the transposed places and 0.0 elsewhere, as a running sum over the
     modes has it, signed zeros included.
     """
     rows, cols = np.nonzero(lower)
-    entries = np.asarray(scale)[..., None, None] * (gs[..., None] * lower[rows, cols])
+    entries = scale * (gs[..., None] * lower[rows, cols])
     blocks = np.zeros((*entries.shape[:-1], *lower.shape), dtype=complex)
     blocks[..., rows, cols] = entries
     blocks[..., cols, rows] = entries.conj()
@@ -169,20 +161,11 @@ def _coupling_blocks(lower: np.ndarray, scale, gs: np.ndarray) -> np.ndarray:
 def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
                            config: FieldConfig) -> Operator:
     """Dipole/RWA Hamiltonian: atom splitting + field + sigma+ a / sigma- a^dag coupling."""
-    return Operator(layout, _rwa_blocks(layout, atom, config, [atom.d])[1][0])
-
-
-def _rwa_blocks(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
-                dipoles: Sequence[float]) -> tuple[Operator, np.ndarray]:
-    """The uncoupled part and the (C, M, 2b, 2b) blocks of the RWA
-    Hamiltonians of C dipole scales d: its blocks plus the coupling blocks
-    of the scales hbar*omega0*d, each bit for bit that of one scale."""
-    _require_atom(layout)
     h0 = free_hamiltonian_with_atom(layout, atom, config)
     coupled = _coupling_blocks(_raise_atom(fock_lowering(layout.nmax)),
-                               config.hbar * atom.omega0 * np.asarray(dipoles, dtype=float),
+                               config.hbar * atom.omega0 * atom.d,
                                _mode_couplings(layout.modes, atom, config))
-    return h0, h0.as_blocks() + coupled
+    return Operator(layout, h0.as_blocks() + coupled)
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -210,8 +193,14 @@ def interaction_picture(layout: HilbertLayout, atom: AtomParams,
     block stack of the N couplings, each bit for bit the blocks of its
     time alone; a scalar time gives the :class:`Operator`.
     """
+    return _interaction_picture(layout, atom, config, _mode_couplings(layout.modes, atom, config))
+
+
+def _interaction_picture(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
+                         gs: np.ndarray) -> Callable[[float | np.ndarray],
+                                                     Operator | np.ndarray]:
+    """:func:`interaction_picture` with the coupling row ``gs`` given."""
     _require_atom(layout)
-    gs = _mode_couplings(layout.modes, atom, config)
     lower = _raise_atom(fock_lowering(layout.nmax))
     scale = config.hbar * atom.omega0 * atom.d
     i_detunings = 1j * (atom.omega0 - layout.omegas)
@@ -243,6 +232,13 @@ def first_order_table(initial: StateVector, atom: AtomParams, config: FieldConfi
     and n = nmax has no in-layout target, matching exact truncated
     evolution.  A ground-atom norm above 1e-14 is refused.
     """
+    return _first_order_table(initial, atom, times, dipoles,
+                              _mode_couplings(initial.layout.modes, atom, config))
+
+
+def _first_order_table(initial: StateVector, atom: AtomParams, times: Sequence[float],
+                       dipoles: Sequence[float], gs: np.ndarray) -> np.ndarray:
+    """:func:`first_order_table` with the coupling row ``gs`` given."""
     layout = initial.layout
     _require_atom(layout)
     amps = layout.view(initial.amplitudes)
@@ -257,7 +253,7 @@ def first_order_table(initial: StateVector, atom: AtomParams, config: FieldConfi
     strengths = atom.omega0 * np.asarray(dipoles, dtype=float)
     scaled = _cmul(strengths[:, None, None], kernels)[..., None]
     table = _cmul(_cmul(scaled, amps[EXCITED, :, :-1]), np.sqrt(np.arange(1, layout.fock_dim)))
-    return _cmul(table, _mode_couplings(layout.modes, atom, config).conj()[:, None])
+    return _cmul(table, gs.conj()[:, None])
 
 
 def first_order_emission(initial: StateVector, atom: AtomParams,
@@ -274,35 +270,72 @@ def first_order_emission(initial: StateVector, atom: AtomParams,
 def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfig,
                       t: float) -> StateVector:
     """Interaction-picture state through first order (not normalized)."""
+    return _first_order_state(initial, atom, t,
+                              _mode_couplings(initial.layout.modes, atom, config))
+
+
+def _first_order_state(initial: StateVector, atom: AtomParams, t: float,
+                       gs: np.ndarray) -> StateVector:
+    """:func:`first_order_state` with the coupling row ``gs`` given."""
     out = initial.amplitudes.copy()
-    initial.layout.view(out)[GROUND, :, 1:] += first_order_emission(initial, atom, config, t)
+    initial.layout.view(out)[GROUND, :, 1:] += \
+        _first_order_table(initial, atom, [t], [atom.d], gs)[0, 0]
     return StateVector(initial.layout, out)
 
 
 def convergence_sweep(initial: StateVector, atom: AtomParams, config: FieldConfig,
                       t: float, dipoles: Sequence[float]) -> np.ndarray:
     """|exact - first order| of the interaction-picture state at time t for
-    each dipole scale, bit for bit as for one scale alone, from one
-    :func:`evolve_stack`, one back-evolution and one :func:`first_order_table`.
-    The first refused scale raises ``ValueError``, a fault of the uncoupled
-    part after the first scale's own checks; nothing warns."""
+    each dipole scale, each entry that of its scale alone.  The first
+    refused scale raises ``ValueError``: non-finite doublet entries, then a
+    largest phase |lambda*t/hbar| past the limit (which covers the
+    back-evolution under the uncoupled part); nothing warns."""
+    return _convergence_sweep(initial, atom, config, t, dipoles,
+                              _mode_couplings(initial.layout.modes, atom, config))
+
+
+def _convergence_sweep(initial: StateVector, atom: AtomParams, config: FieldConfig,
+                       t: float, dipoles: Sequence[float], gs: np.ndarray) -> np.ndarray:
+    """:func:`convergence_sweep` with the coupling row ``gs`` given.
+
+    A doublet H = [[a, c], [conj(c), b]] has eigenvalues (a+b)/2 +- Omega,
+    Omega = hypot(delta, |c|), delta = (a-b)/2.  With sigma the sign of
+    delta, eps = Omega - |delta| = |c|^2/(Omega + |delta|) and
+    s = sin(Omega*t/hbar)/Omega, exp(iH0t/hbar) exp(-iHt/hbar) is
+    [[1 + A, B], [-conj(B), 1 + conj(A)]], A = expm1(-i*sigma*eps*t/hbar)
+    + i*sigma*eps*s*exp(i*delta*t/hbar), B = -i*c*s*exp(i*delta*t/hbar):
+    no term of order one cancels, so a weak coupling or a short step keeps
+    its digits.
+    """
+    layout, hbar = initial.layout, config.hbar
     with np.errstate(over="ignore", invalid="ignore"):
-        h_free, blocks = _rwa_blocks(initial.layout, atom, config, dipoles)
-        exact, faults = evolve_stack(blocks, initial.amplitudes, t, config.hbar)
-        first_order = np.tile(initial.amplitudes, (len(dipoles), 1))
-        initial.layout.view(first_order)[:, GROUND, :, 1:] += \
-            first_order_table(initial, atom, config, [t], dipoles)[:, 0]
-        fault = faults[0]
-        if fault is None:
-            try:
-                exact = spectrum(h_free, config.hbar).apply(exact, -t)
-            except ValueError as exc:  # met with the first scale, after its own checks
-                fault = str(exc)
-        first = 0 if fault else next((c for c, f in enumerate(faults) if f), None)
-        if first is not None:
-            raise ValueError(f"coupling {dipoles[first]!r}, t = {t!r}, "
-                             f"field.hbar = {config.hbar!r}: {fault or faults[first]}")
-        return row_norms(exact - first_order)
+        first_order = _first_order_table(initial, atom, [t], dipoles, gs)[:, 0]
+        energies = layout.view(free_hamiltonian_with_atom(layout, atom, config).diag().real)
+        upper, lower = energies[EXCITED, :, :-1], energies[GROUND, :, 1:]
+        scales = hbar * atom.omega0 * np.asarray(dipoles, dtype=float)
+        couplings = scales[:, None, None] * (gs[:, None] * np.sqrt(np.arange(1, layout.fock_dim)))
+        size, half = np.abs(couplings), 0.5 * (upper - lower)
+        rabi = np.hypot(half, size)
+        # the singlets and the uncoupled diagonal are candidates too, so no
+        # scale passes whose back-evolution under the uncoupled part is refused
+        largest = np.max(np.abs(0.5 * (upper + lower)) + rabi, axis=(1, 2),
+                         initial=np.abs(energies).max())
+        finite = (np.isfinite(couplings).all(axis=(1, 2)) & np.isfinite(energies).all()).tolist()
+        for d, ok, phase in zip(dipoles, finite, (largest * abs(t) / hbar).tolist()):
+            fault = _phase_fault(phase) if ok else "generator has non-finite entries"
+            if fault:
+                raise ValueError(f"coupling {d!r}, t = {t!r}, field.hbar = {hbar!r}: {fault}")
+        # Omega = 0 only with c = 0 and delta = 0, where eps = 0 and s = t/hbar
+        gap = size * np.nan_to_num(size / (rabi + np.abs(half)))
+        theta, sign = rabi * t / hbar, np.copysign(1.0, half)
+        turn = np.where(theta == 0.0, t / hbar, np.sin(theta) / rabi) * np.exp(1j * half * t / hbar)
+        a = np.expm1(-1j * sign * gap * t / hbar) + 1j * sign * gap * turn
+        b = -1j * couplings * turn
+        amps = layout.view(initial.amplitudes)
+        excited, ground = amps[EXCITED, :, :-1], amps[GROUND, :, 1:]
+        moved = np.concatenate((a * excited + b * ground,
+                                a.conj() * ground - b.conj() * excited - first_order), axis=-1)
+        return row_norms(moved.reshape(len(dipoles), -1))
 
 
 @dataclass(frozen=True)

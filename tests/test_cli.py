@@ -1,5 +1,3 @@
-import dataclasses
-import importlib.util
 import json
 import math
 import sys
@@ -12,13 +10,12 @@ import numpy as np
 import pytest
 
 import monofield
-from monofield import algebra, cli, dynamics, emission, fields, standard
+from conftest import SWEEP_BOUND, bench_emission_config, loop_sweep
+from monofield import algebra, cli, emission, fields, standard
 from monofield.cli import load_config, main, ConfigError
 from monofield.fields import CoherentBatch, StateError, coherent_rows, coherent_state, read_states
-from monofield.hilbert import (FieldConfig, Operator, build_layout, load_mode_set, parse_complex,
-                               superposition)
+from monofield.hilbert import FieldConfig, Operator, build_layout, load_mode_set, parse_complex
 
-ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 # configs with one bad "states" or "coherent" section (or two bad states),
 # each with the exact error line its command must print
@@ -539,6 +536,18 @@ class TestEmissionCommand:
         assert (tmp_path / "emission.csv").read_bytes() \
             == (DATA / "golden_emission.csv").read_bytes()
 
+    def test_finds_the_coupling_row_once(self, tmp_path, monkeypatch):
+        calls, found = [], emission._mode_couplings
+
+        def counted(*args):
+            calls.append(args)
+            return found(*args)
+
+        monkeypatch.setattr(emission, "_mode_couplings", counted)
+        monkeypatch.setattr(cli, "_mode_couplings", counted)
+        assert run("emission", DATA / "config_emission.json", tmp_path) == 0
+        assert len(calls) == 1
+
     @pytest.mark.filterwarnings("error")
     def test_probability_overflow_names_the_time_and_leaves_no_table(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -736,42 +745,10 @@ class TestCsvWriter:
             b"t,s,kx,ky,kz,omega,n_initial,amp_re,amp_im,channel,prob\n"
 
 
-def bench_emission_config(seed):
-    """The emission config of the benchmark's input generator for ``seed``."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs.emission_inputs(seed)["emission"]
-
-
-def loop_sweep(cfg, t, couplings):
-    """The convergence sweep one coupling at a time, the reference for the
-    stacked one: per coupling one RWA Hamiltonian, one evolution, one
-    first-order state, and the uncoupled spectrum taken after the first
-    coupling's own checks.  The deviations, or the refusal line."""
-    layout = build_layout(cfg.modes, cfg.nmax, with_atom=True)
-    initial = superposition(layout, cfg.emission_initial)
-    h_free, back = emission.free_hamiltonian_with_atom(layout, cfg.atom, cfg.field), None
-    deviations = []
-    for d in couplings:
-        atom_d = dataclasses.replace(cfg.atom, d=float(d))
-        psi_pert = emission.first_order_state(initial, atom_d, cfg.field, t)
-        h_full = emission.atom_field_hamiltonian(layout, atom_d, cfg.field)
-        try:
-            psi_s = dynamics.evolve(h_full, initial, t, cfg.field.hbar)
-            if back is None:
-                back = dynamics.spectrum(h_free, cfg.field.hbar)
-            psi_i = back.evolve(psi_s, -t)
-        except ValueError as exc:
-            return (f"config error: coupling {d!r}, t = {t!r}, "
-                    f"field.hbar = {cfg.field.hbar!r}: {exc}\n")
-        deviations.append(float(np.linalg.norm(psi_i.amplitudes - psi_pert.amplitudes)))
-    return deviations
-
-
 class TestConvergenceSweep:
-    """The stacked sweep against the per-coupling loop: every deviation
-    repr-equal, every refusal the same line, no warning."""
+    """The doublet sweep against the per-coupling ``eigh`` loop: every
+    deviation within :data:`conftest.SWEEP_BOUND`, every refusal the same
+    line, no warning."""
 
     BASE = json.loads((DATA / "config_emission.json").read_text())
 
@@ -799,9 +776,10 @@ class TestConvergenceSweep:
         p, want = self.sweep(tmp_path, doc)
         assert run("emission", p, tmp_path) in (0, 1)
         report = json.loads((tmp_path / "emission_report.json").read_text())
-        assert list(map(repr, report["deviations"])) == list(map(repr, want))
+        assert len(report["deviations"]) == len(want)
+        assert np.max(np.abs(np.subtract(report["deviations"], want))) <= SWEEP_BOUND
         rows = (tmp_path / "emission_convergence.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == list(map(repr, want))
+        assert [row.split(",")[1] for row in rows] == list(map(repr, report["deviations"]))
 
     @pytest.mark.parametrize("change", [
         {"couplings": [1e300, 0.001, 0.002]},
@@ -814,6 +792,15 @@ class TestConvergenceSweep:
     def test_refusal_is_the_line_of_the_loop(self, tmp_path, capsys, change):
         p, want = self.sweep(tmp_path, {**self.BASE, **change})
         assert isinstance(want, str)
+        assert run("emission", p, tmp_path) == 2
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.filterwarnings("error")
+    def test_singlet_phase_refusal_is_the_line_of_the_loop(self, tmp_path, capsys):
+        # at t = 1e16 the largest phase is that of the singlet |k, nmax, e>
+        # of the fastest mode, above every doublet's
+        p, want = self.sweep(tmp_path, {**self.BASE, "times": [0.5, 1e16]})
+        assert "largest phase |lambda*t/hbar| = 5.050e+16" in want
         assert run("emission", p, tmp_path) == 2
         assert capsys.readouterr().err == want
 

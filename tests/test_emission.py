@@ -12,8 +12,8 @@ import monofield as mf
 from monofield import quadrature
 from monofield.cli import _box_modes, load_config
 from monofield.dynamics import resonance_kernel
-from monofield.emission import (EXCITED, GROUND, _mode_couplings, first_order_table, sigma3,
-                                sigma_plus)
+from monofield.emission import EXCITED, GROUND, _mode_couplings, first_order_table
+from conftest import sigma3, sigma_plus
 
 DATA = Path(__file__).parent / "data"
 

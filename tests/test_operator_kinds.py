@@ -22,9 +22,8 @@ import scipy.linalg
 import monofield as mf
 from monofield.algebra import full_commutator_reference, hamiltonian_from_frequency_operator
 from monofield.cli import load_config
-from monofield.emission import sigma3, sigma_plus
 from monofield.fields import _poisson_tail, _poisson_tails
-from conftest import dense_verify_algebra, random_hermitian, random_state
+from conftest import dense_verify_algebra, random_hermitian, random_state, sigma3, sigma_plus
 
 DATA = Path(__file__).parent / "data"
 

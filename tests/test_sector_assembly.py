@@ -15,8 +15,8 @@ import pytest
 
 import monofield as mf
 from monofield.cli import load_config
-from monofield.emission import sigma_plus
 from monofield.fields import _mode_weights
+from conftest import sigma_plus
 
 
 def assert_same_entries(got, want):

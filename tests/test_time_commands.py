@@ -19,3 +19,20 @@ def test_times_verify_algebra_on_a_data_config():
     assert re.fullmatch(r"numpy \S+, Python \S+, BLAS threads 1, \d+ CPUs", versions)
     assert command.startswith("verify-algebra on ") and command.endswith(", nmax 5: exit [0]")
     assert re.fullmatch(r"best \d+\.\d\d ms, median \d+\.\d\d ms over 2 rounds", times)
+
+
+def test_times_a_named_comparison_config():
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "time_commands.py"),
+                          "emission", "--named", "emission-couplings-12", "--rounds", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[2] == \
+        "emission on config emission-couplings-12, nmax 3: exit [0]"
+
+
+def test_refuses_an_unknown_name():
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "time_commands.py"),
+                          "emission", "--named", "no-such-config"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert "no config named 'no-such-config'; the names are algebra-tight, " in run.stderr

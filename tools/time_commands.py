@@ -1,12 +1,15 @@
 """Time one CLI command on one config, in process.
 
     python tools/time_commands.py COMMAND (--config PATH | --box MAX_INDEX
-        | --bench-seed SEED) [--nmax N] [--rounds 10] [--tree DIR]
+        | --bench-seed SEED | --named NAME) [--nmax N] [--rounds 10] [--tree DIR]
 
 The config is a JSON file, a ``box`` of edge 2.0 at nmax 5 with the given
-``max_index`` (1 gives 52 modes, 2 gives 248, 3 gives 684), or the
+``max_index`` (1 gives 52 modes, 2 gives 248, 3 gives 684), the
 ``verify-algebra`` config that ``bench/inputs.py`` generates for a seed
-(32 modes, nmax 5; ``--bench-seed 11`` is the ``algebra-32`` primary).
+(32 modes, nmax 5; ``--bench-seed 11`` is the ``algebra-32`` primary), or
+any config of ``tools/compare_outputs.py`` by its file name without
+``.json`` (``--named box-248-atom`` is the 248-mode box with the atom,
+``--named bench-11-emission`` the ``emission-oracles`` primary).
 ``--nmax`` overrides the config's ``nmax``.
 
 The script imports ``monofield`` from ``DIR/src`` (default: the tree this
@@ -48,6 +51,8 @@ def _parse(argv) -> argparse.Namespace:
                         help="a box of edge 2.0 with this max_index")
     source.add_argument("--bench-seed", type=int, metavar="SEED",
                         help="bench/inputs.py's verify-algebra config for this seed")
+    source.add_argument("--named", metavar="NAME",
+                        help="a config of tools/compare_outputs.py, e.g. box-248-atom")
     parser.add_argument("--nmax", type=int, help="override the config's nmax")
     parser.add_argument("--rounds", type=int, default=10, help="timed rounds (default 10)")
     parser.add_argument("--tree", type=Path, default=ROOT,
@@ -58,11 +63,20 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-def _config(args) -> dict:
+def _config(args, workdir: Path) -> dict:
     if args.config is not None:
         doc = json.loads(args.config.read_text())
     elif args.box is not None:
         doc = {"box": {"edge": 2.0, "max_index": args.box}, "nmax": 5}
+    elif args.named is not None:
+        sys.path.insert(0, str(ROOT / "tools"))
+        import compare_outputs
+
+        paths = {path.stem: path for path in compare_outputs.write_configs(workdir / "named")}
+        if args.named not in paths:
+            raise SystemExit(f"time_commands.py: no config named {args.named!r}; "
+                             f"the names are {', '.join(sorted(paths))}")
+        doc = json.loads(paths[args.named].read_text())
     else:
         sys.path.insert(0, str(ROOT / "bench"))
         import inputs
@@ -92,8 +106,8 @@ def main(argv=None) -> int:
     import numpy as np
     from monofield import cli
 
-    doc = _config(args)
     with tempfile.TemporaryDirectory() as tmp:
+        doc = _config(args, Path(tmp))
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
         argv = [args.command, "--config", str(config), "--out", str(Path(tmp) / "out")]
@@ -110,6 +124,7 @@ def main(argv=None) -> int:
     print(f"numpy {np.__version__}, Python {platform.python_version()}, "
           f"BLAS threads {BLAS_THREADS}, {os.cpu_count()} CPUs")
     source = args.config or (f"box max_index {args.box}" if args.box is not None
+                             else f"config {args.named}" if args.named is not None
                              else f"bench seed {args.bench_seed}")
     print(f"{args.command} on {source}, nmax {doc.get('nmax')}: exit {sorted(codes)}")
     print(f"best {min(times) * 1e3:.2f} ms, median {statistics.median(times) * 1e3:.2f} ms "
