@@ -3,7 +3,10 @@
 Mode labels select frequency sectors of a single truncated Fock ladder;
 mode operators are sector projectors tensored with that ladder, so the
 space grows linearly in the number of modes and the zero-photon sector is
-a whole subspace with finite, state-dependent energy.  A capped
+a whole subspace with finite, state-dependent energy.  Every operator
+commutes with the frequency operator, so it is stored as a diagonal or as
+one block per mode; the commands multiply operators, take adjoints and
+act on states, and evolve states, never operators.  A capped
 tensor-product implementation of standard mode quantization is included
 as a comparison oracle.
 """
@@ -26,7 +29,6 @@ from .dynamics import (
     Spectrum,
     dyson_first_order,
     evolve,
-    heisenberg,
     matrix_exp,
     resonance_kernel,
     spectrum,
@@ -66,12 +68,10 @@ from .hilbert import (
     Operator,
     StateVector,
     abstract_mode,
-    apply,
     basis_state,
     build_layout,
     expect,
     expect_rows,
-    inner,
     load_mode_set,
     mode,
     superposition,

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,16 +116,24 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
 
 
 def _box_modes(box: dict, c: float) -> tuple[tuple[ModeLabel, ...], float]:
-    """The modes of a cubic box and its volume edge^3."""
+    """The modes of a cubic box and its volume edge^3; a box whose smallest
+    layout (nmax 1, no atom) would not fit in sys.maxsize bytes, or in the
+    physical memory, is refused before any mode is built."""
     _require_keys(box, {"edge", "max_index"}, "box")
     edge = read_real(box.get("edge"), "box.edge")
     max_index = read_int(box.get("max_index"), "box.max_index")
     if edge <= 0 or max_index < 1:
         raise ConfigError("box edge must be > 0 and max_index >= 1")
     count = 2 * ((2 * max_index + 1) ** 3 - 1)
-    if 16 * count * 2 * 2 > sys.maxsize:  # the smallest blocks: nmax 1, no atom
+    blocks = 16 * count * 2 * 2  # the smallest blocks: nmax 1, no atom
+    if blocks > sys.maxsize:
         raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "
                           f"blocks would take more than sys.maxsize = {sys.maxsize} bytes")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if blocks > memory:
+        raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "
+                          f"blocks would take {blocks} bytes, more than the {memory} bytes "
+                          f"of physical memory")
     unit = 2.0 * math.pi / edge
     modes = []
     for nx in range(-max_index, max_index + 1):

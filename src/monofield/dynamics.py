@@ -1,15 +1,14 @@
-"""Exact time evolution, Heisenberg conjugation, and first-order Dyson integrals.
+"""Exact Schroedinger evolution of states and first-order Dyson integrals.
 
 Evolution under a time-independent Hermitian generator H goes through its
 :class:`Spectrum`: one eigendecomposition H = V diag(lambda) V^dag, after
 which exp(-i*H*t/hbar) at any time t is V diag(exp(-i*lambda*t/hbar)) V^dag.
 The storage kind of the generator (see :class:`Operator`) sets the cost:
 a diagonal generator is its own eigenbasis, so its evolution is the phase
-vector alone, and it moves a diagonal operator in the Heisenberg picture
-to a diagonal one; a block generator is diagonalised by one batched
-``eigh`` over its mode blocks, and V is a block operator.
-Every step is one formula, :meth:`Spectrum.apply`, which evolves a stack
-of states over the times, each row bit for bit a step alone.  The
+vector alone; a block generator is diagonalised by one batched ``eigh``
+over its mode blocks, and V is a block operator.  Only states are evolved,
+never operators.  Every step is one formula, :meth:`Spectrum.apply`, which
+evolves a stack of states over the times, each row bit for bit a step alone.  The
 emission convergence sweep needs no spectrum: it evolves the 2x2 RWA
 doublets in closed form and refuses a phase with :func:`_phase_fault`'s line.
 
@@ -42,7 +41,6 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "evolve",
-    "heisenberg",
     "dyson_first_order",
 ]
 
@@ -132,17 +130,6 @@ class Spectrum:
             raise ValueError(_phase_fault(phases[refused][0]))
         return angles, phases == 0.0
 
-    def unitary(self, t: float) -> Operator:
-        """exp(-i*H*t/hbar); exactly the identity when every phase is 0."""
-        layout = self.generator.layout
-        angles, still = self._angles(float(t))
-        if still:
-            return Operator.identity(layout)
-        if self.vectors is None:
-            return Operator.from_diagonal(layout, np.exp(angles))
-        step = self.vectors @ Operator.from_diagonal(layout, np.expm1(angles))
-        return step @ self.vectors.dag() + Operator.identity(layout)
-
     def apply(self, amplitudes: np.ndarray, times) -> np.ndarray:
         """exp(-i*H*t/hbar) times (..., D) ``amplitudes`` at ``times``
         broadcast against their leading axes: the phases times them for a
@@ -165,10 +152,6 @@ class Spectrum:
             raise ValueError("layout mismatch between generator and state")
         return self.apply(psi.amplitudes, times)
 
-    def evolve(self, psi: StateVector, t: float) -> StateVector:
-        """exp(-i*H*t/hbar)|psi>: the :meth:`trajectory` at the one time ``t``."""
-        return StateVector(psi.layout, self.trajectory(psi, float(t)))
-
 
 def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
     """The :class:`Spectrum` of a finite Hermitian generator ``h``; one
@@ -187,16 +170,9 @@ def spectrum(h: Operator, hbar: float = 1.0) -> Spectrum:
 
 
 def evolve(h: Operator, psi0: StateVector, t: float, hbar: float = 1.0) -> StateVector:
-    """Schroedinger evolution exp(-i*H*t/hbar)|psi0>."""
-    return spectrum(h, hbar).evolve(psi0, t)
-
-
-def heisenberg(h: Operator, a: Operator, t: float, hbar: float = 1.0) -> Operator:
-    """Heisenberg-picture operator exp(i*H*t/hbar) A exp(-i*H*t/hbar)."""
-    if h.layout != a.layout:
-        raise ValueError("layout mismatch between generator and operator")
-    u = spectrum(h, hbar).unitary(-t)
-    return u @ a @ u.dag()
+    """Schroedinger evolution exp(-i*H*t/hbar)|psi0>: the spectrum's
+    :meth:`Spectrum.trajectory` at the one time ``t``."""
+    return StateVector(psi0.layout, spectrum(h, hbar).trajectory(psi0, float(t)))
 
 
 def dyson_first_order(h_builder: Callable[[np.ndarray], np.ndarray], psi0: StateVector,

@@ -17,6 +17,10 @@ this order: other modules reach states and diagonals through its
 (atom levels, modes, n) ``view``/``flat`` or its per-mode (modes, atom*n)
 ``blocks_of``/``from_blocks``, and an operator's per-mode (atom, n)-square
 blocks reach the flat matrix only through ``place``.
+
+An :class:`Operator` is stored data, a diagonal or a per-mode block stack:
+it multiplies (``@``), takes its adjoint and acts on states
+(``matvec``, :func:`expect`), and carries no further algebra.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ __all__ = [
     "Operator",
     "basis_state",
     "superposition",
-    "inner",
-    "apply",
     "expect",
     "expect_rows",
     "read_json",
@@ -371,9 +373,10 @@ class Operator:
 
     Both kinds are block-diagonal over the mode sectors, so every operator
     commutes with the frequency operator; a (D, D) matrix is refused.  An
-    operation keeps its operands' kind when they agree.  A product with a
-    diagonal operand scales the rows or columns of the other one; in a sum,
-    a diagonal operand joins a block one as a stack of diagonal blocks.
+    operator is stored data with the few operations the commands use: the
+    product (``@``, which keeps the kind when both operands share it and
+    otherwise scales the rows or columns of the block operand), the adjoint
+    and the action on states.  Sums and scalars act on ``data`` directly.
     """
 
     __slots__ = ("layout", "data")
@@ -388,29 +391,12 @@ class Operator:
         self.layout = layout
         self.data = data
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def identity(cls, layout: HilbertLayout) -> "Operator":
-        return cls(layout, np.ones(layout.dimension, dtype=complex))
-
-    @classmethod
-    def zero(cls, layout: HilbertLayout) -> "Operator":
-        return cls(layout, np.zeros(layout.dimension, dtype=complex))
-
     @classmethod
     def from_diagonal(cls, layout: HilbertLayout, diag) -> "Operator":
         diag = np.array(diag, dtype=complex)
         if diag.shape != (layout.dimension,):
             raise ValueError("diagonal length does not match layout dimension")
         return cls(layout, diag)
-
-    # -- storage ------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        """``"diagonal"`` or ``"block"``."""
-        return "diagonal" if self.diagonal else "block"
 
     @property
     def diagonal(self) -> bool:
@@ -446,37 +432,9 @@ class Operator:
             return self.data * amplitudes
         return block_matvec(self.data, amplitudes)
 
-    # -- algebra ------------------------------------------------------
-
-    def _check_layout(self, other: "Operator"):
+    def __matmul__(self, other: "Operator") -> "Operator":
         if self.layout != other.layout:
             raise ValueError("operators live on different layouts")
-
-    def _same_kind(self, other: "Operator") -> tuple[np.ndarray, np.ndarray]:
-        """Both operands' arrays, as block stacks unless both are diagonal."""
-        self._check_layout(other)
-        if self.diagonal and other.diagonal:
-            return self.data, other.data
-        return self.as_blocks(), other.as_blocks()
-
-    def __add__(self, other: "Operator") -> "Operator":
-        a, b = self._same_kind(other)
-        return Operator(self.layout, a + b)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        a, b = self._same_kind(other)
-        return Operator(self.layout, a - b)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.layout, -self.data)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.layout, self.data * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_layout(other)
         a, b = self.data, other.data
         if self.diagonal and other.diagonal:
             product = a * b
@@ -492,22 +450,12 @@ class Operator:
         data = self.data.conj()
         return Operator(self.layout, data if self.diagonal else np.swapaxes(data, -1, -2))
 
-    def commutator(self, other: "Operator") -> "Operator":
-        return self @ other - other @ self
-
-    # -- predicates ---------------------------------------------------
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
-    def hermitian_deviation(self) -> float:
-        return (self - self.dag()).max_abs()
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermitian_deviation() < tol
-
     def __repr__(self) -> str:
-        return f"Operator(dim={self.layout.dimension}, kind={self.kind})"
+        kind = "diagonal" if self.diagonal else "block"
+        return f"Operator(dim={self.layout.dimension}, kind={kind})"
 
 
 def block_matvec(blocks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -518,7 +466,7 @@ def block_matvec(blocks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-3], m * s)
 
 
-# -- state construction and brackets -----------------------------------
+# -- state construction and expectation values -------------------------
 
 
 def basis_state(layout: HilbertLayout, mode_index: int, n: int,
@@ -542,25 +490,11 @@ def superposition(layout: HilbertLayout,
     return StateVector(layout, amps).normalize()
 
 
-def _check_same_layout(a, b):
-    if a.layout != b.layout:
-        raise ValueError("layout mismatch")
-
-
-def inner(x: StateVector, y: StateVector) -> complex:
-    """<x|y> with the physics convention (antilinear in x)."""
-    _check_same_layout(x, y)
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
-
-
-def apply(a: Operator, x: StateVector) -> StateVector:
-    _check_same_layout(a, x)
-    return StateVector(x.layout, a.matvec(x.amplitudes))
-
-
 def expect(a: Operator, x: StateVector) -> complex:
-    """<x|A|x>; equals inner(x, apply(A, x)) by construction."""
-    return inner(x, apply(a, x))
+    """<x|A|x>, with the bra conjugated."""
+    if a.layout != x.layout:
+        raise ValueError("layout mismatch")
+    return complex(np.vdot(x.amplitudes, a.matvec(x.amplitudes)))
 
 
 def expect_rows(a: Operator, rows: np.ndarray) -> np.ndarray:

@@ -121,12 +121,12 @@ def loop_sweep(cfg, t, couplings):
         psi_pert = emission.first_order_state(initial, atom_d, cfg.field, t)
         h_full = emission.atom_field_hamiltonian(layout, atom_d, cfg.field)
         try:
-            psi_s = dynamics.evolve(h_full, initial, t, cfg.field.hbar)
+            psi_s = dynamics.spectrum(h_full, cfg.field.hbar).trajectory(initial, t)
             if back is None:
                 back = dynamics.spectrum(h_free, cfg.field.hbar)
-            psi_i = back.evolve(psi_s, -t)
+            psi_i = back.trajectory(mf.StateVector(layout, psi_s), -t)
         except ValueError as exc:
             return (f"config error: coupling {d!r}, t = {t!r}, "
                     f"field.hbar = {cfg.field.hbar!r}: {exc}\n")
-        deviations.append(float(np.linalg.norm(psi_i.amplitudes - psi_pert.amplitudes)))
+        deviations.append(float(np.linalg.norm(psi_i - psi_pert.amplitudes)))
     return deviations

@@ -86,11 +86,10 @@ class TestFrequencyOperator:
 class TestModeAnnihilator:
     def test_block_action(self, two_tone_layout):
         a0 = mf.mode_annihilator(two_tone_layout, 0)
-        lowered = mf.apply(a0, mf.basis_state(two_tone_layout, 0, 1))
-        assert np.allclose(lowered.amplitudes,
-                           mf.basis_state(two_tone_layout, 0, 0).amplitudes)
-        other = mf.apply(a0, mf.basis_state(two_tone_layout, 1, 2))
-        assert np.all(other.amplitudes == 0)
+        lowered = a0.matvec(mf.basis_state(two_tone_layout, 0, 1).amplitudes)
+        assert np.allclose(lowered, mf.basis_state(two_tone_layout, 0, 0).amplitudes)
+        other = a0.matvec(mf.basis_state(two_tone_layout, 1, 2).amplitudes)
+        assert np.all(other == 0)
 
     def test_cross_mode_products_exactly_zero(self):
         layout = abstract_layout(3, 4)
@@ -106,12 +105,12 @@ class TestModeAnnihilator:
     def test_nilpotent_beyond_truncation(self):
         layout = abstract_layout(2, 3)
         a0 = mf.mode_annihilator(layout, 0)
-        power = mf.Operator.identity(layout)
-        for _ in range(layout.nmax + 1):
+        power = a0
+        for _ in range(layout.nmax):
             power = power @ a0
         for n in range(layout.nmax + 1):
-            top = mf.apply(power, mf.basis_state(layout, 0, n))
-            assert np.all(top.amplitudes == 0)
+            top = power.matvec(mf.basis_state(layout, 0, n).amplitudes)
+            assert np.all(top == 0)
 
     def test_number_operator_spectrum(self, two_tone_layout):
         a1 = mf.mode_annihilator(two_tone_layout, 1)
@@ -141,11 +140,11 @@ class TestHamiltonian:
         layout = abstract_layout(3, 4)
         h2 = mf.hamiltonian_from_frequency_operator(layout)
         h5 = mf.hamiltonian_from_mode_ladders(layout)
-        assert (h2 - h5).max_abs() < 1e-12
+        assert np.max(np.abs(h2.toarray() - h5.toarray())) < 1e-12
 
     def test_ladder_form_matches_spectral_on_interior(self):
         layout = abstract_layout(3, 4)
-        diff = (mf.hamiltonian(layout) - mf.hamiltonian_from_mode_ladders(layout)).toarray()
+        diff = mf.hamiltonian(layout).toarray() - mf.hamiltonian_from_mode_ladders(layout).toarray()
         idx = interior_indices(layout)
         assert np.max(np.abs(diff[np.ix_(idx, idx)])) < 1e-12
         # documented truncation artifact at the top rung: hbar*omega*(N+1)/2
@@ -165,7 +164,8 @@ class TestHamiltonian:
 
     def test_hermitian(self, mixed_modes):
         layout = mf.build_layout(mixed_modes, 3)
-        assert mf.hamiltonian(layout).hermitian_deviation() < 1e-13
+        h = mf.hamiltonian(layout).toarray()
+        assert np.max(np.abs(h - h.conj().T)) < 1e-13
 
 
 class TestMomentum:
@@ -179,8 +179,9 @@ class TestMomentum:
         layout = mf.build_layout(mixed_modes, 3)
         h = mf.hamiltonian(layout).toarray()
         for p in mf.momentum(layout):
-            assert np.max(np.abs(dense_commutator(h, p.toarray()))) < 1e-13
-            assert p.hermitian_deviation() < 1e-13
+            pm = p.toarray()
+            assert np.max(np.abs(dense_commutator(h, pm))) < 1e-13
+            assert np.max(np.abs(pm - pm.conj().T)) < 1e-13
 
     def test_abstract_modes_rejected(self, two_tone_layout):
         with pytest.raises(ValueError, match="abstract"):
@@ -202,7 +203,7 @@ class TestVerifyAlgebra:
     def test_boundary_term_value(self):
         layout = abstract_layout(2, 5)
         a0 = mf.mode_annihilator(layout, 0)
-        comm = (a0 @ a0.dag() - a0.dag() @ a0).toarray()
+        comm = (a0 @ a0.dag()).toarray() - (a0.dag() @ a0).toarray()
         ref = full_commutator_reference(layout, 0).toarray()
         # support is exactly the diagonal of sector 0; values land within ulps
         assert np.array_equal(comm != 0, ref != 0)
@@ -353,7 +354,7 @@ def _mixed_annihilators(layout, rng):
         elif kind == 2:
             ops[k] = mf.Operator.from_diagonal(layout, _axis_values(rng, layout.dimension))
         else:
-            ops[k] = mf.Operator.zero(layout)
+            ops[k] = mf.Operator.from_diagonal(layout, np.zeros(layout.dimension))
     return ops
 
 
@@ -425,7 +426,7 @@ class TestStackedPass:
         rng = np.random.default_rng(5)
         ops = [mf.mode_annihilator(layout, k) for k in range(6)]
         ops[1] = mf.Operator.from_diagonal(layout, _axis_values(rng, layout.dimension))
-        ops[4] = mf.Operator.zero(layout)
+        ops[4] = mf.Operator.from_diagonal(layout, np.zeros(layout.dimension))
         table = self.assert_repr_equal(layout, ops)
         # a zero own block reads |0 - 1| on the interior kets
         assert table.deviations[4, 4, 0] == 1.0

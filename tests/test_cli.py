@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -122,6 +123,31 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             f"config error: box.max_index = {10 ** 8} gives {count} modes: the layout's mode "
             f"blocks would take more than sys.maxsize = {sys.maxsize} bytes\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
+    def test_box_past_the_physical_memory_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                                  config):
+        """max_index = 1000 gives 1.6e10 modes, whose smallest blocks (1.0e12
+        bytes) pass the sys.maxsize check but not the physical memory: the
+        parser refuses the box before it builds a single mode."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a mode of the refused box was built")
+
+        monkeypatch.setattr(cli, "mode", refused)
+        doc = json.loads((DATA / config).read_text())
+        doc.pop("modes")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**doc, "box": {"edge": 2.0, "max_index": 1000}}))
+        count = 2 * (2001 ** 3 - 1)
+        blocks, memory = 16 * count * 2 * 2, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert memory < blocks <= sys.maxsize
+        start = time.perf_counter()
+        assert run(command, p, tmp_path / "out") == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"config error: box.max_index = 1000 gives {count} modes: the layout's mode "
+            f"blocks would take {blocks} bytes, more than the {memory} bytes of physical memory\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)

@@ -67,7 +67,7 @@ class TestResonanceKernel:
 
 class TestMatrixExp:
     def test_zero_gives_identity(self, two_tone_layout):
-        z = mf.Operator.zero(two_tone_layout)
+        z = mf.Operator.from_diagonal(two_tone_layout, np.zeros(two_tone_layout.dimension))
         assert np.array_equal(mf.matrix_exp(z).toarray(),
                               np.eye(two_tone_layout.dimension))
 
@@ -81,7 +81,7 @@ class TestMatrixExp:
             [mf.abstract_mode(float(w)) for w in range(1, 5)], 63)
         assert layout.dimension == 256
         h = random_hermitian(layout, rng)
-        u = mf.matrix_exp(-1j * 0.7 * h)
+        u = mf.matrix_exp(mf.Operator(layout, -1j * 0.7 * h.data))
         evals, evecs = np.linalg.eigh(h.toarray())
         oracle = evecs @ np.diag(np.exp(-1j * evals * 0.7)) @ evecs.conj().T
         rel = np.max(np.abs(u.toarray() - oracle)) / np.max(np.abs(oracle))
@@ -90,7 +90,7 @@ class TestMatrixExp:
     def test_field_hamiltonian_generator(self, mixed_modes):
         layout = mf.build_layout(mixed_modes, 3)
         h = mf.hamiltonian(layout)
-        u = mf.matrix_exp(-1j * 2.0 * h)
+        u = mf.matrix_exp(mf.Operator(layout, -1j * 2.0 * h.data))
         oracle = np.diag(np.exp(-1j * 2.0 * h.diag()))
         assert np.max(np.abs(u.toarray() - oracle)) < 1e-11
 
@@ -165,32 +165,29 @@ class TestSpectrum:
         assert np.array_equal(mf.evolve(h, psi, t).amplitudes, psi.amplitudes)
 
     def test_zero_time_propagator_is_the_identity_exactly(self, two_tone_layout, rng):
-        h = random_hermitian(two_tone_layout, rng)
-        assert np.array_equal(mf.spectrum(h).unitary(0.0).toarray(),
-                              np.eye(two_tone_layout.dimension))
+        # every basis ket evolved at once: row j is exp(-iHt) e_j
+        eye = np.eye(two_tone_layout.dimension, dtype=complex)
+        assert np.array_equal(mf.spectrum(random_hermitian(two_tone_layout, rng)).apply(eye, 0.0),
+                              eye)
 
     def test_one_spectrum_serves_every_time(self, two_tone_layout, rng):
         h = random_hermitian(two_tone_layout, rng)
         psi = random_state(two_tone_layout, rng)
         spec = mf.spectrum(h)
         for t in (0.3, 1.7, 25.0):
-            assert np.array_equal(spec.evolve(psi, t).amplitudes,
-                                  mf.evolve(h, psi, t).amplitudes)
-            assert np.max(np.abs(spec.unitary(t).toarray() @ psi.amplitudes
-                                 - spec.evolve(psi, t).amplitudes)) < 1e-12
+            out = spec.trajectory(psi, t)
+            assert np.array_equal(out, mf.evolve(h, psi, t).amplitudes)
+            pade = scipy.linalg.expm(-1j * t * h.toarray())
+            assert np.max(np.abs(pade @ psi.amplitudes - out)) < 1e-12
 
     def test_diagonal_generator_keeps_the_phase_formula(self, two_tone_layout, rng):
         # the phase arithmetic of the diagonal path is unchanged, so results are equal
         h = mf.hamiltonian(two_tone_layout, mf.FieldConfig(hbar=0.7))
         psi = random_state(two_tone_layout, rng)
-        a = random_hermitian(two_tone_layout, rng)
         for t in (0.9, -2.3):
             phases = np.exp(-1j * h.diag().real * t / 0.7)
             assert np.array_equal(mf.evolve(h, psi, t, 0.7).amplitudes,
                                   phases * psi.amplitudes)
-            back = np.exp(1j * h.diag().real * t / 0.7)
-            assert np.array_equal(mf.heisenberg(h, a, t, 0.7).toarray(),
-                                  back[:, None] * a.toarray() * back.conj()[None, :])
 
     def test_phase_beyond_one_over_eps_refused(self, two_tone_layout, rng):
         h = random_hermitian(two_tone_layout, rng)
@@ -200,8 +197,8 @@ class TestSpectrum:
             mf.evolve(h, psi, 1e16 / largest)
         mf.evolve(h, psi, 1e15 / largest)  # below 1/eps = 4.5e15: still evolved
         diagonal = mf.hamiltonian(two_tone_layout)
-        for call in (lambda: mf.spectrum(h).unitary(1e16 / largest),
-                     lambda: mf.heisenberg(h, h, -1e16 / largest),
+        for call in (lambda: mf.spectrum(h).trajectory(psi, 1e16 / largest),
+                     lambda: mf.spectrum(h).trajectory(psi, -1e16 / largest),
                      lambda: mf.evolve(h, psi, 1.0, hbar=1e-300),
                      lambda: mf.evolve(h, psi, math.inf),
                      lambda: mf.evolve(diagonal, psi, 1e300)):
@@ -232,7 +229,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("kind", ["diagonal", "block"])
     def test_equals_a_per_time_evolve_loop_bit_for_bit(self, two_tone_layout, rng, kind):
         h = trajectory_generators(two_tone_layout, rng)[kind]
-        assert h.kind == kind
+        assert h.diagonal == (kind == "diagonal")
         # a -0.0 amplitude shows that a zero-phase row is psi itself: psi
         # plus a zero step would turn it into +0.0
         amplitudes = random_state(h.layout, rng).amplitudes.copy()
@@ -240,7 +237,7 @@ class TestTrajectory:
         psi = mf.StateVector(h.layout, amplitudes)
         spec = mf.spectrum(h, self.HBAR)
         out = spec.trajectory(psi, self.TIMES)
-        loop = np.stack([spec.evolve(psi, t).amplitudes for t in self.TIMES])
+        loop = np.stack([mf.evolve(h, psi, t, self.HBAR).amplitudes for t in self.TIMES])
         assert out.shape == (len(self.TIMES), h.layout.dimension)
         assert out.tobytes() == loop.tobytes()
         for t, row in zip(self.TIMES, out):
@@ -275,8 +272,8 @@ def per_time_jc_deviation(path):
     spec = mf.spectrum(h, cfg.field.hbar)
     dev = 0.0
     for t in np.linspace(0.0, 10.0 / jc_half_rabi(cfg), 101):
-        psi = spec.evolve(psi0, float(t))
-        pop = float(np.sum(np.abs(layout.view(psi.amplitudes)[EXCITED]) ** 2))
+        psi = spec.trajectory(psi0, float(t))
+        pop = float(np.sum(np.abs(layout.view(psi)[EXCITED]) ** 2))
         ref = mf.jc_excited_population(cfg.atom, g, 0, float(t), detuning)
         dev = max(dev, abs(pop - ref))
     return dev
@@ -339,15 +336,10 @@ class TestAgainstPade:
 
     @pytest.mark.parametrize("name, dipole, fraction", PADE_CASES)
     def test_propagator(self, name, dipole, fraction):
+        # every basis ket evolved at once: row j is exp(-iHt/hbar) e_j, column j of u
         h, hbar, t, u = self.case(name, dipole, fraction)
-        assert relative_deviation(mf.spectrum(h, hbar).unitary(t).toarray(), u) <= 1e-12
-
-    @pytest.mark.parametrize("name, dipole, fraction", PADE_CASES)
-    def test_heisenberg(self, name, dipole, fraction):
-        h, hbar, t, u = self.case(name, dipole, fraction)
-        a = mf.mode_annihilator(h.layout, 0)
-        oracle = u.conj().T @ a.toarray() @ u
-        assert relative_deviation(mf.heisenberg(h, a, t, hbar).toarray(), oracle) <= 1e-12
+        rows = mf.spectrum(h, hbar).apply(np.eye(h.layout.dimension, dtype=complex), t)
+        assert relative_deviation(rows.T, u) <= 1e-12
 
     def test_jaynes_cummings_check_matches_per_time_pade_loop(self, tmp_path):
         assert main(["compare-standard", "--config", str(DATA / "config_jc.json"),
@@ -376,64 +368,21 @@ class TestAgainstPade:
         h, _ = config_hamiltonian("config_jc.json")
         psi = mf.basis_state(h.layout, 0, 0, EXCITED)
         mf.evolve(h, psi, 1.0)
-        mf.spectrum(h).unitary(1.0)
-        mf.heisenberg(h, h, 1.0)
+        mf.spectrum(h).trajectory(psi, [0.5, 1.0])
         for command, name in (("emission", "config_emission.json"),
                               ("compare-standard", "config_jc.json")):
             assert main([command, "--config", str(DATA / name),
                          "--out", str(tmp_path)]) == 0
 
 
-class TestHeisenberg:
-    def test_mode_annihilator_picks_up_phase(self, two_tone_layout):
-        h = mf.hamiltonian(two_tone_layout)
-        for t in (0.1, 1.0, 10.0):
-            for k, m in enumerate(two_tone_layout.modes):
-                a_k = mf.mode_annihilator(two_tone_layout, k)
-                moved = mf.heisenberg(h, a_k, t)
-                ref = np.exp(-1j * m.omega * t) * a_k.toarray()
-                assert np.max(np.abs(moved.toarray() - ref)) < 1e-12
-
-    def test_t_zero_is_identity_map(self, two_tone_layout, rng):
-        h = random_hermitian(two_tone_layout, rng)
-        a = random_hermitian(two_tone_layout, rng)
-        assert np.max(np.abs(mf.heisenberg(h, a, 0.0).toarray() - a.toarray())) < 1e-12
-
-    def test_preserves_hermiticity(self, two_tone_layout, rng):
-        h = random_hermitian(two_tone_layout, rng)
-        a = random_hermitian(two_tone_layout, rng)
-        assert mf.heisenberg(h, a, 1.7).hermitian_deviation() < 1e-12
-
-    def test_diagonal_and_expm_paths_agree(self, two_tone_layout, rng):
-        h = mf.hamiltonian(two_tone_layout)
-        a = random_hermitian(two_tone_layout, rng)
-        fast = mf.heisenberg(h, a, 0.9)
-        u = scipy.linalg.expm(-0.9j * h.toarray())
-        slow = u.conj().T @ a.toarray() @ u
-        assert np.max(np.abs(fast.toarray() - slow)) < 1e-11
-
-    def test_schroedinger_consistency(self, two_tone_layout, rng):
-        h = random_hermitian(two_tone_layout, rng)
-        a = random_hermitian(two_tone_layout, rng)
-        phi = random_state(two_tone_layout, rng)
-        psi = random_state(two_tone_layout, rng)
-        t = 1.3
-        lhs = mf.inner(mf.evolve(h, phi, t), mf.apply(a, mf.evolve(h, psi, t)))
-        rhs = mf.inner(phi, mf.apply(mf.heisenberg(h, a, t), psi))
-        assert abs(lhs - rhs) < 1e-10
-
-
 class TestPropagator:
     def test_unitarity(self, two_tone_layout, rng):
+        # every basis ket evolved at once: row j is exp(-iHt) e_j, column j of u
         h = random_hermitian(two_tone_layout, rng)
-        u = mf.spectrum(h).unitary(2.4)
-        assert (u.dag() @ u - mf.Operator.identity(two_tone_layout)).max_abs() < 1e-10
-
-    def test_zero_time_is_identity(self, two_tone_layout, rng):
-        h = random_hermitian(two_tone_layout, rng)
-        u = mf.spectrum(h).unitary(0.0)
-        assert np.max(np.abs(u.toarray()
-                             - np.eye(two_tone_layout.dimension))) < 1e-12
+        eye = np.eye(two_tone_layout.dimension, dtype=complex)
+        u = mf.spectrum(h).apply(eye, 2.4).T
+        assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-10
+        assert np.max(np.abs(u - scipy.linalg.expm(-2.4j * h.toarray()))) < 1e-12
 
 
 class TestDysonFirstOrder:

@@ -22,11 +22,11 @@ def test_tracer_records_layers_of_a_command(tmp_path):
     try:
         rc = main(["verify-algebra", "--config", str(DATA / "config_algebra.json"),
                    "--out", str(tmp_path)])
-        # verify-algebra multiplies no Operators; a non-diagonal Heisenberg
-        # evolution does, so the hilbert.matmul span must resolve through it
+        # verify-algebra multiplies no Operators, so the hilbert.matmul span
+        # must resolve through a product of two block operators
         layout = mf.build_layout([mf.abstract_mode(1.0), mf.abstract_mode(2.0)], 2)
         a = mf.mode_annihilator(layout, 0)
-        mf.heisenberg(a + a.dag(), a, 0.5)
+        a @ a.dag()
     finally:
         tracer.uninstall()
     assert rc == 0
