@@ -341,6 +341,17 @@ class TestAgainstPade:
         rows = mf.spectrum(h, hbar).apply(np.eye(h.layout.dimension, dtype=complex), t)
         assert relative_deviation(rows.T, u) <= 1e-12
 
+    @pytest.mark.parametrize("name, dipole, fraction", PADE_CASES)
+    def test_annihilator_conjugated_by_the_propagator(self, rng, name, dipole, fraction):
+        # U^dag a_0 U psi as a trajectory to t, a_0, and a trajectory back to 0
+        h, hbar, t, u = self.case(name, dipole, fraction)
+        spec = mf.spectrum(h, hbar)
+        a = mf.mode_annihilator(h.layout, 0)
+        psi = random_state(h.layout, rng)
+        moved = mf.StateVector(h.layout, a.matvec(spec.trajectory(psi, t)))
+        oracle = u.conj().T @ a.toarray() @ u @ psi.amplitudes
+        assert relative_deviation(spec.trajectory(moved, -t), oracle) <= 1e-12
+
     def test_jaynes_cummings_check_matches_per_time_pade_loop(self, tmp_path):
         assert main(["compare-standard", "--config", str(DATA / "config_jc.json"),
                      "--out", str(tmp_path)]) == 0
@@ -383,6 +394,17 @@ class TestPropagator:
         u = mf.spectrum(h).apply(eye, 2.4).T
         assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-10
         assert np.max(np.abs(u - scipy.linalg.expm(-2.4j * h.toarray()))) < 1e-12
+
+    def test_annihilator_expectation_picks_up_the_mode_phase(self, two_tone_layout, rng):
+        # <a_k>(t) = exp(-i w_k t) <a_k>(0) along the free (diagonal) evolution
+        h = mf.hamiltonian(two_tone_layout)
+        psi = random_state(two_tone_layout, rng)
+        for t in (0.1, 1.0, 10.0):
+            moved = mf.evolve(h, psi, t)
+            for k, m in enumerate(two_tone_layout.modes):
+                a_k = mf.mode_annihilator(two_tone_layout, k)
+                ref = np.exp(-1j * m.omega * t) * mf.expect(a_k, psi)
+                assert abs(mf.expect(a_k, moved) - ref) < 1e-12
 
 
 class TestDysonFirstOrder:
