@@ -20,7 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .hilbert import FieldConfig, HilbertLayout, Operator
+from .hilbert import FieldConfig, HilbertLayout, Operator, output_file
 
 __all__ = [
     "fock_lowering",
@@ -356,7 +356,7 @@ def algebra_reports_csv(table: AlgebraTable, path) -> None:
     ks, ls = np.nonzero(comm | aa | adad | np.eye(m_count, dtype=bool))
     devs = table.deviations[ks, ls]  # the rows that are formatted
     cells = zip(ks.tolist(), ls.tolist(), devs.tolist(), (devs < table.tol).tolist())
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write("relation,k,l,subspace,deviation,pass\n")
         for k, row in groupby(cells, key=lambda cell: cell[0]):
             filled = pieces.copy()

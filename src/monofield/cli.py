@@ -56,6 +56,7 @@ from .hilbert import (
     expect_rows,
     load_mode_set,
     mode,
+    output_file,
     parse_complex,
     parse_complex_list,
     read_int,
@@ -77,6 +78,9 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
 DEFAULT_TOLERANCES = {"algebra": DEFAULT_ALGEBRA_TOL, "emission": 1e-10, "comparison": 1e-10}
 SLOPE_BAND = (1.9, 2.1)
+# Bytes a box mode takes while _box_modes builds it (its ModeLabel, kappa
+# tuple and floats): tracemalloc reads about 280, and 346 in a process's first call.
+MODE_BYTES = 384
 
 
 class ConfigError(Exception):
@@ -118,7 +122,8 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
 def _box_modes(box: dict, c: float) -> tuple[tuple[ModeLabel, ...], float]:
     """The modes of a cubic box and its volume edge^3; a box whose smallest
     layout (nmax 1, no atom) would not fit in sys.maxsize bytes, or in the
-    physical memory, is refused before any mode is built."""
+    physical memory together with its mode objects, is refused before any
+    mode is built."""
     _require_keys(box, {"edge", "max_index"}, "box")
     edge = read_real(box.get("edge"), "box.edge")
     max_index = read_int(box.get("max_index"), "box.max_index")
@@ -134,6 +139,11 @@ def _box_modes(box: dict, c: float) -> tuple[tuple[ModeLabel, ...], float]:
         raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "
                           f"blocks would take {blocks} bytes, more than the {memory} bytes "
                           f"of physical memory")
+    objects = MODE_BYTES * count
+    if blocks + objects > memory:
+        raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "
+                          f"blocks ({blocks} bytes) and the mode objects ({objects} bytes) "
+                          f"would take more than the {memory} bytes of physical memory")
     unit = 2.0 * math.pi / edge
     modes = []
     for nx in range(-max_index, max_index + 1):
@@ -356,7 +366,7 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     cells = [map(repr, column.tolist()) if column.dtype.kind == "f"
              else np.where(column, "true", "false").tolist() if column.dtype.kind == "b"
              else map(str, column.tolist()) for column in columns]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(zip(*cells))
@@ -373,7 +383,8 @@ def _write_json(path: Path, doc: dict) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
     except ValueError:
         raise ConfigError(f"{path}: the report would hold a non-finite number") from None
-    path.write_text(text + "\n", encoding="utf-8")
+    with output_file(path) as fh:
+        fh.write(text + "\n")
 
 
 # -- commands -------------------------------------------------------------

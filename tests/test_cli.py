@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -149,6 +150,43 @@ class TestConfigParsing:
             f"config error: box.max_index = 1000 gives {count} modes: the layout's mode "
             f"blocks would take {blocks} bytes, more than the {memory} bytes of physical memory\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
+    def test_box_whose_mode_objects_pass_the_physical_memory_exits_2(
+            self, tmp_path, capsys, monkeypatch, command, config):
+        """max_index = 10 gives 18 520 modes: on a 4 MB memory their smallest
+        blocks (1.2 MB) fit, but not with the mode objects, so the parser
+        refuses the box before it builds a single mode."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a mode of the refused box was built")
+
+        monkeypatch.setattr(cli, "mode", refused)
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}[name])
+        doc = json.loads((DATA / config).read_text())
+        doc.pop("modes")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**doc, "box": {"edge": 2.0, "max_index": 10}}))
+        count = 2 * (21 ** 3 - 1)
+        blocks, objects = 16 * count * 2 * 2, cli.MODE_BYTES * count
+        assert count == 18520 and blocks < 4 * 2 ** 20 < blocks + objects
+        assert run(command, p, tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"config error: box.max_index = 10 gives {count} modes: the layout's mode blocks "
+            f"({blocks} bytes) and the mode objects ({objects} bytes) would take more than "
+            f"the {4 * 2 ** 20} bytes of physical memory\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_mode_bytes_bounds_what_a_box_mode_takes(self):
+        """MODE_BYTES is at least the traced peak per mode of building a box."""
+        tracemalloc.start()
+        try:
+            modes, _ = cli._box_modes({"edge": 2.0, "max_index": 4}, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(modes) == 1456
+        assert peak / len(modes) <= cli.MODE_BYTES
 
     @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
     def test_memory_error_while_parsing_exits_2(self, tmp_path, capsys, monkeypatch, command,
@@ -769,6 +807,21 @@ class TestCsvWriter:
         assert run("emission", p, tmp_path) == 0
         assert (tmp_path / "emission.csv").read_bytes() == \
             b"t,s,kx,ky,kz,omega,n_initial,amp_re,amp_im,channel,prob\n"
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: cli._write_csv(path, ["s", "x"], [["a,b", "c"], np.array([0.1, -2.0])]),
+    lambda path: cli._write_json(path, {"b": [1.0, 1j], "a": None}),
+    lambda path: algebra.algebra_reports_csv(algebra.AlgebraTable(1e-12, np.full((3, 3, 3), 0.5)),
+                                             path),
+], ids=["_write_csv", "_write_json", "algebra_reports_csv"])
+def test_writers_overwrite_a_longer_stale_file_byte_exactly(tmp_path, write):
+    write(tmp_path / "fresh")
+    want = (tmp_path / "fresh").read_bytes()
+    path = tmp_path / "stale"
+    path.write_bytes(b"x" * (3 * len(want)))
+    write(path)
+    assert path.read_bytes() == want
 
 
 class TestConvergenceSweep:

@@ -1,4 +1,8 @@
+import gc
+import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -272,6 +276,110 @@ class TestModeSet:
     def test_mode_set_refuses_loose_numbers(self, entry, named):
         with pytest.raises(ValueError, match=named):
             mf.load_mode_set([entry])
+
+
+class TestReadJsonCollector:
+    """read_json pauses the cyclic collector while it decodes and leaves its
+    state as it found it."""
+
+    def test_paused_while_decoding_and_restored(self):
+        seen = []
+
+        class Source(io.StringIO):
+            def read(self, *args):
+                seen.append(gc.isenabled())
+                return super().read(*args)
+
+        assert gc.isenabled()
+        assert mf.hilbert.read_json(Source('{"a": [1, 2.5]}')) == {"a": [1, 2.5]}
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_decode_error(self):
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="non-finite number NaN"):
+            mf.hilbert.read_json(io.StringIO("[1.0, NaN]"))
+        with pytest.raises(json.JSONDecodeError):
+            mf.hilbert.read_json(io.StringIO("[1.0,"))
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self):
+        gc.disable()
+        try:
+            assert mf.hilbert.read_json(io.StringIO("[1]")) == [1]
+            assert not gc.isenabled()
+            with pytest.raises(json.JSONDecodeError):
+                mf.hilbert.read_json(io.StringIO("{"))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestOutputFile:
+    """output_file rewrites a file in place and behaves as ``open(path, "w")``."""
+
+    def write(self, path, text):
+        with mf.hilbert.output_file(path) as fh:
+            fh.write(text)
+
+    def test_a_shorter_text_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,longer,text\n" * 100)
+        self.write(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        self.write(path, "")
+        assert path.read_bytes() == b""
+
+    def test_an_interrupted_write_leaves_only_the_new_prefix(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"stale\n" * 1000)
+        with pytest.raises(KeyboardInterrupt):
+            with mf.hilbert.output_file(path) as fh:
+                fh.write("a,b\n1,2\n")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"a,b\n1,2\n"
+
+    def test_a_symlink_and_a_hard_link_are_followed(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old text, longer than the new one\n")
+        link, hard = tmp_path / "link.json", tmp_path / "hard.json"
+        link.symlink_to(target)
+        os.link(target, hard)
+        inode = target.stat().st_ino
+        self.write(link, "{}\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == hard.read_bytes() == b"{}\n"
+        assert target.stat().st_ino == inode
+
+    def test_a_non_regular_file_is_written_and_not_cut(self, tmp_path):
+        link = tmp_path / "discard.csv"
+        link.symlink_to(os.devnull)
+        self.write(link, "a,b\n")
+        assert link.is_symlink()
+
+    def test_modes_are_those_of_open_w(self, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        kept.chmod(0o600)
+        self.write(kept, "new\n")
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+        umask = os.umask(0o027)
+        try:
+            self.write(tmp_path / "new.csv", "x\n")
+            with open(tmp_path / "reference.csv", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~0o027
+        assert stat.S_IMODE((tmp_path / "reference.csv").stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("name", ["missing/out.csv", "."])
+    def test_errors_are_those_of_open_w(self, tmp_path, name):
+        with pytest.raises(OSError) as want:
+            open(tmp_path / name, "w")
+        with pytest.raises(type(want.value)) as got:
+            self.write(tmp_path / name, "x")
+        assert got.value.errno == want.value.errno
 
 
 class TestTypedReaders:

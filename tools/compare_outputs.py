@@ -56,7 +56,12 @@ list, in the same order, through ``monofield.cli.main`` in one
 interpreter per tree, and compares each run with that tree's
 fresh-interpreter run: state one run leaves behind (a cache, a warning
 filter) must not change a later run's output, since the benchmark runs
-its commands in one process too.
+its commands in one process too.  Before that pass, every file the tree's
+fresh runs wrote is put where the in-process run writes it, holding the
+same bytes followed by a stale tail (``STALE_TAIL``).  So each in-process
+run overwrites a longer file, as a rerun into the same ``--out`` does, and
+its comparison with the fresh run checks byte for byte that every writer
+leaves its new text and nothing of the old.
 
 The script prints each difference, and exits 1 if there is any, else 0.
 It also prints the ``wc -l`` line count of every ``src/monofield/*.py``
@@ -97,6 +102,8 @@ BOX_248_WITH_ATOM = {
 }
 BOX_248 = {"box": {"edge": 2.0, "max_index": 2}, "nmax": 5}
 BOX_684 = {"box": {"edge": 2.0, "max_index": 3}, "nmax": 2}
+# what the in-process pass finds after each file a fresh run wrote
+STALE_TAIL = b"\nSTALE\n" * 64
 # the in-process pass: read [command, config, out] jobs from stdin, run
 # each through cli.main, print one JSON list of [code, stdout, stderr]
 IN_PROCESS = """
@@ -249,6 +256,15 @@ def compare_runs(labels: tuple[str, str], pairs: list[tuple[Path, str]], old: li
     return differences
 
 
+def seed_stale(fresh_dir: Path, target_dir: Path) -> None:
+    """Write every file under ``fresh_dir`` at the same place under
+    ``target_dir``, followed by :data:`STALE_TAIL`."""
+    for name, data in files(fresh_dir).items():
+        path = target_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data + STALE_TAIL)
+
+
 def files(directory: Path) -> dict[str, bytes]:
     return {str(p.relative_to(directory)): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}
@@ -289,6 +305,8 @@ def main(argv: list[str]) -> int:
             results = list(pool.map(
                 lambda job: run(trees[job[0]], workdirs[job[0]], *job[1]),
                 [(side, pair) for side in (0, 1) for pair in pairs]))
+            for side in (0, 1):
+                seed_stale(workdirs[side] / "out", in_process_dirs[side] / "out")
             in_process = list(pool.map(
                 lambda side: run_in_process(trees[side], in_process_dirs[side], pairs), (0, 1)))
         fresh = [results[:len(pairs)], results[len(pairs):]]
