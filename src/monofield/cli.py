@@ -135,10 +135,6 @@ def _box_modes(box: dict, c: float) -> tuple[tuple[ModeLabel, ...], float]:
         raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "
                           f"blocks would take more than sys.maxsize = {sys.maxsize} bytes")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if blocks > memory:
-        raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "
-                          f"blocks would take {blocks} bytes, more than the {memory} bytes "
-                          f"of physical memory")
     objects = MODE_BYTES * count
     if blocks + objects > memory:
         raise ConfigError(f"box.max_index = {max_index} gives {count} modes: the layout's mode "

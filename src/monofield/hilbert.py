@@ -25,14 +25,12 @@ it multiplies (``@``), takes its adjoint and acts on states
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
 import stat
 import sys
 from collections.abc import Mapping, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -517,45 +515,42 @@ def _reject_constant(name: str):
 
 def read_json(source):
     """A JSON document (no NaN/Infinity) from a path or an open file; any
-    other value is taken as an already-parsed document and returned as is.
-
-    The cyclic garbage collector is paused while the text is decoded: a
-    decoded document is a tree, so the collector's passes over the growing
-    containers find nothing (they took about half of the decode time of a
-    1.3 MB config).  Its previous state is restored, on an error too."""
+    other value is taken as an already-parsed document and returned as is."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
             return read_json(fh)
     if hasattr(source, "read"):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return json.load(source, parse_constant=_reject_constant)
-        finally:
-            if enabled:
-                gc.enable()
+        return json.load(source, parse_constant=_reject_constant)
     return source
 
 
-@contextmanager
 def output_file(path, newline=None):
     """A UTF-8 text file open for writing at ``path``, as ``open(path, "w")``
-    opens it, but rewritten in place: an existing file is not truncated when
-    it is opened, and is cut where the new text ends when the block exits.
+    opens it, except that an existing regular file with one link, owned and
+    writable by this process's user, is unlinked and created anew, with its
+    permissions, rather than truncated.  On ext4 a non-empty file truncated
+    at open is flushed to disk when it is closed; a new one is not.
 
-    It is the same inode, so its permissions, symlinks and hard links are
-    kept and followed; a new file gets ``0o666 & ~umask``.  (On ext4, a
-    non-empty file truncated at open is flushed to disk at close; one
-    rewritten in place is not.)  A block that raises leaves a prefix of the
-    new text and none of the old.  A file that is not a regular file, such
-    as ``/dev/null``, is not cut, as ``"w"`` does not truncate it either."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+    Any other existing path (a symlink, a hard-linked or foreign file, a
+    device) is opened with ``"w"``.  Either way, a write that is stopped,
+    by an exception or by a signal, leaves a prefix of the new text, or
+    no file, and nothing of the old.  Nothing is synced to disk: a crash
+    of the system can leave the old file, or the new one short or empty."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        st = None
+    if (st is not None and stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and st.st_uid == os.geteuid() and st.st_mode & stat.S_IWUSR):
         try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+            os.unlink(path)
+        except OSError:
+            pass  # e.g. a directory this user may not change: "w" decides
+        else:
+            fh = open(path, "w", encoding="utf-8", newline=newline)
+            os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            return fh
+    return open(path, "w", encoding="utf-8", newline=newline)
 
 
 def read_real(value, where: str = "value") -> float:

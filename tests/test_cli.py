@@ -130,8 +130,9 @@ class TestConfigParsing:
     def test_box_past_the_physical_memory_exits_2(self, tmp_path, capsys, monkeypatch, command,
                                                   config):
         """max_index = 1000 gives 1.6e10 modes, whose smallest blocks (1.0e12
-        bytes) pass the sys.maxsize check but not the physical memory: the
-        parser refuses the box before it builds a single mode."""
+        bytes) pass the sys.maxsize check but, with the mode objects, not the
+        physical memory: the parser refuses the box before it builds a single
+        mode."""
         def refused(*args, **kwargs):
             raise AssertionError("a mode of the refused box was built")
 
@@ -141,19 +142,20 @@ class TestConfigParsing:
         p = tmp_path / "c.json"
         p.write_text(json.dumps({**doc, "box": {"edge": 2.0, "max_index": 1000}}))
         count = 2 * (2001 ** 3 - 1)
-        blocks, memory = 16 * count * 2 * 2, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        blocks, objects = 16 * count * 2 * 2, cli.MODE_BYTES * count
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         assert memory < blocks <= sys.maxsize
         start = time.perf_counter()
         assert run(command, p, tmp_path / "out") == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            f"config error: box.max_index = 1000 gives {count} modes: the layout's mode "
-            f"blocks would take {blocks} bytes, more than the {memory} bytes of physical memory\n")
+            f"config error: box.max_index = 1000 gives {count} modes: the layout's mode blocks "
+            f"({blocks} bytes) and the mode objects ({objects} bytes) would take more than "
+            f"the {memory} bytes of physical memory\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
-    def test_box_whose_mode_objects_pass_the_physical_memory_exits_2(
-            self, tmp_path, capsys, monkeypatch, command, config):
+    def test_box_whose_mode_objects_pass_the_physical_memory_exits_2(self, tmp_path, capsys,
+                                                                      monkeypatch):
         """max_index = 10 gives 18 520 modes: on a 4 MB memory their smallest
         blocks (1.2 MB) fit, but not with the mode objects, so the parser
         refuses the box before it builds a single mode."""
@@ -163,14 +165,14 @@ class TestConfigParsing:
         monkeypatch.setattr(cli, "mode", refused)
         monkeypatch.setattr(os, "sysconf",
                             lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}[name])
-        doc = json.loads((DATA / config).read_text())
+        doc = json.loads((DATA / "config_algebra.json").read_text())
         doc.pop("modes")
         p = tmp_path / "c.json"
         p.write_text(json.dumps({**doc, "box": {"edge": 2.0, "max_index": 10}}))
         count = 2 * (21 ** 3 - 1)
         blocks, objects = 16 * count * 2 * 2, cli.MODE_BYTES * count
         assert count == 18520 and blocks < 4 * 2 ** 20 < blocks + objects
-        assert run(command, p, tmp_path / "out") == 2
+        assert run("verify-algebra", p, tmp_path / "out") == 2
         assert capsys.readouterr().err == (
             f"config error: box.max_index = 10 gives {count} modes: the layout's mode blocks "
             f"({blocks} bytes) and the mode objects ({objects} bytes) would take more than "

@@ -1,8 +1,10 @@
-import gc
-import io
 import json
 import os
+import signal
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,45 +280,9 @@ class TestModeSet:
             mf.load_mode_set([entry])
 
 
-class TestReadJsonCollector:
-    """read_json pauses the cyclic collector while it decodes and leaves its
-    state as it found it."""
-
-    def test_paused_while_decoding_and_restored(self):
-        seen = []
-
-        class Source(io.StringIO):
-            def read(self, *args):
-                seen.append(gc.isenabled())
-                return super().read(*args)
-
-        assert gc.isenabled()
-        assert mf.hilbert.read_json(Source('{"a": [1, 2.5]}')) == {"a": [1, 2.5]}
-        assert seen == [False]
-        assert gc.isenabled()
-
-    def test_restored_after_a_decode_error(self):
-        assert gc.isenabled()
-        with pytest.raises(ValueError, match="non-finite number NaN"):
-            mf.hilbert.read_json(io.StringIO("[1.0, NaN]"))
-        with pytest.raises(json.JSONDecodeError):
-            mf.hilbert.read_json(io.StringIO("[1.0,"))
-        assert gc.isenabled()
-
-    def test_a_collector_the_caller_disabled_stays_disabled(self):
-        gc.disable()
-        try:
-            assert mf.hilbert.read_json(io.StringIO("[1]")) == [1]
-            assert not gc.isenabled()
-            with pytest.raises(json.JSONDecodeError):
-                mf.hilbert.read_json(io.StringIO("{"))
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-
-
 class TestOutputFile:
-    """output_file rewrites a file in place and behaves as ``open(path, "w")``."""
+    """output_file replaces a file as ``open(path, "w")`` does: same bytes,
+    permissions and link handling, and no old text left by a stopped write."""
 
     def write(self, path, text):
         with mf.hilbert.output_file(path) as fh:
@@ -339,23 +305,68 @@ class TestOutputFile:
                 raise KeyboardInterrupt
         assert path.read_bytes() == b"a,b\n1,2\n"
 
-    def test_a_symlink_and_a_hard_link_are_followed(self, tmp_path):
+    @pytest.mark.parametrize("signal_, linked", [(signal.SIGKILL, False),
+                                                 (signal.SIGTERM, False),
+                                                 (signal.SIGKILL, True)],
+                             ids=["SIGKILL", "SIGTERM", "SIGKILL-hard-link"])
+    def test_a_killed_writer_leaves_only_the_new_prefix(self, tmp_path, signal_, linked):
+        """A writer stopped by a signal mid-write, with part of its text
+        flushed, leaves that part and nothing of the longer old file."""
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"stale\n" * 100_000)
+        if linked:
+            os.link(path, tmp_path / "hard.csv")
+        child = ("import sys, time\n"
+                 "from monofield.hilbert import output_file\n"
+                 "with output_file(sys.argv[1]) as fh:\n"
+                 "    fh.write('new\\n' * 1000)\n"
+                 "    fh.flush()\n"
+                 "    print('flushed', flush=True)\n"
+                 "    time.sleep(60)\n"
+                 "    fh.write('never\\n')\n")
+        src = str(Path(mf.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-c", child, str(path)], stdout=subprocess.PIPE,
+                                text=True, env=dict(os.environ, PYTHONPATH=src))
+        try:
+            assert proc.stdout.readline() == "flushed\n"
+            proc.send_signal(signal_)
+            assert proc.wait(timeout=60) == -signal_
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert path.read_bytes() == b"new\n" * 1000
+        if linked:
+            assert (tmp_path / "hard.csv").read_bytes() == b"new\n" * 1000
+
+    def test_a_symlink_rewrites_its_target_and_stays(self, tmp_path):
         target = tmp_path / "target.json"
         target.write_text("old text, longer than the new one\n")
-        link, hard = tmp_path / "link.json", tmp_path / "hard.json"
+        link = tmp_path / "link.json"
         link.symlink_to(target)
-        os.link(target, hard)
-        inode = target.stat().st_ino
         self.write(link, "{}\n")
         assert link.is_symlink() and os.readlink(link) == str(target)
-        assert target.read_bytes() == hard.read_bytes() == b"{}\n"
-        assert target.stat().st_ino == inode
+        assert target.read_bytes() == b"{}\n"
 
-    def test_a_non_regular_file_is_written_and_not_cut(self, tmp_path):
-        link = tmp_path / "discard.csv"
-        link.symlink_to(os.devnull)
-        self.write(link, "a,b\n")
-        assert link.is_symlink()
+    def test_a_hard_link_is_followed(self, tmp_path):
+        path, hard = tmp_path / "out.json", tmp_path / "hard.json"
+        path.write_text("old text, longer than the new one\n")
+        os.link(path, hard)
+        inode = path.stat().st_ino
+        self.write(path, "{}\n")
+        assert path.read_bytes() == hard.read_bytes() == b"{}\n"
+        assert path.stat().st_ino == hard.stat().st_ino == inode
+
+    def test_a_fifo_is_written_and_not_replaced(self, tmp_path):
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            self.write(fifo, "a,b\n")
+            assert os.read(reader, 100) == b"a,b\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
     def test_modes_are_those_of_open_w(self, tmp_path):
         kept = tmp_path / "kept.csv"
@@ -372,6 +383,24 @@ class TestOutputFile:
             os.umask(umask)
         assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~0o027
         assert stat.S_IMODE((tmp_path / "reference.csv").stat().st_mode) == 0o640
+
+    def test_a_read_only_file_is_refused_or_written_as_open_w_does(self, tmp_path):
+        """Without write permission "w" refuses the file, or a superuser
+        writes it and keeps its mode; output_file does the same."""
+        reference, path = tmp_path / "reference.csv", tmp_path / "out.csv"
+        for p in (reference, path):
+            p.write_text("old\n")
+            p.chmod(0o444)
+        try:
+            with open(reference, "w") as fh:
+                fh.write("new\n")
+        except PermissionError:
+            with pytest.raises(PermissionError):
+                self.write(path, "new\n")
+        else:
+            self.write(path, "new\n")
+        assert path.read_bytes() == reference.read_bytes()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o444
 
     @pytest.mark.parametrize("name", ["missing/out.csv", "."])
     def test_errors_are_those_of_open_w(self, tmp_path, name):

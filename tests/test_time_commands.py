@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -38,37 +36,3 @@ def test_refuses_an_unknown_name():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 1
     assert "no config named 'no-such-config'; the names are algebra-tight, " in run.stderr
-
-
-@pytest.mark.parametrize("fresh", [False, True])
-def test_fresh_rounds_write_into_new_directories(monkeypatch, capsys, fresh):
-    """Without --fresh every round writes into one directory, so each timed
-    round overwrites the files of the round before; with it, each round's
-    directory is new when the round starts."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    import time_commands
-    from monofield import cli
-
-    outs, existed = [], []
-
-    def main(argv):
-        out = Path(argv[argv.index("--out") + 1])
-        outs.append(out)
-        existed.append(out.exists())
-        out.mkdir(exist_ok=True)
-        (out / "r.csv").write_text("x\n")
-        return 0
-
-    monkeypatch.setattr(cli, "main", main)
-    config = ROOT / "tests" / "data" / "config_algebra.json"
-    assert time_commands.main(["verify-algebra", "--config", str(config), "--rounds", "3",
-                               *(["--fresh"] if fresh else [])]) == 0
-    assert len(outs) == 4
-    if fresh:
-        assert len(set(outs)) == 4 and not any(existed)
-    else:
-        assert len(set(outs)) == 1 and existed == [False, True, True, True]
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last.endswith("over 3 rounds" + (", each into a new output directory" if fresh else ""))

@@ -1,8 +1,7 @@
 """Time one CLI command on one config, in process.
 
     python tools/time_commands.py COMMAND (--config PATH | --box MAX_INDEX
-        | --bench-seed SEED | --named NAME) [--nmax N] [--rounds 10] [--fresh]
-        [--tree DIR]
+        | --bench-seed SEED | --named NAME) [--nmax N] [--rounds 10] [--tree DIR]
 
 The config is a JSON file, a ``box`` of edge 2.0 at nmax 5 with the given
 ``max_index`` (1 gives 52 modes, 2 gives 248, 3 gives 684), the
@@ -16,12 +15,8 @@ any config of ``tools/compare_outputs.py`` by its file name without
 The script imports ``monofield`` from ``DIR/src`` (default: the tree this
 script sits in), so one copy of it times any checkout.  It runs
 ``monofield.cli.main`` once untimed, then ``--rounds`` times, each into the
-same temporary output directory (so every timed round rewrites the files
-the round before wrote), with stdout and stderr captured, and prints the
-best and the median wall time of the timed rounds.  With ``--fresh`` each
-round writes into a new output directory instead, so every output file
-is created; the directory is removed after the round, outside the timed
-region.  It also
+same temporary output directory, with stdout and stderr captured, and
+prints the best and the median wall time of the timed rounds.  It also
 prints the numpy and Python versions, the BLAS thread count (pinned to 1
 through the BLAS environment variables before numpy is imported, as the
 benchmark does), the CPU count and ``git rev-parse HEAD`` of DIR
@@ -36,7 +31,6 @@ import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -61,8 +55,6 @@ def _parse(argv) -> argparse.Namespace:
                         help="a config of tools/compare_outputs.py, e.g. box-248-atom")
     parser.add_argument("--nmax", type=int, help="override the config's nmax")
     parser.add_argument("--rounds", type=int, default=10, help="timed rounds (default 10)")
-    parser.add_argument("--fresh", action="store_true",
-                        help="write each round into a new output directory")
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="the checkout whose src/ is timed (default: this one)")
     args = parser.parse_args(argv)
@@ -118,10 +110,9 @@ def main(argv=None) -> int:
         doc = _config(args, Path(tmp))
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
+        argv = [args.command, "--config", str(config), "--out", str(Path(tmp) / "out")]
         times, codes = [], set()
         for round_ in range(args.rounds + 1):
-            out = Path(tmp) / (f"out-{round_}" if args.fresh else "out")
-            argv = [args.command, "--config", str(config), "--out", str(out)]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 start = time.perf_counter()
@@ -129,8 +120,6 @@ def main(argv=None) -> int:
                 elapsed = time.perf_counter() - start
             if round_:  # the first round is untimed
                 times.append(elapsed)
-            if args.fresh:
-                shutil.rmtree(out, ignore_errors=True)
     print(f"monofield {Path(cli.__file__).parent} at {_revision(args.tree)}")
     print(f"numpy {np.__version__}, Python {platform.python_version()}, "
           f"BLAS threads {BLAS_THREADS}, {os.cpu_count()} CPUs")
@@ -139,8 +128,7 @@ def main(argv=None) -> int:
                              else f"bench seed {args.bench_seed}")
     print(f"{args.command} on {source}, nmax {doc.get('nmax')}: exit {sorted(codes)}")
     print(f"best {min(times) * 1e3:.2f} ms, median {statistics.median(times) * 1e3:.2f} ms "
-          f"over {args.rounds} rounds"
-          + (", each into a new output directory" if args.fresh else ""))
+          f"over {args.rounds} rounds")
     return 0
 
 
