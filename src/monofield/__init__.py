@@ -43,6 +43,7 @@ from .emission import (
     free_hamiltonian_with_atom,
     interaction_hamiltonian,
     interaction_picture,
+    mode_couplings,
     vacuum_subspace_check,
 )
 from .fields import (

@@ -35,13 +35,13 @@ from .dynamics import dyson_first_order, resonance_kernel, spectrum
 from .emission import (
     EXCITED,
     AtomParams,
-    _convergence_sweep,
-    _first_order_state,
-    _first_order_table,
-    _interaction_picture,
-    _mode_couplings,
     atom_field_hamiltonian,
+    convergence_sweep,
     coupling,
+    first_order_state,
+    first_order_table,
+    interaction_picture,
+    mode_couplings,
     VACUUM_TOL,
 )
 from . import fields
@@ -274,6 +274,8 @@ def _parse_config(doc) -> RunConfig:
         grid = doc["time_grid"]
         _require_keys(grid, {"start", "stop", "num"}, "time_grid")
         num = read_int(grid.get("num"), "time_grid.num")
+        if num < 0:
+            raise ConfigError(f"time_grid.num = {num}: the grid needs a count >= 0")
         start = read_real(grid.get("start"), "time_grid.start")
         stop = read_real(grid.get("stop"), "time_grid.stop")
         if not math.isfinite(stop - start):  # Python floats: no warning
@@ -283,7 +285,7 @@ def _parse_config(doc) -> RunConfig:
             raise ConfigError(f"time_grid.num = {num}: the grid's times would take more "
                               f"than sys.maxsize = {sys.maxsize} bytes")
         try:
-            times = np.linspace(start, stop, num).tolist() if num > 0 else []
+            times = np.linspace(start, stop, num).tolist()
         except MemoryError:
             raise ConfigError(f"time_grid.num = {num}: the grid's times do not fit "
                               "in memory") from None
@@ -479,14 +481,14 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     _propagating(layout, "emission")
     populated = sorted({k for (k, n, _), amp in cfg.emission_initial.items()
                         if amp and n < cfg.nmax})
-    gs = _mode_couplings(layout.modes, cfg.atom, cfg.field)  # one row for the whole run
+    gs = mode_couplings(layout.modes, cfg.atom, cfg.field)  # one row for the whole run
     if not gs[populated].any():
         raise ConfigError(f"atom.direction is orthogonal to the polarization of every mode "
                           f"emission_initial populates below n = nmax = {cfg.nmax} (modes "
                           f"{populated}), so nothing can be emitted")
     initial = superposition(layout, cfg.emission_initial)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with the time
-        table = _first_order_table(initial, cfg.atom, cfg.times, [cfg.atom.d], gs)[0]
+        table = first_order_table(initial, cfg.atom, cfg.times, [cfg.atom.d], gs)[0]
     probs = []
     for i, (t, amps) in enumerate(zip(cfg.times, table.tolist())):
         try:
@@ -506,8 +508,8 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     t_ref = cfg.times[-1] if cfg.times else 1.0
     couplings = cfg.couplings or tuple(np.logspace(-3.0, -1.0, 7).tolist())
     try:
-        deviations = _convergence_sweep(initial, cfg.atom, cfg.field, t_ref, couplings,
-                                        gs).tolist()
+        deviations = convergence_sweep(initial, cfg.atom, cfg.field, t_ref, couplings,
+                                       gs).tolist()
     except ValueError as exc:
         raise ConfigError(str(exc))
     if not all(0.0 < dev < math.inf for dev in deviations):
@@ -517,9 +519,9 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
     _write_csv(outdir / "emission_convergence.csv", ["coupling", "deviation"],
                [couplings, deviations])
 
-    psi_closed = _first_order_state(initial, cfg.atom, t_ref, gs)
+    psi_closed = first_order_state(initial, cfg.atom, t_ref, gs)
     try:
-        psi_quad = dyson_first_order(_interaction_picture(layout, cfg.atom, cfg.field, gs),
+        psi_quad = dyson_first_order(interaction_picture(layout, cfg.atom, cfg.field, gs),
                                      initial, t_ref, hbar=cfg.field.hbar)
     except ValueError as exc:
         raise ConfigError(f"t = {t_ref!r}: first-order Dyson integral: {exc}")

@@ -180,8 +180,9 @@ def dyson_first_order(h_builder: Callable[[np.ndarray], np.ndarray], psi0: State
     """|psi0> + (i*hbar)^-1 integral_0^t H_I(t')|psi0> dt' by adaptive quadrature.
 
     ``h_builder`` takes a 1-D array of N times and returns the (N, M, s, s)
-    mode blocks of H_I at each of them, as the callable of
-    :func:`monofield.emission.interaction_picture` does.  The integral is
+    mode blocks of H_I at each of them, as the callable that
+    :func:`monofield.emission.interaction_picture` makes from a layout and
+    its :func:`~monofield.emission.mode_couplings` row does.  The integral is
     :func:`monofield.quadrature.adaptive_gk21`, bit for bit that of
     ``scipy.integrate.quad_vec`` on the one-time integrand H_I(t')|psi0>, and
     so is its error estimate.  Each round of the quadrature evaluates the

@@ -7,7 +7,7 @@ atom level is the slower index axis, ahead of the photon number (see
 sigma3 |+> = +|+>, sigma- |+> = |->.  The atom sits at the origin,
 so no spatial phases enter the couplings.
 
-The couplings g_k of all modes are one row, :func:`_mode_couplings`, over
+The couplings g_k of all modes are one row, :func:`mode_couplings`, over
 the polarization table of :func:`monofield.fields.polarization_vectors`;
 :func:`coupling` is its one-mode case.  The coupling blocks of the
 Hamiltonian and of the interaction picture come from one writer,
@@ -15,9 +15,7 @@ s*(g_k*R) + h.c. with R the block of a sigma+.
 
 Under the RWA each mode block is nmax doublets {|k, n, e>, |k, n+1, g>}
 and two singlets; :func:`convergence_sweep` evolves each doublet by the
-n-photon Jaynes-Cummings Rabi formula, with no block built.  The
-functions the ``emission`` command calls have private twins that take the
-coupling row, so the command finds it once.
+n-photon Jaynes-Cummings Rabi formula, with no block built.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from .hilbert import (FieldConfig, HilbertLayout, ModeLabel, Operator, StateVect
 __all__ = [
     "AtomParams",
     "coupling",
+    "mode_couplings",
     "free_hamiltonian_with_atom",
     "atom_field_hamiltonian",
     "interaction_picture",
@@ -96,12 +95,12 @@ class AtomParams:
 
 def coupling(mode: ModeLabel, atom: AtomParams, config: FieldConfig) -> complex:
     """Mode-atom coupling i*sqrt(1/(2*hbar*omega*V)) * (e_s . u): the one-mode
-    case of :func:`_mode_couplings`."""
-    return complex(_mode_couplings((mode,), atom, config)[0])
+    case of :func:`mode_couplings`."""
+    return complex(mode_couplings((mode,), atom, config)[0])
 
 
-def _mode_couplings(modes: Sequence[ModeLabel], atom: AtomParams,
-                    config: FieldConfig) -> np.ndarray:
+def mode_couplings(modes: Sequence[ModeLabel], atom: AtomParams,
+                   config: FieldConfig) -> np.ndarray:
     """The (M,) couplings g_k = i*sqrt(1/(2*hbar*omega_k*V)) * (e_s . u) of
     ``modes``, the one place the formula is written.
 
@@ -164,7 +163,7 @@ def atom_field_hamiltonian(layout: HilbertLayout, atom: AtomParams,
     h0 = free_hamiltonian_with_atom(layout, atom, config)
     coupled = _coupling_blocks(_raise_atom(fock_lowering(layout.nmax)),
                                config.hbar * atom.omega0 * atom.d,
-                               _mode_couplings(layout.modes, atom, config))
+                               mode_couplings(layout.modes, atom, config))
     return Operator(layout, h0.as_blocks() + coupled)
 
 
@@ -182,24 +181,18 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def interaction_picture(layout: HilbertLayout, atom: AtomParams,
-                        config: FieldConfig) -> Callable[[float | np.ndarray],
-                                                         Operator | np.ndarray]:
-    """t -> :func:`interaction_hamiltonian` at time t, for many times.
+def interaction_picture(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
+                        gs: np.ndarray) -> Callable[[float | np.ndarray],
+                                                    Operator | np.ndarray]:
+    """t -> :func:`interaction_hamiltonian` at time t, for many times, from
+    the :func:`mode_couplings` row ``gs`` of the layout's modes.
 
-    The mode couplings and the block of a sigma+ do not depend on the time,
-    so they are found once here and each call only multiplies in the
-    detuning phases.  A 1-D array of N times gives the (N, M, 2b, 2b)
-    block stack of the N couplings, each bit for bit the blocks of its
-    time alone; a scalar time gives the :class:`Operator`.
+    The block of a sigma+ does not depend on the time, so it is built once
+    here and each call only multiplies the detuning phases into ``gs``.
+    A 1-D array of N times gives the (N, M, 2b, 2b) block stack of the N
+    couplings, each bit for bit the blocks of its time alone; a scalar time
+    gives the :class:`Operator`.
     """
-    return _interaction_picture(layout, atom, config, _mode_couplings(layout.modes, atom, config))
-
-
-def _interaction_picture(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
-                         gs: np.ndarray) -> Callable[[float | np.ndarray],
-                                                     Operator | np.ndarray]:
-    """:func:`interaction_picture` with the coupling row ``gs`` given."""
     _require_atom(layout)
     lower = _raise_atom(fock_lowering(layout.nmax))
     scale = config.hbar * atom.omega0 * atom.d
@@ -216,13 +209,15 @@ def _interaction_picture(layout: HilbertLayout, atom: AtomParams, config: FieldC
 def interaction_hamiltonian(layout: HilbertLayout, atom: AtomParams,
                             config: FieldConfig, t: float) -> Operator:
     """Interaction-picture coupling with detuning phases exp(+-i(omega0-omega_k)t)."""
-    return interaction_picture(layout, atom, config)(t)
+    return interaction_picture(layout, atom, config,
+                               mode_couplings(layout.modes, atom, config))(t)
 
 
-def first_order_table(initial: StateVector, atom: AtomParams, config: FieldConfig,
-                      times: Sequence[float], dipoles: Sequence[float]) -> np.ndarray:
+def first_order_table(initial: StateVector, atom: AtomParams, times: Sequence[float],
+                      dipoles: Sequence[float], gs: np.ndarray) -> np.ndarray:
     """The (C, T, M, nmax) first-order amplitudes from an excited-atom state
-    with photon weights Psi, for C dipole scales d and T ``times``.
+    with photon weights Psi, for C dipole scales d and T ``times``, given the
+    :func:`mode_couplings` row ``gs`` of the layout's modes.
 
     Entry [c, i, k, n] is omega0*d_c * kernel(omega0-omega_k, t_i)
     * Psi_(k,n) * sqrt(n+1) * conj(g_k), multiplied left to right, feeding
@@ -232,13 +227,6 @@ def first_order_table(initial: StateVector, atom: AtomParams, config: FieldConfi
     and n = nmax has no in-layout target, matching exact truncated
     evolution.  A ground-atom norm above 1e-14 is refused.
     """
-    return _first_order_table(initial, atom, times, dipoles,
-                              _mode_couplings(initial.layout.modes, atom, config))
-
-
-def _first_order_table(initial: StateVector, atom: AtomParams, times: Sequence[float],
-                       dipoles: Sequence[float], gs: np.ndarray) -> np.ndarray:
-    """:func:`first_order_table` with the coupling row ``gs`` given."""
     layout = initial.layout
     _require_atom(layout)
     amps = layout.view(initial.amplitudes)
@@ -262,41 +250,30 @@ def first_order_emission(initial: StateVector, atom: AtomParams,
     dipole at time t.  Entry [k, n] is the amplitude from |k, n, excited>
     into |k, n+1, ground>: column 0 is spontaneous emission, the others
     stimulated emission."""
-    table = first_order_table(initial, atom, config, [t], [atom.d])[0, 0]
+    gs = mode_couplings(initial.layout.modes, atom, config)
+    table = first_order_table(initial, atom, [t], [atom.d], gs)[0, 0]
     table.setflags(write=False)
     return table
 
 
-def first_order_state(initial: StateVector, atom: AtomParams, config: FieldConfig,
-                      t: float) -> StateVector:
-    """Interaction-picture state through first order (not normalized)."""
-    return _first_order_state(initial, atom, t,
-                              _mode_couplings(initial.layout.modes, atom, config))
-
-
-def _first_order_state(initial: StateVector, atom: AtomParams, t: float,
-                       gs: np.ndarray) -> StateVector:
-    """:func:`first_order_state` with the coupling row ``gs`` given."""
+def first_order_state(initial: StateVector, atom: AtomParams, t: float,
+                      gs: np.ndarray) -> StateVector:
+    """Interaction-picture state through first order (not normalized), given
+    the :func:`mode_couplings` row ``gs`` of the layout's modes."""
     out = initial.amplitudes.copy()
     initial.layout.view(out)[GROUND, :, 1:] += \
-        _first_order_table(initial, atom, [t], [atom.d], gs)[0, 0]
+        first_order_table(initial, atom, [t], [atom.d], gs)[0, 0]
     return StateVector(initial.layout, out)
 
 
 def convergence_sweep(initial: StateVector, atom: AtomParams, config: FieldConfig,
-                      t: float, dipoles: Sequence[float]) -> np.ndarray:
+                      t: float, dipoles: Sequence[float], gs: np.ndarray) -> np.ndarray:
     """|exact - first order| of the interaction-picture state at time t for
-    each dipole scale, each entry that of its scale alone.  The first
+    each dipole scale, each entry that of its scale alone, given the
+    :func:`mode_couplings` row ``gs`` of the layout's modes.  The first
     refused scale raises ``ValueError``: non-finite doublet entries, then a
     largest phase |lambda*t/hbar| past the limit (which covers the
-    back-evolution under the uncoupled part); nothing warns."""
-    return _convergence_sweep(initial, atom, config, t, dipoles,
-                              _mode_couplings(initial.layout.modes, atom, config))
-
-
-def _convergence_sweep(initial: StateVector, atom: AtomParams, config: FieldConfig,
-                       t: float, dipoles: Sequence[float], gs: np.ndarray) -> np.ndarray:
-    """:func:`convergence_sweep` with the coupling row ``gs`` given.
+    back-evolution under the uncoupled part); nothing warns.
 
     A doublet H = [[a, c], [conj(c), b]] has eigenvalues (a+b)/2 +- Omega,
     Omega = hypot(delta, |c|), delta = (a-b)/2.  With sigma the sign of
@@ -309,7 +286,7 @@ def _convergence_sweep(initial: StateVector, atom: AtomParams, config: FieldConf
     """
     layout, hbar = initial.layout, config.hbar
     with np.errstate(over="ignore", invalid="ignore"):
-        first_order = _first_order_table(initial, atom, [t], dipoles, gs)[:, 0]
+        first_order = first_order_table(initial, atom, [t], dipoles, gs)[:, 0]
         energies = layout.view(free_hamiltonian_with_atom(layout, atom, config).diag().real)
         upper, lower = energies[EXCITED, :, :-1], energies[GROUND, :, 1:]
         scales = hbar * atom.omega0 * np.asarray(dipoles, dtype=float)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import fock_lowering, mode_annihilator
 from .dynamics import resonance_kernel
-from .emission import EXCITED, AtomParams, _mode_couplings, first_order_emission
+from .emission import EXCITED, AtomParams, first_order_emission, mode_couplings
 from .hilbert import FieldConfig, ModeLabel, build_layout, superposition, unit_rows
 
 __all__ = [
@@ -152,7 +152,7 @@ def standard_atom_field_hamiltonian(layout: StandardLayout, atom: AtomParams,
     h += 0.5 * config.hbar * atom.omega0 * np.diag(atom_diag.astype(complex))
     sp_mat = np.zeros((layout.dimension,) * 2, dtype=complex)
     sp_mat[f:, :f] = np.eye(f)
-    for k, g in enumerate(_mode_couplings(layout.modes, atom, config).tolist()):
+    for k, g in enumerate(mode_couplings(layout.modes, atom, config).tolist()):
         term = config.hbar * atom.omega0 * atom.d * g * (
             standard_mode_annihilator(layout, k) @ sp_mat)
         h += term + term.conj().T
@@ -168,7 +168,7 @@ def standard_first_order_emission(atom: AtomParams, modes: Sequence[ModeLabel],
     no per-mode weighting.
     """
     return np.array([atom.omega0 * atom.d * np.conj(g) * resonance_kernel(atom.omega0 - m.omega, t)
-                     for m, g in zip(modes, _mode_couplings(modes, atom, config).tolist())],
+                     for m, g in zip(modes, mode_couplings(modes, atom, config).tolist())],
                     dtype=complex)
 
 

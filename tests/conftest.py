@@ -118,7 +118,8 @@ def loop_sweep(cfg, t, couplings):
     deviations = []
     for d in couplings:
         atom_d = dataclasses.replace(cfg.atom, d=float(d))
-        psi_pert = emission.first_order_state(initial, atom_d, cfg.field, t)
+        psi_pert = emission.first_order_state(
+            initial, atom_d, t, emission.mode_couplings(layout.modes, atom_d, cfg.field))
         h_full = emission.atom_field_hamiltonian(layout, atom_d, cfg.field)
         try:
             psi_s = dynamics.spectrum(h_full, cfg.field.hbar).trajectory(initial, t)

@@ -149,7 +149,7 @@ def test_criterion_7_first_order_emission(natural):
     initial = mf.StateVector(layout, amps).normalize()
     t = 1.2
 
-    closed = mf.first_order_state(initial, atom, natural, t)
+    closed = mf.first_order_state(initial, atom, t, mf.mode_couplings(modes, atom, natural))
     quad = mf.dyson_first_order(
         lambda tp: mf.interaction_hamiltonian(layout, atom, natural, tp),
         initial, t, hbar=natural.hbar)
@@ -163,7 +163,7 @@ def test_criterion_7_first_order_emission(natural):
     couplings = np.logspace(-3, -1, 7)
     for d in couplings:
         atom_d = mf.AtomParams(atom.omega0, float(d), atom.u)
-        pert = mf.first_order_state(initial, atom_d, natural, t)
+        pert = mf.first_order_state(initial, atom_d, t, mf.mode_couplings(modes, atom_d, natural))
         h_full = mf.atom_field_hamiltonian(layout, atom_d, natural)
         h_free = mf.free_hamiltonian_with_atom(layout, atom_d, natural)
         exact = mf.evolve(h_free, mf.evolve(h_full, initial, t), -t)

@@ -237,12 +237,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="volume"):
             load_config(p)
 
-    def test_time_grid_expansion(self, tmp_path):
+    @pytest.mark.parametrize("num, times", [(5, (0.0, 0.25, 0.5, 0.75, 1.0)), (0, ())],
+                             ids=["num_5", "num_0"])
+    def test_time_grid_expansion(self, tmp_path, num, times):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"modes": [{"omega": 1.0}], "nmax": 2,
-                                 "time_grid": {"start": 0.0, "stop": 1.0, "num": 5}}))
+                                 "time_grid": {"start": 0.0, "stop": 1.0, "num": num}}))
         cfg, _ = load_config(p)
-        assert cfg.times == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert cfg.times == times
 
     TIME_GRID_FAULTS = [
         ({"start": 0.0, "stop": 1.0, "num": 10 ** 12},
@@ -256,10 +258,13 @@ class TestConfigParsing:
         ({"start": -1e308, "stop": 1e308, "num": 5},
          "time_grid.start = -1e+308 and time_grid.stop = 1e+308: "
          "stop - start is out of the float range"),
+        ({"start": 0.0, "stop": 1.0, "num": -3},
+         "time_grid.num = -3: the grid needs a count >= 0"),
     ]
 
     @pytest.mark.parametrize("grid, error", TIME_GRID_FAULTS,
-                             ids=["num_out_of_memory", "num_2_63", "num_1e20", "span_overflows"])
+                             ids=["num_out_of_memory", "num_2_63", "num_1e20", "span_overflows",
+                                  "num_negative"])
     @pytest.mark.parametrize("command, config", COMMAND_CONFIGS)
     def test_time_grid_refusal_names_the_entry(self, tmp_path, capsys, command, config, grid,
                                                error):
@@ -325,6 +330,7 @@ class TestConfigParsing:
          {"modes": [{"s": 1, "kappa": [0, 0, 1]}, {"s": 1, "kappa": [1, 0, 0]}], "nmax": 2,
           "atom": {"omega0": 1, "dipole": 0.01, "direction": [0, 0, 1]}, "times": [1],
           "emission_initial": [{"mode": 0, "n": 0, "amp": 1}]}),
+        ("vacuum-energy", "config_vac.json", {"time_grid": {"start": 0, "stop": 1, "num": -3}}),
     ], ids=["emission_initial_not_list", "points_not_numeric", "times_nan",
             "nmax_bool", "single_coupling", "emission_abstract_modes",
             "field_sweep_abstract_modes", "tolerance_string", "tolerance_null",
@@ -334,7 +340,7 @@ class TestConfigParsing:
             "alpha_huge", "jc_omega0_huge", "jc_dipole_tiny",
             "emission_time_zero", "tolerance_zero", "tolerance_negative",
             "sweep_time_phase_huge", "sweep_point_phase_huge", "sweep_phase_sum_huge",
-            "emission_atom_uncoupled"])
+            "emission_atom_uncoupled", "time_grid_num_negative"])
     @pytest.mark.filterwarnings("error")
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, base, change):
         doc = json.loads((DATA / base).read_text())
@@ -603,14 +609,14 @@ class TestEmissionCommand:
             == (DATA / "golden_emission.csv").read_bytes()
 
     def test_finds_the_coupling_row_once(self, tmp_path, monkeypatch):
-        calls, found = [], emission._mode_couplings
+        calls, found = [], emission.mode_couplings
 
         def counted(*args):
             calls.append(args)
             return found(*args)
 
-        monkeypatch.setattr(emission, "_mode_couplings", counted)
-        monkeypatch.setattr(cli, "_mode_couplings", counted)
+        monkeypatch.setattr(emission, "mode_couplings", counted)
+        monkeypatch.setattr(cli, "mode_couplings", counted)
         assert run("emission", DATA / "config_emission.json", tmp_path) == 0
         assert len(calls) == 1
 

@@ -38,7 +38,7 @@ def oracle_deviations(initial, atom, config, t, couplings):
     layout = initial.layout
     amps = layout.view(initial.amplitudes)
     energies = layout.view(emission.free_hamiltonian_with_atom(layout, atom, config).diag().real)
-    gs = emission._mode_couplings(layout.modes, atom, config)
+    gs = emission.mode_couplings(layout.modes, atom, config)
     populated = [(k, n) for k in range(layout.n_modes) for n in range(layout.nmax)
                  if amps[EXCITED, k, n] or amps[GROUND, k, n + 1]]
     with mpmath.workdps(40):
@@ -71,7 +71,8 @@ def test_both_routes_lie_within_the_bound_of_the_oracle(tmp_path, name):
     initial = superposition(build_layout(cfg.modes, cfg.nmax, with_atom=True),
                             cfg.emission_initial)
     want = oracle_deviations(initial, cfg.atom, cfg.field, t, COUPLINGS)
-    doublets = emission.convergence_sweep(initial, cfg.atom, cfg.field, t, COUPLINGS)
+    gs = emission.mode_couplings(initial.layout.modes, cfg.atom, cfg.field)
+    doublets = emission.convergence_sweep(initial, cfg.atom, cfg.field, t, COUPLINGS, gs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         blocks = np.array(loop_sweep(cfg, t, COUPLINGS))

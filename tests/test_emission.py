@@ -12,7 +12,7 @@ import monofield as mf
 from monofield import quadrature
 from monofield.cli import _box_modes, load_config
 from monofield.dynamics import resonance_kernel
-from monofield.emission import EXCITED, GROUND, _mode_couplings, first_order_table
+from monofield.emission import EXCITED, GROUND, first_order_table, mode_couplings
 from conftest import sigma3, sigma_plus
 
 DATA = Path(__file__).parent / "data"
@@ -95,7 +95,7 @@ class TestCoupling:
         abstract = mf.abstract_mode(1.0)
         message = f"coupling requires a propagating mode; {abstract} is abstract"
         for couple in (lambda: mf.coupling(abstract, atom, natural),
-                       lambda: _mode_couplings((z_mode(), abstract), atom, natural)):
+                       lambda: mode_couplings((z_mode(), abstract), atom, natural)):
             with pytest.raises(ValueError) as exc:
                 couple()
             assert str(exc.value) == message
@@ -112,7 +112,7 @@ class TestCoupling:
             atom = mf.AtomParams.make(1.0, 0.1, u if u.any() else (0.0, 0.0, 1.0))
             config = mf.FieldConfig(hbar=float(rng.uniform(0.5, 2.0)), volume=volume)
             want = np.array([scalar_coupling(m, atom, config) for m in modes])
-            got = _mode_couplings(modes, atom, config)
+            got = mode_couplings(modes, atom, config)
             assert got.tobytes() == want.tobytes()
             k = int(rng.integers(len(modes)))
             assert mf.coupling(modes[k], atom, config) == want[k]
@@ -293,7 +293,8 @@ class TestFirstOrderEmission:
         initial = excited_state(self.layout, {(0, 0): 0.5, (1, 0): 0.5,
                                               (2, 1): 1.0 / np.sqrt(2)})
         t = 1.2
-        closed = mf.first_order_state(initial, self.atom, natural, t)
+        closed = mf.first_order_state(initial, self.atom, t,
+                                      mode_couplings(self.layout.modes, self.atom, natural))
         quad = mf.dyson_first_order(
             lambda tp: mf.interaction_hamiltonian(self.layout, self.atom, natural, tp),
             initial, t, hbar=natural.hbar)
@@ -307,7 +308,8 @@ class TestFirstOrderEmission:
         devs = []
         for d in couplings:
             atom_d = mf.AtomParams(self.atom.omega0, float(d), self.atom.u)
-            pert = mf.first_order_state(initial, atom_d, natural, t)
+            pert = mf.first_order_state(initial, atom_d, t,
+                                        mode_couplings(self.layout.modes, atom_d, natural))
             exact = interaction_picture_exact(self.layout, atom_d, natural, initial, t)
             devs.append(np.linalg.norm(pert.amplitudes - exact.amplitudes))
         slope = np.polyfit(np.log(couplings), np.log(devs), 1)[0]
@@ -318,7 +320,8 @@ class TestFirstOrderEmission:
         excesses = []
         for d in (0.01, 0.02):
             atom_d = mf.AtomParams(self.atom.omega0, d, self.atom.u)
-            pert = mf.first_order_state(initial, atom_d, natural, 1.0)
+            pert = mf.first_order_state(initial, atom_d, 1.0,
+                                        mode_couplings(self.layout.modes, atom_d, natural))
             excesses.append(pert.norm ** 2 - 1.0)
         assert excesses[0] > 0
         assert excesses[1] / excesses[0] == pytest.approx(4.0, rel=1e-6)
@@ -382,7 +385,8 @@ class TestAmplitudeTable:
             want = initial.amplitudes.copy()
             for (k, n), amp in np.ndenumerate(table):
                 want[initial.layout.flatten(k, n + 1, GROUND)] += amp
-            got = mf.first_order_state(initial, atom, config, t).amplitudes
+            gs = mode_couplings(initial.layout.modes, atom, config)
+            got = mf.first_order_state(initial, atom, t, gs).amplitudes
             assert got.tobytes() == want.tobytes()
 
     def test_interaction_picture_matches_the_real_pair_formula(self, rng):
@@ -396,13 +400,15 @@ class TestAmplitudeTable:
             phases = np.exp(i_detunings * t).view(float).reshape(-1, 2)
             pairs = g_re * phases + g_im * phases[:, ::-1]
             want = scattered_coupling_blocks(layout, atom, config, pairs.view(complex).ravel())
-            got = mf.interaction_picture(layout, atom, config)(t).data
+            got = mf.interaction_picture(layout, atom, config,
+                                         mode_couplings(layout.modes, atom, config))(t).data
             assert got.tobytes() == want.tobytes()
 
     def test_interaction_picture_at_many_times_is_each_time_alone(self, rng):
         for _ in range(50):
             initial, atom, config, t = random_emission_case(rng)
-            at = mf.interaction_picture(initial.layout, atom, config)
+            gs = mode_couplings(initial.layout.modes, atom, config)
+            at = mf.interaction_picture(initial.layout, atom, config, gs)
             times = np.array([t, 0.0, -0.0, -t, 3.7 * t, 1e10])
             want = np.stack([at(float(s)).data for s in times])
             assert at(times).tobytes() == want.tobytes()
@@ -416,7 +422,8 @@ class TestAmplitudeTable:
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
         assert table.tobytes() == \
-            first_order_table(initial, atom, natural, [0.9], [atom.d])[0, 0].tobytes()
+            first_order_table(initial, atom, [0.9], [atom.d],
+                              mode_couplings(layout.modes, atom, natural))[0, 0].tobytes()
         # a spontaneous amplitude from (0, 0), stimulated ones from (1, 2) and (2, 1)
         assert [tuple(kn) for kn in np.argwhere(table)] == [(0, 0), (1, 2), (2, 1)]
 
@@ -424,7 +431,8 @@ class TestAmplitudeTable:
 def quad_vec_dyson(initial, atom, config, t, limit=10000):
     """The first-order Dyson integral by scipy's quad_vec, one scalar-time
     interaction picture per node: (integral, error estimate, converged)."""
-    at = mf.interaction_picture(initial.layout, atom, config)
+    gs = mode_couplings(initial.layout.modes, atom, config)
+    at = mf.interaction_picture(initial.layout, atom, config, gs)
     integral, err, info = quad_vec(lambda tp: at(tp).matvec(initial.amplitudes), 0.0, t,
                                    epsabs=1e-12, limit=limit, full_output=True)
     return integral, err, info.success
@@ -439,7 +447,8 @@ class TestDysonQuadrature:
             integral, _, converged = quad_vec_dyson(initial, atom, config, t)
             assert converged
             want = initial.amplitudes + integral / (1j * config.hbar)
-            at = mf.interaction_picture(initial.layout, atom, config)
+            gs = mode_couplings(initial.layout.modes, atom, config)
+            at = mf.interaction_picture(initial.layout, atom, config, gs)
             got = mf.dyson_first_order(at, initial, t, hbar=config.hbar).amplitudes
             ulp = np.spacing(np.linalg.norm(integral))
             assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
@@ -452,7 +461,8 @@ class TestDysonQuadrature:
         initial = mf.superposition(layout, cfg.emission_initial)
         # an interval limit lowered on both sides keeps quad_vec's run short
         monkeypatch.setattr(quadrature, "_INTERVAL_LIMIT", limit)
-        at = mf.interaction_picture(layout, cfg.atom, cfg.field)
+        at = mf.interaction_picture(layout, cfg.atom, cfg.field,
+                                    mode_couplings(layout.modes, cfg.atom, cfg.field))
         with np.errstate(over="ignore", invalid="ignore"):
             _, err, converged = quad_vec_dyson(initial, cfg.atom, cfg.field, t, limit=limit)
             with pytest.raises(ValueError) as refused:
@@ -465,7 +475,8 @@ class TestDysonQuadrature:
         cfg, _ = load_config(DATA / "config_emission.json")
         layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
         initial = mf.superposition(layout, cfg.emission_initial)
-        at = mf.interaction_picture(layout, cfg.atom, cfg.field)
+        at = mf.interaction_picture(layout, cfg.atom, cfg.field,
+                                    mode_couplings(layout.modes, cfg.atom, cfg.field))
         with pytest.raises(ValueError) as refused:
             mf.dyson_first_order(at, initial, 1e10, hbar=cfg.field.hbar)
         assert str(refused.value) == "quadrature did not converge (error estimate 2.237e+07)"

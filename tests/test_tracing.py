@@ -12,12 +12,16 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
 
-def test_tracer_records_layers_of_a_command(tmp_path):
+def bench_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+def test_tracer_records_layers_of_a_command(tmp_path):
     matmul = hilbert.Operator.__matmul__
-    tracer = tracing.Tracer()
+    tracer = bench_tracer()
     tracer.install()
     try:
         rc = main(["verify-algebra", "--config", str(DATA / "config_algebra.json"),
@@ -33,3 +37,15 @@ def test_tracer_records_layers_of_a_command(tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {"hilbert.matmul", "cli.write"} <= names
     assert hilbert.Operator.__matmul__ is matmul
+
+
+def test_tracer_sees_the_first_order_state_of_the_emission_command(tmp_path):
+    tracer = bench_tracer()
+    tracer.install()
+    try:
+        rc = main(["emission", "--config", str(DATA / "config_emission.json"),
+                   "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert "emission.first_order" in {span[0] for span in tracer.spans}
