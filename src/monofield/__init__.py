@@ -41,8 +41,8 @@ from .emission import (
     first_order_emission,
     first_order_state,
     free_hamiltonian_with_atom,
+    interaction_action,
     interaction_hamiltonian,
-    interaction_picture,
     mode_couplings,
     vacuum_subspace_check,
 )

@@ -40,7 +40,7 @@ from .emission import (
     coupling,
     first_order_state,
     first_order_table,
-    interaction_picture,
+    interaction_action,
     mode_couplings,
     VACUUM_TOL,
 )
@@ -521,7 +521,7 @@ def cmd_emission(cfg: RunConfig, outdir: Path, tol: float | None, seed: int) -> 
 
     psi_closed = first_order_state(initial, cfg.atom, t_ref, gs)
     try:
-        psi_quad = dyson_first_order(interaction_picture(layout, cfg.atom, cfg.field, gs),
+        psi_quad = dyson_first_order(interaction_action(initial, cfg.atom, cfg.field, gs),
                                      initial, t_ref, hbar=cfg.field.hbar)
     except ValueError as exc:
         raise ConfigError(f"t = {t_ref!r}: first-order Dyson integral: {exc}")

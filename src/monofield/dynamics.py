@@ -15,9 +15,9 @@ doublets in closed form and refuses a phase with :func:`_phase_fault`'s line.
 :func:`dyson_first_order` integrates the first-order Dyson term with
 :mod:`monofield.quadrature`, ``scipy.integrate.quad_vec``'s adaptive
 Gauss-Kronrod 21 rule written in numpy, bit for bit ``quad_vec``'s integral
-and error estimate.  Each round evaluates the nodes of all the intervals it
-bisects in as few builder calls as :data:`DYSON_BLOCK_BYTES` of coupling
-blocks allows, where ``quad_vec`` made one Python call per node.
+and error estimate.  Each round evaluates H_I|psi0> at the nodes of all the
+intervals it bisects in as few calls as :data:`DYSON_BLOCK_BYTES` of node
+values allows, where ``quad_vec`` made one Python call per node.
 
 :func:`matrix_exp` is the general Pade exponential; no evolution path
 calls it.  scipy is imported only inside :func:`matrix_exp`
@@ -48,8 +48,8 @@ HERMITICITY_TOL = 1e-10
 _KERNEL_SERIES_CUTOFF = 1e-6
 # a phase |lambda*t/hbar| this large keeps no digit below 2*pi
 _PHASE_LIMIT = 1.0 / np.finfo(float).eps
-# bytes of coupling blocks one call of a Dyson builder returns, and of node
-# values one group of quadrature rules holds
+# bytes of node values one group of quadrature rules holds, and so one call
+# of a Dyson action returns
 DYSON_BLOCK_BYTES = 1 << 20
 
 
@@ -175,40 +175,32 @@ def evolve(h: Operator, psi0: StateVector, t: float, hbar: float = 1.0) -> State
     return StateVector(psi0.layout, spectrum(h, hbar).trajectory(psi0, float(t)))
 
 
-def dyson_first_order(h_builder: Callable[[np.ndarray], np.ndarray], psi0: StateVector,
+def dyson_first_order(action: Callable[[np.ndarray], np.ndarray], psi0: StateVector,
                       t: float, hbar: float = 1.0) -> StateVector:
     """|psi0> + (i*hbar)^-1 integral_0^t H_I(t')|psi0> dt' by adaptive quadrature.
 
-    ``h_builder`` takes a 1-D array of N times and returns the (N, M, s, s)
-    mode blocks of H_I at each of them, as the callable that
-    :func:`monofield.emission.interaction_picture` makes from a layout and
-    its :func:`~monofield.emission.mode_couplings` row does.  The integral is
+    ``action`` takes a 1-D array of N times and returns the (N, D) values of
+    H_I|psi0> at each of them, as the callable that
+    :func:`monofield.emission.interaction_action` makes from psi0 and its
+    :func:`~monofield.emission.mode_couplings` row does.  The integral is
     :func:`monofield.quadrature.adaptive_gk21`, bit for bit that of
     ``scipy.integrate.quad_vec`` on the one-time integrand H_I(t')|psi0>, and
-    so is its error estimate.  Each round of the quadrature evaluates the
-    nodes of every interval it bisects together, in groups of at most
-    :data:`DYSON_BLOCK_BYTES` of node values and builder calls of at most
-    that many bytes of blocks (at least one node a call), so a round is one
-    call until its nodes outgrow the budget.  The result is the raw
-    first-order sum (not normalized).  Quadrature that does not converge is
-    refused with its error estimate.
+    so is its error estimate.  Each round evaluates the nodes of every
+    interval it bisects together, one call per group of at most
+    :data:`DYSON_BLOCK_BYTES` of node values (at least one interval a group).
+    The result is the raw first-order sum (not normalized).  Values of another
+    shape are refused, as is quadrature that does not converge (with its error estimate).
     """
     from .quadrature import adaptive_gk21
 
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    layout = psi0.layout
-    per_call = max(1, DYSON_BLOCK_BYTES // (16 * math.prod(layout.block_shape)))
 
     def integrand(times: np.ndarray) -> np.ndarray:
-        values = np.empty((len(times), layout.dimension), dtype=complex)
-        for start in range(0, len(times), per_call):
-            chunk = times[start:start + per_call]
-            blocks = h_builder(chunk)
-            if np.shape(blocks) != (len(chunk), *layout.block_shape):
-                raise ValueError("layout mismatch")
-            values[start:start + per_call] = block_matvec(blocks, psi0.amplitudes)
+        values = action(times)
+        if np.shape(values) != (len(times), psi0.layout.dimension):
+            raise ValueError("layout mismatch")
         return values
 
     integral, err, converged = adaptive_gk21(integrand, t, DYSON_BLOCK_BYTES)

@@ -10,12 +10,13 @@ so no spatial phases enter the couplings.
 The couplings g_k of all modes are one row, :func:`mode_couplings`, over
 the polarization table of :func:`monofield.fields.polarization_vectors`;
 :func:`coupling` is its one-mode case.  The coupling blocks of the
-Hamiltonian and of the interaction picture come from one writer,
+Hamiltonian and of :func:`interaction_hamiltonian` come from one writer,
 s*(g_k*R) + h.c. with R the block of a sigma+.
 
 Under the RWA each mode block is nmax doublets {|k, n, e>, |k, n+1, g>}
 and two singlets; :func:`convergence_sweep` evolves each doublet by the
-n-photon Jaynes-Cummings Rabi formula, with no block built.
+n-photon Jaynes-Cummings Rabi formula, and :func:`interaction_action`
+applies the interaction picture's coupling to a state, with no block built.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "mode_couplings",
     "free_hamiltonian_with_atom",
     "atom_field_hamiltonian",
-    "interaction_picture",
+    "interaction_action",
     "interaction_hamiltonian",
     "first_order_table",
     "first_order_emission",
@@ -181,27 +182,30 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def interaction_picture(layout: HilbertLayout, atom: AtomParams, config: FieldConfig,
-                        gs: np.ndarray) -> Callable[[float | np.ndarray],
-                                                    Operator | np.ndarray]:
-    """t -> :func:`interaction_hamiltonian` at time t, for many times, from
-    the :func:`mode_couplings` row ``gs`` of the layout's modes.
+def interaction_action(initial: StateVector, atom: AtomParams, config: FieldConfig,
+                       gs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """times -> the (N, D) values of H_I(t)|initial> at a 1-D array of N
+    times, from the :func:`mode_couplings` row ``gs`` of the layout's modes.
 
-    The block of a sigma+ does not depend on the time, so it is built once
-    here and each call only multiplies the detuning phases into ``gs``.
-    A 1-D array of N times gives the (N, M, 2b, 2b) block stack of the N
-    couplings, each bit for bit the blocks of its time alone; a scalar time
-    gives the :class:`Operator`.
+    H_I couples only the doublets {|k, n, e>, |k, n+1, g>}, by the entry
+    c = s*(g_k*exp(i(omega0-omega_k)t)*sqrt(n+1)) of :func:`_coupling_blocks`:
+    excited (k, n) gets c*psi_g(k, n+1), ground (k, n+1) gets conj(c)*psi_e(k, n)
+    and every other ket 0.0, each product :func:`_cmul`'s, as the blocks of
+    :func:`interaction_hamiltonian` times the state give, up to signed zeros.
     """
+    layout = initial.layout
     _require_atom(layout)
-    lower = _raise_atom(fock_lowering(layout.nmax))
     scale = config.hbar * atom.omega0 * atom.d
     i_detunings = 1j * (atom.omega0 - layout.omegas)
+    roots = np.sqrt(np.arange(1, layout.fock_dim))
+    amps = layout.view(initial.amplitudes)
 
-    def at(t):
-        if np.ndim(t):
-            return _coupling_blocks(lower, scale, _cmul(gs, np.exp(i_detunings * t[:, None])))
-        return Operator(layout, _coupling_blocks(lower, scale, _cmul(gs, np.exp(i_detunings * t))))
+    def at(times: np.ndarray) -> np.ndarray:
+        c = scale * (_cmul(gs, np.exp(i_detunings * times[:, None]))[..., None] * roots)
+        out = np.zeros((len(times), layout.dimension), dtype=complex)
+        layout.view(out)[:, EXCITED, :, :-1] = _cmul(c, amps[GROUND, :, 1:])
+        layout.view(out)[:, GROUND, :, 1:] = _cmul(c.conj(), amps[EXCITED, :, :-1])
+        return out
 
     return at
 
@@ -209,8 +213,12 @@ def interaction_picture(layout: HilbertLayout, atom: AtomParams, config: FieldCo
 def interaction_hamiltonian(layout: HilbertLayout, atom: AtomParams,
                             config: FieldConfig, t: float) -> Operator:
     """Interaction-picture coupling with detuning phases exp(+-i(omega0-omega_k)t)."""
-    return interaction_picture(layout, atom, config,
-                               mode_couplings(layout.modes, atom, config))(t)
+    t = float(t)
+    _require_atom(layout)
+    phased = _cmul(mode_couplings(layout.modes, atom, config),
+                   np.exp(1j * (atom.omega0 - layout.omegas) * t))
+    return Operator(layout, _coupling_blocks(_raise_atom(fock_lowering(layout.nmax)),
+                                             config.hbar * atom.omega0 * atom.d, phased))
 
 
 def first_order_table(initial: StateVector, atom: AtomParams, times: Sequence[float],

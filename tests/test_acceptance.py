@@ -149,10 +149,10 @@ def test_criterion_7_first_order_emission(natural):
     initial = mf.StateVector(layout, amps).normalize()
     t = 1.2
 
-    closed = mf.first_order_state(initial, atom, t, mf.mode_couplings(modes, atom, natural))
-    quad = mf.dyson_first_order(
-        lambda tp: mf.interaction_hamiltonian(layout, atom, natural, tp),
-        initial, t, hbar=natural.hbar)
+    gs = mf.mode_couplings(modes, atom, natural)
+    closed = mf.first_order_state(initial, atom, t, gs)
+    quad = mf.dyson_first_order(mf.interaction_action(initial, atom, natural, gs),
+                                initial, t, hbar=natural.hbar)
     quad_dev = float(np.max(np.abs(closed.amplitudes - quad.amplitudes)))
 
     absent_zero = all(

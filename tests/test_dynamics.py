@@ -411,7 +411,7 @@ class TestDysonFirstOrder:
     def test_zero_coupling_returns_initial(self, two_tone_layout, rng):
         psi = random_state(two_tone_layout, rng)
         out = mf.dyson_first_order(
-            lambda ts: np.zeros((len(ts), *two_tone_layout.block_shape)), psi, 3.0)
+            lambda ts: np.zeros((len(ts), two_tone_layout.dimension)), psi, 3.0)
         assert np.array_equal(out.amplitudes, psi.amplitudes)
 
     def test_separable_time_dependence_oracle(self, two_tone_layout, rng):
@@ -419,8 +419,8 @@ class TestDysonFirstOrder:
         c = random_hermitian(two_tone_layout, rng)
         psi = random_state(two_tone_layout, rng)
         w, t = 1.7, 2.1
-        out = mf.dyson_first_order(
-            lambda ts: np.cos(w * ts)[:, None, None, None] * c.data, psi, t)
+        c_psi = c.matvec(psi.amplitudes)
+        out = mf.dyson_first_order(lambda ts: np.cos(w * ts)[:, None] * c_psi, psi, t)
         expected = psi.amplitudes + (np.sin(w * t) / w) * (c.toarray() @ psi.amplitudes) / 1j
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
@@ -429,24 +429,26 @@ class TestDysonFirstOrder:
                                                         monkeypatch, budget_nodes):
         c = random_hermitian(two_tone_layout, rng)
         psi = random_state(two_tone_layout, rng)
-        node_bytes = 16 * math.prod(two_tone_layout.block_shape)
+        c_psi = c.matvec(psi.amplitudes)
+        node_bytes = 16 * two_tone_layout.dimension
         calls = []
 
-        def builder(ts):
+        def action(ts):
             calls.append(len(ts))
-            return np.cos(1.7 * ts + 0.3 * ts ** 2)[:, None, None, None] * c.data
+            return np.cos(1.7 * ts + 0.3 * ts ** 2)[:, None] * c_psi
 
-        want = mf.dyson_first_order(builder, psi, 40.0)
+        want = mf.dyson_first_order(action, psi, 40.0)
         assert calls[0] == 21 and all(n % 21 == 0 for n in calls)  # one call a round
         calls.clear()
         monkeypatch.setattr(dynamics, "DYSON_BLOCK_BYTES", budget_nodes * node_bytes)
-        got = mf.dyson_first_order(builder, psi, 40.0)
-        assert min(calls) >= 1
-        assert max(calls) <= max(1, budget_nodes)
+        got = mf.dyson_first_order(action, psi, 40.0)
+        # one call per group of whole Gauss-Kronrod rules of at most the budget
+        assert all(n % 21 == 0 for n in calls)
+        assert max(calls) <= 21 * max(1, budget_nodes // 21)
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
     def test_builder_of_another_layout_is_refused(self, two_tone_layout, rng):
         psi = random_state(two_tone_layout, rng)
         other = mf.build_layout([mf.abstract_mode(1.0)], 3)
         with pytest.raises(ValueError, match="layout mismatch"):
-            mf.dyson_first_order(lambda ts: np.zeros((len(ts), *other.block_shape)), psi, 1.0)
+            mf.dyson_first_order(lambda ts: np.zeros((len(ts), other.dimension)), psi, 1.0)

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from monofield import quadrature
 from monofield.cli import _box_modes, load_config
 from monofield.dynamics import resonance_kernel
 from monofield.emission import EXCITED, GROUND, first_order_table, mode_couplings
-from conftest import sigma3, sigma_plus
+from monofield.hilbert import block_matvec
+from conftest import bench_emission_config, sigma3, sigma_plus
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,6 +37,16 @@ def interaction_picture_exact(layout, atom, config, psi0, t):
     h_free = mf.free_hamiltonian_with_atom(layout, atom, config)
     psi_s = mf.evolve(h_full, psi0, t, config.hbar)
     return mf.evolve(h_free, psi_s, -t, config.hbar)
+
+
+def block_route(initial, atom, config):
+    """times -> the (N, D) values of H_I(t)|initial> through the stacked
+    blocks of interaction_hamiltonian, one time at a time: the oracle of
+    interaction_action."""
+    def at(times):
+        blocks = [mf.interaction_hamiltonian(initial.layout, atom, config, t).data for t in times]
+        return block_matvec(np.stack(blocks), initial.amplitudes)
+    return at
 
 
 def scalar_coupling(mode, atom, config):
@@ -220,6 +232,13 @@ class TestInteractionHamiltonian:
             dense = h_i.toarray()
             assert np.max(np.abs(dense - dense.conj().T)) < 1e-13
 
+    @pytest.mark.parametrize("times", [[0.4], [0.4, 2.7]], ids=["one", "one_per_mode"])
+    def test_array_time_is_refused(self, natural, times):
+        # two times on two modes would broadcast against the detunings
+        assert len(self.modes) == 2
+        with pytest.raises(TypeError):
+            mf.interaction_hamiltonian(self.layout, self.atom, natural, np.array(times))
+
 
 class TestFirstOrderEmission:
     def setup_method(self):
@@ -293,11 +312,10 @@ class TestFirstOrderEmission:
         initial = excited_state(self.layout, {(0, 0): 0.5, (1, 0): 0.5,
                                               (2, 1): 1.0 / np.sqrt(2)})
         t = 1.2
-        closed = mf.first_order_state(initial, self.atom, t,
-                                      mode_couplings(self.layout.modes, self.atom, natural))
-        quad = mf.dyson_first_order(
-            lambda tp: mf.interaction_hamiltonian(self.layout, self.atom, natural, tp),
-            initial, t, hbar=natural.hbar)
+        gs = mode_couplings(self.layout.modes, self.atom, natural)
+        closed = mf.first_order_state(initial, self.atom, t, gs)
+        quad = mf.dyson_first_order(mf.interaction_action(initial, self.atom, natural, gs),
+                                    initial, t, hbar=natural.hbar)
         assert np.max(np.abs(closed.amplitudes - quad.amplitudes)) < 1e-10
 
     def test_error_scales_quadratically_in_coupling(self, natural):
@@ -389,7 +407,7 @@ class TestAmplitudeTable:
             got = mf.first_order_state(initial, atom, t, gs).amplitudes
             assert got.tobytes() == want.tobytes()
 
-    def test_interaction_picture_matches_the_real_pair_formula(self, rng):
+    def test_interaction_hamiltonian_matches_the_real_pair_formula(self, rng):
         for _ in range(50):
             initial, atom, config, t = random_emission_case(rng)
             layout = initial.layout
@@ -400,18 +418,8 @@ class TestAmplitudeTable:
             phases = np.exp(i_detunings * t).view(float).reshape(-1, 2)
             pairs = g_re * phases + g_im * phases[:, ::-1]
             want = scattered_coupling_blocks(layout, atom, config, pairs.view(complex).ravel())
-            got = mf.interaction_picture(layout, atom, config,
-                                         mode_couplings(layout.modes, atom, config))(t).data
+            got = mf.interaction_hamiltonian(layout, atom, config, t).data
             assert got.tobytes() == want.tobytes()
-
-    def test_interaction_picture_at_many_times_is_each_time_alone(self, rng):
-        for _ in range(50):
-            initial, atom, config, t = random_emission_case(rng)
-            gs = mode_couplings(initial.layout.modes, atom, config)
-            at = mf.interaction_picture(initial.layout, atom, config, gs)
-            times = np.array([t, 0.0, -0.0, -t, 3.7 * t, 1e10])
-            want = np.stack([at(float(s)).data for s in times])
-            assert at(times).tobytes() == want.tobytes()
 
     def test_channels_read_the_read_only_table(self, natural):
         layout = mf.build_layout([z_mode(0.8), z_mode(1.0), z_mode(1.3)], 3, with_atom=True)
@@ -428,12 +436,54 @@ class TestAmplitudeTable:
         assert [tuple(kn) for kn in np.argwhere(table)] == [(0, 0), (1, 2), (2, 1)]
 
 
+def both_levels_state(layout, rng):
+    """A state with both atom levels populated, exact zeros and signed zeros."""
+    parts = rng.normal(size=(layout.dimension, 2))
+    parts[rng.uniform(size=parts.shape) < 0.25] = 0.0
+    parts[rng.uniform(size=parts.shape) < 0.25] = -0.0
+    return mf.StateVector(layout, parts.view(complex)[:, 0])
+
+
+class TestInteractionAction:
+    """interaction_action against the block route of interaction_hamiltonian."""
+
+    TIMES = np.array([0.0, -0.0, 0.8, -0.8, 3.7, -12.5, 1e10])
+
+    def check(self, initial, atom, config, dyson_times):
+        gs = mode_couplings(initial.layout.modes, atom, config)
+        action = mf.interaction_action(initial, atom, config, gs)
+        oracle = block_route(initial, atom, config)
+        got, want = action(self.TIMES), oracle(self.TIMES)
+        assert got.shape == (len(self.TIMES), initial.layout.dimension)
+        # == entry for entry: exact zeros may differ in sign
+        assert (got == want).all()
+        for t in dyson_times:
+            quad = mf.dyson_first_order(action, initial, t, hbar=config.hbar)
+            blocks = mf.dyson_first_order(oracle, initial, t, hbar=config.hbar)
+            assert quad.amplitudes.tobytes() == blocks.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("nmax", [1, 3, 5])
+    def test_equals_the_block_route_on_random_states(self, rng, nmax):
+        for _ in range(12):
+            initial, atom, config, t = random_emission_case(rng)
+            layout = mf.build_layout(initial.layout.modes, nmax, with_atom=True)
+            self.check(both_levels_state(layout, rng), atom, config, [t or 1.3])
+
+    def test_equals_the_block_route_on_the_benchmark_config(self, tmp_path, rng):
+        path = tmp_path / "bench_11.json"
+        path.write_text(json.dumps(bench_emission_config(11)))
+        cfg, _ = load_config(path)
+        layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
+        for initial in (mf.superposition(layout, cfg.emission_initial),
+                        both_levels_state(layout, rng)):
+            self.check(initial, cfg.atom, cfg.field, [cfg.times[-1], -0.6])
+
+
 def quad_vec_dyson(initial, atom, config, t, limit=10000):
-    """The first-order Dyson integral by scipy's quad_vec, one scalar-time
-    interaction picture per node: (integral, error estimate, converged)."""
-    gs = mode_couplings(initial.layout.modes, atom, config)
-    at = mf.interaction_picture(initial.layout, atom, config, gs)
-    integral, err, info = quad_vec(lambda tp: at(tp).matvec(initial.amplitudes), 0.0, t,
+    """The first-order Dyson integral by scipy's quad_vec, one block-route
+    value per node: (integral, error estimate, converged)."""
+    at = block_route(initial, atom, config)
+    integral, err, info = quad_vec(lambda tp: at([tp])[0], 0.0, t,
                                    epsabs=1e-12, limit=limit, full_output=True)
     return integral, err, info.success
 
@@ -448,7 +498,7 @@ class TestDysonQuadrature:
             assert converged
             want = initial.amplitudes + integral / (1j * config.hbar)
             gs = mode_couplings(initial.layout.modes, atom, config)
-            at = mf.interaction_picture(initial.layout, atom, config, gs)
+            at = mf.interaction_action(initial, atom, config, gs)
             got = mf.dyson_first_order(at, initial, t, hbar=config.hbar).amplitudes
             ulp = np.spacing(np.linalg.norm(integral))
             assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
@@ -461,8 +511,8 @@ class TestDysonQuadrature:
         initial = mf.superposition(layout, cfg.emission_initial)
         # an interval limit lowered on both sides keeps quad_vec's run short
         monkeypatch.setattr(quadrature, "_INTERVAL_LIMIT", limit)
-        at = mf.interaction_picture(layout, cfg.atom, cfg.field,
-                                    mode_couplings(layout.modes, cfg.atom, cfg.field))
+        at = mf.interaction_action(initial, cfg.atom, cfg.field,
+                                   mode_couplings(layout.modes, cfg.atom, cfg.field))
         with np.errstate(over="ignore", invalid="ignore"):
             _, err, converged = quad_vec_dyson(initial, cfg.atom, cfg.field, t, limit=limit)
             with pytest.raises(ValueError) as refused:
@@ -475,8 +525,8 @@ class TestDysonQuadrature:
         cfg, _ = load_config(DATA / "config_emission.json")
         layout = mf.build_layout(cfg.modes, cfg.nmax, with_atom=True)
         initial = mf.superposition(layout, cfg.emission_initial)
-        at = mf.interaction_picture(layout, cfg.atom, cfg.field,
-                                    mode_couplings(layout.modes, cfg.atom, cfg.field))
+        at = mf.interaction_action(initial, cfg.atom, cfg.field,
+                                   mode_couplings(layout.modes, cfg.atom, cfg.field))
         with pytest.raises(ValueError) as refused:
             mf.dyson_first_order(at, initial, 1e10, hbar=cfg.field.hbar)
         assert str(refused.value) == "quadrature did not converge (error estimate 2.237e+07)"

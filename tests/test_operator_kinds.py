@@ -261,9 +261,7 @@ class TestBlockKind:
         ops = [mf.ladder(field), mf.ladder(atom), mf.mode_annihilator(field, 1),
                mf.mode_annihilator(atom, 2), sigma_plus(atom), sigma_plus(atom).dag(),
                mf.atom_field_hamiltonian(atom, params, config),
-               mf.interaction_hamiltonian(atom, params, config, 0.4),
-               mf.interaction_picture(atom, params, config,
-                                      mf.mode_couplings(mixed_modes, params, config))(1.7)]
+               mf.interaction_hamiltonian(atom, params, config, 0.4)]
         for layout in (field, atom):
             for builder in (mf.vector_potential, mf.electric_field, mf.magnetic_field):
                 ops.extend(builder(layout, config, 0.3, (0.1, 0.2, -0.4)))

@@ -48,4 +48,6 @@ def test_tracer_sees_the_first_order_state_of_the_emission_command(tmp_path):
     finally:
         tracer.uninstall()
     assert rc == 0
-    assert "emission.first_order" in {span[0] for span in tracer.spans}
+    assert {"emission.first_order", "dynamics.dyson"} <= {span[0] for span in tracer.spans}
+    # the wrapped first argument of dyson_first_order is called
+    assert tracer.counts["dynamics.dyson_integrand_evals"] > 0

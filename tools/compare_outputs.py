@@ -35,8 +35,9 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
 * ``tests/data/config_emission.json`` with the edge cases of the stacked
   coupling sweep and the columnar ``emission.csv``: a 1e300 coupling first
   and one in the middle (refused by its phase), 12 couplings in a
-  non-monotone order, ``times: [1e160]`` (the probability overflows) and
-  ``times: []`` (a header-only table);
+  non-monotone order, ``times: [1e160]`` (the probability overflows),
+  ``times: []`` (a header-only table) and ``times: [1e10]`` (the Dyson
+  quadrature reaches its interval limit and is refused);
 * twins of ``tests/data/config_emission.json`` and ``config_field.json``
   whose wavevector zeros are ``-0.0``: their mode tuples equal their
   mates', which run before them;
@@ -46,7 +47,7 @@ fresh interpreter with ``PYTHONPATH=<tree>/src`` and
   with a config error (every allocation such a run could reach is at
   least 8 TiB, so it fails at once).
 
-That is 76 configs, so 380 runs per tree and pass.  A config a command
+That is 77 configs, so 385 runs per tree and pass.  A config a command
 cannot use is still run: its exit code and message are compared too.  Everything is written under a temporary directory.
 The script compares the exit codes, stdout, stderr (with the tree path
 masked) and every output file between the trees.
@@ -171,7 +172,8 @@ def write_configs(directory: Path) -> list[Path]:
             "coupling-huge-middle": {"couplings": [0.001, 1e300, 0.002]},
             "couplings-12": {"couplings": twelve},
             "probability-overflow": {"times": [1e160]},
-            "no-times": {"times": []}}.items():
+            "no-times": {"times": []},
+            "dyson-refused": {"times": [1e10]}}.items():
         docs[f"emission-{name}"] = {**emission, **change}
     for name in ("config_emission", "config_field"):
         doc = json.loads((data / f"{name}.json").read_text())
